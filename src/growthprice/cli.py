@@ -514,3 +514,7 @@ def verify(game_path, tol, max_iter, output_format, normalize, seed):
         normalize=normalize,
     )
     sys.exit(run(cfg))
+
+
+if __name__ == "__main__":
+    main()

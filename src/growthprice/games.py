@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GameValidationError, SpecParseError
@@ -35,6 +36,14 @@ class Game:
     dropped, duplicate payouts are merged by summing weights, and the list is
     sorted by payout. Canonical form makes equality, hashing and all derived
     sums deterministic.
+
+    Two derived values are computed on first use and kept on the instance:
+    the summary statistics at the default essential infimum (so a game is
+    validated once, however many solvers it passes through) and the payout
+    and weight columns. Neither takes part in equality or hashing. A game
+    that fails validation caches no statistics and raises again on every
+    use. Concurrent first access is safe: the computation is deterministic,
+    so every thread sees the same values.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -57,6 +66,22 @@ class Game:
     ) -> "Game":
         """Build a game from (payout, weight) pairs."""
         return cls(tuple(Outcome(float(a), float(p)) for a, p in pairs), label=label)
+
+    @cached_property
+    def _stats(self) -> "GameStats":
+        """Statistics at the default essential infimum, after validation."""
+        verdict = validate(self)
+        if not verdict.ok:
+            raise GameValidationError(verdict)
+        return _summarize(self, self.outcomes[0].payout)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Payouts and weights as two tuples, in outcome order."""
+        return (
+            tuple(o.payout for o in self.outcomes),
+            tuple(o.weight for o in self.outcomes),
+        )
 
 
 @dataclass(frozen=True)
@@ -126,26 +151,28 @@ def compute_stats(game: Game, *, ess_inf: float | None = None) -> GameStats:
     it equals the smallest payout (the default), mass sits at the infimum,
     h_xi is infinite and the lower price bound collapses to the infimum.
 
+    Without `ess_inf` the result is computed once per game and kept.
     Raises GameValidationError (carrying the verdict) for invalid games.
     """
-    verdict = validate(game)
-    if not verdict.ok:
-        raise GameValidationError(verdict)
-    min_payout = min(o.payout for o in game.outcomes)
+    stats = game._stats
     if ess_inf is None:
-        xi = min_payout
-    else:
-        xi = float(ess_inf)
-        if not xi <= min_payout:
-            raise DomainError(
-                f"ess_inf={xi!r} must not exceed the smallest payout {min_payout!r}"
-            )
-        if not xi > 0.0:
-            raise DomainError(f"ess_inf={xi!r} must be strictly positive")
+        return stats
+    xi = float(ess_inf)
+    if not xi <= stats.ess_inf:
+        raise DomainError(
+            f"ess_inf={xi!r} must not exceed the smallest payout {stats.ess_inf!r}"
+        )
+    if not xi > 0.0:
+        raise DomainError(f"ess_inf={xi!r} must be strictly positive")
+    return _summarize(game, xi)
+
+
+def _summarize(game: Game, xi: float) -> GameStats:
+    """Statistics of a valid game with essential infimum xi."""
     expectation = math.fsum(o.weight * o.payout for o in game.outcomes)
     harmonic = math.fsum(o.weight / o.payout for o in game.outcomes)
     log_moment = math.fsum(o.weight * math.log(o.payout) for o in game.outcomes)
-    if xi == min_payout:
+    if xi == game.outcomes[0].payout:
         h_xi = math.inf
         inv_h_xi = 0.0
     else:
@@ -168,16 +195,18 @@ def translate(game: Game, n: float) -> Game:
     The shift must stay above minus the essential infimum so that shifted
     payouts remain strictly positive.
     """
-    verdict = validate(game)
-    if not verdict.ok:
-        raise GameValidationError(verdict)
-    xi = min(o.payout for o in game.outcomes)
-    if not n > -xi:
-        raise DomainError(f"shift n={n!r} must exceed -ess_inf = {-xi!r}")
+    _require_shift(game, n)
     return Game(
         tuple(Outcome(o.payout + n, o.weight) for o in game.outcomes),
         label=game.label,
     )
+
+
+def _require_shift(game: Game, n: float) -> None:
+    """Raise unless game is valid and n keeps every shifted payout positive."""
+    xi = game._stats.ess_inf
+    if not n > -xi:
+        raise DomainError(f"shift n={n!r} must exceed -ess_inf = {-xi!r}")
 
 
 def game_from_nodes(
@@ -261,9 +290,7 @@ def load_spec(text: str, *, normalize: bool = False) -> Game:
         if math.isfinite(total) and total > 0.0:
             pairs = [(a, p / total) for a, p in pairs]
     game = Game.from_pairs(pairs, label=label)
-    verdict = validate(game)
-    if not verdict.ok:
-        raise GameValidationError(verdict)
+    compute_stats(game)  # validates, and keeps the stats for later calls
     return game
 
 

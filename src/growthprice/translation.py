@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DomainError, InternalConsistencyError
-from .games import Game, compute_stats, translate
+from .games import Game, _require_shift, compute_stats, translate
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -104,8 +104,20 @@ def boundary_growth(game: Game, n: float) -> float:
     shifted payouts. Strictly decreasing in n with limit 1, it separates the
     interior pricing regime from full investment at a given rate.
     """
-    stats = compute_stats(translate(game, n))
-    return stats.harmonic_integral * math.exp(stats.log_moment)
+    _require_shift(game, n)
+    payouts, weights = game._columns
+    shifted = [a + n for a in payouts]
+    if not (
+        math.isfinite(shifted[-1])
+        and all(lo < hi for lo, hi in zip(shifted, shifted[1:]))
+    ):
+        # Rounding merged adjacent payouts, or the largest overflowed: the
+        # shifted game is not these columns, so build and validate it.
+        stats = compute_stats(translate(game, n))
+        return stats.harmonic_integral * math.exp(stats.log_moment)
+    harmonic = math.fsum(w / a for w, a in zip(weights, shifted))
+    log_moment = math.fsum(w * math.log(a) for w, a in zip(weights, shifted))
+    return harmonic * math.exp(log_moment)
 
 
 class ThresholdStatus(Enum):

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import growthprice
 import growthprice.translation
 from growthprice import save_spec
 from growthprice.cli import (
@@ -239,3 +244,21 @@ class TestClickWiring:
             ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", "1,x"],
         )
         assert result.exit_code == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["growthprice", "growthprice.cli"])
+    def test_python_m_prints_the_click_bytes(self, spec_path, module):
+        argv = ["price", "--game", spec_path, "--rate", "0.05"]
+        expected = CliRunner().invoke(main, argv)
+        assert expected.exit_code == EXIT_OK
+        src = str(Path(growthprice.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected.stdout_bytes

@@ -1,23 +1,29 @@
 """Proportion solver and pricing: frozen oracle values, monotonicity, regimes."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import growthprice.solver
 from conftest import admissible_price, random_game, random_two_point
 from growthprice import (
     DomainError,
     Regime,
+    asymptotic_sweep,
     compute_stats,
     growth_rate,
     optimal_price,
     optimal_proportion,
     pre_optimal_proportion,
+    price_translated,
     proportion_residual,
+    threshold_shift,
     translate,
     two_point_closed_form,
 )
+from growthprice.solver import _first_order_kernel, _first_order_sum
 
 
 def closed_form_proportion(u: float) -> float:
@@ -220,3 +226,51 @@ class TestClosedFormAgreement:
             t_cf, g_cf = two_point_closed_form(tp, u)
             assert abs(solution.proportion - t_cf) <= 1e-9 * t_cf
             assert abs(solution.growth - g_cf) <= 1e-9 * g_cf
+
+
+class TestFirstOrderKernels:
+    """The numpy kernel for wide games must return the loop's float exactly."""
+
+    def test_vector_kernel_equals_loop(self):
+        rng = np.random.default_rng(404)
+        for k in (16, 17, 64, 255, 256, 512):
+            game = random_game(rng, k, k)
+            stats = compute_stats(game)
+            kernel = _first_order_kernel(game)
+            assert not isinstance(kernel, partial)  # the numpy kernel
+            for _ in range(20):
+                u = admissible_price(stats, rng)
+                cap = u / (u - stats.ess_inf)
+                inside = cap * (1.0 - 1e-13)
+                for t in (0.0, float(rng.uniform(0.0, cap)), inside, cap, 2.0 * cap):
+                    assert kernel(u, t) == _first_order_sum(game.outcomes, u, t)
+                assert kernel(u, 2.0 * cap) == -math.inf
+                assert math.isfinite(kernel(u, inside))
+
+    def test_solves_agree_on_both_kernels(self, monkeypatch):
+        game = random_game(np.random.default_rng(256), 256, 256)
+        r = 0.05
+        n0 = threshold_shift(game, r).n0
+
+        def solve_all():
+            return repr(
+                (
+                    optimal_price(game, r),
+                    threshold_shift(game, r),
+                    price_translated(game, r, 0.5 * n0),
+                    price_translated(game, r, 2.0 * n0),
+                    asymptotic_sweep(game, r, [0.0, 10.0, 1e3]),
+                )
+            )
+
+        vector = solve_all()
+        monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
+        assert isinstance(_first_order_kernel(game), partial)  # the loop
+        assert solve_all() == vector
+
+    def test_wide_game_values_are_pinned(self):
+        # 17-digit values of the bisection solvers before the numpy kernel
+        # existed; any change to the arithmetic of either kernel moves them.
+        game = random_game(np.random.default_rng(256), 256, 256)
+        assert repr(optimal_price(game, 0.05).optimal_price) == "10.161543037127668"
+        assert repr(threshold_shift(game, 0.05).n0) == "42.74846878506264"

@@ -9,6 +9,8 @@ import growthprice.translation
 from conftest import admissible_price, random_game
 from growthprice import (
     DomainError,
+    Game,
+    GameValidationError,
     InternalConsistencyError,
     Regime,
     ThresholdStatus,
@@ -77,6 +79,49 @@ class TestInvarianceOnRandomGames:
             growth_report = check_growth_invariance(game, u, n)
             assert ratio_report.ratio_residual <= 1e-8 * max(1.0, ratio_report.ratio_original)
             assert growth_report.growth_residual <= 1e-8 * growth_report.growth_original
+
+
+class TestBoundaryGrowthShifts:
+    def test_matches_the_translated_game_over_random_shifts(self):
+        rng = np.random.default_rng(606)
+        for _ in range(50):
+            game = random_game(rng)
+            n = float(rng.uniform(-compute_stats(game).ess_inf + 1e-3, 1e4))
+            stats = compute_stats(translate(game, n))
+            expected = stats.harmonic_integral * math.exp(stats.log_moment)
+            assert boundary_growth(game, n) == expected
+
+    def test_shift_merging_two_payouts_is_invalid(self):
+        game = Game.from_pairs([(1.0, 0.5), (1.0 + 2.0**-52, 0.5)])
+        with pytest.raises(GameValidationError, match="profit is constant"):
+            boundary_growth(game, 1.0)
+
+    def test_shift_merging_two_of_three_payouts_prices_the_merged_game(self):
+        # Summed per payout before merging, these weights round differently
+        # from the merged game's, so the result shows which game was priced.
+        game = Game.from_pairs([(1.0, 0.3), (1.0 + 2.0**-52, 0.6), (5.0, 0.1)])
+        merged = translate(game, 1.0)
+        assert len(merged.outcomes) == 2
+        stats = compute_stats(merged)
+        expected = stats.harmonic_integral * math.exp(stats.log_moment)
+        assert boundary_growth(game, 1.0) == expected
+
+    def test_overflowing_shift_is_invalid(self):
+        game = Game.from_pairs([(1.0, 0.5), (1e308, 0.5)])
+        with pytest.raises(GameValidationError, match="must be finite"):
+            boundary_growth(game, 1e308)
+
+    def test_shift_at_minus_ess_inf_rejected(self, two_point):
+        for n in (-1.0, -2.0):
+            with pytest.raises(DomainError) as excinfo:
+                boundary_growth(two_point, n)
+            assert str(excinfo.value) == f"shift n={n!r} must exceed -ess_inf = -1.0"
+
+    def test_invalid_game_rejected_before_the_shift(self):
+        game = Game.from_pairs([(1.0, 0.5), (3.0, 0.4)])
+        for _ in range(2):
+            with pytest.raises(GameValidationError, match="weights sum to 0.9"):
+                boundary_growth(game, -5.0)
 
 
 class TestThresholdShift:
