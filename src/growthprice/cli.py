@@ -20,7 +20,6 @@ from enum import Enum
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -220,6 +219,8 @@ def _cmd_sweep(cfg: RunConfig, game: Game):
 
 
 def _verify_checks(cfg: RunConfig, game: Game) -> list[dict]:
+    import numpy as np
+
     seed = cfg.seed if cfg.seed is not None else 0
     rng = np.random.default_rng(seed)
     checks: list[dict] = []

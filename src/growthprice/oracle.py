@@ -6,16 +6,22 @@ Monte Carlo simulation of per-period wealth growth.
 
 The simulation uses an xorshift64* generator seeded through the splitmix64
 finalizer, written out below so draws are bit-reproducible across platforms
-and languages. Each path derives its state from (seed, path index) alone,
-so results do not depend on scheduling order.
+and languages. Each path derives its state from (seed, path index) alone
+and draws its own stream. The simulator steps every path's state at once
+as numpy uint64 arrays, in blocks of at most _BLOCK_DRAWS draws, and keeps
+only an integer count of draws per outcome. The statistics are formed from
+those counts, so results do not depend on block size, scheduling or path
+order, and working memory does not grow with periods * paths.
+
+numpy is imported inside the functions that use it, so importing this
+module (and the CLI, which imports it) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import DomainError
 from .games import Game, compute_stats
@@ -89,6 +95,8 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     proportion. Prices must lie in (fair_price, expectation), where the
     no-borrowing optimum is interior.
     """
+    import numpy as np
+
     if grid_points < 1:
         raise DomainError(f"grid_points={grid_points!r} must be at least 1")
     stats = compute_stats(game)
@@ -100,8 +108,14 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
     ts = cap * np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
     log_growth = np.zeros_like(ts)
+    # One scratch buffer for every outcome's term; the operations and their
+    # order are those of log_growth += w * log1p(ts * ((a - u) / u)).
+    term = np.empty_like(ts)
     for o in game.outcomes:
-        log_growth += o.weight * np.log1p(ts * ((o.payout - u) / u))
+        np.multiply(ts, (o.payout - u) / u, out=term)
+        np.log1p(term, out=term)
+        term *= o.weight
+        log_growth += term
     return float(ts[int(np.argmax(log_growth))])
 
 
@@ -124,13 +138,50 @@ def _path_state(seed: int, path: int) -> int:
     return state or _SPLITMIX_GAMMA
 
 
-def _next_uniform(state: int) -> tuple[int, float]:
-    """One xorshift64* step; the top 53 output bits map to [0, 1)."""
-    state ^= state >> 12
-    state = (state ^ (state << 25)) & _MASK64
-    state ^= state >> 27
-    out = (state * 0x2545F4914F6CDD1D) & _MASK64
-    return state, (out >> 11) * 2.0**-53
+# Draws per working block of simulate_wealth. Paths are stepped together in
+# columns of at most this many, and a block holds as many periods of one
+# column as fit, so memory stays fixed however many draws a call makes.
+_BLOCK_DRAWS = 4096
+
+
+def _draw_counts(cum: list[float], periods: int, paths: int, seed: int) -> list[int]:
+    """Draws per bucket of the cumulative weights `cum` (last entry 1.0).
+
+    Path j makes `periods` draws from the xorshift64* stream started at
+    _path_state(seed, j); see simulate_wealth for the step.
+    """
+    import numpy as np
+
+    # Every draw lies below cum[-1] = 1.0, so `cum <= x` holds on a prefix
+    # of cum even where rounding lifted an earlier sum above 1, and
+    # searchsorted finds the bucket a linear scan would.
+    thresholds = np.array(cum)
+    counts = np.zeros(len(cum), dtype=np.int64)
+    width = min(paths, _BLOCK_DRAWS)
+    rows = min(periods, max(1, _BLOCK_DRAWS // width))
+    block = np.empty((rows, width), dtype=np.uint64)
+    multiplier = np.uint64(0x2545F4914F6CDD1D)
+    for first in range(0, paths, width):
+        last = min(first + width, paths)
+        state = np.array(
+            [_path_state(seed, j) for j in range(first, last)], dtype=np.uint64
+        )
+        shifted = np.empty_like(state)
+        for start in range(0, periods, rows):
+            out = block[: min(rows, periods - start), : last - first]
+            for row in out:
+                np.right_shift(state, 12, out=shifted)
+                state ^= shifted
+                np.left_shift(state, 25, out=shifted)
+                state ^= shifted
+                np.right_shift(state, 27, out=shifted)
+                state ^= shifted
+                np.multiply(state, multiplier, out=row)
+            out >>= 11
+            x = out * 2.0**-53
+            buckets = np.searchsorted(thresholds, x.ravel(), side="right")
+            counts += np.bincount(buckets, minlength=len(cum))
+    return counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -156,9 +207,20 @@ def simulate_wealth(
 
     Outcomes are drawn i.i.d. by inverse CDF over the payout-sorted
     cumulative weights; each period multiplies wealth by a*t/u - t + 1, so
-    the per-period log growth is the log of that factor. The mean and its
-    standard error aggregate every period of every path. Identical
-    arguments give bit-identical results.
+    the per-period log growth is the log of that factor. Path j draws
+    `periods` consecutive outputs of an xorshift64* stream started from
+    _path_state(seed, j):
+
+        s ^= s >> 12;  s ^= s << 25 (mod 2**64);  s ^= s >> 27
+        out = s * 0x2545F4914F6CDD1D (mod 2**64);  x = (out >> 11) * 2**-53
+
+    and each x falls in the first bucket k with x < cum[k]. Up to
+    _BLOCK_DRAWS paths step together as numpy uint64 arrays, and each block
+    of at most _BLOCK_DRAWS draws only adds to per-outcome draw counts. The mean and
+    its standard error aggregate every period of every path from those
+    counts with math.fsum, the variance in two passes, so the result does
+    not depend on how draws are split into blocks. Identical arguments give
+    bit-identical results.
     """
     compute_stats(game)
     if not u > 0.0:
@@ -175,31 +237,18 @@ def simulate_wealth(
         )
     seed = int(seed) & _MASK64
 
-    cum: list[float] = []
-    acc = 0.0
-    for o in game.outcomes:
-        acc += o.weight
-        cum.append(acc)
+    payouts, weights = game._columns
+    cum = list(accumulate(weights))
     cum[-1] = 1.0  # guard the last bucket against rounding
-    log_factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
+    log_factors = [math.log1p(t * (a - u) / u) for a in payouts]
+    counts = _draw_counts(cum, periods, paths, seed)
 
-    total = 0.0
-    total_sq = 0.0
-    for j in range(paths):
-        state = _path_state(seed, j)
-        for _ in range(periods):
-            state, x = _next_uniform(state)
-            k = 0
-            while x >= cum[k]:
-                k += 1
-            lf = log_factors[k]
-            total += lf
-            total_sq += lf * lf
-    count = periods * paths
-    mean = total / count
-    if count > 1:
-        var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-        std_error = math.sqrt(var / count)
+    n = periods * paths
+    terms = list(zip(counts, log_factors))
+    mean = math.fsum(c * lf for c, lf in terms) / n
+    if n > 1:
+        var = math.fsum(c * (lf - mean) ** 2 for c, lf in terms) / (n - 1)
+        std_error = math.sqrt(var / n)
     else:
         std_error = 0.0
     return SimulationResult(

@@ -262,3 +262,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == expected.stdout_bytes
+
+
+class TestLazyNumpy:
+    def test_narrow_commands_leave_numpy_unimported(self, spec_path):
+        # numpy costs about half of a cold start; only the oracles and the
+        # wide-game kernel import it, on first use
+        child = (
+            "import io, json, sys\n"
+            "from growthprice.cli import RunConfig, run\n"
+            "for command in ('analyze', 'price', 'threshold'):\n"
+            "    cfg = RunConfig(command=command, game_path=sys.argv[1], rate=0.05)\n"
+            "    assert run(cfg, stdout=io.StringIO()) == 0, command\n"
+            "    assert 'numpy' not in sys.modules, command\n"
+            "out = io.StringIO()\n"
+            "assert run(RunConfig(command='verify', game_path=sys.argv[1]), stdout=out) == 0\n"
+            "assert json.loads(out.getvalue())['all_passed'] is True\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        src = str(Path(growthprice.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, spec_path],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -1,11 +1,13 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from conftest import random_game, random_two_point
+from growthprice import oracle
 from growthprice import (
     DomainError,
     Game,
@@ -62,7 +64,74 @@ class TestClosedForm:
             two_point_closed_form(tp, 5.0, -1.0)
 
 
+def reference_grid(game, u, grid_points):
+    """Grid log growth and its argmax, one temporary array per operation."""
+    stats = compute_stats(game)
+    cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
+    ts = cap * np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
+    log_growth = np.zeros_like(ts)
+    for o in game.outcomes:
+        log_growth += o.weight * np.log1p(ts * ((o.payout - u) / u))
+    return log_growth, float(ts[int(np.argmax(log_growth))])
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def next_uniform(state):
+    """One scalar xorshift64* step; the top 53 output bits map to [0, 1)."""
+    state ^= state >> 12
+    state = (state ^ (state << 25)) & _MASK64
+    state ^= state >> 27
+    out = (state * 0x2545F4914F6CDD1D) & _MASK64
+    return state, (out >> 11) * 2.0**-53
+
+
+def bucket_edges(game):
+    cum = list(accumulate(o.weight for o in game.outcomes))
+    cum[-1] = 1.0
+    return cum
+
+
+def scalar_counts(cum, periods, paths, seed):
+    """Draws per bucket from the scalar stream and a linear scan."""
+    counts = [0] * len(cum)
+    for j in range(paths):
+        state = oracle._path_state(seed & _MASK64, j)
+        for _ in range(periods):
+            state, x = next_uniform(state)
+            k = 0
+            while x >= cum[k]:
+                k += 1
+            counts[k] += 1
+    return counts
+
+
 class TestGridArgmax:
+    @pytest.mark.parametrize("k", [2, 3, 5, 12, 28, 64])
+    def test_bit_identical_to_the_temporary_array_expression(self, k, monkeypatch):
+        # the argmax rarely moves when the sums change in the last bit, so
+        # the grid's log growth is captured on its way into np.argmax
+        real_argmax = np.argmax
+        seen = []
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.copy())
+            return real_argmax(a, *args, **kwargs)
+
+        rng = np.random.default_rng(4000 + k)
+        for _ in range(5):
+            game = random_game(rng, k, k)
+            stats = compute_stats(game)
+            u = stats.fair_price + float(rng.uniform(0.05, 0.95)) * (
+                stats.expectation - stats.fair_price
+            )
+            log_growth, argmax = reference_grid(game, u, 20_001)
+            monkeypatch.setattr(np, "argmax", spy)
+            assert grid_argmax_growth(game, u, 20_001) == argmax
+            monkeypatch.setattr(np, "argmax", real_argmax)
+            assert np.array_equal(seen.pop(), log_growth)
+
     def test_matches_closed_form_root(self, two_point):
         u = 7.2236
         expected = (10.0 - u) * u / ((19.0 - u) * (u - 1.0))
@@ -163,6 +232,48 @@ class TestSimulateWealth:
         result = simulate_wealth(two_point, 19.5, 1.0, periods=50, paths=10, seed=0)
         assert math.isfinite(result.mean_log_growth)
         assert result.mean_log_growth < 0.0
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize(
+        "k, periods, paths, seed",
+        [
+            (2, 200, 50, 7),
+            (64, 20, 30, 11),
+            (2, 1, 300, 3),
+            (64, 1, 1, 5),
+            (7, 40, 25, 2**63 + 12345),
+            (5, 2, oracle._BLOCK_DRAWS + 37, 2**64 - 1),
+        ],
+    )
+    def test_counts_equal_the_scalar_stream(self, k, periods, paths, seed):
+        cum = bucket_edges(random_game(np.random.default_rng(k), k, k))
+        got = oracle._draw_counts(cum, periods, paths, seed & _MASK64)
+        assert got == scalar_counts(cum, periods, paths, seed)
+
+    @pytest.mark.parametrize("block_draws", [1, 10**9])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, block_draws):
+        game = random_game(np.random.default_rng(66), 6, 6)
+        args = (game, compute_stats(game).expectation, 0.3)
+        expected = simulate_wealth(*args, periods=45, paths=9, seed=2**63 + 1)
+        monkeypatch.setattr(oracle, "_BLOCK_DRAWS", block_draws)
+        assert simulate_wealth(*args, periods=45, paths=9, seed=2**63 + 1) == expected
+
+    def test_std_error_is_stable_under_a_large_common_offset(self):
+        # log factors all near log(2e6) with spreads near 1e-6: a one-pass
+        # sum-of-squares variance cancels almost every digit here
+        game = Game.from_pairs([(1e6, 0.3), (1e6 + 1.0, 0.3), (1e6 + 3.0, 0.4)])
+        u, t, periods, paths, seed = 0.5, 1.0, 300, 20, 77
+        sim = simulate_wealth(game, u, t, periods=periods, paths=paths, seed=seed)
+        counts = scalar_counts(bucket_edges(game), periods, paths, seed)
+        factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
+        n = periods * paths
+        mean = math.fsum(c * lf for c, lf in zip(counts, factors)) / n
+        var = math.fsum(c * (lf - mean) ** 2 for c, lf in zip(counts, factors)) / (n - 1)
+        assert math.isclose(sim.mean_log_growth, mean, rel_tol=1e-12)
+        assert math.isclose(sim.std_error, math.sqrt(var / n), rel_tol=1e-12)
+        idle = simulate_wealth(game, u, 0.0, periods=periods, paths=paths, seed=seed)
+        assert idle.mean_log_growth == 0.0 and idle.std_error == 0.0
 
 
 class TestOracleAgainstSolver:
