@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import click
@@ -37,7 +38,7 @@ from .oracle import (
 from .solver import optimal_price, pre_optimal_proportion
 from .translation import (
     asymptotic_sweep,
-    check_ratio_invariance,
+    check_invariance,
     price_translated,
     threshold_shift,
 )
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_DOMAIN = 2
 EXIT_INTERNAL = 3
-
-_COMMANDS = ("analyze", "price", "translate", "threshold", "sweep", "verify")
 
 # Fixed CSV column order for sweep reports.
 _SWEEP_COLUMNS = ("n", "gap", "boundary_growth", "price_ratio", "monotone_witness")
@@ -166,7 +165,7 @@ def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
     invariance = None
     note = None
     if stats.lower_price_bound < base.optimal_price < stats.expectation:
-        invariance = check_ratio_invariance(
+        invariance = check_invariance(
             game, base.optimal_price, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
         )
     else:
@@ -326,14 +325,7 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
         return EXIT_DOMAIN
     try:
         game = load_spec(text, normalize=config.normalize)
-        handler = {
-            "analyze": _cmd_analyze,
-            "price": _cmd_price,
-            "translate": _cmd_translate,
-            "threshold": _cmd_threshold,
-            "sweep": _cmd_sweep,
-            "verify": _cmd_verify,
-        }[config.command]
+        handler, _, _ = _COMMANDS[config.command]
         report = handler(config, game)
     except (SpecParseError, GameValidationError) as exc:
         print(f"error: {exc}", file=err)
@@ -363,43 +355,93 @@ def _parse_shifts(ctx, param, value):
         raise click.BadParameter(f"expected comma-separated numbers, got {value!r}")
 
 
-def _common_options(f):
-    f = click.option(
-        "--normalize",
-        is_flag=True,
-        help="Rescale probabilities to unit total before validation.",
-    )(f)
-    f = click.option(
-        "--format",
-        "output_format",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Report format (csv applies to sweep only).",
-    )(f)
-    f = click.option(
-        "--max-iter",
-        "max_iter",
-        type=int,
-        default=200,
-        show_default=True,
-        help="Bisection iteration cap.",
-    )(f)
-    f = click.option(
-        "--tol",
+_COMMON_OPTIONS = (
+    click.Option(
+        ["--game", "game_path"],
+        required=True,
+        type=click.Path(),
+        help="Path to a JSON game spec.",
+    ),
+    click.Option(
+        ["--tol"],
         type=float,
         default=1e-12,
         show_default=True,
         help="Solver tolerance (residual and relative bracket width).",
-    )(f)
-    f = click.option(
-        "--game",
-        "game_path",
-        required=True,
-        type=click.Path(),
-        help="Path to a JSON game spec.",
-    )(f)
-    return f
+    ),
+    click.Option(
+        ["--max-iter", "max_iter"],
+        type=int,
+        default=200,
+        show_default=True,
+        help="Bisection iteration cap.",
+    ),
+    click.Option(
+        ["--format", "output_format"],
+        type=click.Choice(["json", "csv"]),
+        default="json",
+        show_default=True,
+        help="Report format (csv applies to sweep only).",
+    ),
+    click.Option(
+        ["--normalize"],
+        is_flag=True,
+        help="Rescale probabilities to unit total before validation.",
+    ),
+)
+_RATE = click.Option(
+    ["--rate"], type=float, required=True, help="Riskless rate per period."
+)
+
+# Every command: its handler, its help text and the click options it takes
+# besides the common ones. Option names equal RunConfig field names.
+_COMMANDS = {
+    "analyze": (
+        _cmd_analyze,
+        "Validate a game spec and report its summary statistics.",
+        (),
+    ),
+    "price": (
+        _cmd_price,
+        "Compute the optimal price of the game at the given rate.",
+        (_RATE,),
+    ),
+    "translate": (
+        _cmd_translate,
+        "Price the shifted game and report the invariance identities.",
+        (
+            _RATE,
+            click.Option(
+                ["--shift"], type=float, required=True, help="Payout shift n."
+            ),
+        ),
+    ),
+    "threshold": (
+        _cmd_threshold,
+        "Find the shift at which pricing switches to full investment.",
+        (_RATE,),
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "Track large-shift behavior along a list of shifts.",
+        (
+            _RATE,
+            click.Option(
+                ["--shifts"],
+                callback=_parse_shifts,
+                required=True,
+                help="Comma-separated increasing shifts, e.g. 1,2,4,8.",
+            ),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "Run the oracle cross-checks and report pass/fail per property.",
+        (
+            click.Option(["--seed"], type=int, help="Simulation seed (default 0)."),
+        ),
+    ),
+}
 
 
 @click.group()
@@ -408,113 +450,19 @@ def main():
     """Growth-optimal proportions and prices of discrete payoff games."""
 
 
-@main.command()
-@_common_options
-def analyze(game_path, tol, max_iter, output_format, normalize):
-    """Validate a game spec and report its summary statistics."""
-    cfg = RunConfig(
-        command="analyze",
-        game_path=game_path,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
+def _invoke(command: str, **kwargs) -> None:
+    sys.exit(run(RunConfig(command=command, **kwargs)))
+
+
+for _name, (_, _help, _extra) in _COMMANDS.items():
+    main.add_command(
+        click.Command(
+            _name,
+            callback=partial(_invoke, _name),
+            params=[*_COMMON_OPTIONS, *_extra],
+            help=_help,
+        )
     )
-    sys.exit(run(cfg))
-
-
-@main.command()
-@_common_options
-@click.option("--rate", type=float, required=True, help="Riskless rate per period.")
-def price(game_path, tol, max_iter, output_format, normalize, rate):
-    """Compute the optimal price of the game at the given rate."""
-    cfg = RunConfig(
-        command="price",
-        game_path=game_path,
-        rate=rate,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
-    )
-    sys.exit(run(cfg))
-
-
-@main.command(name="translate")
-@_common_options
-@click.option("--rate", type=float, required=True, help="Riskless rate per period.")
-@click.option("--shift", type=float, required=True, help="Payout shift n.")
-def translate_cmd(game_path, tol, max_iter, output_format, normalize, rate, shift):
-    """Price the shifted game and report the invariance identities."""
-    cfg = RunConfig(
-        command="translate",
-        game_path=game_path,
-        rate=rate,
-        shift=shift,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
-    )
-    sys.exit(run(cfg))
-
-
-@main.command()
-@_common_options
-@click.option("--rate", type=float, required=True, help="Riskless rate per period.")
-def threshold(game_path, tol, max_iter, output_format, normalize, rate):
-    """Find the shift at which pricing switches to full investment."""
-    cfg = RunConfig(
-        command="threshold",
-        game_path=game_path,
-        rate=rate,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
-    )
-    sys.exit(run(cfg))
-
-
-@main.command()
-@_common_options
-@click.option("--rate", type=float, required=True, help="Riskless rate per period.")
-@click.option(
-    "--shifts",
-    callback=_parse_shifts,
-    required=True,
-    help="Comma-separated increasing shifts, e.g. 1,2,4,8.",
-)
-def sweep(game_path, tol, max_iter, output_format, normalize, rate, shifts):
-    """Track large-shift behavior along a list of shifts."""
-    cfg = RunConfig(
-        command="sweep",
-        game_path=game_path,
-        rate=rate,
-        shifts=shifts,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
-    )
-    sys.exit(run(cfg))
-
-
-@main.command()
-@_common_options
-@click.option("--seed", type=int, default=None, help="Simulation seed (default 0).")
-def verify(game_path, tol, max_iter, output_format, normalize, seed):
-    """Run the oracle cross-checks and report pass/fail per property."""
-    cfg = RunConfig(
-        command="verify",
-        game_path=game_path,
-        seed=seed,
-        tol=tol,
-        max_iter=max_iter,
-        output_format=output_format,
-        normalize=normalize,
-    )
-    sys.exit(run(cfg))
 
 
 if __name__ == "__main__":

@@ -15,9 +15,15 @@ no-borrowing optimum; at or below the fair price the optimum is full
 investment (t = 1). The optimal price at a riskless rate r equates the best
 achievable growth rate with exp(r).
 
-All solvers use plain bisection: the relevant curves are strictly monotone,
-so bisection converges unconditionally. Everything here is a pure function
-of immutable inputs and is safe to call concurrently.
+Every root, here and in translation.py, comes from one routine, _bisect:
+each curve is strictly decreasing, so bisection converges on it
+unconditionally. _bisect returns the point it evaluated last and stops
+when any of these holds: the bracket [lo, hi] is no wider than
+tol * max(floor, hi) and the residual is at most tol in absolute value;
+the bracket can no longer be split; or it has made max_iter evaluations.
+The floor is 0 for proportions and prices, whose widths are relative, and
+1 for the threshold shift, whose width is absolute below 1. Everything here
+is a pure function of immutable inputs and is safe to call concurrently.
 
 Nearly all the work is the first-order sum inside nested bisection, so it
 has two kernels, chosen once per solve from the number of outcomes. Below
@@ -134,6 +140,38 @@ def _log_growth(outcomes: tuple[Outcome, ...], u: float, t: float) -> float:
     )
 
 
+def _bisect(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: float,
+    max_iter: int,
+    floor: float = 0.0,
+) -> tuple[float, float, int]:
+    """Bisect a strictly decreasing f on [lo, hi] for its root.
+
+    Returns (x, f(x), evaluations) for the last point evaluated, under the
+    stopping rule in the module docstring.
+    """
+    x = 0.5 * (lo + hi)
+    res = f(x)
+    iterations = 1
+    while iterations < max_iter:
+        if res > 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= tol * (hi if hi > floor else floor) and abs(res) <= tol:
+            break
+        nxt = 0.5 * (lo + hi)
+        if nxt == lo or nxt == hi:
+            break
+        x = nxt
+        res = f(x)
+        iterations += 1
+    return x, res, iterations
+
+
 def _solve_proportion(
     first_order_sum: Callable[[float, float], float],
     xi: float,
@@ -144,30 +182,10 @@ def _solve_proportion(
     """Bisect the first-order sum over (0, u/(u - xi)).
 
     The sum is positive at 0 for u below the expectation and strictly
-    decreasing, so [0, cap) brackets the unique root. Iterates until the
-    bracket is relatively narrow and the residual is small, or the bracket
-    can no longer be split.
+    decreasing, so [0, cap) brackets the unique root.
     """
-    cap = u / (u - xi)
-    lo = 0.0
-    hi = cap * (1.0 - _CAP_MARGIN)
-    mid = 0.5 * (lo + hi)
-    res = first_order_sum(u, mid)
-    iterations = 1
-    while iterations < max_iter:
-        if res > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi and abs(res) <= tol:
-            break
-        nxt = 0.5 * (lo + hi)
-        if nxt == lo or nxt == hi:
-            break
-        mid = nxt
-        res = first_order_sum(u, mid)
-        iterations += 1
-    return mid, res, iterations
+    hi = u / (u - xi) * (1.0 - _CAP_MARGIN)
+    return _bisect(partial(first_order_sum, u), 0.0, hi, tol, max_iter)
 
 
 def _require_admissible_price(u: float, stats: GameStats) -> None:
@@ -289,8 +307,9 @@ def optimal_price(
     The boundary value is the growth rate at the fair price with full
     investment, harmonic_integral * exp(log_moment). At or above it the
     optimum is full investment with price exp(log_moment - r); below it the
-    strictly decreasing growth-versus-price curve is inverted by bisection
-    on (fair_price, expectation).
+    strictly decreasing growth-versus-price curve is inverted by _bisect on
+    (fair_price, expectation), with the proportion at each trial price from
+    _bisect on the first-order sum.
     """
     stats = compute_stats(game)
     if not r > 0.0:
@@ -313,26 +332,23 @@ def optimal_price(
     outcomes = game.outcomes
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
-    lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
-    hi = stats.expectation * (1.0 - _PRICE_MARGIN)
-    price = 0.5 * (lo + hi)
-    t, _, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter)
-    growth = math.exp(_log_growth(outcomes, price, t))
-    iterations = 1
-    while iterations < max_iter:
-        if growth > target:
-            lo = price
-        else:
-            hi = price
-        if hi - lo <= tol * hi and abs(growth - target) <= tol:
-            break
-        nxt = 0.5 * (lo + hi)
-        if nxt == lo or nxt == hi:
-            break
-        price = nxt
+    t = growth = math.nan
+
+    def excess_growth(price: float) -> float:
+        # Keeps the proportion and growth of the last price evaluated, which
+        # is the price _bisect returns.
+        nonlocal t, growth
         t, _, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter)
         growth = math.exp(_log_growth(outcomes, price, t))
-        iterations += 1
+        return growth - target
+
+    price, _, _ = _bisect(
+        excess_growth,
+        stats.fair_price * (1.0 + _PRICE_MARGIN),
+        stats.expectation * (1.0 - _PRICE_MARGIN),
+        tol,
+        max_iter,
+    )
     return PricingSolution(
         rate=r,
         optimal_price=price,

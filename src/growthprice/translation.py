@@ -23,6 +23,7 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PricingSolution,
+    _bisect,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -49,7 +50,21 @@ class TranslationReport:
     growth_residual: float
 
 
-def _compare(game: Game, u: float, n: float, tol: float, max_iter: int) -> TranslationReport:
+def check_invariance(
+    game: Game,
+    u: float,
+    n: float,
+    *,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> TranslationReport:
+    """Compare the original game at price u with the game shifted by n at
+    price u + n.
+
+    Both raw (uncapped) roots are solved independently; the report stores
+    both sides of the proportion-to-price ratio and of the growth rate at
+    the root, along with their absolute residuals.
+    """
     base = pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
     shifted = pre_optimal_proportion(
         translate(game, n), u + n, tol=tol, max_iter=max_iter
@@ -65,36 +80,6 @@ def _compare(game: Game, u: float, n: float, tol: float, max_iter: int) -> Trans
         growth_translated=shifted.growth,
         growth_residual=abs(shifted.growth - base.growth),
     )
-
-
-def check_ratio_invariance(
-    game: Game,
-    u: float,
-    n: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> TranslationReport:
-    """Compare proportion-to-price ratios of the original game at price u and
-    the shifted game at price u + n.
-
-    Both raw (uncapped) roots are solved independently; the report stores
-    both sides along with the absolute residuals.
-    """
-    return _compare(game, u, n, tol, max_iter)
-
-
-def check_growth_invariance(
-    game: Game,
-    u: float,
-    n: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> TranslationReport:
-    """Compare growth rates at the raw optimal proportions of the original
-    game at price u and the shifted game at price u + n."""
-    return _compare(game, u, n, tol, max_iter)
 
 
 def boundary_growth(game: Game, n: float) -> float:
@@ -151,10 +136,10 @@ def threshold_shift(
 ) -> ThresholdResult:
     """Solve boundary_growth(game, n0) = exp(r) for the regime-switch shift.
 
-    The boundary growth is strictly decreasing in the shift, so the root is
-    bisected on [0, n_hi] with n_hi found by doubling. When exp(r) already
-    exceeds the unshifted boundary growth there is nothing to solve and the
-    status says so.
+    The boundary growth is strictly decreasing in the shift, so
+    solver._bisect, with floor 1, finds the root on [0, n_hi], with n_hi
+    found by doubling. When exp(r) already exceeds the unshifted boundary
+    growth there is nothing to solve and the status says so.
     """
     if not r > 0.0:
         raise DomainError(f"rate r={r!r} must be strictly positive")
@@ -182,23 +167,9 @@ def threshold_shift(
                 f"boundary growth failed to drop below exp(r)={target!r}"
                 f" for shifts up to {hi!r}"
             )
-    lo = 0.0
-    n0 = 0.5 * (lo + hi)
-    res = boundary_growth(game, n0) - target
-    iterations = 1
-    while iterations < max_iter:
-        if res > 0.0:
-            lo = n0
-        else:
-            hi = n0
-        if hi - lo <= tol * max(1.0, hi) and abs(res) <= tol:
-            break
-        nxt = 0.5 * (lo + hi)
-        if nxt == lo or nxt == hi:
-            break
-        n0 = nxt
-        res = boundary_growth(game, n0) - target
-        iterations += 1
+    n0, res, _ = _bisect(
+        lambda n: boundary_growth(game, n) - target, 0.0, hi, tol, max_iter, floor=1.0
+    )
     return ThresholdResult(
         rate=r, n0=n0, residual=abs(res), regime_note=ThresholdStatus.FOUND
     )

@@ -27,7 +27,7 @@ from growthprice import (
     two_point_closed_form,
 )
 from growthprice.cli import RunConfig, run
-from growthprice.translation import asymptotic_sweep, check_growth_invariance, check_ratio_invariance
+from growthprice.translation import asymptotic_sweep, check_invariance
 
 RATE = 0.05
 
@@ -111,10 +111,9 @@ def test_criterion_05_invariance_suite():
         stats = compute_stats(game)
         u = admissible_price(stats, rng)
         n = float(rng.uniform(-stats.ess_inf + 1e-3, 100.0))
-        ratio_report = check_ratio_invariance(game, u, n)
-        growth_report = check_growth_invariance(game, u, n)
-        ratio_rel = ratio_report.ratio_residual / max(1.0, ratio_report.ratio_original)
-        growth_rel = growth_report.growth_residual / growth_report.growth_original
+        invariance = check_invariance(game, u, n)
+        ratio_rel = invariance.ratio_residual / max(1.0, invariance.ratio_original)
+        growth_rel = invariance.growth_residual / invariance.growth_original
         worst_ratio = max(worst_ratio, ratio_rel)
         worst_growth = max(worst_growth, growth_rel)
         if ratio_rel > 1e-8 or growth_rel > 1e-8:

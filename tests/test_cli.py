@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import growthprice
+import growthprice.cli
 import growthprice.translation
 from growthprice import save_spec
 from growthprice.cli import (
@@ -214,7 +215,38 @@ class TestDeterminism:
         assert "0.050000000000000003" in out
 
 
+# Per command: the argv after --game and the RunConfig fields it must set.
+_ARGV = {
+    "analyze": (["--normalize"], {"normalize": True}),
+    "price": (["--rate", "0.05", "--tol", "1e-10"], {"rate": 0.05, "tol": 1e-10}),
+    "translate": (
+        ["--rate", "0.05", "--shift", "10", "--max-iter", "150"],
+        {"rate": 0.05, "shift": 10.0, "max_iter": 150},
+    ),
+    "threshold": (["--rate", "0.7"], {"rate": 0.7}),
+    "sweep": (
+        ["--rate", "0.05", "--shifts", "1,2,4", "--format", "csv"],
+        {"rate": 0.05, "shifts": [1.0, 2.0, 4.0], "output_format": "csv"},
+    ),
+    "verify": (["--seed", "3"], {"seed": 3}),
+}
+
+
 class TestClickWiring:
+    def test_every_command_is_registered(self):
+        assert set(main.commands) == set(growthprice.cli._COMMANDS) == set(_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_argv_gives_the_run_bytes(self, spec_path, command):
+        argv, fields = _ARGV[command]
+        result = CliRunner().invoke(main, [command, "--game", spec_path, *argv])
+        code, out, _ = run_config(
+            RunConfig(command=command, game_path=spec_path, **fields)
+        )
+        assert code == EXIT_OK
+        assert result.exit_code == code
+        assert result.stdout_bytes == out.encode()
+
     def test_price_via_argv(self, spec_path):
         runner = CliRunner()
         result = runner.invoke(

@@ -10,8 +10,11 @@ import growthprice.solver
 from conftest import admissible_price, random_game, random_two_point
 from growthprice import (
     DomainError,
+    Game,
+    InternalConsistencyError,
     Regime,
     asymptotic_sweep,
+    boundary_growth,
     compute_stats,
     growth_rate,
     optimal_price,
@@ -23,7 +26,7 @@ from growthprice import (
     translate,
     two_point_closed_form,
 )
-from growthprice.solver import _first_order_kernel, _first_order_sum
+from growthprice.solver import _bisect, _first_order_kernel, _first_order_sum
 
 
 def closed_form_proportion(u: float) -> float:
@@ -228,6 +231,142 @@ class TestClosedFormAgreement:
             assert abs(solution.growth - g_cf) <= 1e-9 * g_cf
 
 
+class TestBisect:
+    """Each way out of the one bisection routine behind every solver."""
+
+    def test_tolerance_stop(self):
+        # Width and residual must both be within tol: a shallow line stops on
+        # the bracket width (2**-22 <= 1e-6 * hi), a steep one needs 6 more
+        # halvings to bring its residual under tol.
+        for slope, evaluations in ((1e-3, 22), (1e3, 28)):
+            x, res, count = _bisect(lambda x: slope * (0.3 - x), 0.0, 1.0, 1e-6, 200)
+            assert count == evaluations
+            assert abs(res) <= 1e-6
+            assert abs(x - 0.3) <= 1e-6
+            assert res == slope * (0.3 - x)
+
+    def test_unsplittable_bracket_stop(self):
+        # tol=0 never meets the width test, so only adjacent floats end it
+        x, res, count = _bisect(lambda x: 0.3 - x, 0.0, 1.0, 0.0, 10_000)
+        assert count == 54
+        assert x == 0.3 and res == 0.0
+
+    def test_max_iter_stop(self):
+        x, res, count = _bisect(lambda x: 0.3 - x, 0.0, 1.0, 1e-6, 3)
+        assert count == 3
+        assert (x, res) == (0.375, 0.3 - 0.375)  # midpoints 0.5, 0.25, 0.375
+
+    def test_floor_one_measures_width_absolutely_below_one(self):
+        # n0 is about 0.12, so the width test against max(1, hi) stops three
+        # halvings before the one against hi; threshold_shift searches the
+        # same bracket, [0, 10 * expectation], with floor 1.
+        game = Game.from_pairs([(1.0, 0.5), (2.0, 0.5)])
+        target = math.exp(0.05)
+
+        def excess(n):
+            return boundary_growth(game, n) - target
+
+        absolute = _bisect(excess, 0.0, 15.0, 1e-12, 200, floor=1.0)
+        relative = _bisect(excess, 0.0, 15.0, 1e-12, 200)
+        assert (absolute[2], relative[2]) == (44, 47)
+        assert absolute[0] < 1.0 and abs(absolute[1]) <= 1e-12
+        assert absolute[0] == threshold_shift(game, 0.05).n0
+
+
+# repr of pre_optimal_proportion at the middle of the admissible interval,
+# optimal_price, threshold_shift and price_translated (or the error it
+# raises) at rate 0.05, at default settings and with max_iter=3. Recorded
+# while each solver still had its own bisection loop.
+_PINNED = {
+    ("two_point", 200): (
+        "ProportionSolution(price=5.5, proportion=0.4074074074072743, growth=1.1547005383792515, residual=2.0050627824730327e-13, iterations=42)",
+        "PricingSolution(rate=0.05, optimal_price=7.223641028419516, regime=<Regime.INTERIOR: 'interior'>, proportion=0.27363787124918415, growth_check=1.051271096375939)",
+        "ThresholdResult(rate=0.05, n0=19.174901671237876, residual=2.4646951146678475e-14, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "PricingSolution(rate=0.05, optimal_price=17.22364102841903, regime=<Regime.INTERIOR: 'interior'>, proportion=0.6524466605739185, growth_check=1.0512710963759584)",
+    ),
+    ("two_point", 3): (
+        "ProportionSolution(price=5.5, proportion=0.4583333333332875, growth=1.1524430571616149, residual=-0.07700534759351318, iterations=3)",
+        "PricingSolution(rate=0.05, optimal_price=6.9624999999944635, regime=<Regime.INTERIOR: 'interior'>, proportion=0.4378930817610209, growth_check=1.0479371020304589)",
+        "ThresholdResult(rate=0.05, n0=12.5, residual=0.03981835480393747, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "InternalConsistencyError('shifted optimal price 16.456250000011458 disagrees with original-plus-shift 16.962499999994463 beyond 1e-06')",
+    ),
+    ("three_point", 200): (
+        "ProportionSolution(price=3.75, proportion=1.1754768681361116, growth=1.2756338022004632, residual=3.704328510600874e-13, iterations=41)",
+        "PricingSolution(rate=0.05, optimal_price=4.675054287805958, regime=<Regime.INTERIOR: 'interior'>, proportion=0.5744638711166773, growth_check=1.0512710963763687)",
+        "ThresholdResult(rate=0.05, n0=3.463062873035767, residual=1.7763568394002505e-15, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "PricingSolution(rate=0.05, optimal_price=5.675054287809462, regime=<Regime.INTERIOR: 'interior'>, proportion=0.6973424166351295, growth_check=1.0512710963759162)",
+    ),
+    ("three_point", 3): (
+        "ProportionSolution(price=3.75, proportion=1.3392857142855803, growth=1.268553569722386, residual=-0.07075146300811176, iterations=3)",
+        "PricingSolution(rate=0.05, optimal_price=4.562500000000438, regime=<Regime.INTERIOR: 'interior'>, proportion=0.6676829268291515, growth_check=1.0669147152062968)",
+        "ThresholdResult(rate=0.05, n0=6.875, residual=0.026504354703867694, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "InternalConsistencyError('shifted optimal price 5.746323529412637 disagrees with original-plus-shift 5.562500000000438 beyond 1e-06')",
+    ),
+    ("eight_outcomes", 200): (
+        "ProportionSolution(price=11.463852434241835, proportion=0.21076428748056775, growth=1.0777420698178677, residual=-8.855416400166405e-14, iterations=43)",
+        "PricingSolution(rate=0.05, optimal_price=13.031072481848069, regime=<Regime.INTERIOR: 'interior'>, proportion=0.17700566342359958, growth_check=1.0512710963760539)",
+        "ThresholdResult(rate=0.05, n0=60.58845036167429, residual=3.708144902248023e-14, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "PricingSolution(rate=0.05, optimal_price=14.031072481844166, regime=<Regime.INTERIOR: 'interior'>, proportion=0.19058901687898644, growth_check=1.0512710963761096)",
+    ),
+    ("eight_outcomes", 3): (
+        "ProportionSolution(price=11.463852434241835, proportion=0.13569994646297562, growth=1.0699137519287025, residual=0.20413516445253482, iterations=3)",
+        "PricingSolution(rate=0.05, optimal_price=14.563475639503519, regime=<Regime.INTERIOR: 'interior'>, proportion=0.13327191615502057, growth_check=1.032374652268442)",
+        "ThresholdResult(rate=0.05, n0=82.58917358936392, residual=0.017141779843608873, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "InternalConsistencyError('shifted optimal price 15.76987834044682 disagrees with original-plus-shift 15.563475639503519 beyond 1e-06')",
+    ),
+    ("wide", 200): (
+        "ProportionSolution(price=8.47159726988341, proportion=0.25479258525637927, growth=1.0949075487996307, residual=-2.0093460586807083e-13, iterations=42)",
+        "PricingSolution(rate=0.05, optimal_price=10.161543037127668, regime=<Regime.INTERIOR: 'interior'>, proportion=0.1920533125423234, growth_check=1.0512710963759326)",
+        "ThresholdResult(rate=0.05, n0=42.74846878506264, residual=4.729550084903167e-14, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "PricingSolution(rate=0.05, optimal_price=20.16154303711361, regime=<Regime.INTERIOR: 'interior'>, proportion=0.38105345931315127, growth_check=1.051271096376212)",
+    ),
+    ("wide", 3): (
+        "ProportionSolution(price=8.47159726988341, proportion=0.37972590345636387, growth=1.0799457690441885, residual=-0.21522162672558748, iterations=3)",
+        "PricingSolution(rate=0.05, optimal_price=10.799040241671246, regime=<Regime.INTERIOR: 'interior'>, proportion=0.12623243987138572, growth_check=1.0375737763996098)",
+        "ThresholdResult(rate=0.05, n0=63.14160271626334, residual=0.019980707970233214, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "InternalConsistencyError('shifted optimal price 20.026962637009 disagrees with original-plus-shift 20.799040241671246 beyond 1e-06')",
+    ),
+    ("n0_below_one", 200): (
+        "ProportionSolution(price=1.25, proportion=1.6666666666661212, growth=1.1547005383792517, residual=4.907185768843192e-14, iterations=42)",
+        "PricingSolution(rate=0.05, optimal_price=1.3457578349115467, regime=<Regime.INTERIOR: 'interior'>, proportion=0.9176128131042266, growth_check=1.0512710963764043)",
+        "ThresholdResult(rate=0.05, n0=0.1208278706255328, residual=5.773159728050814e-14, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "PricingSolution(rate=0.05, optimal_price=1.395757834911959, regime=<Regime.INTERIOR: 'interior'>, proportion=0.95170560414089, growth_check=1.0512710963761085)",
+    ),
+    ("n0_below_one", 3): (
+        "ProportionSolution(price=1.25, proportion=1.8749999999998126, growth=1.1524430571616149, residual=-0.01882352941174764, iterations=3)",
+        "PricingSolution(rate=0.05, optimal_price=1.3541666666676457, regime=<Regime.INTERIOR: 'interior'>, proportion=0.47794117646956474, growth_check=1.0365560908175238)",
+        "ThresholdResult(rate=0.05, n0=1.875, residual=0.04011314990728754, regime_note=<ThresholdStatus.FOUND: 'found'>)",
+        "InternalConsistencyError('shifted optimal price 1.4088709677429572 disagrees with original-plus-shift 1.4041666666676458 beyond 1e-06')",
+    ),
+}
+
+_PINNED_SHIFTS = {
+    "two_point": 10.0,
+    "three_point": 1.0,
+    "eight_outcomes": 1.0,
+    "wide": 10.0,
+    "n0_below_one": 0.05,
+}
+
+
+def _solve_reprs(game: Game, n: float, max_iter: int) -> tuple[str, ...]:
+    stats = compute_stats(game)
+    u = stats.lower_price_bound + 0.5 * (stats.expectation - stats.lower_price_bound)
+    calls = (
+        partial(pre_optimal_proportion, game, u),
+        partial(optimal_price, game, 0.05),
+        partial(threshold_shift, game, 0.05),
+        partial(price_translated, game, 0.05, n),
+    )
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call(max_iter=max_iter)))
+        except InternalConsistencyError as exc:
+            out.append(repr(exc))
+    return tuple(out)
+
+
 class TestFirstOrderKernels:
     """The numpy kernel for wide games must return the loop's float exactly."""
 
@@ -268,9 +407,20 @@ class TestFirstOrderKernels:
         assert isinstance(_first_order_kernel(game), partial)  # the loop
         assert solve_all() == vector
 
-    def test_wide_game_values_are_pinned(self):
+    def test_wide_game_values_are_pinned(self, two_point, three_point):
         # 17-digit values of the bisection solvers before the numpy kernel
         # existed; any change to the arithmetic of either kernel moves them.
         game = random_game(np.random.default_rng(256), 256, 256)
         assert repr(optimal_price(game, 0.05).optimal_price) == "10.161543037127668"
         assert repr(threshold_shift(game, 0.05).n0) == "42.74846878506264"
+        # The whole results, on narrow games too, and with max_iter hit.
+        games = {
+            "two_point": two_point,
+            "three_point": three_point,
+            "eight_outcomes": random_game(np.random.default_rng(8), 8, 8),
+            "wide": game,
+            "n0_below_one": Game.from_pairs([(1.0, 0.5), (2.0, 0.5)]),
+        }
+        for (name, max_iter), expected in _PINNED.items():
+            got = _solve_reprs(games[name], _PINNED_SHIFTS[name], max_iter)
+            assert got == expected, (name, max_iter)

@@ -17,8 +17,7 @@ from growthprice import (
     TwoPointGame,
     asymptotic_sweep,
     boundary_growth,
-    check_growth_invariance,
-    check_ratio_invariance,
+    check_invariance,
     compute_stats,
     optimal_price,
     pre_optimal_proportion,
@@ -32,18 +31,18 @@ from growthprice import (
 class TestRatioInvariance:
     def test_fixture_ratio_at_u5(self, two_point):
         for n in (-0.5, 0.0, 3.0, 37.5, 99.0):
-            report = check_ratio_invariance(two_point, 5.0, n)
+            report = check_invariance(two_point, 5.0, n)
             assert math.isclose(report.ratio_original, 5.0 / 56.0, rel_tol=1e-10)
             assert math.isclose(report.ratio_translated, 5.0 / 56.0, rel_tol=1e-10)
             assert report.ratio_residual <= 1e-8 * max(1.0, report.ratio_original)
 
     def test_zero_shift_residual_is_exactly_zero(self, two_point):
-        report = check_ratio_invariance(two_point, 5.0, 0.0)
+        report = check_invariance(two_point, 5.0, 0.0)
         assert report.ratio_residual == 0.0
         assert report.growth_residual == 0.0
 
     def test_shifted_root_value_against_closed_form(self, two_point):
-        report = check_ratio_invariance(two_point, 7.2236, 10.0)
+        report = check_invariance(two_point, 7.2236, 10.0)
         tp = TwoPointGame(high=19.0, low=1.0, p_high=0.5)
         expected_root, _ = two_point_closed_form(tp, 7.2236, 10.0)
         got_root = report.ratio_translated * 17.2236
@@ -54,14 +53,14 @@ class TestGrowthInvariance:
     def test_fixture_growth_at_u5(self, two_point):
         expected = 9.0 / math.sqrt(56.0)
         for n in (-0.5, 0.0, 12.0, 99.0):
-            report = check_growth_invariance(two_point, 5.0, n)
+            report = check_invariance(two_point, 5.0, n)
             assert math.isclose(report.growth_original, expected, rel_tol=1e-9)
             assert math.isclose(report.growth_translated, expected, rel_tol=1e-9)
             assert report.growth_residual <= 1e-8 * report.growth_original
 
     def test_growth_at_optimal_price_with_shift(self, two_point):
         u = 7.2236
-        report = check_growth_invariance(two_point, u, 19.0)
+        report = check_invariance(two_point, u, 19.0)
         expected = 9.0 / math.sqrt((u - 1.0) * (19.0 - u))
         assert math.isclose(report.growth_translated, expected, rel_tol=1e-9)
         assert math.isclose(report.growth_translated, math.exp(0.05), rel_tol=1e-4)
@@ -75,10 +74,9 @@ class TestInvarianceOnRandomGames:
             stats = compute_stats(game)
             u = admissible_price(stats, rng)
             n = float(rng.uniform(-stats.ess_inf + 1e-3, 100.0))
-            ratio_report = check_ratio_invariance(game, u, n)
-            growth_report = check_growth_invariance(game, u, n)
-            assert ratio_report.ratio_residual <= 1e-8 * max(1.0, ratio_report.ratio_original)
-            assert growth_report.growth_residual <= 1e-8 * growth_report.growth_original
+            report = check_invariance(game, u, n)
+            assert report.ratio_residual <= 1e-8 * max(1.0, report.ratio_original)
+            assert report.growth_residual <= 1e-8 * report.growth_original
 
 
 class TestBoundaryGrowthShifts:
