@@ -29,13 +29,8 @@ from .errors import (
     SpecParseError,
 )
 from .games import Game, compute_stats, load_spec, translate
-from .oracle import (
-    TwoPointGame,
-    grid_argmax_growth,
-    simulate_wealth,
-    two_point_closed_form,
-)
-from .solver import optimal_price, pre_optimal_proportion
+from .oracle import verify
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_price
 from .translation import (
     asymptotic_sweep,
     check_invariance,
@@ -61,8 +56,8 @@ class RunConfig:
     rate: float | None = None
     shift: float | None = None
     shifts: list[float] | None = None
-    tol: float = 1e-12
-    max_iter: int = 200
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     seed: int | None = None
     output_format: str = "json"
     normalize: bool = False
@@ -118,44 +113,25 @@ def dumps_report(value) -> str:
     return _encode(value, 0) + "\n"
 
 
+# Report keys of the RunConfig fields whose names differ from them.
+_CONFIG_KEYS = {"game_path": "game", "output_format": "format"}
+
+
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "game": cfg.game_path,
-        "rate": cfg.rate,
-        "shift": cfg.shift,
-        "shifts": cfg.shifts,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
-        "seed": cfg.seed,
-        "format": cfg.output_format,
-        "normalize": cfg.normalize,
-    }
-
-
-def _require(cfg: RunConfig, field: str) -> None:
-    if getattr(cfg, field) is None:
-        raise DomainError(f"command {cfg.command!r} requires --{field.replace('_', '-')}")
+    """The config echo: every RunConfig field in field order."""
+    return {_CONFIG_KEYS.get(k, k): v for k, v in dataclasses.asdict(cfg).items()}
 
 
 def _cmd_analyze(cfg: RunConfig, game: Game) -> dict:
-    stats = compute_stats(game)
-    return {
-        "config": _config_dict(cfg),
-        "game_label": game.label,
-        "stats": dataclasses.asdict(stats),
-    }
+    return {"game_label": game.label, "stats": compute_stats(game)}
 
 
 def _cmd_price(cfg: RunConfig, game: Game) -> dict:
-    _require(cfg, "rate")
     solution = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
-    return {"config": _config_dict(cfg), "pricing": dataclasses.asdict(solution)}
+    return {"pricing": solution}
 
 
 def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
-    _require(cfg, "rate")
-    _require(cfg, "shift")
     pricing = price_translated(
         game, cfg.rate, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
     )
@@ -175,23 +151,19 @@ def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
             " lies outside it"
         )
     return {
-        "config": _config_dict(cfg),
-        "pricing": dataclasses.asdict(pricing),
-        "invariance": dataclasses.asdict(invariance) if invariance else None,
+        "pricing": pricing,
+        "invariance": invariance,
         "invariance_note": note,
         "discounted_expectation": shifted_stats.expectation / math.exp(cfg.rate),
     }
 
 
 def _cmd_threshold(cfg: RunConfig, game: Game) -> dict:
-    _require(cfg, "rate")
     result = threshold_shift(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
-    return {"config": _config_dict(cfg), "threshold": dataclasses.asdict(result)}
+    return {"threshold": result}
 
 
 def _cmd_sweep(cfg: RunConfig, game: Game):
-    _require(cfg, "rate")
-    _require(cfg, "shifts")
     rows = asymptotic_sweep(
         game, cfg.rate, cfg.shifts, tol=cfg.tol, max_iter=cfg.max_iter
     )
@@ -200,112 +172,23 @@ def _cmd_sweep(cfg: RunConfig, game: Game):
         writer = csv.writer(buffer)
         writer.writerow(_SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow(
-                format(v, ".17g")
-                for v in (
-                    row.shift,
-                    row.gap,
-                    row.boundary_growth,
-                    row.price_ratio,
-                    row.monotone_witness,
-                )
-            )
+            writer.writerow(format(v, ".17g") for v in dataclasses.astuple(row))
         return buffer.getvalue()
-    return {
-        "config": _config_dict(cfg),
-        "rows": [dataclasses.asdict(r) for r in rows],
-    }
-
-
-def _verify_checks(cfg: RunConfig, game: Game) -> list[dict]:
-    import numpy as np
-
-    seed = cfg.seed if cfg.seed is not None else 0
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    # Solver against the two-point closed form on random games.
-    worst_t = 0.0
-    worst_g = 0.0
-    for _ in range(200):
-        low = 10.0 ** rng.uniform(-1.0, 1.0)
-        high = low * (1.0 + 10.0 ** rng.uniform(-0.5, 1.5))
-        tp = TwoPointGame(high=high, low=low, p_high=float(rng.uniform(0.05, 0.95)))
-        u = low + float(rng.uniform(0.05, 0.95)) * (tp.expectation - low)
-        solution = pre_optimal_proportion(
-            tp.to_game(), u, tol=cfg.tol, max_iter=cfg.max_iter
-        )
-        t_cf, g_cf = two_point_closed_form(tp, u)
-        worst_t = max(worst_t, abs(solution.proportion - t_cf) / t_cf)
-        worst_g = max(worst_g, abs(solution.growth - g_cf) / g_cf)
-    checks.append(
-        {
-            "name": "closed_form_agreement",
-            "passed": worst_t <= 1e-9 and worst_g <= 1e-9,
-            "detail": (
-                f"max relative error over 200 games: proportion {worst_t:.3e},"
-                f" growth {worst_g:.3e}"
-            ),
-        }
-    )
-
-    # Grid argmax against the solver root on the supplied game.
-    stats = compute_stats(game)
-    u_mid = 0.5 * (stats.fair_price + stats.expectation)
-    grid_points = 100_000
-    root = pre_optimal_proportion(game, u_mid, tol=cfg.tol, max_iter=cfg.max_iter)
-    argmax = grid_argmax_growth(game, u_mid, grid_points)
-    cap = min(1.0, (1.0 - 1e-9) * u_mid / (u_mid - stats.ess_inf))
-    step = cap / (grid_points + 1)
-    gap = abs(argmax - root.proportion)
-    checks.append(
-        {
-            "name": "grid_argmax_within_one_step",
-            "passed": gap <= step + 1e-15,
-            "detail": f"argmax {argmax!r} vs root {root.proportion!r}, step {step:.3e}",
-        }
-    )
-
-    # Monte Carlo mean against the analytic growth rate on the supplied game.
-    sim = simulate_wealth(game, u_mid, root.proportion, periods=200, paths=100, seed=seed)
-    target = math.log(root.growth)
-    band = 3.0 * sim.std_error
-    checks.append(
-        {
-            "name": "monte_carlo_consistency",
-            "passed": abs(sim.mean_log_growth - target) <= band,
-            "detail": (
-                f"mean {sim.mean_log_growth!r} vs log growth {target!r},"
-                f" 3*SE {band:.3e}"
-            ),
-        }
-    )
-
-    idle = simulate_wealth(game, u_mid, 0.0, periods=50, paths=10, seed=seed)
-    checks.append(
-        {
-            "name": "zero_proportion_exact",
-            "passed": idle.mean_log_growth == 0.0 and idle.std_error == 0.0,
-            "detail": f"mean {idle.mean_log_growth!r}, std_error {idle.std_error!r}",
-        }
-    )
-    return checks
+    return {"rows": rows}
 
 
 def _cmd_verify(cfg: RunConfig, game: Game) -> dict:
-    checks = _verify_checks(cfg, game)
-    return {
-        "config": _config_dict(cfg),
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
-    }
+    seed = 0 if cfg.seed is None else cfg.seed
+    checks = verify(game, seed=seed, tol=cfg.tol, max_iter=cfg.max_iter)
+    return {"checks": checks, "all_passed": all(c.passed for c in checks)}
 
 
 def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
     """Execute one command, writing the report to stdout.
 
-    Returns the process exit code instead of raising, so both the console
-    script and tests can drive it directly.
+    A JSON report is the config followed by the handler's fields. Returns
+    the process exit code instead of raising, so both the console script
+    and tests can drive it directly.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
@@ -325,8 +208,13 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
         return EXIT_DOMAIN
     try:
         game = load_spec(text, normalize=config.normalize)
-        handler, _, _ = _COMMANDS[config.command]
-        report = handler(config, game)
+        handler, _, options = _COMMANDS[config.command]
+        for option in options:
+            if option.required and getattr(config, option.name) is None:
+                raise DomainError(
+                    f"command {config.command!r} requires {option.opts[0]}"
+                )
+        body = handler(config, game)
     except (SpecParseError, GameValidationError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_VALIDATION
@@ -336,11 +224,11 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INTERNAL
-    if isinstance(report, str):
-        out.write(report)
+    if isinstance(body, str):
+        out.write(body)
         return EXIT_OK
-    out.write(dumps_report(report))
-    if config.command == "verify" and not report["all_passed"]:
+    out.write(dumps_report({"config": _config_dict(config), **body}))
+    if config.command == "verify" and not body["all_passed"]:
         print("error: one or more verification checks failed", file=err)
         return EXIT_INTERNAL
     return EXIT_OK
@@ -365,14 +253,14 @@ _COMMON_OPTIONS = (
     click.Option(
         ["--tol"],
         type=float,
-        default=1e-12,
+        default=DEFAULT_TOL,
         show_default=True,
         help="Solver tolerance (residual and relative bracket width).",
     ),
     click.Option(
         ["--max-iter", "max_iter"],
         type=int,
-        default=200,
+        default=DEFAULT_MAX_ITER,
         show_default=True,
         help="Bisection iteration cap.",
     ),
@@ -394,7 +282,8 @@ _RATE = click.Option(
 )
 
 # Every command: its handler, its help text and the click options it takes
-# besides the common ones. Option names equal RunConfig field names.
+# besides the common ones. Option names equal RunConfig field names, so run()
+# enforces required=True on a RunConfig built without click too.
 _COMMANDS = {
     "analyze": (
         _cmd_analyze,

@@ -1,8 +1,10 @@
-"""Independent verification paths for the solver.
+"""Independent verification paths for the solver, and the harness that
+runs them.
 
 Three routes that never touch the bisection code: the closed-form solution
 for two-point games, brute-force grid maximization of the growth rate, and
-Monte Carlo simulation of per-period wealth growth.
+Monte Carlo simulation of per-period wealth growth. verify compares each of
+them with the solver and reports one Check per property.
 
 The simulation uses an xorshift64* generator seeded through the splitmix64
 finalizer, written out below so draws are bit-reproducible across platforms
@@ -25,6 +27,7 @@ from itertools import accumulate
 
 from .errors import DomainError
 from .games import Game, compute_stats
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, pre_optimal_proportion
 
 
 @dataclass(frozen=True)
@@ -258,3 +261,91 @@ def simulate_wealth(
         periods_per_path=periods,
         seed=seed,
     )
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verified property: its name, whether it held, and the evidence."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def verify(
+    game: Game,
+    *,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[Check]:
+    """Cross-check the solver against every oracle, one Check per property.
+
+    The random two-point games are drawn from numpy's default_rng(seed), and
+    both simulations use the same seed.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    checks: list[Check] = []
+
+    # Solver against the two-point closed form on random games.
+    worst_t = 0.0
+    worst_g = 0.0
+    for _ in range(200):
+        low = 10.0 ** rng.uniform(-1.0, 1.0)
+        high = low * (1.0 + 10.0 ** rng.uniform(-0.5, 1.5))
+        tp = TwoPointGame(high=high, low=low, p_high=float(rng.uniform(0.05, 0.95)))
+        u = low + float(rng.uniform(0.05, 0.95)) * (tp.expectation - low)
+        solution = pre_optimal_proportion(tp.to_game(), u, tol=tol, max_iter=max_iter)
+        t_cf, g_cf = two_point_closed_form(tp, u)
+        worst_t = max(worst_t, abs(solution.proportion - t_cf) / t_cf)
+        worst_g = max(worst_g, abs(solution.growth - g_cf) / g_cf)
+    checks.append(
+        Check(
+            "closed_form_agreement",
+            worst_t <= 1e-9 and worst_g <= 1e-9,
+            f"max relative error over 200 games: proportion {worst_t:.3e},"
+            f" growth {worst_g:.3e}",
+        )
+    )
+
+    # Grid argmax against the solver root on the supplied game.
+    stats = compute_stats(game)
+    u_mid = 0.5 * (stats.fair_price + stats.expectation)
+    grid_points = 100_000
+    root = pre_optimal_proportion(game, u_mid, tol=tol, max_iter=max_iter)
+    argmax = grid_argmax_growth(game, u_mid, grid_points)
+    cap = min(1.0, (1.0 - 1e-9) * u_mid / (u_mid - stats.ess_inf))
+    step = cap / (grid_points + 1)
+    gap = abs(argmax - root.proportion)
+    checks.append(
+        Check(
+            "grid_argmax_within_one_step",
+            gap <= step + 1e-15,
+            f"argmax {argmax!r} vs root {root.proportion!r}, step {step:.3e}",
+        )
+    )
+
+    # Monte Carlo mean against the analytic growth rate on the supplied game.
+    sim = simulate_wealth(game, u_mid, root.proportion, periods=200, paths=100, seed=seed)
+    target = math.log(root.growth)
+    band = 3.0 * sim.std_error
+    checks.append(
+        Check(
+            "monte_carlo_consistency",
+            abs(sim.mean_log_growth - target) <= band,
+            f"mean {sim.mean_log_growth!r} vs log growth {target!r},"
+            f" 3*SE {band:.3e}",
+        )
+    )
+
+    idle = simulate_wealth(game, u_mid, 0.0, periods=50, paths=10, seed=seed)
+    checks.append(
+        Check(
+            "zero_proportion_exact",
+            idle.mean_log_growth == 0.0 and idle.std_error == 0.0,
+            f"mean {idle.mean_log_growth!r}, std_error {idle.std_error!r}",
+        )
+    )
+    return checks

@@ -22,7 +22,7 @@ when any of these holds: the bracket [lo, hi] is no wider than
 tol * max(floor, hi) and the residual is at most tol in absolute value;
 the bracket can no longer be split; or it has made max_iter evaluations.
 The floor is 0 for proportions and prices, whose widths are relative, and
-1 for the threshold shift, whose width is absolute below 1. Everything here
+ess_inf for the threshold shift, whose root may lie near 0. Everything here
 is a pure function of immutable inputs and is safe to call concurrently.
 
 Nearly all the work is the first-order sum inside nested bisection, so it
@@ -305,9 +305,12 @@ def optimal_price(
     """Price at which the best achievable growth rate equals exp(r).
 
     The boundary value is the growth rate at the fair price with full
-    investment, harmonic_integral * exp(log_moment). At or above it the
-    optimum is full investment with price exp(log_moment - r); below it the
-    strictly decreasing growth-versus-price curve is inverted by _bisect on
+    investment, harmonic_integral * exp(log_moment), which equals
+    boundary_growth(game, 0.0) bit for bit. exp(r) is compared with it, not r
+    with its log, so that every solver puts the regime boundary at the same
+    rate. At or above it the optimum is full investment with price
+    exp(log_moment - r); below it the strictly decreasing
+    growth-versus-price curve is inverted by _bisect on
     (fair_price, expectation), with the proportion at each trial price from
     _bisect on the first-order sum.
     """
@@ -317,8 +320,8 @@ def optimal_price(
             f"rate r={r!r} must be strictly positive: growth rates only"
             " approach 1 as the price approaches the expectation"
         )
-    log_boundary = math.log(stats.harmonic_integral) + stats.log_moment
-    if r >= log_boundary:
+    target = math.exp(r)
+    if target >= stats.harmonic_integral * math.exp(stats.log_moment):
         price = math.exp(stats.log_moment - r)
         growth = math.exp(stats.log_moment) / price if price > 0.0 else math.inf
         return PricingSolution(
@@ -328,7 +331,6 @@ def optimal_price(
             proportion=1.0,
             growth_check=growth,
         )
-    target = math.exp(r)
     outcomes = game.outcomes
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf

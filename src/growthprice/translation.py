@@ -28,9 +28,10 @@ from .solver import (
     pre_optimal_proportion,
 )
 
-# Absolute agreement required between pricing the shifted game directly and
-# shifting the original optimal price.
-TRANSLATION_CHECK_TOL = 1e-6
+# Relative agreement required between pricing the shifted game directly and
+# shifting the original optimal price. Converged solves agree to about 3e-12
+# relative at every payout scale.
+TRANSLATION_CHECK_TOL = 1e-9
 
 # Threshold search: initial upper bound factor and doubling cap.
 _SEARCH_START_FACTOR = 10.0
@@ -137,9 +138,10 @@ def threshold_shift(
     """Solve boundary_growth(game, n0) = exp(r) for the regime-switch shift.
 
     The boundary growth is strictly decreasing in the shift, so
-    solver._bisect, with floor 1, finds the root on [0, n_hi], with n_hi
-    found by doubling. When exp(r) already exceeds the unshifted boundary
-    growth there is nothing to solve and the status says so.
+    solver._bisect, with floor ess_inf, finds the root on [0, n_hi], with
+    n_hi found by doubling from 10 * expectation, so tol is relative to the
+    payout scale. When exp(r) already exceeds the unshifted boundary growth
+    there is nothing to solve and the status says so.
     """
     if not r > 0.0:
         raise DomainError(f"rate r={r!r} must be strictly positive")
@@ -157,7 +159,7 @@ def threshold_shift(
             rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND
         )
     stats = compute_stats(game)
-    hi = max(1.0, _SEARCH_START_FACTOR * stats.expectation)
+    hi = _SEARCH_START_FACTOR * stats.expectation
     doublings = 0
     while boundary_growth(game, hi) >= target:
         hi *= 2.0
@@ -168,7 +170,8 @@ def threshold_shift(
                 f" for shifts up to {hi!r}"
             )
     n0, res, _ = _bisect(
-        lambda n: boundary_growth(game, n) - target, 0.0, hi, tol, max_iter, floor=1.0
+        lambda n: boundary_growth(game, n) - target, 0.0, hi, tol, max_iter,
+        floor=stats.ess_inf,
     )
     return ThresholdResult(
         rate=r, n0=n0, residual=abs(res), regime_note=ThresholdStatus.FOUND
@@ -187,25 +190,32 @@ def price_translated(
 
     Whenever exp(r) lies below the boundary growth of both the original and
     the shifted game, the result must equal the original optimal price plus
-    n; the two routes are compared to TRANSLATION_CHECK_TOL and a mismatch
-    raises InternalConsistencyError, since it can only come from a solver
-    defect.
+    n; the two routes are compared to TRANSLATION_CHECK_TOL relative, and a
+    mismatch raises InternalConsistencyError, whose message says when either
+    solve stopped short of tol at max_iter.
     """
     if not r > 0.0:
         raise DomainError(f"rate r={r!r} must be strictly positive")
     shifted = translate(game, n)
     solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
-    b_original = boundary_growth(game, 0.0)
-    b_shifted = boundary_growth(game, n)
-    if r < math.log(min(b_original, b_shifted)):
+    target = math.exp(r)
+    if target < min(boundary_growth(game, 0.0), boundary_growth(game, n)):
         base = optimal_price(game, r, tol=tol, max_iter=max_iter)
         expected = base.optimal_price + n
-        if abs(solution.optimal_price - expected) > TRANSLATION_CHECK_TOL:
-            raise InternalConsistencyError(
+        gap = abs(solution.optimal_price - expected)
+        if gap > TRANSLATION_CHECK_TOL * abs(expected):
+            message = (
                 f"shifted optimal price {solution.optimal_price!r} disagrees"
-                f" with original-plus-shift {expected!r} beyond"
+                f" with original-plus-shift {expected!r} beyond relative"
                 f" {TRANSLATION_CHECK_TOL}"
             )
+            res = (solution.growth_check - target, base.growth_check - target)
+            if max(map(abs, res)) > tol:
+                message += (
+                    "; the solves stopped before tolerance: growth residuals"
+                    f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
+                )
+            raise InternalConsistencyError(message)
     return solution
 
 

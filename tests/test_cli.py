@@ -15,13 +15,14 @@ from click.testing import CliRunner
 import growthprice
 import growthprice.cli
 import growthprice.translation
-from growthprice import save_spec
+from growthprice import Check, Game, save_spec, verify
 from growthprice.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VALIDATION,
     RunConfig,
+    dumps_report,
     main,
     run,
 )
@@ -128,6 +129,33 @@ class TestReports:
         assert report["all_passed"] is True
         assert all(check["passed"] for check in report["checks"])
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_verify_reports_the_library_checks(self, spec_path, two_point, seed):
+        code, out, _ = run_config(
+            RunConfig(command="verify", game_path=spec_path, seed=seed)
+        )
+        assert code == EXIT_OK
+        cli_checks = json.loads(out)["checks"]
+        assert dumps_report(cli_checks) == dumps_report(verify(two_point, seed=seed))
+
+
+class TestPayoutScales:
+    @pytest.mark.parametrize("c", [1e-200, 1e-18, 1e6, 1e200])
+    def test_threshold_and_translate_scale_with_the_payouts(self, tmp_path, c):
+        def solve(scale):
+            path = tmp_path / f"scaled_{scale:g}.json"
+            path.write_text(save_spec(Game.from_pairs([(scale, 0.5), (19.0 * scale, 0.5)])))
+            reports = []
+            for command, shift in (("threshold", None), ("translate", 5.0 * scale)):
+                cfg = RunConfig(command, str(path), rate=0.05, shift=shift)
+                code, out, err = run_config(cfg)
+                assert code == EXIT_OK, err
+                reports.append(json.loads(out))
+            return reports[0]["threshold"]["n0"], reports[1]["pricing"]["optimal_price"]
+
+        for value, unscaled in zip(solve(c), solve(1.0)):
+            assert math.isclose(value / c, unscaled, rel_tol=1e-9)
+
 
 class TestCsvOutput:
     def test_sweep_csv_is_rfc4180(self, spec_path):
@@ -195,6 +223,15 @@ class TestExitCodes:
         )
         assert code == EXIT_INTERNAL
         assert "disagrees" in err
+        assert "stopped before tolerance" not in err
+
+    def test_failed_verification_is_exit_3(self, spec_path, monkeypatch):
+        failing = [Check("always_fails", False, "patched")]
+        monkeypatch.setattr(growthprice.cli, "verify", lambda game, **kw: failing)
+        code, out, err = run_config(RunConfig(command="verify", game_path=spec_path))
+        assert code == EXIT_INTERNAL
+        assert json.loads(out)["all_passed"] is False
+        assert "one or more verification checks failed" in err
 
 
 class TestDeterminism:

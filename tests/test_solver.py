@@ -288,7 +288,7 @@ _PINNED = {
         "ProportionSolution(price=5.5, proportion=0.4583333333332875, growth=1.1524430571616149, residual=-0.07700534759351318, iterations=3)",
         "PricingSolution(rate=0.05, optimal_price=6.9624999999944635, regime=<Regime.INTERIOR: 'interior'>, proportion=0.4378930817610209, growth_check=1.0479371020304589)",
         "ThresholdResult(rate=0.05, n0=12.5, residual=0.03981835480393747, regime_note=<ThresholdStatus.FOUND: 'found'>)",
-        "InternalConsistencyError('shifted optimal price 16.456250000011458 disagrees with original-plus-shift 16.962499999994463 beyond 1e-06')",
+        "InternalConsistencyError('shifted optimal price 16.456250000011458 disagrees with original-plus-shift 16.962499999994463 beyond relative 1e-09; the solves stopped before tolerance: growth residuals 0.027534204077700908 shifted, -0.00333399434556525 original, max_iter=3')",
     ),
     ("three_point", 200): (
         "ProportionSolution(price=3.75, proportion=1.1754768681361116, growth=1.2756338022004632, residual=3.704328510600874e-13, iterations=41)",
@@ -300,7 +300,7 @@ _PINNED = {
         "ProportionSolution(price=3.75, proportion=1.3392857142855803, growth=1.268553569722386, residual=-0.07075146300811176, iterations=3)",
         "PricingSolution(rate=0.05, optimal_price=4.562500000000438, regime=<Regime.INTERIOR: 'interior'>, proportion=0.6676829268291515, growth_check=1.0669147152062968)",
         "ThresholdResult(rate=0.05, n0=6.875, residual=0.026504354703867694, regime_note=<ThresholdStatus.FOUND: 'found'>)",
-        "InternalConsistencyError('shifted optimal price 5.746323529412637 disagrees with original-plus-shift 5.562500000000438 beyond 1e-06')",
+        "InternalConsistencyError('shifted optimal price 5.746323529412637 disagrees with original-plus-shift 5.562500000000438 beyond relative 1e-09; the solves stopped before tolerance: growth residuals -0.011050329224636002 shifted, 0.015643618830272654 original, max_iter=3')",
     ),
     ("eight_outcomes", 200): (
         "ProportionSolution(price=11.463852434241835, proportion=0.21076428748056775, growth=1.0777420698178677, residual=-8.855416400166405e-14, iterations=43)",
@@ -312,7 +312,7 @@ _PINNED = {
         "ProportionSolution(price=11.463852434241835, proportion=0.13569994646297562, growth=1.0699137519287025, residual=0.20413516445253482, iterations=3)",
         "PricingSolution(rate=0.05, optimal_price=14.563475639503519, regime=<Regime.INTERIOR: 'interior'>, proportion=0.13327191615502057, growth_check=1.032374652268442)",
         "ThresholdResult(rate=0.05, n0=82.58917358936392, residual=0.017141779843608873, regime_note=<ThresholdStatus.FOUND: 'found'>)",
-        "InternalConsistencyError('shifted optimal price 15.76987834044682 disagrees with original-plus-shift 15.563475639503519 beyond 1e-06')",
+        "InternalConsistencyError('shifted optimal price 15.76987834044682 disagrees with original-plus-shift 15.563475639503519 beyond relative 1e-09; the solves stopped before tolerance: growth residuals -0.02087530111999225 shifted, -0.018896444107582067 original, max_iter=3')",
     ),
     ("wide", 200): (
         "ProportionSolution(price=8.47159726988341, proportion=0.25479258525637927, growth=1.0949075487996307, residual=-2.0093460586807083e-13, iterations=42)",
@@ -324,7 +324,7 @@ _PINNED = {
         "ProportionSolution(price=8.47159726988341, proportion=0.37972590345636387, growth=1.0799457690441885, residual=-0.21522162672558748, iterations=3)",
         "PricingSolution(rate=0.05, optimal_price=10.799040241671246, regime=<Regime.INTERIOR: 'interior'>, proportion=0.12623243987138572, growth_check=1.0375737763996098)",
         "ThresholdResult(rate=0.05, n0=63.14160271626334, residual=0.019980707970233214, regime_note=<ThresholdStatus.FOUND: 'found'>)",
-        "InternalConsistencyError('shifted optimal price 20.026962637009 disagrees with original-plus-shift 20.799040241671246 beyond 1e-06')",
+        "InternalConsistencyError('shifted optimal price 20.026962637009 disagrees with original-plus-shift 20.799040241671246 beyond relative 1e-09; the solves stopped before tolerance: growth residuals -0.0028312368890797135 shifted, -0.013697319976414324 original, max_iter=3')",
     ),
     ("n0_below_one", 200): (
         "ProportionSolution(price=1.25, proportion=1.6666666666661212, growth=1.1547005383792517, residual=4.907185768843192e-14, iterations=42)",
@@ -336,7 +336,7 @@ _PINNED = {
         "ProportionSolution(price=1.25, proportion=1.8749999999998126, growth=1.1524430571616149, residual=-0.01882352941174764, iterations=3)",
         "PricingSolution(rate=0.05, optimal_price=1.3541666666676457, regime=<Regime.INTERIOR: 'interior'>, proportion=0.47794117646956474, growth_check=1.0365560908175238)",
         "ThresholdResult(rate=0.05, n0=1.875, residual=0.04011314990728754, regime_note=<ThresholdStatus.FOUND: 'found'>)",
-        "InternalConsistencyError('shifted optimal price 1.4088709677429572 disagrees with original-plus-shift 1.4041666666676458 beyond 1e-06')",
+        "InternalConsistencyError('shifted optimal price 1.4088709677429572 disagrees with original-plus-shift 1.4041666666676458 beyond relative 1e-09; the solves stopped before tolerance: growth residuals -0.016669588114024414 shifted, -0.01471500555850036 original, max_iter=3')",
     ),
 }
 
