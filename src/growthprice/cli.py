@@ -32,9 +32,9 @@ from .games import Game, compute_stats, load_spec, translate
 from .oracle import verify
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_price
 from .translation import (
+    _price_translated,
     asymptotic_sweep,
     check_invariance,
-    price_translated,
     threshold_shift,
 )
 
@@ -132,11 +132,10 @@ def _cmd_price(cfg: RunConfig, game: Game) -> dict:
 
 
 def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
-    pricing = price_translated(
-        game, cfg.rate, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    pricing, base = _price_translated(game, cfg.rate, cfg.shift, cfg.tol, cfg.max_iter)
     shifted_stats = compute_stats(translate(game, cfg.shift))
-    base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
+    if base is None:
+        base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
     stats = compute_stats(game)
     invariance = None
     note = None

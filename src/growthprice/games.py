@@ -37,13 +37,12 @@ class Game:
     sorted by payout. Canonical form makes equality, hashing and all derived
     sums deterministic.
 
-    Two derived values are computed on first use and kept on the instance:
-    the summary statistics at the default essential infimum (so a game is
-    validated once, however many solvers it passes through) and the payout
-    and weight columns. Neither takes part in equality or hashing. A game
-    that fails validation caches no statistics and raises again on every
-    use. Concurrent first access is safe: the computation is deterministic,
-    so every thread sees the same values.
+    The summary statistics at the default essential infimum are computed on
+    first use and kept on the instance, so a game is validated once however
+    many solvers it passes through. They take no part in equality or
+    hashing. A game that fails validation caches no statistics and raises
+    again on every use. Concurrent first access is safe: the computation is
+    deterministic, so every thread sees the same values.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -74,14 +73,6 @@ class Game:
         if not verdict.ok:
             raise GameValidationError(verdict)
         return _summarize(self, self.outcomes[0].payout)
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Payouts and weights as two tuples, in outcome order."""
-        return (
-            tuple(o.payout for o in self.outcomes),
-            tuple(o.weight for o in self.outcomes),
-        )
 
 
 @dataclass(frozen=True)
@@ -140,6 +131,12 @@ class GameStats:
     lower_price_bound: float
     fair_price: float
     log_moment: float
+
+    @property
+    def boundary_growth(self) -> float:
+        """Growth at the fair price with full investment: the one regime
+        boundary, below which exp(r) prices in the interior regime."""
+        return self.harmonic_integral * math.exp(self.log_moment)
 
 
 def compute_stats(game: Game, *, ess_inf: float | None = None) -> GameStats:

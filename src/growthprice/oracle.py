@@ -240,10 +240,9 @@ def simulate_wealth(
         )
     seed = int(seed) & _MASK64
 
-    payouts, weights = game._columns
-    cum = list(accumulate(weights))
+    cum = list(accumulate(o.weight for o in game.outcomes))
     cum[-1] = 1.0  # guard the last bucket against rounding
-    log_factors = [math.log1p(t * (a - u) / u) for a in payouts]
+    log_factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
     counts = _draw_counts(cum, periods, paths, seed)
 
     n = periods * paths

@@ -28,11 +28,12 @@ is a pure function of immutable inputs and is safe to call concurrently.
 Nearly all the work is the first-order sum inside nested bisection, so it
 has two kernels, chosen once per solve from the number of outcomes. Below
 _VECTOR_MIN_OUTCOMES a plain loop over the outcomes is fastest; from there
-up, numpy forms the terms from the game's payout and weight columns, which
-pays off because the per-call overhead of numpy no longer dominates. Both
-kernels form every term with the same IEEE operations in the same order
-and add them with math.fsum, which rounds the exact sum correctly, so they
-return the same float and no result depends on which kernel ran. Growth
+up, numpy forms the terms from arrays of the game's payouts and weights,
+which pays off because the per-call overhead of numpy no longer dominates.
+A single evaluation outside a solve always takes the loop. Both kernels
+form every term with the same IEEE operations in the same order and add
+them with math.fsum, which rounds the exact sum correctly, so they return
+the same float and no result depends on which kernel ran. Growth
 rates keep math.log1p per term on both widths, since numpy's transcendental
 functions need not round like the C library's.
 """
@@ -56,7 +57,7 @@ DEFAULT_MAX_ITER = 200
 _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
-# Outcome count from which the first-order sum runs on numpy columns. One
+# Outcome count from which the first-order sum runs on numpy arrays. One
 # evaluation measured 3.4 us looped against 4.8 us on numpy at 8 outcomes,
 # and 11-12 us against 6.3 us at 32.
 _VECTOR_MIN_OUTCOMES = 16
@@ -122,7 +123,8 @@ def _first_order_kernel(game: Game) -> Callable[[float, float], float]:
         return partial(_first_order_sum, game.outcomes)
     import numpy as np
 
-    payouts, weights = (np.array(column) for column in game._columns)
+    payouts = np.array([o.payout for o in game.outcomes])
+    weights = np.array([o.weight for o in game.outcomes])
 
     def first_order_sum(u: float, t: float) -> float:
         x = payouts - u
@@ -212,7 +214,7 @@ def proportion_residual(game: Game, u: float, t: float) -> float:
         raise DomainError(
             f"proportion t={t!r} outside [0, u/(u - ess_inf)) = [0, {cap!r})"
         )
-    return _first_order_kernel(game)(u, t)
+    return _first_order_sum(game.outcomes, u, t)
 
 
 def pre_optimal_proportion(
@@ -289,10 +291,26 @@ def optimal_proportion(
     if u > stats.fair_price:
         return pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
     growth = math.exp(stats.log_moment) / u
-    res = _first_order_kernel(game)(u, 1.0)
+    res = _first_order_sum(game.outcomes, u, 1.0)
     return ProportionSolution(
         price=u, proportion=1.0, growth=growth, residual=res, iterations=0
     )
+
+
+def _growth_target(r: float) -> float:
+    """exp(r), refused unless 1 < exp(r) < inf: below r of about 1.1e-16 it
+    rounds to 1, where no answer depends on r, and from about 709.8 it
+    overflows."""
+    try:
+        target = math.exp(r)
+    except OverflowError:
+        target = math.inf
+    if not 1.0 < target < math.inf:
+        raise DomainError(
+            f"rate r={r!r} must be positive and small enough that"
+            f" 1 < exp(r) < inf; exp(r) = {target!r}"
+        )
+    return target
 
 
 def optimal_price(
@@ -304,24 +322,17 @@ def optimal_price(
 ) -> PricingSolution:
     """Price at which the best achievable growth rate equals exp(r).
 
-    The boundary value is the growth rate at the fair price with full
-    investment, harmonic_integral * exp(log_moment), which equals
-    boundary_growth(game, 0.0) bit for bit. exp(r) is compared with it, not r
-    with its log, so that every solver puts the regime boundary at the same
-    rate. At or above it the optimum is full investment with price
+    exp(r) is compared with GameStats.boundary_growth, not r with its log,
+    so that every solver puts the regime boundary at the same rate. At or
+    above it the optimum is full investment with price
     exp(log_moment - r); below it the strictly decreasing
     growth-versus-price curve is inverted by _bisect on
     (fair_price, expectation), with the proportion at each trial price from
     _bisect on the first-order sum.
     """
     stats = compute_stats(game)
-    if not r > 0.0:
-        raise DomainError(
-            f"rate r={r!r} must be strictly positive: growth rates only"
-            " approach 1 as the price approaches the expectation"
-        )
-    target = math.exp(r)
-    if target >= stats.harmonic_integral * math.exp(stats.log_moment):
+    target = _growth_target(r)
+    if target >= stats.boundary_growth:
         price = math.exp(stats.log_moment - r)
         growth = math.exp(stats.log_moment) / price if price > 0.0 else math.inf
         return PricingSolution(

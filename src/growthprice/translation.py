@@ -23,7 +23,9 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PricingSolution,
+    Regime,
     _bisect,
+    _growth_target,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -86,23 +88,22 @@ def check_invariance(
 def boundary_growth(game: Game, n: float) -> float:
     """Growth rate of the shifted game at its fair price with full investment.
 
-    Equals the shifted harmonic integral times the geometric mean of the
-    shifted payouts. Strictly decreasing in n with limit 1, it separates the
-    interior pricing regime from full investment at a given rate.
+    Equals compute_stats(translate(game, n)).boundary_growth bit for bit,
+    without building the shifted game unless rounding merges its payouts.
+    Strictly decreasing in n with limit 1.
     """
     _require_shift(game, n)
-    payouts, weights = game._columns
-    shifted = [a + n for a in payouts]
+    outcomes = game.outcomes
+    shifted = [o.payout + n for o in outcomes]
     if not (
         math.isfinite(shifted[-1])
         and all(lo < hi for lo, hi in zip(shifted, shifted[1:]))
     ):
         # Rounding merged adjacent payouts, or the largest overflowed: the
-        # shifted game is not these columns, so build and validate it.
-        stats = compute_stats(translate(game, n))
-        return stats.harmonic_integral * math.exp(stats.log_moment)
-    harmonic = math.fsum(w / a for w, a in zip(weights, shifted))
-    log_moment = math.fsum(w * math.log(a) for w, a in zip(weights, shifted))
+        # shifted game is not these outcomes, so build and validate it.
+        return compute_stats(translate(game, n)).boundary_growth
+    harmonic = math.fsum(o.weight / a for o, a in zip(outcomes, shifted))
+    log_moment = math.fsum(o.weight * math.log(a) for o, a in zip(outcomes, shifted))
     return harmonic * math.exp(log_moment)
 
 
@@ -143,10 +144,9 @@ def threshold_shift(
     payout scale. When exp(r) already exceeds the unshifted boundary growth
     there is nothing to solve and the status says so.
     """
-    if not r > 0.0:
-        raise DomainError(f"rate r={r!r} must be strictly positive")
-    target = math.exp(r)
-    b0 = boundary_growth(game, 0.0)
+    target = _growth_target(r)
+    stats = compute_stats(game)
+    b0 = stats.boundary_growth
     if target > b0:
         return ThresholdResult(
             rate=r,
@@ -158,7 +158,6 @@ def threshold_shift(
         return ThresholdResult(
             rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND
         )
-    stats = compute_stats(game)
     hi = _SEARCH_START_FACTOR * stats.expectation
     doublings = 0
     while boundary_growth(game, hi) >= target:
@@ -188,19 +187,26 @@ def price_translated(
 ) -> PricingSolution:
     """Optimal price of the game shifted by n at rate r.
 
-    Whenever exp(r) lies below the boundary growth of both the original and
-    the shifted game, the result must equal the original optimal price plus
-    n; the two routes are compared to TRANSLATION_CHECK_TOL relative, and a
+    Whenever the original and the shifted game both price in the interior
+    regime, the result must equal the original optimal price plus n; the
+    two routes are compared to TRANSLATION_CHECK_TOL relative, and a
     mismatch raises InternalConsistencyError, whose message says when either
     solve stopped short of tol at max_iter.
     """
-    if not r > 0.0:
-        raise DomainError(f"rate r={r!r} must be strictly positive")
-    shifted = translate(game, n)
-    solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
-    target = math.exp(r)
-    if target < min(boundary_growth(game, 0.0), boundary_growth(game, n)):
-        base = optimal_price(game, r, tol=tol, max_iter=max_iter)
+    return _price_translated(game, r, n, tol, max_iter)[0]
+
+
+def _price_translated(
+    game: Game, r: float, n: float, tol: float, max_iter: int
+) -> tuple[PricingSolution, PricingSolution | None]:
+    """price_translated, and the original game's optimal price when it was
+    computed: always, unless the shifted game prices at full investment."""
+    target = _growth_target(r)
+    solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)
+    if solution.regime is Regime.FULL_INVESTMENT:
+        return solution, None
+    base = optimal_price(game, r, tol=tol, max_iter=max_iter)
+    if base.regime is Regime.INTERIOR:
         expected = base.optimal_price + n
         gap = abs(solution.optimal_price - expected)
         if gap > TRANSLATION_CHECK_TOL * abs(expected):
@@ -216,7 +222,7 @@ def price_translated(
                     f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
                 )
             raise InternalConsistencyError(message)
-    return solution
+    return solution, base
 
 
 @dataclass(frozen=True)
@@ -252,8 +258,7 @@ def asymptotic_sweep(
     No trend is asserted here; the sweep command and the test suite check
     the expected monotonicity and limits.
     """
-    if not r > 0.0:
-        raise DomainError(f"rate r={r!r} must be strictly positive")
+    _growth_target(r)
     values = [float(n) for n in shifts]
     for prev, nxt in zip(values, values[1:]):
         if not nxt > prev:
@@ -269,7 +274,7 @@ def asymptotic_sweep(
             AsymptoticRow(
                 shift=n,
                 gap=stats.expectation - stats.fair_price,
-                boundary_growth=stats.harmonic_integral * math.exp(stats.log_moment),
+                boundary_growth=stats.boundary_growth,
                 price_ratio=pricing.optimal_price / stats.expectation,
                 monotone_witness=stats.fair_price - n,
             )

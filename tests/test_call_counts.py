@@ -1,24 +1,35 @@
-"""Ceilings on the validation and game-building work of the solvers.
+"""Ceilings on the validation, game-building and repricing work of the solvers.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
 regression gates for per-call overhead.
 """
 
+import io
 import sys
 from collections import Counter
 
 import pytest
 
 import growthprice.games
-from growthprice import optimal_price, threshold_shift
+import growthprice.solver
+import growthprice.translation
+from growthprice import optimal_price, price_translated, save_spec, threshold_shift
+from growthprice.cli import RunConfig, run
+
+COUNTED = {
+    "validate": growthprice.games,
+    "translate": growthprice.games,
+    "optimal_price": growthprice.solver,
+    "boundary_growth": growthprice.translation,
+}
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls to games.validate and games.translate, wherever looked up."""
+    """Count calls to each COUNTED function, wherever looked up."""
     counts = Counter()
-    for name in ("validate", "translate"):
-        original = getattr(growthprice.games, name)
+    for name, home in COUNTED.items():
+        original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -49,3 +60,19 @@ def test_a_game_is_validated_once_across_calls(two_point, calls):
         optimal_price(two_point, 0.05)
         threshold_shift(two_point, 0.05)
     assert calls["validate"] == 1
+
+
+def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):
+    for n in (-0.5, 10.0, 99.0):
+        price_translated(two_point, 0.05, n)
+    assert calls["boundary_growth"] == 0
+    # below n0 both games are priced, past it only the shifted one
+    assert calls["optimal_price"] == 2 + 2 + 1
+
+
+def test_translate_command_prices_each_game_once(two_point, tmp_path, calls):
+    path = tmp_path / "two_point.json"
+    path.write_text(save_spec(two_point))
+    cfg = RunConfig(command="translate", game_path=str(path), rate=0.05, shift=10.0)
+    assert run(cfg, stdout=io.StringIO()) == 0
+    assert calls["optimal_price"] == 2

@@ -204,6 +204,23 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "-0.5" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["price"],
+            ["threshold"],
+            ["translate", "--shift", "1"],
+            ["sweep", "--shifts", "1,2"],
+        ),
+    )
+    def test_overflowing_rate_is_exit_2(self, spec_path, argv):
+        # exp(1000) overflows; the solvers refuse it instead of crashing
+        result = CliRunner().invoke(
+            main, [*argv, "--game", spec_path, "--rate", "1000"]
+        )
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert "error: rate r=1000.0" in result.output
+
     def test_missing_required_field_is_exit_2(self, spec_path):
         code, _, err = run_config(RunConfig(command="price", game_path=spec_path))
         assert code == EXIT_DOMAIN

@@ -1,7 +1,11 @@
 """Proportion solver and pricing: frozen oracle values, monotonicity, regimes."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +410,27 @@ class TestFirstOrderKernels:
         monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert isinstance(_first_order_kernel(game), partial)  # the loop
         assert solve_all() == vector
+
+    def test_single_evaluations_leave_numpy_unimported(self):
+        # optimal_proportion at or below the fair price and proportion_residual
+        # evaluate one first-order sum, which the loop does without numpy
+        child = (
+            "import sys\n"
+            "from growthprice import Game, compute_stats, optimal_proportion,"
+            " proportion_residual\n"
+            "game = Game.from_pairs((1.0 + i, 1.0 / 32) for i in range(32))\n"
+            "stats = compute_stats(game)\n"
+            "assert optimal_proportion(game, stats.fair_price).proportion == 1.0\n"
+            "assert optimal_proportion(game, 0.5 * stats.fair_price).iterations == 0\n"
+            "proportion_residual(game, stats.fair_price, 0.5)\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = str(Path(growthprice.solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
     def test_wide_game_values_are_pinned(self, two_point, three_point):
         # 17-digit values of the bisection solvers before the numpy kernel

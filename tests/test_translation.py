@@ -227,6 +227,31 @@ class TestAsymptoticSweep:
             asymptotic_sweep(two_point, 0.05, [4.0, 2.0])
 
 
+UNRESOLVABLE_RATES = (0.0, -1.0, math.nan, math.inf, 1e3, 1e-17)
+RATE_SOLVERS = {
+    "optimal_price": lambda game, r: optimal_price(game, r),
+    "threshold_shift": lambda game, r: threshold_shift(game, r),
+    "price_translated": lambda game, r: price_translated(game, r, 1.0),
+    "asymptotic_sweep": lambda game, r: asymptotic_sweep(game, r, [1.0, 2.0]),
+}
+
+
+class TestRateDomain:
+    """Every solver refuses a rate unless 1 < exp(r) < inf: at r = 1e-17
+    exp(r) rounds to 1, and at r = 1e3 it overflows."""
+
+    @pytest.mark.parametrize("r", UNRESOLVABLE_RATES)
+    @pytest.mark.parametrize("solver", sorted(RATE_SOLVERS))
+    def test_unresolvable_rate_is_refused(self, two_point, solver, r):
+        with pytest.raises(DomainError, match="rate"):
+            RATE_SOLVERS[solver](two_point, r)
+
+    @pytest.mark.parametrize("r", (1e-15, 700.0))
+    @pytest.mark.parametrize("solver", sorted(RATE_SOLVERS))
+    def test_rates_inside_the_domain_are_solved(self, two_point, solver, r):
+        RATE_SOLVERS[solver](two_point, r)
+
+
 class TestShiftDerivative:
     def test_forward_difference_matches_ratio(self):
         # the root is linear in the shift at fixed u, so the forward
