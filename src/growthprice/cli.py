@@ -136,18 +136,16 @@ def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
     shifted_stats = compute_stats(translate(game, cfg.shift))
     if base is None:
         base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
-    stats = compute_stats(game)
-    invariance = None
-    note = None
-    if stats.lower_price_bound < base.optimal_price < stats.expectation:
+    invariance = note = None
+    try:
         invariance = check_invariance(
             game, base.optimal_price, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
         )
-    else:
+    except DomainError as exc:
+        # The shift passed above, so only an inadmissible price lands here.
         note = (
             "invariance identities need a price inside the open admissible"
-            f" interval; the unshifted optimal price {base.optimal_price!r}"
-            " lies outside it"
+            f" interval; {exc}"
         )
     return {
         "pricing": pricing,

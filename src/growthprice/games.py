@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,7 +35,8 @@ class Game:
     Outcomes are canonicalized at construction: zero-weight entries are
     dropped, duplicate payouts are merged by summing weights, and the list is
     sorted by payout. Canonical form makes equality, hashing and all derived
-    sums deterministic.
+    sums deterministic. Negative and NaN weights are never merged: each stays
+    an entry of its own, so validation reports it instead of a hiding sum.
 
     The summary statistics at the default essential infimum are computed on
     first use and kept on the instance, so a game is validated once however
@@ -50,14 +51,15 @@ class Game:
 
     def __post_init__(self) -> None:
         merged: dict[float, float] = {}
+        apart: list[Outcome] = []
         for o in self.outcomes:
-            merged[o.payout] = merged.get(o.payout, 0.0) + o.weight
-        canon = tuple(
-            Outcome(payout, weight)
-            for payout, weight in sorted(merged.items())
-            if weight != 0.0
-        )
-        object.__setattr__(self, "outcomes", canon)
+            if o.weight >= 0.0:
+                merged[o.payout] = merged.get(o.payout, 0.0) + o.weight
+            else:
+                apart.append(o)
+        canon = [Outcome(a, w) for a, w in merged.items() if w != 0.0] + apart
+        canon.sort(key=lambda o: o.payout)
+        object.__setattr__(self, "outcomes", tuple(canon))
 
     @classmethod
     def from_pairs(
@@ -72,7 +74,7 @@ class Game:
         verdict = validate(self)
         if not verdict.ok:
             raise GameValidationError(verdict)
-        return _summarize(self, self.outcomes[0].payout)
+        return _summarize(self)
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def compute_stats(game: Game, *, ess_inf: float | None = None) -> GameStats:
     it equals the smallest payout (the default), mass sits at the infimum,
     h_xi is infinite and the lower price bound collapses to the infimum.
 
-    Without `ess_inf` the result is computed once per game and kept.
+    Computed once per game and kept; an override recomputes only h_xi and xi + 1/h_xi.
     Raises GameValidationError (carrying the verdict) for invalid games.
     """
     stats = game._stats
@@ -161,28 +163,24 @@ def compute_stats(game: Game, *, ess_inf: float | None = None) -> GameStats:
         )
     if not xi > 0.0:
         raise DomainError(f"ess_inf={xi!r} must be strictly positive")
-    return _summarize(game, xi)
+    if xi == stats.ess_inf:
+        return stats
+    h_xi = math.fsum(o.weight / (o.payout - xi) for o in game.outcomes)
+    return replace(stats, ess_inf=xi, h_xi=h_xi, lower_price_bound=xi + 1.0 / h_xi)
 
 
-def _summarize(game: Game, xi: float) -> GameStats:
-    """Statistics of a valid game with essential infimum xi."""
-    expectation = math.fsum(o.weight * o.payout for o in game.outcomes)
+def _summarize(game: Game) -> GameStats:
+    """Statistics of a valid game, with mass at its smallest payout."""
+    xi = game.outcomes[0].payout
     harmonic = math.fsum(o.weight / o.payout for o in game.outcomes)
-    log_moment = math.fsum(o.weight * math.log(o.payout) for o in game.outcomes)
-    if xi == game.outcomes[0].payout:
-        h_xi = math.inf
-        inv_h_xi = 0.0
-    else:
-        h_xi = math.fsum(o.weight / (o.payout - xi) for o in game.outcomes)
-        inv_h_xi = 1.0 / h_xi
     return GameStats(
-        expectation=expectation,
+        expectation=math.fsum(o.weight * o.payout for o in game.outcomes),
         harmonic_integral=harmonic,
         ess_inf=xi,
-        h_xi=h_xi,
-        lower_price_bound=xi + inv_h_xi,
+        h_xi=math.inf,
+        lower_price_bound=xi,
         fair_price=1.0 / harmonic,
-        log_moment=log_moment,
+        log_moment=math.fsum(o.weight * math.log(o.payout) for o in game.outcomes),
     )
 
 
@@ -261,6 +259,8 @@ def load_spec(text: str, *, normalize: bool = False) -> Game:
             f"invalid JSON at line {exc.lineno} column {exc.colno}"
             f" (char {exc.pos}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecParseError(
             f"top-level value must be an object, got {type(doc).__name__}"
@@ -275,13 +275,18 @@ def load_spec(text: str, *, normalize: bool = False) -> Game:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SpecParseError(f"outcomes[{i}] must be an object, got {entry!r}")
-        payout = entry.get("payout")
-        prob = entry.get("prob")
-        if not _is_number(payout):
-            raise SpecParseError(f"outcomes[{i}].payout must be a number, got {payout!r}")
-        if not _is_number(prob):
-            raise SpecParseError(f"outcomes[{i}].prob must be a number, got {prob!r}")
-        pairs.append((float(payout), float(prob)))
+        pair = []
+        for key in ("payout", "prob"):
+            value = entry.get(key)
+            if not _is_number(value):
+                raise SpecParseError(f"outcomes[{i}].{key} must be a number, got {value!r}")
+            try:
+                pair.append(float(value))
+            except OverflowError:
+                raise SpecParseError(
+                    f"outcomes[{i}].{key} is an integer too large for a float"
+                ) from None
+        pairs.append((pair[0], pair[1]))
     if normalize:
         total = math.fsum(p for _, p in pairs)
         if math.isfinite(total) and total > 0.0:

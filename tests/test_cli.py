@@ -100,6 +100,28 @@ class TestReports:
         assert abs(report["pricing"]["optimal_price"] - 103.3299643512) <= 1e-6
         assert round(report["discounted_expectation"], 3) == 103.684
 
+    @pytest.mark.parametrize(
+        "rate, shift, price",
+        (
+            # the unshifted price lies below ess_inf = 1
+            (2.0, 10.0, "price u=0.5899128231238489 "),
+            # u + n rounds onto the shifted infimum, 1e17
+            (0.05, 1e17, "price u=1e+17 "),
+        ),
+        ids=("base_below_ess_inf", "shifted_onto_ess_inf"),
+    )
+    def test_translate_notes_an_inadmissible_price(self, spec_path, rate, shift, price):
+        code, out, err = run_config(
+            RunConfig(command="translate", game_path=spec_path, rate=rate, shift=shift)
+        )
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert report["invariance"] is None
+        assert report["invariance_note"].startswith(
+            "invariance identities need a price inside the open admissible"
+            " interval; " + price + "outside the admissible interval"
+        )
+
     def test_sweep_json_rows(self, spec_path):
         code, out, _ = run_config(
             RunConfig(
@@ -196,6 +218,28 @@ class TestExitCodes:
         code, _, err = run_config(RunConfig(command="analyze", game_path=str(path)))
         assert code == EXIT_VALIDATION
         assert "line" in err
+
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        (
+            (
+                '{"payout": 1.0, "prob": 0.7}, {"payout": 1.0, "prob": -0.2},'
+                ' {"payout": 2.0, "prob": 0.5}',
+                "error: weight -0.2 for payout 1.0 must be a nonnegative finite number",
+            ),
+            (
+                '{"payout": 1, "prob": 0.5}, {"payout": 1%s, "prob": 0.5}' % ("0" * 400),
+                "error: outcomes[1].payout is an integer too large for a float",
+            ),
+        ),
+        ids=("cancelled_negative_prob", "huge_integer"),
+    )
+    def test_bad_spec_numbers_are_exit_1(self, tmp_path, outcomes, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"outcomes": [%s]}' % outcomes)
+        code, out, err = run_config(RunConfig(command="analyze", game_path=str(path)))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(message)
 
     def test_domain_failure_is_exit_2(self, spec_path):
         code, _, err = run_config(

@@ -1,5 +1,6 @@
 """Game model: validation, statistics, translation, spec round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestValidate:
         game = Game.from_pairs([(2.0, 0.25), (2.0, 0.25), (5.0, 0.5)])
         assert len(game.outcomes) == 2
         assert game.outcomes[0].weight == 0.5
+
+    @pytest.mark.parametrize("bad", (-0.2, math.nan))
+    def test_bad_weight_is_not_merged_away(self, bad):
+        # 0.7 + (-0.2) would merge to a valid 0.5; the bad entry stays apart
+        game = Game.from_pairs([(1.0, 0.7), (1.0, bad), (2.0, 0.5)])
+        assert [(o.payout, o.weight) for o in game.outcomes][0] == (1.0, 0.7)
+        assert len(game.outcomes) == 3
+        assert f"weight {bad!r} for payout 1.0 must be a nonnegative finite number" in (
+            validate(game).problems
+        )
 
 
 class TestComputeStats:
@@ -207,6 +218,28 @@ class TestSpecIO:
         game = load_spec(text, normalize=True)
         assert [o.weight for o in game.outcomes] == [0.5, 0.5]
         with pytest.raises(GameValidationError):
+            load_spec(text)
+
+    def test_cancelled_negative_probability_rejected(self):
+        text = (
+            '{"outcomes": [{"payout": 1.0, "prob": 0.7}, {"payout": 1.0, "prob": -0.2},'
+            ' {"payout": 2.0, "prob": 0.5}]}'
+        )
+        with pytest.raises(GameValidationError) as excinfo:
+            load_spec(text)
+        assert "weight -0.2 for payout 1.0" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", ("payout", "prob"))
+    def test_integer_too_large_for_a_float_is_a_parse_error(self, field):
+        entry = {"payout": 2, "prob": 0.5, field: 10**400}
+        text = json.dumps({"outcomes": [{"payout": 1, "prob": 0.5}, entry]})
+        with pytest.raises(SpecParseError) as excinfo:
+            load_spec(text)
+        assert f"outcomes[1].{field}" in str(excinfo.value)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        text = '{"outcomes": [{"payout": 1%s, "prob": 1}]}' % ("0" * 5000)
+        with pytest.raises(SpecParseError):
             load_spec(text)
 
     def test_malformed_json_reports_position(self):

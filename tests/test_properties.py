@@ -1,6 +1,8 @@
 """Properties over generated games: payout-scale equivariance of every solver,
 one regime boundary shared by all of them, additive prices below the threshold
-shift and an exact spec round trip."""
+shift, monotone prices in the rate and the shift, cap tests at the smallest
+payout that refuse exactly what a per-term scan refuses, and an exact spec
+round trip."""
 
 import math
 from unittest.mock import patch
@@ -9,19 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import growthprice.solver
 import growthprice.translation
 from growthprice import (
+    DomainError,
     Game,
     InternalConsistencyError,
     Regime,
     boundary_growth,
     compute_stats,
+    growth_rate,
     load_spec,
     optimal_price,
     price_translated,
     save_spec,
     threshold_shift,
 )
+from growthprice.solver import _first_order_kernel, _first_order_sum
 
 SCALES = (1e-200, 1e-18, 1e-3, 1e6, 1e200)
 
@@ -39,6 +45,43 @@ games = st.lists(
     max_size=8,
     unique_by=lambda pair: pair[0],
 ).map(_game)
+
+
+def _clustered(a0: int, ulps: list[int], high: int) -> Game:
+    # Payouts a few ulps above the smallest, where every denominator and
+    # wealth factor rounds near zero together at the cap.
+    low = 0.1 * a0
+    payouts = {low + k * math.ulp(low) for k in ulps} | {low + 0.1 * high}
+    return Game.from_pairs((a, 1.0 / len(payouts)) for a in payouts)
+
+
+# games, plus games whose smaller payouts sit within 8 ulps of each other
+cap_games = games | st.builds(
+    _clustered,
+    st.integers(1, 1000),
+    st.lists(st.integers(0, 8), min_size=1, max_size=5),
+    st.integers(1, 1000),
+)
+
+
+def _near_cap(game: Game, fraction: float) -> tuple[float, float, list[float]]:
+    """A price u in (ess_inf, expectation), its cap u/(u - ess_inf), and
+    proportions at the cap, its float neighbours and cap * (1 +- 1e-15)."""
+    stats = compute_stats(game)
+    u = stats.ess_inf + fraction * (stats.expectation - stats.ess_inf)
+    cap = u / (u - stats.ess_inf)
+    near = [math.nextafter(cap, 0.0), cap, math.nextafter(cap, math.inf)]
+    return u, cap, [*near, cap * (1.0 - 1e-15), cap * (1.0 + 1e-15)]
+
+
+def _per_term_first_order_sum(game: Game, u: float, t: float) -> float:
+    terms = []
+    for o in game.outcomes:
+        denom = (o.payout - u) * t + u
+        if not denom > 0.0:
+            return -math.inf
+        terms.append(o.weight * (o.payout - u) / denom)
+    return math.fsum(terms)
 
 
 def _scaled(game: Game, c: float) -> Game:
@@ -148,3 +191,67 @@ def test_additivity_is_checked_exactly_when_both_games_are_interior(game, fracti
                     price_translated(game, r, n)
             else:
                 price_translated(game, r, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(game=cap_games, fraction=st.floats(0.01, 0.99))
+def test_first_order_kernels_refuse_exactly_what_a_per_term_scan_refuses(game, fraction):
+    u, _, proportions = _near_cap(game, fraction)
+    with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 1):
+        vector = _first_order_kernel(game)
+    for t in proportions:
+        expected = _per_term_first_order_sum(game, u, t)
+        assert _first_order_sum(game.outcomes, u, t) == expected, t
+        assert vector(u, t) == expected, t
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(game=cap_games, fraction=st.floats(0.01, 0.99))
+def test_growth_rate_refuses_exactly_what_a_per_term_scan_refuses(game, fraction):
+    u, cap, proportions = _near_cap(game, fraction)
+    for t in proportions:
+        factors = [t * (o.payout - u) / u for o in game.outcomes]
+        refused = not t < cap or any(not x > -1.0 for x in factors)
+        try:
+            growth = growth_rate(game, u, t)
+        except DomainError:
+            assert refused, t
+        else:
+            assert not refused, t
+            assert growth == math.exp(
+                math.fsum(o.weight * math.log1p(x) for o, x in zip(game.outcomes, factors))
+            )
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(game=games, fraction=st.floats(0.01, 1.0))
+def test_ess_inf_override_keeps_the_other_statistics(game, fraction):
+    stats = compute_stats(game)
+    override = compute_stats(game, ess_inf=fraction * stats.ess_inf)
+    assert override.ess_inf == fraction * stats.ess_inf
+    for name in ("expectation", "harmonic_integral", "fair_price", "log_moment"):
+        assert getattr(override, name) == getattr(stats, name), name
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(game=games)
+def test_optimal_price_is_strictly_decreasing_in_the_rate(game):
+    log_b0 = math.log(boundary_growth(game, 0.0))
+    rates = [k / 10 * log_b0 for k in range(1, 10)] + [0.999 * log_b0]
+    prices = [optimal_price(game, r) for r in rates]
+    assert all(p.regime is Regime.INTERIOR for p in prices)
+    for a, b in zip(prices, prices[1:]):
+        assert a.optimal_price > b.optimal_price, b.rate
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(game=games, fraction=st.floats(0.1, 0.9))
+def test_shifted_price_is_strictly_increasing_in_the_shift(game, fraction):
+    # The grid runs from -0.9 ess_inf to 3 n0, across the regime switch at n0.
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    n0 = threshold_shift(game, r).n0
+    low = -0.9 * compute_stats(game).ess_inf
+    shifts = [low + k / 12 * (3.0 * n0 - low) for k in range(13)]
+    prices = [price_translated(game, r, n).optimal_price for n in shifts]
+    for n, a, b in zip(shifts[1:], prices, prices[1:]):
+        assert a < b, n
