@@ -199,10 +199,13 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
         print("error: csv output is only available for the sweep command", file=err)
         return EXIT_DOMAIN
     try:
-        text = Path(config.game_path).read_text()
+        text = Path(config.game_path).read_text(encoding="utf-8")  # RFC 8259
     except OSError as exc:
         print(f"error: cannot read game spec {config.game_path!r}: {exc}", file=err)
         return EXIT_DOMAIN
+    except UnicodeDecodeError as exc:
+        print(f"error: game spec {config.game_path!r} is not UTF-8: {exc}", file=err)
+        return EXIT_VALIDATION
     try:
         game = load_spec(text, normalize=config.normalize)
         handler, _, options = _COMMANDS[config.command]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -38,12 +38,12 @@ class Game:
     sums deterministic. Negative and NaN weights are never merged: each stays
     an entry of its own, so validation reports it instead of a hiding sum.
 
-    The summary statistics at the default essential infimum are computed on
-    first use and kept on the instance, so a game is validated once however
-    many solvers it passes through. They take no part in equality or
-    hashing. A game that fails validation caches no statistics and raises
-    again on every use. Concurrent first access is safe: the computation is
-    deterministic, so every thread sees the same values.
+    The summary statistics are computed on first use and kept on the
+    instance, so a game is validated once however many solvers it passes
+    through. They take no part in equality or hashing. A game that fails
+    validation caches no statistics and raises again on every use.
+    Concurrent first access is safe: the computation is deterministic, so
+    every thread sees the same values.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -70,11 +70,22 @@ class Game:
 
     @cached_property
     def _stats(self) -> "GameStats":
-        """Statistics at the default essential infimum, after validation."""
+        """Statistics of the game, after validation."""
         verdict = validate(self)
         if not verdict.ok:
             raise GameValidationError(verdict)
-        return _summarize(self)
+        outcomes = self.outcomes
+        xi = outcomes[0].payout
+        harmonic = math.fsum(o.weight / o.payout for o in outcomes)
+        return GameStats(
+            expectation=math.fsum(o.weight * o.payout for o in outcomes),
+            harmonic_integral=harmonic,
+            ess_inf=xi,
+            h_xi=math.inf,
+            lower_price_bound=xi,
+            fair_price=1.0 / harmonic,
+            log_moment=math.fsum(o.weight * math.log(o.payout) for o in outcomes),
+        )
 
 
 @dataclass(frozen=True)
@@ -119,11 +130,11 @@ def validate(game: Game) -> ValidationResult:
 class GameStats:
     """Summary quantities of a valid game.
 
-    h_xi is the expectation of 1/(payout - ess_inf); it is math.inf whenever
-    probability mass sits exactly at the essential infimum, which is always
-    the case for games ingested as explicit outcome lists. For every valid
-    game the chain ess_inf <= lower_price_bound < fair_price < expectation
-    holds.
+    ess_inf is the smallest payout. h_xi, the expectation of
+    1/(payout - ess_inf), and the lower price bound ess_inf + 1/h_xi are kept
+    for the analyze report: a finite game has mass at its smallest payout,
+    so they are always math.inf and ess_inf. For every valid game the chain
+    ess_inf == lower_price_bound < fair_price < expectation holds.
     """
 
     expectation: float
@@ -141,47 +152,12 @@ class GameStats:
         return self.harmonic_integral * math.exp(self.log_moment)
 
 
-def compute_stats(game: Game, *, ess_inf: float | None = None) -> GameStats:
-    """Compute the summary statistics of a valid game.
+def compute_stats(game: Game) -> GameStats:
+    """Summary statistics of a valid game, computed once per game and kept.
 
-    `ess_inf` overrides the essential infimum for games born from quadrature
-    nodes, where the true lower endpoint of the support may carry no mass.
-    It must be positive and no larger than the smallest listed payout; when
-    it equals the smallest payout (the default), mass sits at the infimum,
-    h_xi is infinite and the lower price bound collapses to the infimum.
-
-    Computed once per game and kept; an override recomputes only h_xi and xi + 1/h_xi.
     Raises GameValidationError (carrying the verdict) for invalid games.
     """
-    stats = game._stats
-    if ess_inf is None:
-        return stats
-    xi = float(ess_inf)
-    if not xi <= stats.ess_inf:
-        raise DomainError(
-            f"ess_inf={xi!r} must not exceed the smallest payout {stats.ess_inf!r}"
-        )
-    if not xi > 0.0:
-        raise DomainError(f"ess_inf={xi!r} must be strictly positive")
-    if xi == stats.ess_inf:
-        return stats
-    h_xi = math.fsum(o.weight / (o.payout - xi) for o in game.outcomes)
-    return replace(stats, ess_inf=xi, h_xi=h_xi, lower_price_bound=xi + 1.0 / h_xi)
-
-
-def _summarize(game: Game) -> GameStats:
-    """Statistics of a valid game, with mass at its smallest payout."""
-    xi = game.outcomes[0].payout
-    harmonic = math.fsum(o.weight / o.payout for o in game.outcomes)
-    return GameStats(
-        expectation=math.fsum(o.weight * o.payout for o in game.outcomes),
-        harmonic_integral=harmonic,
-        ess_inf=xi,
-        h_xi=math.inf,
-        lower_price_bound=xi,
-        fair_price=1.0 / harmonic,
-        log_moment=math.fsum(o.weight * math.log(o.payout) for o in game.outcomes),
-    )
+    return game._stats
 
 
 def translate(game: Game, n: float) -> Game:

@@ -281,8 +281,10 @@ def verify(
     """Cross-check the solver against every oracle, one Check per property.
 
     The random two-point games are drawn from numpy's default_rng(seed), and
-    both simulations use the same seed.
+    both simulations use the same seed, which must be nonnegative.
     """
+    if not seed >= 0:
+        raise DomainError(f"seed={seed!r} must be nonnegative")
     import numpy as np
 
     rng = np.random.default_rng(seed)

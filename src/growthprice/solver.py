@@ -22,8 +22,10 @@ when any of these holds: the bracket [lo, hi] is no wider than
 tol * max(floor, hi) and the residual is at most tol in absolute value;
 the bracket can no longer be split; or it has made max_iter evaluations.
 The floor is 0 for proportions and prices, whose widths are relative, and
-ess_inf for the threshold shift, whose root may lie near 0. Everything here
-is a pure function of immutable inputs and is safe to call concurrently.
+ess_inf for the threshold shift, whose root may lie near 0. _bisect refuses
+max_iter below 1 and tol outside [0, inf), and so does every solver, even
+where the regime gives the answer in closed form. Everything here is a pure
+function of immutable inputs and is safe to call concurrently.
 
 Nearly all the work is the first-order sum inside nested bisection, so it
 has two kernels, chosen once per solve from the number of outcomes. Below
@@ -58,10 +60,10 @@ _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
 # Outcome count from which the first-order sum runs on numpy arrays. One
-# evaluation took 2.0-2.5 us looped against 4.3-5.2 us on numpy at 16 outcomes,
-# 3.9-4.1 against 4.5-4.7 at 32 and 8.0-9.6 against 5.5-7.3 at 64 (Python 3.11,
-# numpy 2.4, 2 vCPUs): they cross near 48, but both return the same float.
-_VECTOR_MIN_OUTCOMES = 16
+# evaluation took 2.1 us looped against 5.2 us on numpy at 16 outcomes, 6.2
+# against 6.0 at 40 and 9.5 against 7.0 at 64 (best of 9, Python 3.11, numpy
+# 2.4, 2 vCPUs): they cross near 40, and both return the same float.
+_VECTOR_MIN_OUTCOMES = 40
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,14 @@ def _log_growth(outcomes: tuple[Outcome, ...], u: float, t: float) -> float:
     )
 
 
+def _require_bisect_args(tol: float, max_iter: int) -> None:
+    """Refuse a tolerance or evaluation cap that _bisect cannot honour."""
+    if not max_iter >= 1:
+        raise DomainError(f"max_iter={max_iter!r} must be at least 1")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol={tol!r} must satisfy 0 <= tol < inf")
+
+
 def _bisect(
     f: Callable[[float], float],
     lo: float,
@@ -156,6 +166,7 @@ def _bisect(
     Returns (x, f(x), evaluations) for the last point evaluated, under the
     stopping rule in the module docstring.
     """
+    _require_bisect_args(tol, max_iter)
     x = 0.5 * (lo + hi)
     res = f(x)
     iterations = 1
@@ -284,6 +295,7 @@ def optimal_proportion(
             f"price u={u!r} outside (0, expectation) ="
             f" (0, {stats.expectation!r})"
         )
+    _require_bisect_args(tol, max_iter)
     if u > stats.fair_price:
         return pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
     growth = math.exp(stats.log_moment) / u
@@ -328,6 +340,7 @@ def optimal_price(
     """
     stats = compute_stats(game)
     target = _growth_target(r)
+    _require_bisect_args(tol, max_iter)
     if target >= stats.boundary_growth:
         price = math.exp(stats.log_moment - r)
         growth = math.exp(stats.log_moment) / price if price > 0.0 else math.inf

@@ -26,6 +26,7 @@ from .solver import (
     Regime,
     _bisect,
     _growth_target,
+    _require_bisect_args,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -145,6 +146,7 @@ def threshold_shift(
     there is nothing to solve and the status says so.
     """
     target = _growth_target(r)
+    _require_bisect_args(tol, max_iter)
     stats = compute_stats(game)
     b0 = stats.boundary_growth
     if target > b0:

@@ -219,6 +219,14 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "line" in err
 
+    def test_spec_that_is_not_utf8_is_exit_1(self, tmp_path):
+        # a UTF-16 byte order mark, then UTF-16 text
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"outcomes": []}'.encode("utf-16-le"))
+        code, out, err = run_config(RunConfig(command="analyze", game_path=str(path)))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: game spec {str(path)!r} is not UTF-8: ")
+
     @pytest.mark.parametrize(
         "outcomes, message",
         (
@@ -264,6 +272,42 @@ class TestExitCodes:
         )
         assert result.exit_code == EXIT_DOMAIN, result.output
         assert "error: rate r=1000.0" in result.output
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["price", "--rate", "0.05", "--max-iter", "0"], "max_iter=0"),
+            (["price", "--rate", "0.05", "--max-iter", "-3"], "max_iter=-3"),
+            (["price", "--rate", "0.05", "--tol", "inf"], "tol=inf"),
+            (["price", "--rate", "0.05", "--tol", "nan"], "tol=nan"),
+            (["price", "--rate", "0.05", "--tol", "-1e-12"], "tol=-1e-12"),
+            (["threshold", "--rate", "0.05", "--max-iter", "0"], "max_iter=0"),
+            # both games price at full investment, so no root is solved
+            (["translate", "--rate", "1", "--shift", "1", "--max-iter", "0"], "max_iter=0"),
+            (["sweep", "--rate", "0.05", "--shifts", "1,2", "--tol", "inf"], "tol=inf"),
+            (["verify", "--max-iter", "0"], "max_iter=0"),
+        ),
+        ids=(
+            "price_max_iter_0",
+            "price_max_iter_negative",
+            "price_tol_inf",
+            "price_tol_nan",
+            "price_tol_negative",
+            "threshold",
+            "translate_full_investment",
+            "sweep",
+            "verify",
+        ),
+    )
+    def test_unhonourable_solver_arguments_are_exit_2(self, spec_path, argv, message):
+        result = CliRunner().invoke(main, [*argv, "--game", spec_path])
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert result.output.startswith(f"error: {message} must ")
+
+    def test_negative_seed_is_exit_2(self, spec_path):
+        result = CliRunner().invoke(main, ["verify", "--game", spec_path, "--seed", "-1"])
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert result.output == "error: seed=-1 must be nonnegative\n"
 
     def test_missing_required_field_is_exit_2(self, spec_path):
         code, _, err = run_config(RunConfig(command="price", game_path=spec_path))

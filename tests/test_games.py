@@ -103,23 +103,15 @@ class TestComputeStats:
             assert stats.ess_inf <= stats.lower_price_bound
             assert stats.lower_price_bound < stats.fair_price < stats.expectation
 
-    def test_quadrature_game_finite_h_xi(self):
-        game = game_from_nodes([2.0, 4.0, 8.0], [1.0, 1.0, 2.0])
-        stats = compute_stats(game, ess_inf=1.5)
-        expected = math.fsum([0.25 / 0.5, 0.25 / 2.5, 0.5 / 6.5])
-        assert math.isclose(stats.h_xi, expected, rel_tol=1e-15)
-        assert stats.lower_price_bound == 1.5 + 1.0 / expected
-        assert stats.ess_inf <= stats.lower_price_bound
-        assert stats.lower_price_bound < stats.fair_price < stats.expectation
-
-    def test_ess_inf_at_min_payout_gives_infinite_h_xi(self, three_point):
-        stats = compute_stats(three_point, ess_inf=2.0)
-        assert math.isinf(stats.h_xi)
-        assert stats.lower_price_bound == 2.0
-
-    def test_ess_inf_above_min_payout_rejected(self, three_point):
-        with pytest.raises(DomainError):
-            compute_stats(three_point, ess_inf=3.0)
+    def test_smallest_payout_fixes_h_xi_and_the_lower_bound(self, three_point):
+        rng = np.random.default_rng(43)
+        for game in [three_point] + [random_game(rng) for _ in range(50)]:
+            stats = compute_stats(game)
+            assert stats.ess_inf == game.outcomes[0].payout
+            assert stats.h_xi == math.inf
+            assert stats.lower_price_bound == stats.ess_inf
+        with pytest.raises(TypeError):
+            compute_stats(three_point, ess_inf=1.5)
 
 
 class TestTranslate:

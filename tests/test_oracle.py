@@ -18,6 +18,7 @@ from growthprice import (
     simulate_wealth,
     translate,
     two_point_closed_form,
+    verify,
 )
 
 
@@ -288,3 +289,10 @@ class TestOracleAgainstSolver:
             t_cf, g_cf = two_point_closed_form(tp, u, n)
             assert abs(shifted.proportion - t_cf) <= 1e-9 * t_cf
             assert abs(shifted.growth - g_cf) <= 1e-9 * g_cf
+
+
+class TestVerify:
+    def test_negative_seed_refused(self, two_point):
+        # numpy's default_rng refuses it too, but with a ValueError
+        with pytest.raises(DomainError, match=r"^seed=-1 must be nonnegative$"):
+            verify(two_point, seed=-1)

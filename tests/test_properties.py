@@ -223,16 +223,6 @@ def test_growth_rate_refuses_exactly_what_a_per_term_scan_refuses(game, fraction
             )
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
-@given(game=games, fraction=st.floats(0.01, 1.0))
-def test_ess_inf_override_keeps_the_other_statistics(game, fraction):
-    stats = compute_stats(game)
-    override = compute_stats(game, ess_inf=fraction * stats.ess_inf)
-    assert override.ess_inf == fraction * stats.ess_inf
-    for name in ("expectation", "harmonic_integral", "fair_price", "log_moment"):
-        assert getattr(override, name) == getattr(stats, name), name
-
-
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(game=games)
 def test_optimal_price_is_strictly_decreasing_in_the_rate(game):

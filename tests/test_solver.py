@@ -19,6 +19,7 @@ from growthprice import (
     Regime,
     asymptotic_sweep,
     boundary_growth,
+    check_invariance,
     compute_stats,
     growth_rate,
     optimal_price,
@@ -29,6 +30,7 @@ from growthprice import (
     threshold_shift,
     translate,
     two_point_closed_form,
+    verify,
 )
 from growthprice.solver import _bisect, _first_order_kernel, _first_order_sum
 
@@ -235,6 +237,18 @@ class TestClosedFormAgreement:
             assert abs(solution.growth - g_cf) <= 1e-9 * g_cf
 
 
+# Arguments no solve can honour: no evaluation at all, or a tolerance that
+# every residual meets (inf, and NaN through max) or none can (below 0).
+_UNHONOURABLE = (
+    {"max_iter": 0},
+    {"max_iter": -3},
+    {"tol": math.inf},
+    {"tol": math.nan},
+    {"tol": -1e-12},
+)
+_UNHONOURABLE_IDS = ("max_iter_0", "max_iter_negative", "tol_inf", "tol_nan", "tol_negative")
+
+
 class TestBisect:
     """Each way out of the one bisection routine behind every solver."""
 
@@ -275,6 +289,54 @@ class TestBisect:
         assert (absolute[2], relative[2]) == (44, 47)
         assert absolute[0] < 1.0 and abs(absolute[1]) <= 1e-12
         assert absolute[0] == threshold_shift(game, 0.05).n0
+
+    @pytest.mark.parametrize("kwargs", _UNHONOURABLE, ids=_UNHONOURABLE_IDS)
+    def test_unhonourable_arguments_refused_before_any_evaluation(self, kwargs):
+        args = {"tol": 1e-6, "max_iter": 200, **kwargs}
+
+        def never(x):
+            raise AssertionError(f"evaluated at {x!r}")
+
+        with pytest.raises(DomainError, match="^(max_iter|tol)="):
+            _bisect(never, 0.0, 1.0, args["tol"], args["max_iter"])
+
+
+class TestSolverArguments:
+    """Every solver refuses what _bisect cannot honour, in either regime."""
+
+    @pytest.mark.parametrize("kwargs", _UNHONOURABLE, ids=_UNHONOURABLE_IDS)
+    @pytest.mark.parametrize(
+        "solve",
+        (
+            lambda g, **kw: pre_optimal_proportion(g, 5.5, **kw),
+            lambda g, **kw: optimal_proportion(g, 5.5, **kw),
+            lambda g, **kw: optimal_proportion(g, 1.5, **kw),
+            lambda g, **kw: optimal_price(g, 0.05, **kw),
+            lambda g, **kw: optimal_price(g, 1.0, **kw),
+            lambda g, **kw: threshold_shift(g, 0.05, **kw),
+            lambda g, **kw: threshold_shift(g, 1.0, **kw),
+            lambda g, **kw: price_translated(g, 0.05, 10.0, **kw),
+            lambda g, **kw: check_invariance(g, 5.5, 1.0, **kw),
+            lambda g, **kw: asymptotic_sweep(g, 0.05, [1.0, 2.0], **kw),
+            lambda g, **kw: verify(g, **kw),
+        ),
+        ids=(
+            "pre_optimal_proportion",
+            "optimal_proportion_interior",
+            "optimal_proportion_full_investment",
+            "optimal_price_interior",
+            "optimal_price_full_investment",
+            "threshold_shift_found",
+            "threshold_shift_already_full_investment",
+            "price_translated",
+            "check_invariance",
+            "asymptotic_sweep",
+            "verify",
+        ),
+    )
+    def test_unhonourable_arguments_refused(self, two_point, solve, kwargs):
+        with pytest.raises(DomainError, match="^(max_iter|tol)="):
+            solve(two_point, **kwargs)
 
 
 # repr of pre_optimal_proportion at the middle of the admissible interval,
@@ -376,7 +438,8 @@ class TestFirstOrderKernels:
 
     def test_vector_kernel_equals_loop(self):
         rng = np.random.default_rng(404)
-        for k in (16, 17, 64, 255, 256, 512):
+        first = growthprice.solver._VECTOR_MIN_OUTCOMES
+        for k in (first, first + 1, 64, 255, 256, 512):
             game = random_game(rng, k, k)
             stats = compute_stats(game)
             kernel = _first_order_kernel(game)
