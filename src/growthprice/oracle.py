@@ -329,15 +329,18 @@ def verify(
     )
 
     # Monte Carlo mean against the analytic growth rate on the supplied game.
-    sim = simulate_wealth(game, u_mid, root.proportion, periods=200, paths=100, seed=seed)
+    # A correct solver misses a 5*SE band on about one seed in 1.7 million,
+    # against one in 370 at 3*SE, and 1e5 draws make the 5*SE band narrower
+    # than the 3*SE band on 2e4 draws.
+    sim = simulate_wealth(game, u_mid, root.proportion, periods=200, paths=500, seed=seed)
     target = math.log(root.growth)
-    band = 3.0 * sim.std_error
+    band = 5.0 * sim.std_error
     checks.append(
         Check(
             "monte_carlo_consistency",
             abs(sim.mean_log_growth - target) <= band,
             f"mean {sim.mean_log_growth!r} vs log growth {target!r},"
-            f" 3*SE {band:.3e}",
+            f" 5*SE {band:.3e}",
         )
     )
 

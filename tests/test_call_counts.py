@@ -1,4 +1,5 @@
-"""Ceilings on the validation, game-building and repricing work of the solvers.
+"""Ceilings on the validation, game-building, repricing and first-order work
+of the solvers.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
 regression gates for per-call overhead.
@@ -20,6 +21,7 @@ COUNTED = {
     "validate": growthprice.games,
     "translate": growthprice.games,
     "optimal_price": growthprice.solver,
+    "_first_order_sum": growthprice.solver,
     "boundary_growth": growthprice.translation,
 }
 
@@ -53,6 +55,13 @@ def test_threshold_shift_validates_once_and_builds_no_game(two_point, calls):
 def test_optimal_price_validates_at_most_once(two_point, calls):
     optimal_price(two_point, 0.05)
     assert calls["validate"] <= 1
+
+
+def test_optimal_price_makes_at_most_300_first_order_evaluations(two_point, calls):
+    # Newton steps, sign probes and bisection midpoints alike; nested plain
+    # bisection made 1724 on this game.
+    assert optimal_price(two_point, 0.05).proportion == 0.27363787124918415
+    assert calls["_first_order_sum"] <= 300
 
 
 def test_a_game_is_validated_once_across_calls(two_point, calls):

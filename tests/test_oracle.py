@@ -1,5 +1,6 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -14,6 +15,7 @@ from growthprice import (
     TwoPointGame,
     compute_stats,
     grid_argmax_growth,
+    growth_rate,
     pre_optimal_proportion,
     simulate_wealth,
     translate,
@@ -296,3 +298,31 @@ class TestVerify:
         # numpy's default_rng refuses it too, but with a ValueError
         with pytest.raises(DomainError, match=r"^seed=-1 must be nonnegative$"):
             verify(two_point, seed=-1)
+
+    def test_monte_carlo_band_passes_seed_8704(self, three_point):
+        # 200 x 100 draws put this seed's mean 3.12 SE below the log growth,
+        # outside a 3*SE band, although the solver is correct
+        checks = {check.name: check for check in verify(three_point, seed=8704)}
+        check = checks["monte_carlo_consistency"]
+        assert check.passed, check.detail
+        assert " 5*SE " in check.detail
+
+    @pytest.mark.parametrize("z", [-6.0, 6.0])
+    def test_monte_carlo_band_fails_a_mean_six_standard_errors_off(
+        self, three_point, monkeypatch, z
+    ):
+        real = oracle.simulate_wealth
+
+        def off_target(game, u, t, **kwargs):
+            sim = real(game, u, t, **kwargs)
+            target = math.log(growth_rate(game, u, t))
+            return dataclasses.replace(sim, mean_log_growth=target + z * sim.std_error)
+
+        monkeypatch.setattr(oracle, "simulate_wealth", off_target)
+        checks = {check.name: check.passed for check in verify(three_point, seed=8704)}
+        assert checks == {
+            "closed_form_agreement": True,
+            "grid_argmax_within_one_step": True,
+            "monte_carlo_consistency": False,
+            "zero_proportion_exact": True,
+        }

@@ -1,14 +1,17 @@
 """Properties over generated games: payout-scale equivariance of every solver,
 one regime boundary shared by all of them, additive prices below the threshold
 shift, monotone prices in the rate and the shift, cap tests at the smallest
-payout that refuse exactly what a per-term scan refuses, and an exact spec
-round trip."""
+payout that refuse exactly what a per-term scan refuses, first-order sums that
+are weakly decreasing in t as evaluated, a proportion solve from sign
+certificates that replays plain bisection bit for bit, and an exact spec round
+trip."""
 
 import math
+from functools import partial
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import growthprice.solver
@@ -23,11 +26,18 @@ from growthprice import (
     growth_rate,
     load_spec,
     optimal_price,
+    pre_optimal_proportion,
     price_translated,
     save_spec,
     threshold_shift,
 )
-from growthprice.solver import _first_order_kernel, _first_order_sum
+from growthprice.solver import (
+    _CAP_MARGIN,
+    _bisect,
+    _first_order_kernel,
+    _first_order_sum,
+    _solve_proportion,
+)
 
 SCALES = (1e-200, 1e-18, 1e-3, 1e6, 1e200)
 
@@ -64,6 +74,24 @@ cap_games = games | st.builds(
 )
 
 
+def _scaled(game: Game, c: float) -> Game:
+    return Game.from_pairs((c * o.payout, o.weight) for o in game.outcomes)
+
+
+# 2-64 outcomes, payouts on a 0.1 grid in [0.1, 1000] with integer weights,
+# at every payout scale the solvers support.
+wide_games = st.builds(
+    _scaled,
+    st.lists(
+        st.tuples(st.integers(1, 10_000), st.integers(1, 20)),
+        min_size=2,
+        max_size=64,
+        unique_by=lambda pair: pair[0],
+    ).map(_game),
+    st.sampled_from((1.0, *SCALES)),
+)
+
+
 def _near_cap(game: Game, fraction: float) -> tuple[float, float, list[float]]:
     """A price u in (ess_inf, expectation), its cap u/(u - ess_inf), and
     proportions at the cap, its float neighbours and cap * (1 +- 1e-15)."""
@@ -82,10 +110,6 @@ def _per_term_first_order_sum(game: Game, u: float, t: float) -> float:
             return -math.inf
         terms.append(o.weight * (o.payout - u) / denom)
     return math.fsum(terms)
-
-
-def _scaled(game: Game, c: float) -> Game:
-    return Game.from_pairs((c * o.payout, o.weight) for o in game.outcomes)
 
 
 def _solve(game: Game, r: float, n: float) -> tuple[float, float, float]:
@@ -203,6 +227,68 @@ def test_first_order_kernels_refuse_exactly_what_a_per_term_scan_refuses(game, f
         expected = _per_term_first_order_sum(game, u, t)
         assert _first_order_sum(game.outcomes, u, t) == expected, t
         assert vector(u, t) == expected, t
+
+
+def _kernels(game: Game):
+    """The loop and the numpy first-order kernels of game."""
+    with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 1):
+        vector = _first_order_kernel(game)
+    return partial(_first_order_sum, game.outcomes), vector
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    game=wide_games | cap_games,
+    fraction=st.floats(0.01, 0.99),
+    pair=st.tuples(st.floats(0.0, 1.2), st.floats(0.0, 1.2)),
+)
+def test_first_order_sums_are_weakly_decreasing_in_t(game, fraction, pair):
+    # The lemma that lets _solve_proportion skip certified midpoints: checked
+    # on runs of adjacent floats around the root and two random proportions,
+    # at the cap, and past it, where both kernels return -inf.
+    u, cap, near = _near_cap(game, fraction)
+    root = pre_optimal_proportion(game, u).proportion
+    t1, t2 = sorted(share * cap for share in pair)
+    ts = {0.0, *near, 2.0 * cap}
+    for t in (root, t1, t2):
+        below = above = t
+        for _ in range(4):
+            ts |= {below, above}
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    ts = sorted(ts)
+    for kernel in _kernels(game):
+        values = [kernel(u, t) for t in ts]
+        for t, a, b in zip(ts[1:], values, values[1:]):
+            assert b <= a, t
+        assert values[-1] == -math.inf
+        assert [kernel(u, t, slope=True)[0] for t in ts] == values
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    game=wide_games,
+    low=st.sampled_from(("ess_inf", "fair_price")),
+    fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    tol=st.sampled_from((0.0, 1e-12, 1e-6)),
+    max_iter=st.sampled_from((1, 3, 200)),
+    start=st.just(math.nan) | st.floats(0.0, 1.5),
+    vector=st.booleans(),
+)
+def test_certified_proportion_solve_replays_plain_bisection(
+    game, low, fraction, tol, max_iter, start, vector
+):
+    # Newton from any warm start, or from the bracket midpoint, ends in the
+    # same (t, residual, steps) as bisection that evaluates every midpoint.
+    stats = compute_stats(game)
+    low = getattr(stats, low)
+    u = low + fraction * (stats.expectation - low)
+    assume(low < u < stats.expectation)
+    loop, numpy_kernel = _kernels(game)
+    kernel = numpy_kernel if vector else loop
+    hi = u / (u - stats.ess_inf) * (1.0 - _CAP_MARGIN)
+    plain = _bisect(partial(kernel, u), 0.0, hi, tol, max_iter)
+    certified = _solve_proportion(kernel, stats.ess_inf, u, tol, max_iter, start * hi)
+    assert repr(certified) == repr(plain)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

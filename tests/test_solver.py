@@ -274,6 +274,40 @@ class TestBisect:
         assert count == 3
         assert (x, res) == (0.375, 0.3 - 0.375)  # midpoints 0.5, 0.25, 0.375
 
+    def test_certificates_skip_midpoints_but_not_steps(self):
+        # f(0.29) > 0 and f(0.31) <= 0 settle the first five midpoints (0.5,
+        # 0.25, 0.375, 0.3125, 0.28125) unevaluated; the rest, and the count
+        # of steps, are those of the plain search.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 0.3 - x
+
+        plain = _bisect(f, 0.0, 1.0, 1e-6, 200)
+        assert len(seen) == plain[2] == 22
+        seen.clear()
+        assert _bisect(f, 0.0, 1.0, 1e-6, 200, pos=0.29, neg=0.31) == plain
+        assert len(seen) == plain[2] - 5
+        assert all(0.29 < x < 0.31 for x in seen)
+
+    def test_certified_search_evaluates_where_it_stops(self):
+        # Every midpoint is certified, yet the residual returned is f's at
+        # the last one: the width test and the result need it.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 0.3 - x
+
+        assert _bisect(f, 0.0, 1.0, 1e-6, 3, pos=0.4, neg=0.41) == (
+            0.375, 0.3 - 0.375, 3
+        )
+        assert seen == [0.375]
+        seen.clear()
+        x, res, steps = _bisect(f, 0.0, 1.0, 0.1, 200, pos=0.29, neg=0.31)
+        assert (x, steps) == (0.28125, 5) and seen == [0.28125]
+
     def test_floor_one_measures_width_absolutely_below_one(self):
         # n0 is about 0.12, so the width test against max(1, hi) stops three
         # halvings before the one against hi; threshold_shift searches the
