@@ -208,7 +208,7 @@ def test_criterion_09_monte_carlo(two_point):
         two_point,
         pricing.optimal_price,
         pricing.proportion,
-        periods=1000,
+        periods=10_000,
         paths=100,
         seed=1234,
     )

@@ -1,5 +1,5 @@
 """Ceilings on the validation, game-building, repricing and first-order work
-of the solvers.
+of the solvers, and on the numpy steps of the Monte Carlo.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
 regression gates for per-call overhead.
@@ -12,9 +12,17 @@ from collections import Counter
 import pytest
 
 import growthprice.games
+import growthprice.oracle
 import growthprice.solver
 import growthprice.translation
-from growthprice import optimal_price, price_translated, save_spec, threshold_shift
+from growthprice import (
+    optimal_price,
+    pre_optimal_proportion,
+    price_translated,
+    save_spec,
+    simulate_wealth,
+    threshold_shift,
+)
 from growthprice.cli import RunConfig, run
 
 COUNTED = {
@@ -23,6 +31,7 @@ COUNTED = {
     "optimal_price": growthprice.solver,
     "_first_order_sum": growthprice.solver,
     "boundary_growth": growthprice.translation,
+    "_xorshift_step": growthprice.oracle,
 }
 
 
@@ -62,6 +71,36 @@ def test_optimal_price_makes_at_most_300_first_order_evaluations(two_point, call
     # bisection made 1724 on this game.
     assert optimal_price(two_point, 0.05).proportion == 0.27363787124918415
     assert calls["_first_order_sum"] <= 300
+
+
+@pytest.mark.parametrize(
+    "solve, evaluations",
+    [
+        (lambda g: pre_optimal_proportion(g, 5.0), 7),
+        (lambda g: optimal_price(g, 0.05), 185),
+    ],
+    ids=["proportion", "price"],
+)
+def test_first_order_evaluations_at_the_default_max_iter(
+    two_point, calls, solve, evaluations
+):
+    solve(two_point)
+    assert calls["_first_order_sum"] == evaluations
+
+
+def test_small_max_iter_bisects_without_newton(two_point, calls):
+    # Newton and its probes made 7 evaluations here and 20 in the price
+    pre_optimal_proportion(two_point, 5.0, max_iter=1)
+    assert calls["_first_order_sum"] == 1
+    calls.clear()
+    optimal_price(two_point, 0.05, max_iter=3)
+    assert calls["_first_order_sum"] <= 9
+
+
+def test_one_long_path_is_drawn_in_lanes(two_point, calls):
+    # one row of states per period made 10**5 steps
+    simulate_wealth(two_point, 7.0, 0.5, periods=10**5, paths=1, seed=3)
+    assert calls["_xorshift_step"] <= 100
 
 
 def test_a_game_is_validated_once_across_calls(two_point, calls):

@@ -309,6 +309,13 @@ class TestExitCodes:
         assert result.exit_code == EXIT_DOMAIN, result.output
         assert result.output == "error: seed=-1 must be nonnegative\n"
 
+    def test_seed_of_2_to_the_64_is_exit_2(self, spec_path):
+        # the simulations reduced it modulo 2**64, to seed 0
+        argv = ["verify", "--game", spec_path, "--seed", str(2**64)]
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert result.output == f"error: seed={2**64} must be below 2**64\n"
+
     def test_missing_required_field_is_exit_2(self, spec_path):
         code, _, err = run_config(RunConfig(command="price", game_path=spec_path))
         assert code == EXIT_DOMAIN

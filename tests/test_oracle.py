@@ -6,6 +6,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_game, random_two_point
 from growthprice import oracle
@@ -181,6 +183,12 @@ class TestGridArgmax:
         with pytest.raises(DomainError):
             grid_argmax_growth(two_point, 10.5, 100)
 
+    @pytest.mark.parametrize("grid_points", [2.5, True])
+    def test_grid_points_that_are_not_integers_refused(self, two_point, grid_points):
+        # 2.5 ran a 3-point grid and True a 1-point grid
+        with pytest.raises(DomainError, match=r"must be an integer$"):
+            grid_argmax_growth(two_point, 8.0, grid_points)
+
 
 class TestSimulateWealth:
     def test_zero_proportion_exact(self, two_point):
@@ -230,6 +238,43 @@ class TestSimulateWealth:
         with pytest.raises(DomainError):
             simulate_wealth(two_point, 7.0, 0.5, periods=0, paths=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "must be nonnegative"),  # ran as seed 2**64 - 1
+            (2**64, "must be below 2\\*\\*64"),  # ran as seed 0
+            (2.7, "must be an integer"),  # ran as seed 2
+            (True, "must be an integer"),  # ran as seed 1
+        ],
+    )
+    def test_seed_outside_the_generator_refused(self, two_point, seed, message):
+        with pytest.raises(DomainError, match=rf"^seed={seed!r} {message}$"):
+            simulate_wealth(two_point, 7.0, 0.5, periods=10, paths=2, seed=seed)
+
+    def test_largest_seed_and_numpy_integers_accepted(self, two_point):
+        top = simulate_wealth(two_point, 7.0, 0.5, periods=10, paths=2, seed=2**64 - 1)
+        assert top.seed == 2**64 - 1
+        same = simulate_wealth(
+            two_point, 7.0, 0.5, periods=np.int64(10), paths=2, seed=np.uint64(2**64 - 1)
+        )
+        assert same == top and type(same.seed) is int
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    def test_non_finite_price_refused(self, two_point, u):
+        # an infinite price gave a NaN mean and standard error
+        with pytest.raises(DomainError, match=r"must be positive and finite$"):
+            simulate_wealth(two_point, u, 0.5, 10, 2, 1)
+
+    @pytest.mark.parametrize(
+        "periods, paths", [(True, 10), (10, True), (10.0, 10), (10, 2.0)]
+    )
+    def test_periods_and_paths_that_are_not_integers_refused(
+        self, two_point, periods, paths
+    ):
+        # True ran as 1, and a float ended in a TypeError from range()
+        with pytest.raises(DomainError, match=r"must be an integer$"):
+            simulate_wealth(two_point, 7.0, 0.5, periods=periods, paths=paths, seed=0)
+
     def test_full_investment_above_all_payouts_is_admissible(self, two_point):
         # u above the largest payout still gives positive wealth factors
         result = simulate_wealth(two_point, 19.5, 1.0, periods=50, paths=10, seed=0)
@@ -247,12 +292,43 @@ class TestDrawStream:
             (64, 1, 1, 5),
             (7, 40, 25, 2**63 + 12345),
             (5, 2, oracle._BLOCK_DRAWS + 37, 2**64 - 1),
+            (6, 10**5, 1, 2**64 - 1),
+            (12, 1001, 37, 0),
+            (3, 7, 3, 2**63 + 12345),
+            (2, 1, 1, 2**64 - 1),
+            (4, 3, oracle._BLOCK_DRAWS + 37, 8),
         ],
     )
     def test_counts_equal_the_scalar_stream(self, k, periods, paths, seed):
         cum = bucket_edges(random_game(np.random.default_rng(k), k, k))
         got = oracle._draw_counts(cum, periods, paths, seed & _MASK64)
         assert got == scalar_counts(cum, periods, paths, seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        k=st.integers(2, 64),
+        periods=st.integers(1, 3000),
+        paths=st.integers(1, 50),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_equal_the_scalar_stream_for_any_shape(self, k, periods, paths, seed):
+        cum = bucket_edges(random_game(np.random.default_rng(seed % 1000), k, k))
+        assert oracle._draw_counts(cum, periods, paths, seed) == scalar_counts(
+            cum, periods, paths, seed
+        )
+
+    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 1000])
+    def test_jump_matrix_equals_that_many_steps(self, steps):
+        states = np.random.default_rng(steps).integers(
+            1, 2**64, size=40, dtype=np.uint64, endpoint=False
+        )
+        tables = oracle._byte_tables(oracle._jump_columns(steps))
+        expected = []
+        for state in states.tolist():
+            for _ in range(steps):
+                state, _x = next_uniform(state)
+            expected.append(state)
+        assert oracle._gf2_apply(tables, states).tolist() == expected
 
     @pytest.mark.parametrize("block_draws", [1, 10**9])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block_draws):
@@ -298,6 +374,11 @@ class TestVerify:
         # numpy's default_rng refuses it too, but with a ValueError
         with pytest.raises(DomainError, match=r"^seed=-1 must be nonnegative$"):
             verify(two_point, seed=-1)
+
+    def test_fractional_seed_refused(self, two_point):
+        # numpy's SeedSequence ended it in a TypeError
+        with pytest.raises(DomainError, match=r"^seed=2.5 must be an integer$"):
+            verify(two_point, seed=2.5)
 
     def test_monte_carlo_band_passes_seed_8704(self, three_point):
         # 200 x 100 draws put this seed's mean 3.12 SE below the log growth,
