@@ -6,18 +6,15 @@ for two-point games, brute-force grid maximization of the growth rate, and
 Monte Carlo simulation of per-period wealth growth. verify compares each of
 them with the solver and reports one Check per property.
 
-The simulation uses an xorshift64* generator seeded through the splitmix64
-finalizer, written out below so draws are bit-reproducible across platforms
-and languages. Each path derives its state from (seed, path index) alone
-and draws its own stream. The simulator cuts each path's stream into lanes
-of consecutive draws, as many as fill a row of _BLOCK_DRAWS states, and
-starts each lane at its place in the stream by GF(2) matrix jump-ahead
-(Haramoto et al. 2008). It steps every lane of a row at once as numpy
-uint64 arrays, assigns most draws to their outcome through a guide table
-on their leading bits (Chen and Asau 1974), and keeps only an integer count
-of draws per outcome. The statistics are formed from those counts, so
-results do not depend on row size, lanes or path order, and working memory
-does not grow with periods * paths.
+The simulation draws from the counter-based splitmix64 stream (Steele, Lea
+and Flood 2014), written out below so draws are bit-reproducible across
+platforms and languages: draw i depends only on (seed, i), so a block of
+draws is a handful of numpy uint64 operations with no state to carry. Draws
+are numbered path-major, so path j owns draws [j * periods, (j + 1) *
+periods). A guide table on their leading bits (Chen and Asau 1974) assigns
+most draws to their outcome, and only an integer count of draws per outcome
+is kept. The statistics are formed from those counts, so results do not
+depend on block size, and working memory does not grow with periods * paths.
 
 numpy is imported inside the functions that use it, so importing this
 module (and the CLI, which imports it) does not load numpy.
@@ -144,17 +141,9 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     return float(ts[int(np.argmax(log_growth))])
 
 
-# 64-bit generator, written out for cross-language reproducibility.
+# splitmix64 constants, written out for cross-language reproducibility.
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix64(z: int) -> int:
-    """splitmix64 output finalizer."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _require_seed(seed: object) -> int:
@@ -165,87 +154,30 @@ def _require_seed(seed: object) -> int:
     return number
 
 
-def _path_state(seed: int, path: int) -> int:
-    """Nonzero xorshift64* state for one path, from (seed, path) only."""
-    state = _mix64((seed + (path + 1) * _SPLITMIX_GAMMA) & _MASK64)
-    return state or _SPLITMIX_GAMMA
-
-
-# States stepped together per row of simulate_wealth. Each path's stream is
-# cut into as many lanes as fill a row, so memory stays fixed however many
-# draws a call makes, and every numpy call works on a full row.
-_BLOCK_DRAWS = 4096
-_MULTIPLIER = 0x2545F4914F6CDD1D
+# Draws generated and counted together by _draw_counts, so memory stays
+# fixed however many draws a call makes.
+_BLOCK_DRAWS = 2**15
 # Draws are sorted into 2**_GUIDE_BITS guide cells by their leading bits.
 _GUIDE_BITS = 12
 
 
-def _xorshift_step(state, scratch) -> None:
-    """Advance every xorshift64* state in the uint64 array `state` by one step."""
+def _stream(seed: int, start: int, stop: int):
+    """Outputs start..stop-1 of the stream, as a uint64 array: output i is
+    mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64), mix64 the
+    splitmix64 finalizer."""
     import numpy as np
 
-    np.right_shift(state, np.uint64(12), out=scratch)
-    state ^= scratch
-    np.left_shift(state, np.uint64(25), out=scratch)
-    state ^= scratch
-    np.right_shift(state, np.uint64(27), out=scratch)
-    state ^= scratch
-
-
-def _jump_columns(steps: int):
-    """The 64 columns of T**steps, T the xorshift64* state update: column i
-    is the state that unit vector i reaches after `steps` steps."""
-    import numpy as np
-
-    columns = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    scratch = np.empty_like(columns)
-    for _ in range(steps):
-        _xorshift_step(columns, scratch)
-    return columns
-
-
-def _byte_tables(columns):
-    """Lookup tables of the GF(2) matrix with these 64 columns: entry
-    [b, v] is the image of byte value v placed at bits 8b to 8b + 7."""
-    import numpy as np
-
-    tables = np.zeros((8, 256), dtype=np.uint64)
-    by_byte = columns.reshape(8, 8)
-    for i in range(8):
-        np.bitwise_xor(
-            tables[:, : 1 << i], by_byte[:, i : i + 1], out=tables[:, 1 << i : 2 << i]
-        )
-    return tables
-
-
-def _gf2_apply(tables, states):
-    """The matrix of `tables` applied to each uint64 in `states`: one gather
-    per byte of the state, and the eight images XORed."""
-    import numpy as np
-
-    shifts = np.arange(0, 64, 8, dtype=np.uint64)
-    digits = ((states[..., None] >> shifts) & np.uint64(0xFF)).view(np.int64)
-    return np.bitwise_xor.reduce(tables[np.arange(8), digits], axis=-1)
-
-
-def _lane_starts(states, lanes: int, stride: int):
-    """T**(k*stride) applied to each of `states`, for lanes k = 0..lanes-1,
-    as a (lanes, len(states)) array. The lanes double at each pass, and
-    the jump matrix is squared between passes."""
-    import numpy as np
-
-    starts = np.empty((lanes, len(states)), dtype=np.uint64)
-    starts[0] = states
-    jump = _jump_columns(stride) if lanes > 1 else None
-    done = 1
-    while done < lanes:
-        tables = _byte_tables(jump)
-        n = min(done, lanes - done)
-        starts[done : done + n] = _gf2_apply(tables, starts[:n])
-        done += n
-        if done < lanes:
-            jump = _gf2_apply(tables, jump)
-    return starts
+    # Every operand is a uint64 array or np.uint64 scalar: numpy before
+    # NEP 50 turns uint64 mixed with a Python or int64 integer into float64.
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _guide_table(thresholds):
@@ -263,12 +195,9 @@ def _guide_table(thresholds):
     return guide, straddles
 
 
-def _draw_counts(cum: list[float], periods: int, paths: int, seed: int) -> list[int]:
-    """Draws per bucket of the cumulative weights `cum` (last entry 1.0).
-
-    Path j makes `periods` draws from the xorshift64* stream started at
-    _path_state(seed, j); see simulate_wealth for the step and the lanes.
-    """
+def _draw_counts(cum: list[float], n: int, seed: int) -> list[int]:
+    """Draws per bucket of the cumulative weights `cum` (last entry 1.0)
+    among the first n outputs of _stream(seed, ...)."""
     import numpy as np
 
     # Every draw lies below cum[-1] = 1.0, so `cum <= x` holds on a prefix
@@ -279,34 +208,14 @@ def _draw_counts(cum: list[float], periods: int, paths: int, seed: int) -> list[
     cell_counts = np.zeros(1 << _GUIDE_BITS, dtype=np.int64)
     counts = np.zeros(len(cum), dtype=np.int64)
 
-    multiplier = np.uint64(_MULTIPLIER)
-    for first_path in range(0, paths, _BLOCK_DRAWS):
-        column = range(first_path, min(first_path + _BLOCK_DRAWS, paths))
-        lanes = min(periods, _BLOCK_DRAWS // len(column))
-        stride = -(-periods // lanes)
-        lanes = -(-periods // stride)
-        state = _lane_starts(
-            np.array([_path_state(seed, j) for j in column], dtype=np.uint64),
-            lanes,
-            stride,
-        ).ravel()
-        scratch = np.empty_like(state)
-        out = np.empty_like(state)
-        cells = np.empty_like(state)
-        # the last lane of each path stops after `tail` draws
-        tail = periods - (lanes - 1) * stride
-        kept = len(state) - len(column)
-        for step in range(stride):
-            _xorshift_step(state, scratch)
-            n = len(state) if step < tail else kept
-            np.multiply(state[:n], multiplier, out=out[:n])
-            np.right_shift(out[:n], np.uint64(64 - _GUIDE_BITS), out=cells[:n])
-            cell = cells[:n].view(np.int64)
-            cell_counts += np.bincount(cell, minlength=1 << _GUIDE_BITS)
-            x = (out[:n][straddles[cell]] >> np.uint64(11)) * 2.0**-53
-            counts += np.bincount(
-                np.searchsorted(thresholds, x, side="right"), minlength=len(cum)
-            )
+    for start in range(0, n, _BLOCK_DRAWS):
+        out = _stream(seed, start, min(start + _BLOCK_DRAWS, n))
+        cell = (out >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)
+        cell_counts += np.bincount(cell, minlength=1 << _GUIDE_BITS)
+        x = (out[straddles[cell]] >> np.uint64(11)) * 2.0**-53
+        counts += np.bincount(
+            np.searchsorted(thresholds, x, side="right"), minlength=len(cum)
+        )
     # every draw in a cell that no bucket edge splits falls in its guide bucket
     np.add.at(counts, guide[~straddles], cell_counts[~straddles])
     return counts.tolist()
@@ -335,32 +244,25 @@ def simulate_wealth(
 
     Outcomes are drawn i.i.d. by inverse CDF over the payout-sorted
     cumulative weights; each period multiplies wealth by a*t/u - t + 1, so
-    the per-period log growth is the log of that factor. Path j draws
-    `periods` consecutive outputs of an xorshift64* stream started from
-    _path_state(seed, j):
+    the per-period log growth is the log of that factor. Path j makes draws
+    i = j * periods, ..., (j + 1) * periods - 1 of the stream
 
-        s ^= s >> 12;  s ^= s << 25 (mod 2**64);  s ^= s >> 27
-        out = s * 0x2545F4914F6CDD1D (mod 2**64);  x = (out >> 11) * 2**-53
+        x_i = (mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64) >> 11) * 2**-53
 
-    and each x falls in the first bucket k with x < cum[k].
+    with mix64 the splitmix64 finalizer, and each x falls in the first
+    bucket k with x < cum[k]. So the counts, and the result, depend on
+    periods * paths alone.
 
-    The update of s is linear over GF(2), a 64 x 64 bit matrix T, so the
-    state m steps on is T**m s. Up to _BLOCK_DRAWS paths step together, and
-    each of them is cut into L lanes of m = ceil(periods / L) draws, with L
-    the largest count for which the lanes of all paths fit in one row of
-    _BLOCK_DRAWS states. Lane k starts at T**(k*m) applied to the path's
-    state, found by doubling the lanes with T**m, then its square, and so
-    on; the last lane stops at `periods`. A row of draws is stepped and
-    multiplied out at once. Draws go to one of 4096 guide cells by their
-    top 12 bits, out >> 52; a cell whose first and last x fall in the same
-    bucket adds its count there, and only draws in the cells that a bucket
-    edge splits are searched for their bucket. So every draw of every path
-    is counted once in the bucket the scalar scan gives it. The mean and its
-    standard error aggregate every period of every path from those counts
-    with math.fsum, the variance in two passes, so the result does not
-    depend on how draws are split into lanes or rows. Identical arguments
-    give bit-identical results. The seed must be an integer in [0, 2**64),
-    periods and paths integers of at least 1, and u positive and finite.
+    _BLOCK_DRAWS draws are generated at once. Each goes to one of 4096
+    guide cells by its top 12 bits; a cell whose first and last x fall in
+    the same bucket adds its count there, and only draws in the cells that
+    a bucket edge splits are searched for their bucket. So every draw is
+    counted once in the bucket the scalar scan gives it. The mean and its
+    standard error aggregate every draw from those counts with math.fsum,
+    the variance in two passes, so the result does not depend on the block
+    size. Identical arguments give bit-identical results. The seed must be
+    an integer in [0, 2**64), periods and paths integers of at least 1, and
+    u positive and finite.
     """
     compute_stats(game)
     if not 0.0 < u < math.inf:
@@ -378,9 +280,8 @@ def simulate_wealth(
     cum = list(accumulate(o.weight for o in game.outcomes))
     cum[-1] = 1.0  # guard the last bucket against rounding
     log_factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
-    counts = _draw_counts(cum, periods, paths, seed)
-
     n = periods * paths
+    counts = _draw_counts(cum, n, seed)
     terms = list(zip(counts, log_factors))
     mean = math.fsum(c * lf for c, lf in terms) / n
     if n > 1:
@@ -464,9 +365,12 @@ def verify(
 
     # Monte Carlo mean against the analytic growth rate on the supplied game.
     # A correct solver misses a 5*SE band on about one seed in 1.7 million,
-    # against one in 370 at 3*SE, and 1e5 draws make the 5*SE band narrower
-    # than the 3*SE band on 2e4 draws.
-    sim = simulate_wealth(game, u_mid, root.proportion, periods=200, paths=500, seed=seed)
+    # against one in 370 at 3*SE. 1e6 draws make the band sqrt(10) times
+    # narrower than 1e5 did, so it tests the growth formula about 3x as
+    # tightly, for a few milliseconds more.
+    sim = simulate_wealth(
+        game, u_mid, root.proportion, periods=200, paths=5000, seed=seed
+    )
     target = math.log(root.growth)
     band = 5.0 * sim.std_error
     checks.append(

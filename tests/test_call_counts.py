@@ -1,5 +1,5 @@
 """Ceilings on the validation, game-building, repricing and first-order work
-of the solvers, and on the numpy steps of the Monte Carlo.
+of the solvers, and on the numpy blocks of the Monte Carlo.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
 regression gates for per-call overhead.
@@ -31,7 +31,7 @@ COUNTED = {
     "optimal_price": growthprice.solver,
     "_first_order_sum": growthprice.solver,
     "boundary_growth": growthprice.translation,
-    "_xorshift_step": growthprice.oracle,
+    "_stream": growthprice.oracle,
 }
 
 
@@ -97,10 +97,13 @@ def test_small_max_iter_bisects_without_newton(two_point, calls):
     assert calls["_first_order_sum"] <= 9
 
 
-def test_one_long_path_is_drawn_in_lanes(two_point, calls):
-    # one row of states per period made 10**5 steps
-    simulate_wealth(two_point, 7.0, 0.5, periods=10**5, paths=1, seed=3)
-    assert calls["_xorshift_step"] <= 100
+@pytest.mark.parametrize("periods, paths", [(1, 10**5), (10**5, 1)])
+def test_draws_are_made_in_full_blocks_whatever_the_shape(
+    two_point, calls, periods, paths
+):
+    # ceil(10**5 / 2**15) blocks
+    simulate_wealth(two_point, 7.0, 0.5, periods=periods, paths=paths, seed=3)
+    assert calls["_stream"] == 4
 
 
 def test_a_game_is_validated_once_across_calls(two_point, calls):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -83,13 +84,13 @@ def reference_grid(game, u, grid_points):
 _MASK64 = (1 << 64) - 1
 
 
-def next_uniform(state):
-    """One scalar xorshift64* step; the top 53 output bits map to [0, 1)."""
-    state ^= state >> 12
-    state = (state ^ (state << 25)) & _MASK64
-    state ^= state >> 27
-    out = (state * 0x2545F4914F6CDD1D) & _MASK64
-    return state, (out >> 11) * 2.0**-53
+def stream_output(seed, i):
+    """Output i of the counter-based splitmix64 stream: the splitmix64
+    finalizer of seed + (i + 1) * gamma, on Python integers."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def bucket_edges(game):
@@ -99,12 +100,12 @@ def bucket_edges(game):
 
 
 def scalar_counts(cum, periods, paths, seed):
-    """Draws per bucket from the scalar stream and a linear scan."""
+    """Draws per bucket from the scalar stream and a linear scan; path j
+    makes draws j * periods to (j + 1) * periods - 1."""
     counts = [0] * len(cum)
     for j in range(paths):
-        state = oracle._path_state(seed & _MASK64, j)
-        for _ in range(periods):
-            state, x = next_uniform(state)
+        for i in range(j * periods, (j + 1) * periods):
+            x = (stream_output(seed & _MASK64, i) >> 11) * 2.0**-53
             k = 0
             while x >= cum[k]:
                 k += 1
@@ -301,7 +302,7 @@ class TestDrawStream:
     )
     def test_counts_equal_the_scalar_stream(self, k, periods, paths, seed):
         cum = bucket_edges(random_game(np.random.default_rng(k), k, k))
-        got = oracle._draw_counts(cum, periods, paths, seed & _MASK64)
+        got = oracle._draw_counts(cum, periods * paths, seed & _MASK64)
         assert got == scalar_counts(cum, periods, paths, seed)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
@@ -313,22 +314,38 @@ class TestDrawStream:
     )
     def test_counts_equal_the_scalar_stream_for_any_shape(self, k, periods, paths, seed):
         cum = bucket_edges(random_game(np.random.default_rng(seed % 1000), k, k))
-        assert oracle._draw_counts(cum, periods, paths, seed) == scalar_counts(
+        assert oracle._draw_counts(cum, periods * paths, seed) == scalar_counts(
             cum, periods, paths, seed
         )
 
-    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 1000])
-    def test_jump_matrix_equals_that_many_steps(self, steps):
-        states = np.random.default_rng(steps).integers(
-            1, 2**64, size=40, dtype=np.uint64, endpoint=False
-        )
-        tables = oracle._byte_tables(oracle._jump_columns(steps))
-        expected = []
-        for state in states.tolist():
-            for _ in range(steps):
-                state, _x = next_uniform(state)
-            expected.append(state)
-        assert oracle._gf2_apply(tables, states).tolist() == expected
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        k=st.integers(2, 64),
+        periods=st.integers(1, 2000),
+        paths=st.integers(1, 50),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_only_the_number_of_draws_matters(self, k, periods, paths, seed):
+        game = random_game(np.random.default_rng(seed % 1000), k, k)
+        args = (game, compute_stats(game).expectation, 0.4)
+        split = simulate_wealth(*args, periods=periods, paths=paths, seed=seed)
+        whole = simulate_wealth(*args, periods=periods * paths, paths=1, seed=seed)
+        assert split.mean_log_growth == whole.mean_log_growth
+        assert split.std_error == whole.std_error
+
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 1), (0, 100), (2**40 - 3, 2**40 + 50)]
+    )
+    def test_stream_wraps_silently_at_the_largest_seed(self, start, stop):
+        # seed + (i + 1) * gamma and both products wrap mod 2**64; with a
+        # Python or int64 integer in the arithmetic, numpy before NEP 50
+        # would compute in float64, and numpy scalar arithmetic warns on wrap
+        seed = 2**64 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle._stream(seed, start, stop)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [stream_output(seed, i) for i in range(start, stop)]
 
     @pytest.mark.parametrize("block_draws", [1, 10**9])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block_draws):
