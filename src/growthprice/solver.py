@@ -28,22 +28,38 @@ does every solver, even where the regime gives the answer in closed form.
 Everything here is a pure function of immutable inputs and is safe to call
 concurrently.
 
-The proportion bisection is replayed rather than run. Each term
+Bisections are replayed rather than run, from sign certificates: points
+whose sign every midpoint beyond them shares. The lemma behind them (Brent
+1973, ch. 4): suppose that on the bracket f as evaluated is within eta of a
+strictly decreasing exact F, |f~(x) - F(x)| <= eta. Then f~(p) > 2 eta
+certifies every midpoint m <= p as positive, because
+f~(m) >= F(m) - eta >= F(p) - eta >= f~(p) - 2 eta > 0, and likewise
+f~(q) < -2 eta certifies every m >= q as non-positive. Given the two closest
+such certificates, _bisect evaluates only the midpoints between them, and
+where it needs a residual, and returns what plain bisection returns, bit for
+bit, in the same number of steps.
+
+For the proportion the lemma holds with eta = 0 and F the first-order sum
+as evaluated, since the chain needs F only weakly decreasing. Each term
 p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
 monotonically and are not fused, so as evaluated it is weakly decreasing in
 t; math.fsum rounds the exact sum of the terms correctly, so the evaluated
 first-order sum is weakly decreasing in t too, and the -inf past the cap
-keeps that. A midpoint at or below a point where the sum was found
-positive therefore takes the same branch as that point, and so does one at
-or above a point where it was found non-positive. _solve_proportion finds
-the root by safeguarded Newton (Brent 1973, ch. 4; rtsafe in Numerical
-Recipes), warm-started in optimal_price from the previous trial price,
-probes the sign just either side of it, and hands the two closest such
-certificates to _bisect. _bisect then evaluates only the few midpoints
-between them, and where it needs a residual, and returns what plain
-bisection returns, bit for bit, in the same number of steps. The price and
-threshold curves are not provably monotone as evaluated, so their
-bisections evaluate every midpoint.
+keeps that. Any point where the sum was found positive therefore certifies
+the midpoints below it, and any where it was found non-positive those
+above. _solve_proportion finds the root by
+safeguarded Newton (rtsafe in Numerical Recipes), warm-started in
+optimal_price from the previous trial price, probes the sign just either
+side of it, and hands the two closest certificates to _bisect.
+
+The price and threshold curves are not provably monotone as evaluated, so
+their certificates must clear a guard band 2 eta, with eta a proven bound
+on the rounding (and, for the price, on the inner solve's optimality
+deficit) in the log of the growth; _price_band and threshold_shift derive
+theirs. Both searches run _newton_certificates: safeguarded Newton on the
+log residual log1p(f/target), whose every evaluation, and one probe on each
+side of its root, is a candidate certificate. Where eta cannot be shown, the
+outer bisection runs without Newton and without certificates.
 
 The first-order sum has two kernels, chosen once per solve from the number
 of outcomes, each of which returns the derivative in t next to the sum
@@ -62,13 +78,14 @@ need not round like the C library's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
 
 from .errors import DomainError
-from .games import Game, Outcome, compute_stats
+from .games import Game, GameStats, Outcome, compute_stats
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -107,6 +124,12 @@ _PROBE_GAP = 1e-14
 # proportion solve made 7.9 with certificates; an optimal_price made 49.1
 # with them against 49 without at max_iter 7, and 55.0 against 64 at 8.
 _NEWTON_MIN_ITER = 8
+# Newton on an outer root, the price or the threshold shift, makes at most
+# this many evaluations before its probes; 0 turns off Newton, probes and
+# certificates, and the outer search is plain bisection.
+_OUTER_NEWTON_STEPS = 30
+# Unit roundoff of binary64.
+_EPS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -225,12 +248,13 @@ def _bisect(
     """Bisect a decreasing f on [lo, hi] for its root.
 
     Returns (x, f(x), steps) for the last midpoint, under the stopping rule
-    in the module docstring. pos and neg are sign certificates: points where
-    f was found positive and non-positive. For an f that is weakly decreasing
-    as evaluated, every midpoint at or below pos takes the lo branch and
-    every one at or above neg the hi branch, so f is evaluated there only
-    when the width test needs the residual or the search ends on it. With the
-    default certificates every midpoint is evaluated.
+    in the module docstring. pos and neg are sign certificates: points such
+    that f as evaluated is positive at every midpoint at or below pos and
+    non-positive at every one at or above neg (the lemma in the module
+    docstring). Those midpoints take the lo and the hi branch unevaluated,
+    and f is evaluated there only when the width test needs the residual or
+    the search ends on it. With the default certificates every midpoint is
+    evaluated.
     """
     _require_bisect_args(tol, max_iter)
     x = 0.5 * (lo + hi)
@@ -255,6 +279,67 @@ def _bisect(
     if res is None:
         res = f(x)
     return x, res, steps
+
+
+def _newton_certificates(
+    f: Callable[[float], float],
+    slope: Callable[[float], float],
+    lo: float,
+    hi: float,
+    start: float,
+    target: float,
+    eta: float,
+) -> tuple[float, float]:
+    """Sign certificates (pos, neg) for _bisect on the outer residual f.
+
+    f(x) is the evaluated growth at x minus target, and slope(x), called
+    right after f(x), the derivative of the log growth there, which is
+    negative. Safeguarded Newton on log1p(f/target), from start when it lies
+    in (lo, hi) and from the midpoint otherwise, stops once its step is
+    within gap = 4 eta/|slope| and then probes at its root -+ gap on each
+    side not yet certified that closely.
+
+    A point certifies only if |f| > 3 eta * target there. Where the log of
+    the evaluated growth is within eta of a strictly decreasing exact curve,
+    that clears the lemma's band 2 eta in log space: it means the growth is
+    beyond target*exp(+-2 eta), with room for the rounding of f and of the
+    band, as 3 eta (1 - 3 * 2**-53) >= expm1(2 eta) for eta <= 0.1.
+    """
+    band = 3.0 * eta * target
+    pos, neg = -math.inf, math.inf
+    below, above = lo, hi
+    x = start if lo < start < hi else 0.5 * (lo + hi)
+    gap = math.nan
+
+    def certify(x: float, res: float) -> None:
+        nonlocal pos, neg
+        if res > band:
+            pos = max(pos, x)
+        elif res < -band:
+            neg = min(neg, x)
+
+    for _ in range(_OUTER_NEWTON_STEPS):
+        res = f(x)
+        certify(x, res)
+        if res > 0.0:
+            below = x
+        else:
+            above = x
+        d = slope(x)
+        if not d < 0.0:
+            break
+        ratio = res / target
+        step = math.log1p(ratio) / d if ratio > -1.0 else math.nan
+        gap = -4.0 * eta / d
+        x -= step
+        if abs(step) <= gap:
+            break
+        if not below < x < above:
+            x = 0.5 * (below + above)
+    for probe in (x - gap, x + gap):
+        if max(pos, lo) < probe < min(neg, hi):
+            certify(probe, f(probe))
+    return pos, neg
 
 
 def _solve_proportion(
@@ -425,6 +510,101 @@ def _growth_target(r: float) -> float:
     return target
 
 
+def _relative_spread(outcomes: tuple[Outcome, ...], u: float) -> float:
+    """sum p ((a - u)/u)**2 in plain float arithmetic, which overflows to inf
+    where ** and math.fsum would raise."""
+    total = 0.0
+    for o in outcomes:
+        x = (o.payout - u) / u
+        total += o.weight * x * x
+    return total
+
+
+def _price_band(
+    outcomes: tuple[Outcome, ...],
+    stats: GameStats,
+    lo: float,
+    hi: float,
+    tol: float,
+    max_iter: int,
+) -> float:
+    """eta for optimal_price's certificates on [lo, hi], or inf where it
+    cannot be shown.
+
+    The exact curve is log G*(u), the log of the best growth at u, which
+    is strictly decreasing; as evaluated it is the log of
+    exp(_log_growth(u, t~)) at the proportion t~ that _solve_proportion
+    returns. With eps = 2**-53, x_i = t~ (a_i - u)/u, y_i = x_i/(1 + x_i),
+    S = sum p|y| and B = sum p y**2:
+
+    - Balance. sum p y = t~ g(t~), with g the first-order sum, and y < 1
+      where positive, so S <= 2 + t~|g(t~)|. Every t~ lies below the cap
+      u/(u - ess_inf) by at least _CAP_MARGIN of it, so |y| <= Y =
+      1.01/_CAP_MARGIN and B <= Y S. g as evaluated is within
+      e = 6 eps (S + B)/t of g: each term is within eps (4.02 + 2.01|y|) of
+      its own size, and fsum adds eps |g|.
+    - Endings. Suppose every inner solve ends on its tolerance rule or on
+      an unsplittable bracket. On the first, |g~(t~)| <= tol and the final
+      bracket is at most tol*t~/(1 - tol) wide; on the second it is one ulp
+      wide, <= 2 eps t~, and |g(t~)| <= 2 eps B/t~ + 2e. With
+      tol*K <= 1e-3, K the largest proportion bracket, this gives
+      t~|g(t~)| <= 1e-3 + 14 eps (1 + Y) S, hence S <= 2.04.
+    - Rounding. t~(a - u)/u is within 3.01 eps of x, which moves log1p by
+      at most 1.01 * 3.01 eps |y|; log1p, exp (faithful) and the product
+      with p add 2, 2 and 1 eps; fsum adds eps |sum|. Since
+      sum p|log1p x| <= L + 2S with L <= Lambda = log boundary_growth, the
+      log of the evaluated growth is within eps (2.01 + 4.03 Lambda +
+      11.11 S) <= eps (4.1 Lambda + 25) of L(u, t~).
+    - Deficit. L*(u) - L(u, t~) is at most the integral of |g| from t~ to
+      the root t*. Past the point where g~ changes sign, |g| <= e over a
+      length of at most e/|g'|, with |g'| = B/t**2, which adds
+      e**2/|g'| <= 72 eps**2 (1 + B) since S**2 <= B. Before it the
+      tolerance rule adds (tol + e) * tol*t~/(1 - tol) <=
+      1.001 tol**2 K + 0.0137 tol, and an unsplittable end
+      28 eps**2 (S + B). In all, at most 1.01 tol**2 K + 0.014 tol + 3e-17.
+
+    eta is twice the sum, which covers the second-order terms dropped
+    above. The endings hold when max_iter covers the most bisection steps
+    an inner solve may need. Let v(u) = sum p (a - u)**2/u**2. Below
+    t0 = min(cap/2, (E - u)/(8 u v)) the first-order sum stays above
+    g(0)/2 = (E - u)/(2u), since it falls by at most 4v per unit t there,
+    and each term is within 14.1 eps of its size, so g~ stays within
+    14.1 eps sqrt(v) of g. Where (E - u)/u > 29 eps sqrt(v), which is least
+    at hi, g~ is positive up to t0, so the point where it changes sign is
+    at least t0 at every price, as (E - u) u/v is least at an end of the
+    bracket. v is summed in plain floats, which overflow to inf where
+    math.fsum would raise; t_min = t0/2 and 29 > 28.2 leave room for its
+    rounding. Then log2(K/t_min) + 56 steps bring any inner bracket to
+    adjacent floats. The endings also need the root below 1 inside the
+    proportion bracket at hi, tol*K <= 1e-3, and a bracket that is not
+    inverted: with the fair price within 2e-12 of the expectation the two
+    margins cross. Past eta = 1e-6 (a tol near 1e-4) the band would certify
+    little, and the search runs plain.
+    """
+    xi, mean = stats.ess_inf, stats.expectation
+    top = lo / (lo - xi) * (1.0 - _CAP_MARGIN)
+    cap_hi = hi / (hi - xi)
+    v_lo, v_hi = _relative_spread(outcomes, lo), _relative_spread(outcomes, hi)
+    if not (
+        lo < hi
+        and tol * top <= 1e-3
+        and cap_hi * (1.0 - _CAP_MARGIN) > 1.0
+        and (mean - hi) / hi > 29.0 * _EPS * math.sqrt(v_hi)
+        and v_lo > 0.0
+        and v_hi > 0.0
+    ):
+        return math.inf
+    t_min = 0.5 * min(
+        0.5 * cap_hi, (mean - hi) / (8.0 * hi * v_hi), (mean - lo) / (8.0 * lo * v_lo)
+    )
+    if not (t_min > 0.0 and max_iter >= math.log2(top / t_min) + 56.0):
+        return math.inf
+    rounding = _EPS * (4.1 * math.log(stats.boundary_growth) + 25.0)
+    deficit = 1.01 * tol * tol * top + 0.014 * tol + 3e-17
+    eta = 2.0 * (rounding + deficit)
+    return eta if eta <= 1e-6 else math.inf
+
+
 def optimal_price(
     game: Game,
     r: float,
@@ -437,17 +617,35 @@ def optimal_price(
     exp(r) is compared with GameStats.boundary_growth, not r with its log,
     so that every solver puts the regime boundary at the same rate. At or
     above it the optimum is full investment with price
-    exp(log_moment - r); below it the strictly decreasing
-    growth-versus-price curve is inverted by _bisect on
-    (fair_price, expectation), with the proportion at each trial price from
-    _solve_proportion, started from the previous trial price's proportion.
+    exp(log_moment - r), refused when it underflows the normal floats;
+    below it the strictly decreasing growth-versus-price curve is inverted
+    by _bisect on (fair_price, expectation), with the proportion at each
+    trial price from _solve_proportion, started from the previous trial
+    price's proportion. That proportion is the same float whatever the
+    start, so the evaluated growth is a function of the price alone.
+
+    The bisection is replayed from the certificates of _newton_certificates:
+    Newton in u on log G - r, with the envelope slope
+    d log G*/du = -(t/u) sum p a/(u + t (a - u)). Where log G* is convex,
+    as its small-rate form (E - u)**2/(2 sigma**2) is, Newton from below the
+    root climbs to it without overshooting, so it starts from the later of
+    the tangent at the fair price, where the slope is -1/u, and the
+    small-rate estimate E - sigma sqrt(2 r). Each Newton iterate is a full
+    growth evaluation. eta, derived in _price_band, bounds the rounding of
+    the log growth and the inner solve's optimality deficit; where it
+    cannot be shown the bisection runs plain.
     """
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
     if target >= stats.boundary_growth:
         price = math.exp(stats.log_moment - r)
-        growth = math.exp(stats.log_moment) / price if price > 0.0 else math.inf
+        if price < sys.float_info.min:
+            raise DomainError(
+                f"full-investment price exp(log_moment - r) = {price!r} at"
+                f" r={r!r} underflows the smallest normal float"
+            )
+        growth = math.exp(stats.log_moment) / price
         return PricingSolution(
             rate=r,
             optimal_price=price,
@@ -468,13 +666,29 @@ def optimal_price(
         growth = math.exp(_log_growth(outcomes, price, t))
         return growth - target
 
-    price, _, _ = _bisect(
-        excess_growth,
-        stats.fair_price * (1.0 + _PRICE_MARGIN),
-        stats.expectation * (1.0 - _PRICE_MARGIN),
-        tol,
-        max_iter,
-    )
+    def log_slope(price: float) -> float:
+        # d log G*/du at the proportion of the last price evaluated: by the
+        # envelope theorem the partial derivative at fixed t.
+        total = sum(
+            o.weight * o.payout / (price + t * (o.payout - price)) for o in outcomes
+        )
+        return -t / price * total
+
+    lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
+    hi = stats.expectation * (1.0 - _PRICE_MARGIN)
+    pos, neg = -math.inf, math.inf
+    eta = _price_band(outcomes, stats, lo, hi, tol, max_iter)
+    if eta < math.inf:
+        mean = stats.expectation
+        spread = _relative_spread(outcomes, mean)
+        start = max(
+            lo * (1.0 + math.log(stats.boundary_growth) - r),
+            mean * (1.0 - math.sqrt(2.0 * r * spread)),
+        )
+        pos, neg = _newton_certificates(
+            excess_growth, log_slope, lo, hi, start, target, eta
+        )
+    price, _, _ = _bisect(excess_growth, lo, hi, tol, max_iter, pos=pos, neg=neg)
     return PricingSolution(
         rate=r,
         optimal_price=price,

@@ -24,8 +24,10 @@ from .solver import (
     DEFAULT_TOL,
     PricingSolution,
     Regime,
+    _EPS,
     _bisect,
     _growth_target,
+    _newton_certificates,
     _require_bisect_args,
     optimal_price,
     pre_optimal_proportion,
@@ -144,6 +146,33 @@ def threshold_shift(
     n_hi found by doubling from 10 * expectation, so tol is relative to the
     payout scale. When exp(r) already exceeds the unshifted boundary growth
     there is nothing to solve and the status says so.
+
+    The bisection is replayed from the sign certificates of
+    solver._newton_certificates (the lemma in the solver module docstring).
+    Newton runs on log B(n) - r, with d log B/dn = H - H2/H for
+    H = sum p/(a + n) and H2 = sum p/(a + n)**2, formed on the ratios
+    (a + n)/(E + n) so that nothing overflows or underflows at any payout
+    scale. It starts from the large-shift asymptote
+    n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
+    moments sigma**2 and mu3, or from the tangent of log B at n = 0 where
+    that lies further out: near the boundary the asymptote is negative and
+    the tangent close. Where log B is convex, as its large-shift decay
+    sigma**2/(2 m**2) is, Newton from below n0 climbs to it without
+    overshooting.
+
+    eta bounds the error of log boundary_growth as evaluated, with
+    eps = 2**-53 and Lambda the largest |log(a_i + n)| over [0, n_hi]. Each
+    shifted payout is within eps of a + n, which moves its log by at most
+    1.01 eps; the log is faithful (2 eps) and the product with p adds eps,
+    so each term of the log moment is within eps (3.01 |log(a + n)| + 1.01)
+    and their fsum within eps (4.02 Lambda + 1.01). The harmonic sum has
+    positive terms, each within 2.01 eps, and fsum adds eps: 3.01 eps.
+    exp (faithful) adds 2.01 eps and the product 1.01 eps, so the log of the
+    result is within eps (4.02 Lambda + 7.04) of log B(n). Where rounding
+    merges m payouts, boundary_growth validates the shifted game, which sums
+    their weights with up to m - 1 more roundings: eps ((m + 3) Lambda +
+    m + 6.04). With k outcomes, c = k + 8 covers both, and
+    eta = c eps (1 + Lambda).
     """
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
@@ -170,9 +199,43 @@ def threshold_shift(
                 f"boundary growth failed to drop below exp(r)={target!r}"
                 f" for shifts up to {hi!r}"
             )
+    outcomes = game.outcomes
+    mean = stats.expectation
+
+    def log_slope(n: float) -> float:
+        # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
+        m = mean + n
+        h = h2 = 0.0
+        for o in outcomes:
+            inv = m / (o.payout + n)
+            h += o.weight * inv
+            h2 += o.weight * inv * inv
+        return (h - h2 / h) / m
+
+    def excess(n: float) -> float:
+        return boundary_growth(game, n) - target
+
+    var = mu3 = 0.0
+    for o in outcomes:
+        d = (o.payout - mean) / mean
+        var += o.weight * d * d
+        mu3 += o.weight * d * d * d
+    start = math.nan
+    if var > 0.0:
+        start = mean * (
+            math.sqrt(var / (2.0 * math.expm1(r))) - 1.0 - 2.0 * mu3 / (3.0 * var)
+        )
+    # the later of the tangent at n = 0 and the asymptote, where each is a number
+    slope = log_slope(0.0)
+    if slope < 0.0:
+        start = max((r - math.log(b0)) / slope, start)
+    largest_log = max(
+        abs(math.log(outcomes[0].payout)), abs(math.log(outcomes[-1].payout + hi))
+    )
+    eta = (len(outcomes) + 8) * _EPS * (1.0 + largest_log)
+    pos, neg = _newton_certificates(excess, log_slope, 0.0, hi, start, target, eta)
     n0, res, _ = _bisect(
-        lambda n: boundary_growth(game, n) - target, 0.0, hi, tol, max_iter,
-        floor=stats.ess_inf,
+        excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg
     )
     return ThresholdResult(
         rate=r, n0=n0, residual=abs(res), regime_note=ThresholdStatus.FOUND

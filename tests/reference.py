@@ -1,0 +1,100 @@
+"""A 50-digit reference for the optimal price and the threshold shift.
+
+Independent of the library: stdlib decimal arithmetic, Decimal.ln, and
+Newton steps kept inside a bracket by bisection. A game is a list of
+(payout, weight) floats, converted exactly and used as given; the rate is a
+float, also converted exactly. Results are Decimals.
+
+Price: below the regime boundary log B(0) = log(sum p/a) + sum p log a, the
+price u in (1/H, E) solves L*(u) = r, where L*(u) = max_t sum p log(1 +
+t (a - u)/u) and, by the envelope theorem, dL*/du = -(t/u) sum p a/(u +
+t (a - u)). At or above it the price is exp(sum p log a - r).
+
+Threshold: the shift n0 >= 0 solves log B(n) = r with log B(n) =
+log(sum p/(a + n)) + sum p log(a + n) and d log B/dn = H - H2/H.
+"""
+
+from decimal import Decimal, localcontext
+
+DIGITS = 50
+_STEPS = 200
+
+
+def _solve(f, lo, hi, x):
+    """Root of a decreasing f on [lo, hi] from x; f returns (value, slope)."""
+    for _ in range(_STEPS):
+        value, slope = f(x)
+        if value == 0:
+            return x
+        if value > 0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - value / slope if slope < 0 else lo
+        if not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+        if abs(nxt - x) <= abs(x) * Decimal(10) ** (8 - DIGITS):
+            return nxt
+        x = nxt
+    raise ArithmeticError("reference solve did not converge")
+
+
+def _game(pairs):
+    return [(Decimal(a), Decimal(p)) for a, p in pairs]
+
+
+def log_boundary(pairs) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        game = _game(pairs)
+        return sum(p / a for a, p in game).ln() + sum(p * a.ln() for a, p in game)
+
+
+def price(pairs, r: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        game = _game(pairs)
+        rate = Decimal(r)
+        log_moment = sum(p * a.ln() for a, p in game)
+        harmonic = sum(p / a for a, p in game)
+        if rate >= harmonic.ln() + log_moment:
+            return (log_moment - rate).exp()
+        expectation = sum(p * a for a, p in game)
+        t = Decimal("0.5")
+
+        def proportion(u):
+            def foc(t):
+                terms = [(a - u, u + t * (a - u)) for a, _ in game]
+                value = sum(p * x / d for (x, d), (_, p) in zip(terms, game))
+                slope = -sum(p * (x / d) ** 2 for (x, d), (_, p) in zip(terms, game))
+                return value, slope
+
+            return _solve(foc, Decimal(0), Decimal(1), t)
+
+        def excess(u):
+            nonlocal t
+            t = proportion(u)
+            growth = sum(p * (1 + t * (a - u) / u).ln() for a, p in game)
+            slope = -t / u * sum(p * a / (u + t * (a - u)) for a, p in game)
+            return growth - rate, slope
+
+        fair = 1 / harmonic
+        return _solve(excess, fair, expectation, (fair + expectation) / 2)
+
+
+def threshold(pairs, r: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        game = _game(pairs)
+        rate = Decimal(r)
+
+        def excess(n):
+            h = sum(p / (a + n) for a, p in game)
+            h2 = sum(p / (a + n) ** 2 for a, p in game)
+            value = h.ln() + sum(p * (a + n).ln() for a, p in game) - rate
+            return value, h - h2 / h
+
+        hi = sum(p * a for a, p in game)
+        while excess(hi)[0] > 0:
+            hi *= 2
+        return _solve(excess, Decimal(0), hi, hi / 2)

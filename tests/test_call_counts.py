@@ -66,18 +66,19 @@ def test_optimal_price_validates_at_most_once(two_point, calls):
     assert calls["validate"] <= 1
 
 
-def test_optimal_price_makes_at_most_300_first_order_evaluations(two_point, calls):
+def test_optimal_price_makes_at_most_80_first_order_evaluations(two_point, calls):
     # Newton steps, sign probes and bisection midpoints alike; nested plain
-    # bisection made 1724 on this game.
+    # bisection made 1724 on this game, and certificates for the proportion
+    # alone 185.
     assert optimal_price(two_point, 0.05).proportion == 0.27363787124918415
-    assert calls["_first_order_sum"] <= 300
+    assert calls["_first_order_sum"] <= 80
 
 
 @pytest.mark.parametrize(
     "solve, evaluations",
     [
         (lambda g: pre_optimal_proportion(g, 5.0), 7),
-        (lambda g: optimal_price(g, 0.05), 185),
+        (lambda g: optimal_price(g, 0.05), 37),
     ],
     ids=["proportion", "price"],
 )
@@ -86,6 +87,13 @@ def test_first_order_evaluations_at_the_default_max_iter(
 ):
     solve(two_point)
     assert calls["_first_order_sum"] == evaluations
+
+
+def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls):
+    # the doubling, Newton, its probes and the midpoints between them;
+    # bisection through every midpoint made 44
+    assert threshold_shift(two_point, 0.05).n0 == 19.174901671237876
+    assert calls["boundary_growth"] == 10
 
 
 def test_small_max_iter_bisects_without_newton(two_point, calls):

@@ -304,6 +304,14 @@ class TestExitCodes:
         assert result.exit_code == EXIT_DOMAIN, result.output
         assert result.output.startswith(f"error: {message} must ")
 
+    @pytest.mark.parametrize("rate", ("250", "270", "290"))
+    def test_underflowing_full_investment_price_is_exit_2(self, tmp_path, rate):
+        path = tmp_path / "tiny.json"
+        path.write_text(save_spec(Game.from_pairs([(1e-200, 0.5), (19e-200, 0.5)])))
+        result = CliRunner().invoke(main, ["price", "--game", str(path), "--rate", rate])
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert "underflows the smallest normal float" in result.output
+
     def test_negative_seed_is_exit_2(self, spec_path):
         result = CliRunner().invoke(main, ["verify", "--game", spec_path, "--seed", "-1"])
         assert result.exit_code == EXIT_DOMAIN, result.output

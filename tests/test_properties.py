@@ -2,9 +2,9 @@
 one regime boundary shared by all of them, additive prices below the threshold
 shift, monotone prices in the rate and the shift, cap tests at the smallest
 payout that refuse exactly what a per-term scan refuses, first-order sums that
-are weakly decreasing in t as evaluated, a proportion solve from sign
-certificates that replays plain bisection bit for bit, and an exact spec round
-trip."""
+are weakly decreasing in t as evaluated, proportion, price and threshold
+solves from sign certificates that replay plain bisection bit for bit, and an
+exact spec round trip."""
 
 import math
 from functools import partial
@@ -289,6 +289,44 @@ def test_certified_proportion_solve_replays_plain_bisection(
     plain = _bisect(partial(kernel, u), 0.0, hi, tol, max_iter)
     certified = _solve_proportion(kernel, stats.ess_inf, u, tol, max_iter, start * hi)
     assert repr(certified) == repr(plain)
+
+
+def _with_tiny_infimum_mass(game: Game, mass: float) -> Game:
+    # the smallest payout keeps only `mass` of its weight
+    first, *rest = game.outcomes
+    pairs = [(first.payout, mass * first.weight), *((o.payout, o.weight) for o in rest)]
+    total = math.fsum(weight for _, weight in pairs)
+    return Game.from_pairs((a, weight / total) for a, weight in pairs)
+
+
+def _outcome(solve, *args, **kwargs) -> str:
+    try:
+        return repr(solve(*args, **kwargs))
+    except (DomainError, InternalConsistencyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    game=wide_games
+    | st.builds(_scaled, cap_games, st.sampled_from(SCALES))
+    | st.builds(_with_tiny_infimum_mass, wide_games, st.sampled_from((1e-9, 1e-6))),
+    fraction=st.floats(0.02, 1.0 - 1e-9) | st.sampled_from((1.0 - 1e-9, 1.0 - 1e-12)),
+    tol=st.sampled_from((0.0, 1e-12, 1e-6)),
+    max_iter=st.sampled_from((200, 1, 3, 17)),
+)
+def test_certified_price_and_threshold_replay_plain_bisection(
+    game, fraction, tol, max_iter
+):
+    # Newton and its probes, with every certificate they hand _bisect, end in
+    # the same result, bit for bit, as bisection through every midpoint.
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15)
+    for solve in (optimal_price, threshold_shift):
+        certified = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
+        with patch.object(growthprice.solver, "_OUTER_NEWTON_STEPS", 0):
+            plain = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
+        assert certified == plain, solve.__name__
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

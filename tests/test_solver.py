@@ -209,6 +209,24 @@ class TestOptimalPrice:
             with pytest.raises(DomainError):
                 optimal_price(two_point, r)
 
+    @pytest.mark.parametrize("r", (250.0, 270.0, 290.0))
+    def test_full_investment_price_below_the_normal_floats_is_refused(self, r):
+        # The fixture at scale 1e-200 has log_moment -459.04, so these prices
+        # are 1.2e-308 (subnormal), 2.4e-317, where growth_check was 6e-8 off
+        # exp(r), and 0.0, where it was inf.
+        game = Game.from_pairs([(1e-200, 0.5), (19e-200, 0.5)])
+        with pytest.raises(DomainError, match="underflows the smallest normal float"):
+            optimal_price(game, r)
+        with pytest.raises(DomainError, match="underflows the smallest normal float"):
+            price_translated(game, r, 0.0)
+
+    def test_smallest_normal_full_investment_price_is_exact(self):
+        game = Game.from_pairs([(1e-200, 0.5), (19e-200, 0.5)])
+        solution = optimal_price(game, 249.0)
+        assert solution.regime is Regime.FULL_INVESTMENT
+        assert 2.2250738585072014e-308 < solution.optimal_price < 4e-308
+        assert math.isclose(solution.growth_check, math.exp(249.0), rel_tol=1e-15)
+
 
 class TestMonotonicity:
     def test_root_and_growth_strictly_decreasing_in_price(self):
