@@ -9,7 +9,6 @@ failure.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .errors import (
     DomainError,
     GameValidationError,
@@ -29,14 +29,10 @@ from .errors import (
     SpecParseError,
 )
 from .games import Game, compute_stats, load_spec, translate
-from .oracle import verify
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_price
-from .translation import (
-    _price_translated,
-    asymptotic_sweep,
-    check_invariance,
-    threshold_shift,
-)
+
+# The translation and oracle modules, and csv, are imported inside the
+# handlers that use them, so a cold process loads only what its command runs.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -132,6 +128,8 @@ def _cmd_price(cfg: RunConfig, game: Game) -> dict:
 
 
 def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
+    from .translation import _price_translated, check_invariance
+
     pricing, base = _price_translated(game, cfg.rate, cfg.shift, cfg.tol, cfg.max_iter)
     shifted_stats = compute_stats(translate(game, cfg.shift))
     if base is None:
@@ -156,15 +154,21 @@ def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
 
 
 def _cmd_threshold(cfg: RunConfig, game: Game) -> dict:
+    from .translation import threshold_shift
+
     result = threshold_shift(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
     return {"threshold": result}
 
 
 def _cmd_sweep(cfg: RunConfig, game: Game):
+    from .translation import asymptotic_sweep
+
     rows = asymptotic_sweep(
         game, cfg.rate, cfg.shifts, tol=cfg.tol, max_iter=cfg.max_iter
     )
     if cfg.output_format == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(_SWEEP_COLUMNS)
@@ -175,6 +179,8 @@ def _cmd_sweep(cfg: RunConfig, game: Game):
 
 
 def _cmd_verify(cfg: RunConfig, game: Game) -> dict:
+    from .oracle import verify
+
     seed = 0 if cfg.seed is None else cfg.seed
     checks = verify(game, seed=seed, tol=cfg.tol, max_iter=cfg.max_iter)
     return {"checks": checks, "all_passed": all(c.passed for c in checks)}
@@ -238,9 +244,12 @@ def _parse_shifts(ctx, param, value):
     if value is None:
         return None
     try:
-        return [float(part) for part in value.split(",") if part.strip() != ""]
+        shifts = [float(part) for part in value.split(",") if part.strip() != ""]
     except ValueError:
         raise click.BadParameter(f"expected comma-separated numbers, got {value!r}")
+    if not shifts:
+        raise click.BadParameter(f"expected at least one shift, got {value!r}")
+    return shifts
 
 
 _COMMON_OPTIONS = (
@@ -334,7 +343,7 @@ _COMMANDS = {
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="growthprice")
+@click.version_option(version=__version__, prog_name="growthprice")
 def main():
     """Growth-optimal proportions and prices of discrete payoff games."""
 

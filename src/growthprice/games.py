@@ -174,10 +174,13 @@ def translate(game: Game, n: float) -> Game:
 
 
 def _require_shift(game: Game, n: float) -> None:
-    """Raise unless game is valid and n keeps every shifted payout positive."""
+    """Raise unless game is valid and n is finite and keeps every shifted
+    payout positive."""
     xi = game._stats.ess_inf
     if not n > -xi:
         raise DomainError(f"shift n={n!r} must exceed -ess_inf = {-xi!r}")
+    if not math.isfinite(n):
+        raise DomainError(f"shift n={n!r} must be finite")
 
 
 def game_from_nodes(

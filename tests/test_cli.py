@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 
 import growthprice
 import growthprice.cli
+import growthprice.oracle
 import growthprice.translation
 from growthprice import Check, Game, save_spec, verify
 from growthprice.cli import (
@@ -274,6 +276,22 @@ class TestExitCodes:
         assert "error: rate r=1000.0" in result.output
 
     @pytest.mark.parametrize(
+        "argv",
+        (
+            ["translate", "--shift", "inf"],
+            ["translate", "--shift", "1e400"],
+            ["sweep", "--shifts", "1,inf"],
+        ),
+    )
+    def test_infinite_shift_is_exit_2(self, spec_path, argv):
+        # it used to be blamed on the game, as an infinite payout (exit 1)
+        result = CliRunner().invoke(
+            main, [*argv, "--game", spec_path, "--rate", "0.05"]
+        )
+        assert result.exit_code == EXIT_DOMAIN, result.output
+        assert result.output == "error: shift n=inf must be finite\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         (
             (["price", "--rate", "0.05", "--max-iter", "0"], "max_iter=0"),
@@ -347,7 +365,8 @@ class TestExitCodes:
 
     def test_failed_verification_is_exit_3(self, spec_path, monkeypatch):
         failing = [Check("always_fails", False, "patched")]
-        monkeypatch.setattr(growthprice.cli, "verify", lambda game, **kw: failing)
+        # the verify handler looks verify up in the oracle module when it runs
+        monkeypatch.setattr(growthprice.oracle, "verify", lambda game, **kw: failing)
         code, out, err = run_config(RunConfig(command="verify", game_path=spec_path))
         assert code == EXIT_INTERNAL
         assert json.loads(out)["all_passed"] is False
@@ -434,6 +453,25 @@ class TestClickWiring:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("shifts", (",", "", " , "))
+    def test_empty_shift_list_is_usage_error(self, spec_path, shifts):
+        result = CliRunner().invoke(
+            main,
+            ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", shifts],
+        )
+        assert result.exit_code == 2
+        assert "expected at least one shift" in result.output
+
+    def test_version_is_the_package_and_project_version(self):
+        result = CliRunner().invoke(main, ["--version"])
+        assert result.exit_code == EXIT_OK
+        assert result.output == f"growthprice, version {growthprice.__version__}\n"
+        # Python 3.10 has no tomllib
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+        assert match is not None
+        assert match.group(1) == growthprice.__version__
+
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["growthprice", "growthprice.cli"])
@@ -453,28 +491,88 @@ class TestModuleEntryPoint:
         assert proc.stdout == expected.stdout_bytes
 
 
-class TestLazyNumpy:
-    def test_narrow_commands_leave_numpy_unimported(self, spec_path):
-        # numpy costs about half of a cold start; only the oracles and the
-        # wide-game kernel import it, on first use
-        child = (
-            "import io, json, sys\n"
-            "from growthprice.cli import RunConfig, run\n"
-            "for command in ('analyze', 'price', 'threshold'):\n"
-            "    cfg = RunConfig(command=command, game_path=sys.argv[1], rate=0.05)\n"
-            "    assert run(cfg, stdout=io.StringIO()) == 0, command\n"
-            "    assert 'numpy' not in sys.modules, command\n"
-            "out = io.StringIO()\n"
-            "assert run(RunConfig(command='verify', game_path=sys.argv[1]), stdout=out) == 0\n"
-            "assert json.loads(out.getvalue())['all_passed'] is True\n"
-            "assert 'numpy' in sys.modules\n"
-        )
-        src = str(Path(growthprice.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", child, spec_path],
-            env=env,
-            capture_output=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
+# The growthprice modules each cold command loads besides the package itself,
+# and whether it loads numpy. A command loads only the modules it runs.
+_CLI_MODULES = {"errors", "games", "cli", "solver"}
+_LOADED = {
+    "analyze": (_CLI_MODULES, False),
+    "price": (_CLI_MODULES, False),
+    "translate": (_CLI_MODULES | {"translation"}, False),
+    "threshold": (_CLI_MODULES | {"translation"}, False),
+    "sweep": (_CLI_MODULES | {"translation"}, False),
+    "verify": (_CLI_MODULES | {"oracle"}, True),
+}
+
+# Prints the loaded growthprice modules and whether numpy is loaded, as JSON
+# on stderr once the interpreter exits.
+_REPORT_MODULES = (
+    "import atexit, json, sys\n"
+    "def report():\n"
+    "    names = sorted(m.partition('.')[2] for m in sys.modules\n"
+    "                   if m.startswith('growthprice.'))\n"
+    "    print(json.dumps([names, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    "atexit.register(report)\n"
+)
+
+
+def loaded_modules(code: str, *argv: str):
+    """Run code in a fresh interpreter; its growthprice modules and numpy flag."""
+    src = str(Path(growthprice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES + code, *argv],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    names, numpy_loaded = json.loads(proc.stderr.decode().splitlines()[-1])
+    return set(names), numpy_loaded
+
+
+class TestLazyImports:
+    def test_bare_import_loads_errors_and_games(self):
+        assert loaded_modules("import growthprice") == ({"errors", "games"}, False)
+
+    @pytest.mark.parametrize(
+        "name", ("threshold_shift", "translation", "translation.threshold_shift")
+    )
+    def test_a_name_loads_its_home_module(self, name):
+        code = f"import growthprice\ngrowthprice.{name}\n"
+        modules = {"errors", "games", "solver", "translation"}
+        assert loaded_modules(code) == (modules, False)
+
+    def test_every_command_is_in_the_table(self):
+        assert set(_LOADED) == set(growthprice.cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(_LOADED))
+    def test_cold_command_loads_only_its_modules(self, spec_path, command):
+        # the console entry point, as a cold `growthprice <command>` runs it;
+        # sweep writes CSV, so the csv branch runs too
+        argv, _ = _ARGV[command]
+        code = "from growthprice.cli import main\nmain()\n"
+        loaded = loaded_modules(code, command, "--game", spec_path, *argv)
+        assert loaded == _LOADED[command]
+
+
+class TestPackageRoot:
+    @pytest.mark.parametrize("name", growthprice.__all__)
+    def test_public_name_is_its_home_module_attribute(self, name):
+        value = getattr(growthprice, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_lazy_names_are_public(self):
+        assert set(growthprice._LAZY) <= set(growthprice.__all__)
+
+    def test_dir_covers_all(self):
+        assert set(growthprice.__all__) <= set(dir(growthprice))
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from growthprice import *", namespace)
+        for name in growthprice.__all__:
+            assert namespace[name] is getattr(growthprice, name)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            growthprice.nope

@@ -115,6 +115,29 @@ class TestBoundaryGrowthShifts:
                 boundary_growth(two_point, n)
             assert str(excinfo.value) == f"shift n={n!r} must exceed -ess_inf = -1.0"
 
+    @pytest.mark.parametrize(
+        "call",
+        (
+            lambda g: translate(g, math.inf),
+            lambda g: boundary_growth(g, math.inf),
+            lambda g: price_translated(g, 0.05, math.inf),
+            lambda g: check_invariance(g, 5.0, math.inf),
+            lambda g: asymptotic_sweep(g, 0.05, [1.0, math.inf]),
+        ),
+        ids=(
+            "translate",
+            "boundary_growth",
+            "price_translated",
+            "check_invariance",
+            "asymptotic_sweep",
+        ),
+    )
+    def test_infinite_shift_is_a_domain_error_naming_the_shift(self, two_point, call):
+        # an infinite shift used to reach validation as an infinite payout
+        with pytest.raises(DomainError) as excinfo:
+            call(two_point)
+        assert str(excinfo.value) == "shift n=inf must be finite"
+
     def test_invalid_game_rejected_before_the_shift(self):
         game = Game.from_pairs([(1.0, 0.5), (3.0, 0.4)])
         for _ in range(2):
