@@ -317,14 +317,16 @@ def asymptotic_sweep(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[AsymptoticRow]:
-    """Track the large-shift quantities along a strictly increasing list of
-    shifts, one row per shift in input order.
+    """Track the large-shift quantities along a nonempty, strictly
+    increasing list of shifts, one row per shift in input order.
 
     No trend is asserted here; the sweep command and the test suite check
     the expected monotonicity and limits.
     """
     _growth_target(r)
     values = [float(n) for n in shifts]
+    if not values:
+        raise DomainError("shifts must list at least one shift")
     for prev, nxt in zip(values, values[1:]):
         if not nxt > prev:
             raise DomainError(

@@ -1,21 +1,28 @@
 """Ceilings on the validation, game-building, repricing and first-order work
-of the solvers, and on the numpy blocks of the Monte Carlo.
+of the solvers, on the numpy blocks of the Monte Carlo, and on the points
+the grid argmax evaluates.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
 regression gates for per-call overhead.
 """
 
 import io
+import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
+
+from conftest import random_game
 
 import growthprice.games
 import growthprice.oracle
 import growthprice.solver
 import growthprice.translation
 from growthprice import (
+    compute_stats,
+    grid_argmax_growth,
     optimal_price,
     pre_optimal_proportion,
     price_translated,
@@ -135,3 +142,23 @@ def test_translate_command_prices_each_game_once(two_point, tmp_path, calls):
     cfg = RunConfig(command="translate", game_path=str(path), rate=0.05, shift=10.0)
     assert run(cfg, stdout=io.StringIO()) == 0
     assert calls["optimal_price"] == 2
+
+
+@pytest.mark.parametrize("k", [2, 5, 12, 28, 64])
+def test_grid_argmax_evaluates_at_most_five_sqrt_n_points(monkeypatch, k):
+    # points per call: the sizes of the log1p arrays over the K outcomes;
+    # the whole grid is 100 000
+    game = random_game(np.random.default_rng(6000 + k), k, k)
+    stats = compute_stats(game)
+    u_mid = 0.5 * (stats.fair_price + stats.expectation)
+    real_log1p = np.log1p
+    sizes = []
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counted)
+    grid_argmax_growth(game, u_mid, 100_000)
+    monkeypatch.undo()
+    assert sum(sizes) / k <= 5 * math.isqrt(100_000) + 2

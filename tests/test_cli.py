@@ -137,6 +137,16 @@ class TestReports:
         report = json.loads(out)
         assert [row["shift"] for row in report["rows"]] == [1.0, 2.0, 4.0]
 
+    def test_sweep_refuses_an_empty_shift_list(self, spec_path):
+        # run() checks required options with `is None`, so [] reaches the
+        # library, which refuses it
+        code, out, err = run_config(
+            RunConfig(command="sweep", game_path=spec_path, rate=0.05, shifts=[])
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: shifts must list at least one shift\n"
+
     def test_verify_passes_and_lists_checks(self, spec_path):
         code, out, _ = run_config(
             RunConfig(command="verify", game_path=spec_path, seed=7)

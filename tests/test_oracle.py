@@ -71,14 +71,49 @@ class TestClosedForm:
 
 
 def reference_grid(game, u, grid_points):
-    """Grid log growth and its argmax, one temporary array per operation."""
+    """The full grid, its log growth and its first argmax, one temporary
+    array per operation."""
     stats = compute_stats(game)
     cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
     ts = cap * np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
     log_growth = np.zeros_like(ts)
     for o in game.outcomes:
         log_growth += o.weight * np.log1p(ts * ((o.payout - u) / u))
-    return log_growth, float(ts[int(np.argmax(log_growth))])
+    return ts, log_growth, float(ts[int(np.argmax(log_growth))])
+
+
+def assert_grid_argmax_matches_reference(monkeypatch, game, u, grid_points):
+    """grid_argmax_growth returns the reference argmax, and every value it
+    evaluates, in the coarse pass and in the window, is bit-equal to the
+    reference value at the same grid point. Returns the number of points
+    in the window."""
+    real_log_growth = oracle._log_growth
+    calls = []
+
+    def spy(game, u, ts):
+        values = real_log_growth(game, u, ts)
+        calls.append((ts.copy(), values.copy()))
+        return values
+
+    monkeypatch.setattr(oracle, "_log_growth", spy)
+    got = grid_argmax_growth(game, u, grid_points)
+    monkeypatch.undo()
+    ts, log_growth, argmax = reference_grid(game, u, grid_points)
+    assert got == argmax
+    assert len(calls) == 2
+    for points, values in calls:
+        index = np.searchsorted(ts, points)
+        assert np.array_equal(ts[index].view(np.uint64), points.view(np.uint64))
+        assert np.array_equal(log_growth[index].view(np.uint64), values.view(np.uint64))
+    window, _ = calls[-1]
+    start = int(np.searchsorted(ts, window[0]))
+    assert np.array_equal(ts[start : start + window.size], window)
+    assert window[0] <= got <= window[-1]
+    return window.size
+
+
+def scaled(game, c):
+    return Game.from_pairs((o.payout * c, o.weight) for o in game.outcomes)
 
 
 _MASK64 = (1 << 64) - 1
@@ -115,16 +150,7 @@ def scalar_counts(cum, periods, paths, seed):
 
 class TestGridArgmax:
     @pytest.mark.parametrize("k", [2, 3, 5, 12, 28, 64])
-    def test_bit_identical_to_the_temporary_array_expression(self, k, monkeypatch):
-        # the argmax rarely moves when the sums change in the last bit, so
-        # the grid's log growth is captured on its way into np.argmax
-        real_argmax = np.argmax
-        seen = []
-
-        def spy(a, *args, **kwargs):
-            seen.append(a.copy())
-            return real_argmax(a, *args, **kwargs)
-
+    def test_window_bit_identical_to_the_full_grid(self, k, monkeypatch):
         rng = np.random.default_rng(4000 + k)
         for _ in range(5):
             game = random_game(rng, k, k)
@@ -132,11 +158,63 @@ class TestGridArgmax:
             u = stats.fair_price + float(rng.uniform(0.05, 0.95)) * (
                 stats.expectation - stats.fair_price
             )
-            log_growth, argmax = reference_grid(game, u, 20_001)
-            monkeypatch.setattr(np, "argmax", spy)
-            assert grid_argmax_growth(game, u, 20_001) == argmax
-            monkeypatch.setattr(np, "argmax", real_argmax)
-            assert np.array_equal(seen.pop(), log_growth)
+            assert_grid_argmax_matches_reference(monkeypatch, game, u, 20_001)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    @pytest.mark.parametrize("k", [2, 12, 64])
+    def test_window_bit_identical_at_extreme_payout_scales(self, k, c, monkeypatch):
+        rng = np.random.default_rng(4100 + k)
+        for _ in range(3):
+            game = scaled(random_game(rng, k, k), c)
+            stats = compute_stats(game)
+            u = stats.fair_price + float(rng.uniform(0.05, 0.95)) * (
+                stats.expectation - stats.fair_price
+            )
+            assert_grid_argmax_matches_reference(monkeypatch, game, u, 20_001)
+
+    @pytest.mark.parametrize("k", [2, 12, 64])
+    @pytest.mark.parametrize(
+        "s", [1e-9, 1.0 - 1e-9], ids=["argmax_near_cap", "argmax_near_zero"]
+    )
+    def test_window_bit_identical_at_the_ends_of_the_price_range(
+        self, k, s, monkeypatch
+    ):
+        rng = np.random.default_rng(4200 + k)
+        for _ in range(3):
+            game = random_game(rng, k, k)
+            stats = compute_stats(game)
+            u = stats.fair_price + s * (stats.expectation - stats.fair_price)
+            assert_grid_argmax_matches_reference(monkeypatch, game, u, 100_000)
+
+    @pytest.mark.parametrize("grid_points", [1, 2, 7, 20_001])
+    @pytest.mark.parametrize("k", [2, 5, 28])
+    def test_window_bit_identical_on_small_and_odd_grids(
+        self, k, grid_points, monkeypatch
+    ):
+        rng = np.random.default_rng(4300 + k)
+        for _ in range(3):
+            game = random_game(rng, k, k)
+            stats = compute_stats(game)
+            u = stats.fair_price + float(rng.uniform(0.05, 0.95)) * (
+                stats.expectation - stats.fair_price
+            )
+            assert_grid_argmax_matches_reference(monkeypatch, game, u, grid_points)
+
+    def test_whole_grid_where_eta_proves_nothing(self, monkeypatch):
+        # (a - u)/u overflows, so every grid value is inf and eta is NaN;
+        # the window is the whole grid and its first point the argmax
+        game = Game.from_pairs([(1e-300, 0.5), (1e300, 0.5)])
+        window = assert_grid_argmax_matches_reference(monkeypatch, game, 4e-300, 1000)
+        assert window == 1000
+        assert grid_argmax_growth(game, 4e-300, 1000) == 1.0 / 1001
+
+    def test_two_point_window_at_a_million_points(self, two_point, monkeypatch):
+        # verify's grid: 1000 coarse points and a window of at most
+        # 2 * 1000 - 1, against 10**6 for the whole grid
+        window = assert_grid_argmax_matches_reference(
+            monkeypatch, two_point, 5.5, 1_000_000
+        )
+        assert window <= 1999
 
     def test_matches_closed_form_root(self, two_point):
         u = 7.2236

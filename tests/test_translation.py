@@ -249,6 +249,11 @@ class TestAsymptoticSweep:
         with pytest.raises(DomainError):
             asymptotic_sweep(two_point, 0.05, [4.0, 2.0])
 
+    def test_empty_shift_list_rejected(self, two_point):
+        # an empty list used to return no rows
+        with pytest.raises(DomainError, match="^shifts must list at least one shift$"):
+            asymptotic_sweep(two_point, 0.05, [])
+
 
 UNRESOLVABLE_RATES = (0.0, -1.0, math.nan, math.inf, 1e3, 1e-17)
 RATE_SOLVERS = {
