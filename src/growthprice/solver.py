@@ -34,32 +34,26 @@ whose sign every midpoint beyond them shares. The lemma behind them (Brent
 strictly decreasing exact F, |f~(x) - F(x)| <= eta. Then f~(p) > 2 eta
 certifies every midpoint m <= p as positive, because
 f~(m) >= F(m) - eta >= F(p) - eta >= f~(p) - 2 eta > 0, and likewise
-f~(q) < -2 eta certifies every m >= q as non-positive. Given the two closest
-such certificates, _bisect evaluates only the midpoints between them, and
-where it needs a residual, and returns what plain bisection returns, bit for
-bit, in the same number of steps.
+f~(q) <= -2 eta certifies every m >= q as non-positive. Given the two
+closest such certificates, _bisect evaluates only the midpoints between
+them, and where it needs a residual, and returns what plain bisection
+returns, bit for bit, in the same number of steps.
 
-For the proportion the lemma holds with eta = 0 and F the first-order sum
-as evaluated, since the chain needs F only weakly decreasing. Each term
-p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
+_newton_certificates finds the certificates of all three roots: safeguarded
+Newton (rtsafe in Numerical Recipes) on the residual, then one probe on each
+side of its root, keeping every point whose residual lies beyond a band.
+For the proportion the band is 0, as the lemma holds with eta = 0 and F the
+first-order sum as evaluated: the chain needs F only weakly decreasing. Each
+term p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
 monotonically and are not fused, so as evaluated it is weakly decreasing in
 t; math.fsum rounds the exact sum of the terms correctly, so the evaluated
 first-order sum is weakly decreasing in t too, and the -inf past the cap
-keeps that. Any point where the sum was found positive therefore certifies
-the midpoints below it, and any where it was found non-positive those
-above. _solve_proportion finds the root by
-safeguarded Newton (rtsafe in Numerical Recipes), warm-started in
-optimal_price from the previous trial price, probes the sign just either
-side of it, and hands the two closest certificates to _bisect.
-
-The price and threshold curves are not provably monotone as evaluated, so
-their certificates must clear a guard band 2 eta, with eta a proven bound
-on the rounding (and, for the price, on the inner solve's optimality
-deficit) in the log of the growth; _price_band and threshold_shift derive
-theirs. Both searches run _newton_certificates: safeguarded Newton on the
-log residual log1p(f/target), whose every evaluation, and one probe on each
-side of its root, is a candidate certificate. Where eta cannot be shown, the
-outer bisection runs without Newton and without certificates.
+keeps that. The price and threshold curves are not provably monotone as
+evaluated, so their band must clear 2 eta, with eta a proven bound on the
+rounding (and, for the price, on the inner solve's optimality deficit) in
+the log of the growth; _price_band and threshold_shift derive theirs, and
+Newton runs on the log residual (_log_newton). Where eta cannot be shown,
+the bisection runs without certificates.
 
 The first-order sum has two kernels, chosen once per solve from the number
 of outcomes, each of which returns the derivative in t next to the sum
@@ -96,38 +90,27 @@ _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
 # Outcome count from which the first-order sum runs on numpy arrays. A solve
-# makes about as many evaluations with the derivative (Newton) as without
-# (probes and bisection). On payouts 1..k with equal weights, best of 9 with
-# the two kernels alternating in one process, one evaluation at u = 15,
-# t = 0.5 took 7.4 us looped against 5.1 us on numpy at 40 outcomes for the
-# sum alone, and 7.0 against 7.4 with the derivative; at 48, 9.1 against 5.8
-# and 8.6 against 8.4. Whole optimal_price solves took 1.87 ms looped against
-# 1.84 ms at 32 outcomes, 2.13 against 1.94 at 40 and 2.43 against 2.17 at
-# 48 (best of 15; Python 3.11, numpy 2.4, 2 vCPUs). They cross between 32 and
-# 48, and both kernels return the same float. One kernel and call alone:
+# makes a little over half its evaluations with the derivative (Newton): 21
+# of 37 in optimal_price on the two-point fixture. On payouts 1..k with equal
+# weights, best of 9 with the two kernels alternating in one process, one
+# evaluation at u = 15, t = 0.5 took 7.4 us looped against 5.1 us on numpy
+# at 40 outcomes for the sum alone, and 7.0 against 7.4 with the derivative;
+# at 48, 9.1 against 5.8 and 8.6 against 8.4. Whole optimal_price solves at
+# r = 0.05 took 0.46 ms looped against 0.54 ms at 32 outcomes, 0.55 against
+# 0.54 at 40 and 0.70 against 0.67 at 48 (best of 15; Python 3.11, numpy 2.4,
+# 2 vCPUs). They cross near 40, and both kernels return the same float. One
+# kernel call alone:
 #   PYTHONPATH=src python -m timeit -r 9 -s "import growthprice.solver as s;
 #   s._VECTOR_MIN_OUTCOMES = 1; k = 40; f = s._first_order_kernel(
 #   s.Game.from_pairs((1.0 + i, 1 / k) for i in range(k)))"
 #   "f(15.0, 0.5, slope=True)"
 # with 10**9 in place of 1 for the loop.
 _VECTOR_MIN_OUTCOMES = 40
-# Newton on the first-order sum stops once its step is at most _NEWTON_RTOL
-# of the proportion, or after _NEWTON_MAX_STEPS evaluations; the sign is then
-# probed at _PROBE_GAP on either side of the root it found. Newton converges
-# quadratically, so a step of 1e-9 leaves an error far inside the probe gap.
-_NEWTON_RTOL = 1e-9
-_NEWTON_MAX_STEPS = 60
+# Newton on any root makes at most _NEWTON_STEPS evaluations before its
+# probes, and 0 leaves every search plain bisection. On the proportion it
+# stops, and probes, at _PROBE_GAP of the proportion from its root.
+_NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
-# Below this max_iter the proportion is found by plain bisection. Newton and
-# its probes cost about 8 first-order evaluations per solve, and plain
-# bisection max_iter. Over 60 random games (half of them two-point) a
-# proportion solve made 7.9 with certificates; an optimal_price made 49.1
-# with them against 49 without at max_iter 7, and 55.0 against 64 at 8.
-_NEWTON_MIN_ITER = 8
-# Newton on an outer root, the price or the threshold shift, makes at most
-# this many evaluations before its probes; 0 turns off Newton, probes and
-# certificates, and the outer search is plain bisection.
-_OUTER_NEWTON_STEPS = 30
 # Unit roundoff of binary64.
 _EPS = 2.0**-53
 
@@ -282,64 +265,73 @@ def _bisect(
 
 
 def _newton_certificates(
-    f: Callable[[float], float],
-    slope: Callable[[float], float],
+    f: Callable[..., float | tuple[float, float, float]],
     lo: float,
     hi: float,
     start: float,
-    target: float,
-    eta: float,
+    band: float,
 ) -> tuple[float, float]:
-    """Sign certificates (pos, neg) for _bisect on the outer residual f.
+    """Sign certificates (pos, neg) for _bisect on a decreasing residual f.
 
-    f(x) is the evaluated growth at x minus target, and slope(x), called
-    right after f(x), the derivative of the log growth there, which is
-    negative. Safeguarded Newton on log1p(f/target), from start when it lies
-    in (lo, hi) and from the midpoint otherwise, stops once its step is
-    within gap = 4 eta/|slope| and then probes at its root -+ gap on each
-    side not yet certified that closely.
-
-    A point certifies only if |f| > 3 eta * target there. Where the log of
-    the evaluated growth is within eta of a strictly decreasing exact curve,
-    that clears the lemma's band 2 eta in log space: it means the growth is
-    beyond target*exp(+-2 eta), with room for the rounding of f and of the
-    band, as 3 eta (1 - 3 * 2**-53) >= expm1(2 eta) for eta <= 0.1.
+    f(x) is the residual at x and f(x, slope=True) the triple (residual,
+    Newton step, gap). Safeguarded Newton from start, or from the midpoint
+    where start is outside (lo, hi), brackets the root by the sign of each
+    residual and stops once a step is within gap, or leaves a bracket whose
+    ends it both evaluated: there rounding steers the step more than the
+    curve does, and _bisect splits the bracket as cheaply. It then probes at
+    its root -+ gap on each side not yet certified that closely. A residual
+    above band certifies its point positive, and one at or below -band
+    non-positive. With _NEWTON_STEPS at 0 nothing is certified.
     """
-    band = 3.0 * eta * target
     pos, neg = -math.inf, math.inf
     below, above = lo, hi
     x = start if lo < start < hi else 0.5 * (lo + hi)
     gap = math.nan
-
-    def certify(x: float, res: float) -> None:
-        nonlocal pos, neg
-        if res > band:
-            pos = max(pos, x)
-        elif res < -band:
-            neg = min(neg, x)
-
-    for _ in range(_OUTER_NEWTON_STEPS):
-        res = f(x)
-        certify(x, res)
+    for _ in range(_NEWTON_STEPS):
+        res, step, gap = f(x, slope=True)
+        # x lies in (below, above), so each certificate is the closest yet
         if res > 0.0:
             below = x
+            if res > band:
+                pos = x
         else:
             above = x
-        d = slope(x)
-        if not d < 0.0:
-            break
-        ratio = res / target
-        step = math.log1p(ratio) / d if ratio > -1.0 else math.nan
-        gap = -4.0 * eta / d
+            if res <= -band:
+                neg = x
         x -= step
         if abs(step) <= gap:
             break
         if not below < x < above:
+            if lo < below and above < hi:
+                break
             x = 0.5 * (below + above)
     for probe in (x - gap, x + gap):
-        if max(pos, lo) < probe < min(neg, hi):
-            certify(probe, f(probe))
+        if pos < probe < neg and lo < probe < hi:
+            res = f(probe)
+            if res > band:
+                pos = probe
+            elif res <= -band:
+                neg = probe
     return pos, neg
+
+
+def _log_newton(
+    res: float, slope: float, target: float, eta: float
+) -> tuple[float, float, float]:
+    """(res, Newton step, gap) for _newton_certificates from an outer
+    residual res = growth - target and the slope of the log growth: Newton
+    on log1p(res/target), stopping within 4 eta/|slope|, or at once where
+    the slope is not negative. Callers pass the band 3 eta target: where the
+    log growth is within eta of a strictly decreasing curve, a residual
+    beyond it puts the growth beyond target*exp(+-2 eta), the lemma's band,
+    with room for the rounding of res and of the band, as
+    3 eta (1 - 3 * 2**-53) >= expm1(2 eta) for eta <= 0.1.
+    """
+    if not slope < 0.0:
+        return res, 0.0, math.inf
+    ratio = res / target
+    step = math.log1p(ratio) / slope if ratio > -1.0 else math.nan
+    return res, step, -4.0 * eta / slope
 
 
 def _solve_proportion(
@@ -353,41 +345,20 @@ def _solve_proportion(
     """Bisect the first-order sum over (0, u/(u - xi)), from certificates.
 
     The sum is positive at 0 for u below the expectation and strictly
-    decreasing, so [0, cap) brackets the unique root. Safeguarded Newton,
-    from start when it lies inside the bracket and from its midpoint
-    otherwise, finds the root first. Every point it evaluates, and one probe
-    at t*(1 -+ _PROBE_GAP) on each side not yet certified that closely, is a
-    sign certificate for _bisect, which then returns what plain bisection
-    returns, bit for bit, from a handful of evaluations. Below
-    _NEWTON_MIN_ITER steps that handful costs more than the steps, so
-    _bisect runs without certificates.
+    decreasing, so [0, cap) brackets the unique root. Every point that
+    _newton_certificates evaluates from start, with band 0, certifies the
+    sign of the midpoints beyond it for _bisect.
     """
     hi = u / (u - xi) * (1.0 - _CAP_MARGIN)
     f = partial(first_order_sum, u)
-    if max_iter < _NEWTON_MIN_ITER:
-        return _bisect(f, 0.0, hi, tol, max_iter)
-    pos, neg = -math.inf, math.inf
-    t = start if 0.0 < start < hi else 0.5 * hi
-    for _ in range(_NEWTON_MAX_STEPS):
-        s, ds = f(t, slope=True)
-        if s > 0.0:
-            pos = t
-        elif s <= 0.0:
-            neg = t
-        step = s / ds if ds < 0.0 else math.nan
-        t -= step
-        if abs(step) <= _NEWTON_RTOL * t:
-            break
-        lo, up = max(pos, 0.0), min(neg, hi)
-        if not lo < t < up:
-            t = 0.5 * (lo + up)
-    for probe in (t * (1.0 - _PROBE_GAP), t * (1.0 + _PROBE_GAP)):
-        if pos < probe < neg:
-            s = f(probe)
-            if s > 0.0:
-                pos = probe
-            elif s <= 0.0:
-                neg = probe
+
+    def residual(t: float, slope: bool = False) -> float | tuple[float, float, float]:
+        if not slope:
+            return f(t)
+        s, ds = first_order_sum(u, t, slope=True)
+        return s, (s / ds if ds < 0.0 else math.nan), _PROBE_GAP * t
+
+    pos, neg = _newton_certificates(residual, 0.0, hi, start, 0.0)
     return _bisect(f, 0.0, hi, tol, max_iter, pos=pos, neg=neg)
 
 
@@ -576,18 +547,15 @@ def _price_band(
     math.fsum would raise; t_min = t0/2 and 29 > 28.2 leave room for its
     rounding. Then log2(K/t_min) + 56 steps bring any inner bracket to
     adjacent floats. The endings also need the root below 1 inside the
-    proportion bracket at hi, tol*K <= 1e-3, and a bracket that is not
-    inverted: with the fair price within 2e-12 of the expectation the two
-    margins cross. Past eta = 1e-6 (a tol near 1e-4) the band would certify
-    little, and the search runs plain.
+    proportion bracket at hi, and tol*K <= 1e-3. Past eta = 1e-6 (a tol near
+    1e-4) the band would certify little, and the search runs plain.
     """
     xi, mean = stats.ess_inf, stats.expectation
     top = lo / (lo - xi) * (1.0 - _CAP_MARGIN)
     cap_hi = hi / (hi - xi)
     v_lo, v_hi = _relative_spread(outcomes, lo), _relative_spread(outcomes, hi)
     if not (
-        lo < hi
-        and tol * top <= 1e-3
+        tol * top <= 1e-3
         and cap_hi * (1.0 - _CAP_MARGIN) > 1.0
         and (mean - hi) / hi > 29.0 * _EPS * math.sqrt(v_hi)
         and v_lo > 0.0
@@ -630,10 +598,10 @@ def optimal_price(
     as its small-rate form (E - u)**2/(2 sigma**2) is, Newton from below the
     root climbs to it without overshooting, so it starts from the later of
     the tangent at the fair price, where the slope is -1/u, and the
-    small-rate estimate E - sigma sqrt(2 r). Each Newton iterate is a full
-    growth evaluation. eta, derived in _price_band, bounds the rounding of
-    the log growth and the inner solve's optimality deficit; where it
-    cannot be shown the bisection runs plain.
+    small-rate estimate E - sigma sqrt(2 r). eta, derived in _price_band,
+    bounds the rounding of the log growth and the inner solve's optimality
+    deficit; where it cannot be shown the bisection runs plain. A fair price
+    within _PRICE_MARGIN of the expectation leaves no bracket and is refused.
     """
     stats = compute_stats(game)
     target = _growth_target(r)
@@ -658,24 +626,29 @@ def optimal_price(
     xi = stats.ess_inf
     t = growth = math.nan
 
-    def excess_growth(price: float) -> float:
+    def excess_growth(
+        price: float, slope: bool = False
+    ) -> float | tuple[float, float, float]:
         # Keeps the proportion and growth of the last price evaluated, which
         # is the price _bisect returns; that proportion starts the next solve.
         nonlocal t, growth
         t, _, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter, t)
         growth = math.exp(_log_growth(outcomes, price, t))
-        return growth - target
-
-    def log_slope(price: float) -> float:
-        # d log G*/du at the proportion of the last price evaluated: by the
-        # envelope theorem the partial derivative at fixed t.
+        if not slope:
+            return growth - target
+        # by the envelope theorem d log G*/du is the partial derivative at t
         total = sum(
             o.weight * o.payout / (price + t * (o.payout - price)) for o in outcomes
         )
-        return -t / price * total
+        return _log_newton(growth - target, -t / price * total, target, eta)
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
     hi = stats.expectation * (1.0 - _PRICE_MARGIN)
+    if not lo < hi:
+        raise DomainError(
+            f"no pricing bracket: fair_price {stats.fair_price!r} is within the"
+            f" relative margin {_PRICE_MARGIN} of the expectation {stats.expectation!r}"
+        )
     pos, neg = -math.inf, math.inf
     eta = _price_band(outcomes, stats, lo, hi, tol, max_iter)
     if eta < math.inf:
@@ -686,7 +659,7 @@ def optimal_price(
             mean * (1.0 - math.sqrt(2.0 * r * spread)),
         )
         pos, neg = _newton_certificates(
-            excess_growth, log_slope, lo, hi, start, target, eta
+            excess_growth, lo, hi, start, 3.0 * eta * target
         )
     price, _, _ = _bisect(excess_growth, lo, hi, tol, max_iter, pos=pos, neg=neg)
     return PricingSolution(

@@ -27,6 +27,7 @@ from .solver import (
     _EPS,
     _bisect,
     _growth_target,
+    _log_newton,
     _newton_certificates,
     _require_bisect_args,
     optimal_price,
@@ -212,8 +213,9 @@ def threshold_shift(
             h2 += o.weight * inv * inv
         return (h - h2 / h) / m
 
-    def excess(n: float) -> float:
-        return boundary_growth(game, n) - target
+    def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:
+        res = boundary_growth(game, n) - target
+        return _log_newton(res, log_slope(n), target, eta) if slope else res
 
     var = mu3 = 0.0
     for o in outcomes:
@@ -233,7 +235,7 @@ def threshold_shift(
         abs(math.log(outcomes[0].payout)), abs(math.log(outcomes[-1].payout + hi))
     )
     eta = (len(outcomes) + 8) * _EPS * (1.0 + largest_log)
-    pos, neg = _newton_certificates(excess, log_slope, 0.0, hi, start, target, eta)
+    pos, neg = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
     n0, res, _ = _bisect(
         excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg
     )

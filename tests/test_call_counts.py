@@ -103,15 +103,6 @@ def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls
     assert calls["boundary_growth"] == 10
 
 
-def test_small_max_iter_bisects_without_newton(two_point, calls):
-    # Newton and its probes made 7 evaluations here and 20 in the price
-    pre_optimal_proportion(two_point, 5.0, max_iter=1)
-    assert calls["_first_order_sum"] == 1
-    calls.clear()
-    optimal_price(two_point, 0.05, max_iter=3)
-    assert calls["_first_order_sum"] <= 9
-
-
 @pytest.mark.parametrize("periods, paths", [(1, 10**5), (10**5, 1)])
 def test_draws_are_made_in_full_blocks_whatever_the_shape(
     two_point, calls, periods, paths

@@ -268,6 +268,17 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "-0.5" in err
 
+    def test_pricing_bracket_inside_the_margins_is_exit_2(self, tmp_path):
+        path = tmp_path / "narrow.json"
+        path.write_text(
+            save_spec(Game.from_pairs([(7.0119e-19, 1e-9), (7.1073e-19, 1 - 1e-9)]))
+        )
+        code, out, err = run_config(
+            RunConfig(command="price", game_path=str(path), rate=5e-14)
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "no pricing bracket" in err
+
     @pytest.mark.parametrize(
         "argv",
         (

@@ -324,7 +324,7 @@ def test_certified_price_and_threshold_replay_plain_bisection(
     assume(r > 1e-15)
     for solve in (optimal_price, threshold_shift):
         certified = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
-        with patch.object(growthprice.solver, "_OUTER_NEWTON_STEPS", 0):
+        with patch.object(growthprice.solver, "_NEWTON_STEPS", 0):
             plain = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
         assert certified == plain, solve.__name__
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +33,12 @@ from growthprice import (
     two_point_closed_form,
     verify,
 )
-from growthprice.solver import _bisect, _first_order_kernel, _first_order_sum
+from growthprice.solver import (
+    _bisect,
+    _first_order_kernel,
+    _first_order_sum,
+    _newton_certificates,
+)
 
 
 def closed_form_proportion(u: float) -> float:
@@ -220,6 +226,20 @@ class TestOptimalPrice:
         with pytest.raises(DomainError, match="underflows the smallest normal float"):
             price_translated(game, r, 0.0)
 
+    @pytest.mark.parametrize("max_iter", (200, 3))
+    def test_fair_price_within_the_margins_of_the_expectation_is_refused(
+        self, max_iter
+    ):
+        # fair_price * (1 + 1e-12) exceeds expectation * (1 - 1e-12) here; the
+        # inverted bracket gave an INTERIOR price, with proportion 9.31 and
+        # growth_check 0.99999999998597 at max_iter 3.
+        game = Game.from_pairs([(7.0119e-19, 1e-9), (7.1073e-19, 1 - 1e-9)])
+        stats = compute_stats(game)
+        with pytest.raises(DomainError, match="no pricing bracket") as excinfo:
+            optimal_price(game, 5e-14, max_iter=max_iter)
+        assert repr(stats.fair_price) in str(excinfo.value)
+        assert repr(stats.expectation) in str(excinfo.value)
+
     def test_smallest_normal_full_investment_price_is_exact(self):
         game = Game.from_pairs([(1e-200, 0.5), (19e-200, 0.5)])
         solution = optimal_price(game, 249.0)
@@ -351,6 +371,46 @@ class TestBisect:
 
         with pytest.raises(DomainError, match="^(max_iter|tol)="):
             _bisect(never, 0.0, 1.0, args["tol"], args["max_iter"])
+
+
+def _residual(square: bool, band: float):
+    """2 - x*x, which no float makes 0, or 0.3 - x, which is 0 exactly at
+    the float 0.3, with Newton's step and a gap that the band sets as
+    _log_newton's does, or 1e-14 x, the proportion's, where the band is 0."""
+
+    def f(x, slope=False):
+        res, derivative = (2.0 - x * x, -2.0 * x) if square else (0.3 - x, -1.0)
+        gap = -4.0 * band / derivative if band else 1e-14 * x
+        return (res, res / derivative, gap) if slope else res
+
+    return f
+
+
+class TestNewtonCertificates:
+    """The one routine that certifies the proportion, the price and the
+    threshold for _bisect."""
+
+    @pytest.mark.parametrize("square", (True, False), ids=("2-x*x", "0.3-x"))
+    @pytest.mark.parametrize("band", (0.0, 1e-9))
+    @pytest.mark.parametrize("start", (math.nan, 0.05, 1.9))
+    def test_certificates_clear_the_band_on_their_side_of_the_root(
+        self, square, band, start
+    ):
+        f = _residual(square, band)
+        pos, neg = _newton_certificates(f, 0.0, 2.0, start, band)
+        assert f(pos) > band and f(neg) <= -band
+        # the root, compared exactly: sqrt(2) through squares, or 0.3
+        if square:
+            assert Fraction(pos) ** 2 < 2 < Fraction(neg) ** 2
+        else:
+            assert pos < 0.3 <= neg
+        assert neg - pos <= 1e-13 + 10.0 * band
+
+    def test_no_newton_steps_leave_no_certificates(self, monkeypatch):
+        monkeypatch.setattr(growthprice.solver, "_NEWTON_STEPS", 0)
+        for square in (True, False):
+            f = _residual(square, 0.0)
+            assert _newton_certificates(f, 0.0, 2.0, 1.0, 0.0) == (-math.inf, math.inf)
 
 
 class TestSolverArguments:
