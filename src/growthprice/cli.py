@@ -9,6 +9,7 @@ failure.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import io
 import json
@@ -16,10 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .errors import (
@@ -204,6 +202,11 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
     if config.output_format == "csv" and config.command != "sweep":
         print("error: csv output is only available for the sweep command", file=err)
         return EXIT_DOMAIN
+    handler, _, options = _COMMANDS[config.command]
+    for option in (*_COMMON_OPTIONS, *options):
+        if option.required and getattr(config, option.name) is None:
+            print(f"error: command {config.command!r} requires {option.flag}", file=err)
+            return EXIT_DOMAIN
     try:
         text = Path(config.game_path).read_text(encoding="utf-8")  # RFC 8259
     except OSError as exc:
@@ -214,12 +217,6 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
         return EXIT_VALIDATION
     try:
         game = load_spec(text, normalize=config.normalize)
-        handler, _, options = _COMMANDS[config.command]
-        for option in options:
-            if option.required and getattr(config, option.name) is None:
-                raise DomainError(
-                    f"command {config.command!r} requires {option.opts[0]}"
-                )
         body = handler(config, game)
     except (SpecParseError, GameValidationError) as exc:
         print(f"error: {exc}", file=err)
@@ -240,59 +237,55 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
     return EXIT_OK
 
 
-def _parse_shifts(ctx, param, value):
-    if value is None:
-        return None
+def _parse_shifts(value: str) -> list[float]:
     try:
-        shifts = [float(part) for part in value.split(",") if part.strip() != ""]
+        return [float(part) for part in value.split(",") if part.strip() != ""]
     except ValueError:
-        raise click.BadParameter(f"expected comma-separated numbers, got {value!r}")
-    if not shifts:
-        raise click.BadParameter(f"expected at least one shift, got {value!r}")
-    return shifts
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class _Option:
+    """A command-line option and its RunConfig field; type None marks a flag."""
+
+    flag: str
+    name: str
+    type: object
+    required: bool = False
+    help: str = ""
 
 
 _COMMON_OPTIONS = (
-    click.Option(
-        ["--game", "game_path"],
-        required=True,
-        type=click.Path(),
-        help="Path to a JSON game spec.",
+    _Option("--game", "game_path", str, required=True, help="JSON game spec file."),
+    _Option(
+        "--tol", "tol", float,
+        help="Solver tolerance (residual and relative bracket width)"
+        " [default: %(default)s].",
     ),
-    click.Option(
-        ["--tol"],
-        type=float,
-        default=DEFAULT_TOL,
-        show_default=True,
-        help="Solver tolerance (residual and relative bracket width).",
+    _Option(
+        "--max-iter", "max_iter", int,
+        help="Bisection iteration cap [default: %(default)s].",
     ),
-    click.Option(
-        ["--max-iter", "max_iter"],
-        type=int,
-        default=DEFAULT_MAX_ITER,
-        show_default=True,
-        help="Bisection iteration cap.",
+    _Option(
+        "--format", "output_format", str,
+        help="Report format, json or csv (csv applies to sweep only)"
+        " [default: %(default)s].",
     ),
-    click.Option(
-        ["--format", "output_format"],
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Report format (csv applies to sweep only).",
-    ),
-    click.Option(
-        ["--normalize"],
-        is_flag=True,
+    _Option(
+        "--normalize", "normalize", None,
         help="Rescale probabilities to unit total before validation.",
     ),
 )
-_RATE = click.Option(
-    ["--rate"], type=float, required=True, help="Riskless rate per period."
+_RATE = _Option(
+    "--rate", "rate", float, required=True, help="Riskless rate per period."
 )
+_SHIFT = _Option("--shift", "shift", float, required=True, help="Payout shift n.")
 
-# Every command: its handler, its help text and the click options it takes
-# besides the common ones. Option names equal RunConfig field names, so run()
-# enforces required=True on a RunConfig built without click too.
+# Every command: its handler, its help text and the options it takes besides
+# the common ones. Option names equal RunConfig field names, so run() enforces
+# required=True on a RunConfig built by main() or by a library caller.
 _COMMANDS = {
     "analyze": (
         _cmd_analyze,
@@ -307,12 +300,7 @@ _COMMANDS = {
     "translate": (
         _cmd_translate,
         "Price the shifted game and report the invariance identities.",
-        (
-            _RATE,
-            click.Option(
-                ["--shift"], type=float, required=True, help="Payout shift n."
-            ),
-        ),
+        (_RATE, _SHIFT),
     ),
     "threshold": (
         _cmd_threshold,
@@ -324,10 +312,8 @@ _COMMANDS = {
         "Track large-shift behavior along a list of shifts.",
         (
             _RATE,
-            click.Option(
-                ["--shifts"],
-                callback=_parse_shifts,
-                required=True,
+            _Option(
+                "--shifts", "shifts", _parse_shifts, required=True,
                 help="Comma-separated increasing shifts, e.g. 1,2,4,8.",
             ),
         ),
@@ -335,32 +321,45 @@ _COMMANDS = {
     "verify": (
         _cmd_verify,
         "Run the oracle cross-checks and report pass/fail per property.",
-        (
-            click.Option(["--seed"], type=int, help="Simulation seed (default 0)."),
-        ),
+        (_Option("--seed", "seed", int, help="Simulation seed (default 0)."),),
     ),
 }
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="growthprice")
-def main():
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
     """Growth-optimal proportions and prices of discrete payoff games."""
-
-
-def _invoke(command: str, **kwargs) -> None:
-    sys.exit(run(RunConfig(command=command, **kwargs)))
-
-
-for _name, (_, _help, _extra) in _COMMANDS.items():
-    main.add_command(
-        click.Command(
-            _name,
-            callback=partial(_invoke, _name),
-            params=[*_COMMON_OPTIONS, *_extra],
-            help=_help,
-        )
+    parser = _parser(prog="growthprice", description=main.__doc__)
+    parser.add_argument(
+        "--version", action="version", version=f"growthprice, version {__version__}"
     )
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True, parser_class=_parser
+    )
+    defaults, takes_value = RunConfig(command="", game_path=None), set()
+    for name, (_, help_text, extra) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text, description=help_text)
+        for option in (*_COMMON_OPTIONS, *extra):
+            if option.type is None:
+                kwargs = dict(action="store_true")
+            else:
+                kwargs = dict(type=option.type, default=getattr(defaults, option.name))
+                takes_value.add(option.flag)
+            command.add_argument(
+                option.flag, dest=option.name, help=option.help, **kwargs
+            )
+    # argparse reads a value such as -1e-12, -inf or -0.5,1 as an option, so
+    # each value-taking flag is joined with the token after it: --tol=-1e-12.
+    args, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        value = next(tokens, None) if token in takes_value else None
+        args.append(token if value is None else f"{token}={value}")
+    sys.exit(run(RunConfig(**vars(parser.parse_args(args)))))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import growthprice
 import growthprice.cli
@@ -48,6 +47,14 @@ def run_config(cfg: RunConfig):
     out, err = io.StringIO(), io.StringIO()
     code = run(cfg, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_main(capsys, *argv: str):
+    """main(argv) as the console script runs it: its exit code, stdout, stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
 
 
 class TestReports:
@@ -288,13 +295,11 @@ class TestExitCodes:
             ["sweep", "--shifts", "1,2"],
         ),
     )
-    def test_overflowing_rate_is_exit_2(self, spec_path, argv):
+    def test_overflowing_rate_is_exit_2(self, capsys, spec_path, argv):
         # exp(1000) overflows; the solvers refuse it instead of crashing
-        result = CliRunner().invoke(
-            main, [*argv, "--game", spec_path, "--rate", "1000"]
-        )
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert "error: rate r=1000.0" in result.output
+        code, out, err = run_main(capsys, *argv, "--game", spec_path, "--rate", "1000")
+        assert (code, out) == (EXIT_DOMAIN, ""), err
+        assert err.startswith("error: rate r=1000.0")
 
     @pytest.mark.parametrize(
         "argv",
@@ -304,13 +309,11 @@ class TestExitCodes:
             ["sweep", "--shifts", "1,inf"],
         ),
     )
-    def test_infinite_shift_is_exit_2(self, spec_path, argv):
+    def test_infinite_shift_is_exit_2(self, capsys, spec_path, argv):
         # it used to be blamed on the game, as an infinite payout (exit 1)
-        result = CliRunner().invoke(
-            main, [*argv, "--game", spec_path, "--rate", "0.05"]
-        )
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert result.output == "error: shift n=inf must be finite\n"
+        code, out, err = run_main(capsys, *argv, "--game", spec_path, "--rate", "0.05")
+        assert (code, out) == (EXIT_DOMAIN, ""), err
+        assert err == "error: shift n=inf must be finite\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -338,30 +341,27 @@ class TestExitCodes:
             "verify",
         ),
     )
-    def test_unhonourable_solver_arguments_are_exit_2(self, spec_path, argv, message):
-        result = CliRunner().invoke(main, [*argv, "--game", spec_path])
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert result.output.startswith(f"error: {message} must ")
+    def test_unhonourable_solver_arguments_are_exit_2(
+        self, capsys, spec_path, argv, message
+    ):
+        code, out, err = run_main(capsys, *argv, "--game", spec_path)
+        assert (code, out) == (EXIT_DOMAIN, ""), err
+        assert err.startswith(f"error: {message} must ")
 
     @pytest.mark.parametrize("rate", ("250", "270", "290"))
-    def test_underflowing_full_investment_price_is_exit_2(self, tmp_path, rate):
+    def test_underflowing_full_investment_price_is_exit_2(self, capsys, tmp_path, rate):
         path = tmp_path / "tiny.json"
         path.write_text(save_spec(Game.from_pairs([(1e-200, 0.5), (19e-200, 0.5)])))
-        result = CliRunner().invoke(main, ["price", "--game", str(path), "--rate", rate])
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert "underflows the smallest normal float" in result.output
+        code, out, err = run_main(capsys, "price", "--game", str(path), "--rate", rate)
+        assert (code, out) == (EXIT_DOMAIN, ""), err
+        assert "underflows the smallest normal float" in err
 
-    def test_negative_seed_is_exit_2(self, spec_path):
-        result = CliRunner().invoke(main, ["verify", "--game", spec_path, "--seed", "-1"])
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert result.output == "error: seed=-1 must be nonnegative\n"
-
-    def test_seed_of_2_to_the_64_is_exit_2(self, spec_path):
+    def test_seed_of_2_to_the_64_is_exit_2(self, capsys, spec_path):
         # the simulations reduced it modulo 2**64, to seed 0
         argv = ["verify", "--game", spec_path, "--seed", str(2**64)]
-        result = CliRunner().invoke(main, argv)
-        assert result.exit_code == EXIT_DOMAIN, result.output
-        assert result.output == f"error: seed={2**64} must be below 2**64\n"
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, ""), err
+        assert err == f"error: seed={2**64} must be below 2**64\n"
 
     def test_missing_required_field_is_exit_2(self, spec_path):
         code, _, err = run_config(RunConfig(command="price", game_path=spec_path))
@@ -429,64 +429,113 @@ _ARGV = {
 }
 
 
-class TestClickWiring:
-    def test_every_command_is_registered(self):
-        assert set(main.commands) == set(growthprice.cli._COMMANDS) == set(_ARGV)
+class TestArgv:
+    def test_every_command_is_registered(self, capsys):
+        assert set(growthprice.cli._COMMANDS) == set(_ARGV)
+        for command, (_, help_text, _) in growthprice.cli._COMMANDS.items():
+            code, out, _ = run_main(capsys, command, "--help")
+            assert code == EXIT_OK
+            assert help_text in out
 
     @pytest.mark.parametrize("command", sorted(_ARGV))
-    def test_argv_gives_the_run_bytes(self, spec_path, command):
+    def test_argv_gives_the_run_bytes(self, capsys, spec_path, command):
         argv, fields = _ARGV[command]
-        result = CliRunner().invoke(main, [command, "--game", spec_path, *argv])
-        code, out, _ = run_config(
-            RunConfig(command=command, game_path=spec_path, **fields)
-        )
-        assert code == EXIT_OK
-        assert result.exit_code == code
-        assert result.stdout_bytes == out.encode()
+        result = run_main(capsys, command, "--game", spec_path, *argv)
+        cfg = RunConfig(command=command, game_path=spec_path, **fields)
+        assert result == run_config(cfg)
+        assert result[0] == EXIT_OK
 
-    def test_price_via_argv(self, spec_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["price", "--game", spec_path, "--rate", "0.05"]
-        )
-        assert result.exit_code == EXIT_OK
-        assert json.loads(result.output)["pricing"]["regime"] == "interior"
+    # argparse reads a token such as -1e-12, -inf or -0.5,1 as an option;
+    # main() passes each to the library, as a value of the flag before it.
+    # Each case expects the RunConfig fields it sets or the library's error.
+    @pytest.mark.parametrize(
+        "argv, expected",
+        (
+            (
+                ["translate", "--rate", "0.05", "--shift", "-inf"],
+                "shift n=-inf must exceed -ess_inf = -1.0",
+            ),
+            (
+                ["translate", "--rate", "0.05", "--shift", "-0.5"],
+                {"rate": 0.05, "shift": -0.5},
+            ),
+            (
+                ["sweep", "--rate", "0.05", "--shifts", "-0.5,1"],
+                {"rate": 0.05, "shifts": [-0.5, 1.0]},
+            ),
+            (
+                ["price", "--rate", "0.05", "--tol", "-1e-12"],
+                "tol=-1e-12 must satisfy 0 <= tol < inf",
+            ),
+            (
+                ["price", "--rate", "-1"],
+                "rate r=-1.0 must be positive and small enough that 1 < exp(r) < inf;"
+                " exp(r) = 0.36787944117144233",
+            ),
+            (
+                ["price", "--rate", "0.05", "--max-iter", "-3"],
+                "max_iter=-3 must be at least 1",
+            ),
+            (["verify", "--seed", "-1"], "seed=-1 must be nonnegative"),
+        ),
+        ids=(
+            "shift_minus_inf",
+            "shift_negative",
+            "shifts_negative",
+            "tol_negative",
+            "rate_negative",
+            "max_iter_negative",
+            "seed_negative",
+        ),
+    )
+    def test_values_that_start_with_a_dash(self, capsys, spec_path, argv, expected):
+        result = run_main(capsys, *argv, "--game", spec_path)
+        if isinstance(expected, str):
+            assert result == (EXIT_DOMAIN, "", f"error: {expected}\n")
+        else:
+            assert result == run_config(RunConfig(argv[0], spec_path, **expected))
+            assert result[0] == EXIT_OK
 
-    def test_shift_list_parsing(self, spec_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
-            ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", "1,2,4"],
-        )
-        assert result.exit_code == EXIT_OK
-        assert len(json.loads(result.output)["rows"]) == 3
-
-    def test_missing_rate_is_usage_error(self, spec_path):
-        runner = CliRunner()
-        result = runner.invoke(main, ["price", "--game", spec_path])
-        assert result.exit_code == 2
-
-    def test_bad_shifts_is_usage_error(self, spec_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
-            ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", "1,x"],
-        )
-        assert result.exit_code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            [],
+            ["nope", "--game", "{spec}"],
+            ["price", "--game", "{spec}"],
+            ["price", "--game", "{spec}", "--rate", "0.05", "--format", "xml"],
+            ["sweep", "--game", "{spec}", "--rate", "0.05", "--shifts", "1,x"],
+            ["sweep", "--game", "{spec}", "--rate", "0.05", "--shifts", ","],
+            ["price", "--game", "{spec}", "--rate", "0.05", "--max", "5"],
+            ["--game", "{spec}", "price", "--rate", "0.05"],
+        ),
+        ids=(
+            "no_command",
+            "unknown_command",
+            "missing_rate",
+            "unknown_format",
+            "shift_not_a_number",
+            "no_shift",
+            "abbreviated_option",
+            "game_before_the_command",
+        ),
+    )
+    def test_usage_error_is_exit_2(self, capsys, spec_path, argv):
+        argv = [spec_path if arg == "{spec}" else arg for arg in argv]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err
 
     @pytest.mark.parametrize("shifts", (",", "", " , "))
-    def test_empty_shift_list_is_usage_error(self, spec_path, shifts):
-        result = CliRunner().invoke(
-            main,
-            ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", shifts],
-        )
-        assert result.exit_code == 2
-        assert "expected at least one shift" in result.output
+    def test_empty_shift_list_is_the_library_error(self, capsys, spec_path, shifts):
+        argv = ["sweep", "--game", spec_path, "--rate", "0.05", "--shifts", shifts]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: shifts must list at least one shift\n"
 
-    def test_version_is_the_package_and_project_version(self):
-        result = CliRunner().invoke(main, ["--version"])
-        assert result.exit_code == EXIT_OK
-        assert result.output == f"growthprice, version {growthprice.__version__}\n"
+    def test_version_is_the_package_and_project_version(self, capsys):
+        code, out, _ = run_main(capsys, "--version")
+        assert code == EXIT_OK
+        assert out == f"growthprice, version {growthprice.__version__}\n"
         # Python 3.10 has no tomllib
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
@@ -496,10 +545,10 @@ class TestClickWiring:
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("module", ["growthprice", "growthprice.cli"])
-    def test_python_m_prints_the_click_bytes(self, spec_path, module):
+    def test_python_m_prints_the_main_bytes(self, capsys, spec_path, module):
         argv = ["price", "--game", spec_path, "--rate", "0.05"]
-        expected = CliRunner().invoke(main, argv)
-        assert expected.exit_code == EXIT_OK
+        code, expected, _ = run_main(capsys, *argv)
+        assert code == EXIT_OK
         src = str(Path(growthprice.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
@@ -509,35 +558,42 @@ class TestModuleEntryPoint:
             timeout=60,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stdout == expected.stdout_bytes
+        assert proc.stdout == expected.encode()
 
 
 # The growthprice modules each cold command loads besides the package itself,
-# and whether it loads numpy. A command loads only the modules it runs.
+# and the third-party packages it loads. A command loads only what it runs.
 _CLI_MODULES = {"errors", "games", "cli", "solver"}
 _LOADED = {
-    "analyze": (_CLI_MODULES, False),
-    "price": (_CLI_MODULES, False),
-    "translate": (_CLI_MODULES | {"translation"}, False),
-    "threshold": (_CLI_MODULES | {"translation"}, False),
-    "sweep": (_CLI_MODULES | {"translation"}, False),
-    "verify": (_CLI_MODULES | {"oracle"}, True),
+    "analyze": (_CLI_MODULES, set()),
+    "price": (_CLI_MODULES, set()),
+    "translate": (_CLI_MODULES | {"translation"}, set()),
+    "threshold": (_CLI_MODULES | {"translation"}, set()),
+    "sweep": (_CLI_MODULES | {"translation"}, set()),
+    "verify": (_CLI_MODULES | {"oracle"}, {"numpy"}),
 }
 
-# Prints the loaded growthprice modules and whether numpy is loaded, as JSON
-# on stderr once the interpreter exits.
+# Prints, as JSON on stderr once the interpreter exits, the loaded growthprice
+# modules and the top-level packages outside the standard library imported
+# from files after startup. Site hooks may import some before the code runs,
+# and Cython extensions register file-less helper modules such as
+# cython_runtime.
 _REPORT_MODULES = (
     "import atexit, json, sys\n"
+    "startup = set(sys.modules)\n"
     "def report():\n"
     "    names = sorted(m.partition('.')[2] for m in sys.modules\n"
     "                   if m.startswith('growthprice.'))\n"
-    "    print(json.dumps([names, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    "    tops = {m.partition('.')[0] for m, module in sys.modules.items()\n"
+    "            if m not in startup and getattr(module, '__file__', None)}\n"
+    "    other = tops - set(sys.stdlib_module_names) - {'growthprice'}\n"
+    "    print(json.dumps([names, sorted(other)]), file=sys.stderr)\n"
     "atexit.register(report)\n"
 )
 
 
 def loaded_modules(code: str, *argv: str):
-    """Run code in a fresh interpreter; its growthprice modules and numpy flag."""
+    """Run code in a fresh interpreter; its growthprice and third-party modules."""
     src = str(Path(growthprice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -547,13 +603,13 @@ def loaded_modules(code: str, *argv: str):
         timeout=60,
     )
     assert proc.returncode == EXIT_OK, proc.stderr.decode()
-    names, numpy_loaded = json.loads(proc.stderr.decode().splitlines()[-1])
-    return set(names), numpy_loaded
+    names, other = json.loads(proc.stderr.decode().splitlines()[-1])
+    return set(names), set(other)
 
 
 class TestLazyImports:
     def test_bare_import_loads_errors_and_games(self):
-        assert loaded_modules("import growthprice") == ({"errors", "games"}, False)
+        assert loaded_modules("import growthprice") == ({"errors", "games"}, set())
 
     @pytest.mark.parametrize(
         "name", ("threshold_shift", "translation", "translation.threshold_shift")
@@ -561,7 +617,7 @@ class TestLazyImports:
     def test_a_name_loads_its_home_module(self, name):
         code = f"import growthprice\ngrowthprice.{name}\n"
         modules = {"errors", "games", "solver", "translation"}
-        assert loaded_modules(code) == (modules, False)
+        assert loaded_modules(code) == (modules, set())
 
     def test_every_command_is_in_the_table(self):
         assert set(_LOADED) == set(growthprice.cli._COMMANDS)
