@@ -10,14 +10,12 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import (
@@ -41,8 +39,7 @@ EXIT_INTERNAL = 3
 _SWEEP_COLUMNS = ("n", "gap", "boundary_growth", "price_ratio", "monotone_witness")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One CLI invocation, echoed verbatim into every JSON report."""
 
     command: str
@@ -80,8 +77,6 @@ def _encode(value, level: int) -> str:
         return json.dumps(value)
     if isinstance(value, Enum):
         return _encode(value.value, level)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _encode(dataclasses.asdict(value), level)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -90,6 +85,8 @@ def _encode(value, level: int) -> str:
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{close}}}"
+    if hasattr(value, "_asdict"):  # a record; it is a tuple too, so test it first
+        return _encode(value._asdict(), level)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -113,7 +110,7 @@ _CONFIG_KEYS = {"game_path": "game", "output_format": "format"}
 
 def _config_dict(cfg: RunConfig) -> dict:
     """The config echo: every RunConfig field in field order."""
-    return {_CONFIG_KEYS.get(k, k): v for k, v in dataclasses.asdict(cfg).items()}
+    return {_CONFIG_KEYS.get(k, k): v for k, v in cfg._asdict().items()}
 
 
 def _cmd_analyze(cfg: RunConfig, game: Game) -> dict:
@@ -171,7 +168,7 @@ def _cmd_sweep(cfg: RunConfig, game: Game):
         writer = csv.writer(buffer)
         writer.writerow(_SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow(format(v, ".17g") for v in dataclasses.astuple(row))
+            writer.writerow(format(v, ".17g") for v in row)
         return buffer.getvalue()
     return {"rows": rows}
 
@@ -208,7 +205,8 @@ def run(config: RunConfig, *, stdout=None, stderr=None) -> int:
             print(f"error: command {config.command!r} requires {option.flag}", file=err)
             return EXIT_DOMAIN
     try:
-        text = Path(config.game_path).read_text(encoding="utf-8")  # RFC 8259
+        with open(config.game_path, encoding="utf-8") as spec:  # RFC 8259
+            text = spec.read()
     except OSError as exc:
         print(f"error: cannot read game spec {config.game_path!r}: {exc}", file=err)
         return EXIT_DOMAIN
@@ -246,8 +244,7 @@ def _parse_shifts(value: str) -> list[float]:
         ) from None
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """A command-line option and its RunConfig field; type None marks a flag."""
 
     flag: str

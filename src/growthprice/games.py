@@ -11,25 +11,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, GameValidationError, SpecParseError
 
 WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """One payoff point: gross dollars returned per dollar invested, and its mass."""
 
     payout: float
     weight: float
 
 
-@dataclass(frozen=True)
-class Game:
+class _GameFields(NamedTuple):
+    outcomes: tuple[Outcome, ...]
+    label: str | None = None
+
+
+class Game(_GameFields):
     """A finite payoff distribution.
 
     Outcomes are canonicalized at construction: zero-weight entries are
@@ -46,20 +48,24 @@ class Game:
     every thread sees the same values.
     """
 
-    outcomes: tuple[Outcome, ...]
-    label: str | None = None
+    # No __slots__: the instance dict holds the cached statistics and pairs.
 
-    def __post_init__(self) -> None:
+    def __new__(cls, outcomes: Iterable[Outcome], label: str | None = None) -> "Game":
         merged: dict[float, float] = {}
         apart: list[Outcome] = []
-        for o in self.outcomes:
+        for o in outcomes:
             if o.weight >= 0.0:
                 merged[o.payout] = merged.get(o.payout, 0.0) + o.weight
             else:
                 apart.append(o)
         canon = [Outcome(a, w) for a, w in merged.items() if w != 0.0] + apart
         canon.sort(key=lambda o: o.payout)
-        object.__setattr__(self, "outcomes", tuple(canon))
+        return super().__new__(cls, tuple(canon), label)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Game":
+        # _replace builds through _make, so it canonicalizes too
+        return cls(*iterable)
 
     @classmethod
     def from_pairs(
@@ -87,9 +93,15 @@ class Game:
             log_moment=math.fsum(o.weight * math.log(o.payout) for o in outcomes),
         )
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[float, float], ...]:
+        """The outcomes as plain (payout, weight) tuples, which the solvers'
+        loops run over: CPython unpacks an exact tuple faster than it reads
+        the fields of a record, or unpacks one."""
+        return tuple(map(tuple, self.outcomes))
 
-@dataclass(frozen=True)
-class ValidationResult:
+
+class ValidationResult(NamedTuple):
     """Verdict of checking a game against the standing assumptions."""
 
     ok: bool
@@ -126,8 +138,7 @@ def validate(game: Game) -> ValidationResult:
     return ValidationResult(ok=not problems, problems=tuple(problems))
 
 
-@dataclass(frozen=True)
-class GameStats:
+class GameStats(NamedTuple):
     """Summary quantities of a valid game.
 
     ess_inf is the smallest payout. h_xi, the expectation of

@@ -36,30 +36,39 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError
 from .games import Game, compute_stats
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, pre_optimal_proportion
 
 
-@dataclass(frozen=True)
-class TwoPointGame:
-    """Payout `high` with probability `p_high`, else `low` (0 < low < high)."""
-
+class _TwoPointFields(NamedTuple):
     high: float
     low: float
     p_high: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.low < self.high and math.isfinite(self.high)):
+
+class TwoPointGame(_TwoPointFields):
+    """Payout `high` with probability `p_high`, else `low` (0 < low < high)."""
+
+    __slots__ = ()
+
+    def __new__(cls, high: float, low: float, p_high: float) -> "TwoPointGame":
+        if not (0.0 < low < high and math.isfinite(high)):
             raise DomainError(
-                f"payouts must satisfy 0 < low < high, got low={self.low!r},"
-                f" high={self.high!r}"
+                f"payouts must satisfy 0 < low < high, got low={low!r},"
+                f" high={high!r}"
             )
-        if not 0.0 < self.p_high < 1.0:
-            raise DomainError(f"p_high={self.p_high!r} must lie in (0, 1)")
+        if not 0.0 < p_high < 1.0:
+            raise DomainError(f"p_high={p_high!r} must lie in (0, 1)")
+        return super().__new__(cls, high, low, p_high)
+
+    @classmethod
+    def _make(cls, iterable) -> "TwoPointGame":
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def expectation(self) -> float:
@@ -297,8 +306,7 @@ def _draw_counts(cum: list[float], n: int, seed: int) -> list[int]:
     return counts.tolist()
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Per-period log growth statistics over periods * paths draws."""
 
     mean_log_growth: float
@@ -374,8 +382,7 @@ def simulate_wealth(
     )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified property: its name, whether it held, and the evidence."""
 
     name: str

@@ -73,13 +73,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .games import Game, GameStats, Outcome, compute_stats
+from .games import Game, GameStats, compute_stats
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -115,8 +114,7 @@ _PROBE_GAP = 1e-14
 _EPS = 2.0**-53
 
 
-@dataclass(frozen=True)
-class ProportionSolution:
+class ProportionSolution(NamedTuple):
     """Result of solving for the proportion of investment at one price.
 
     `residual` is the value of the first-order sum at the returned
@@ -138,8 +136,7 @@ class Regime(Enum):
     FULL_INVESTMENT = "full_investment"
 
 
-@dataclass(frozen=True)
-class PricingSolution:
+class PricingSolution(NamedTuple):
     """Optimal price of a game at a riskless rate.
 
     `growth_check` is the growth rate recomputed at (optimal_price,
@@ -154,22 +151,23 @@ class PricingSolution:
 
 
 def _first_order_sum(
-    outcomes: tuple[Outcome, ...], u: float, t: float, slope: bool = False
+    outcomes: tuple[tuple[float, float], ...], u: float, t: float, slope: bool = False
 ) -> float | tuple[float, float]:
-    """sum_i p_i (a_i - u) / ((a_i - u) t + u); -inf past the cap. With
+    """sum_i p_i (a_i - u) / ((a_i - u) t + u) over the (payout, weight)
+    pairs of outcomes, such as Game._pairs; -inf past the cap. With
     slope, the pair of that sum and its derivative in t,
     -sum_i p_i (a_i - u)**2 / ((a_i - u) t + u)**2, which is -inf past the cap
     too. For t >= 0 each rounded denominator is non-decreasing in the payout,
     so the smallest payout's is the least, and it is positive exactly when
     all of them are."""
-    if not (outcomes[0].payout - u) * t + u > 0.0:
+    if not (outcomes[0][0] - u) * t + u > 0.0:
         return (-math.inf, -math.inf) if slope else -math.inf
     terms = []
     derivative = 0.0
-    for o in outcomes:
-        x = o.payout - u
+    for a, w in outcomes:
+        x = a - u
         d = x * t + u
-        term = o.weight * x / d
+        term = w * x / d
         terms.append(term)
         derivative -= term * x / d
     total = math.fsum(terms)
@@ -183,7 +181,7 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     slope its derivative is equal to rounding.
     """
     if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
-        return partial(_first_order_sum, game.outcomes)
+        return partial(_first_order_sum, game._pairs)
     import numpy as np
 
     lowest = game.outcomes[0].payout
@@ -204,10 +202,8 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     return first_order_sum
 
 
-def _log_growth(outcomes: tuple[Outcome, ...], u: float, t: float) -> float:
-    return math.fsum(
-        o.weight * math.log1p(t * (o.payout - u) / u) for o in outcomes
-    )
+def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
+    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in outcomes)
 
 
 def _require_bisect_args(tol: float, max_iter: int) -> None:
@@ -377,7 +373,7 @@ def proportion_residual(game: Game, u: float, t: float) -> float:
         raise DomainError(
             f"proportion t={t!r} outside [0, u/(u - ess_inf)) = [0, {cap!r})"
         )
-    return _first_order_sum(game.outcomes, u, t)
+    return _first_order_sum(game._pairs, u, t)
 
 
 def pre_optimal_proportion(
@@ -404,7 +400,7 @@ def pre_optimal_proportion(
     t, res, iterations = _solve_proportion(
         _first_order_kernel(game), stats.ess_inf, u, tol, max_iter
     )
-    growth = math.exp(_log_growth(game.outcomes, u, t))
+    growth = math.exp(_log_growth(game._pairs, u, t))
     return ProportionSolution(
         price=u, proportion=t, growth=growth, residual=res, iterations=iterations
     )
@@ -433,7 +429,7 @@ def growth_rate(game: Game, u: float, t: float) -> float:
             f"wealth factor {1.0 + x!r} is not positive for payout"
             f" {stats.ess_inf!r} at u={u!r}, t={t!r}"
         )
-    return math.exp(_log_growth(game.outcomes, u, t))
+    return math.exp(_log_growth(game._pairs, u, t))
 
 
 def optimal_proportion(
@@ -459,7 +455,7 @@ def optimal_proportion(
     if u > stats.fair_price:
         return pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
     growth = math.exp(stats.log_moment) / u
-    res = _first_order_sum(game.outcomes, u, 1.0)
+    res = _first_order_sum(game._pairs, u, 1.0)
     return ProportionSolution(
         price=u, proportion=1.0, growth=growth, residual=res, iterations=0
     )
@@ -481,18 +477,18 @@ def _growth_target(r: float) -> float:
     return target
 
 
-def _relative_spread(outcomes: tuple[Outcome, ...], u: float) -> float:
+def _relative_spread(outcomes: tuple[tuple[float, float], ...], u: float) -> float:
     """sum p ((a - u)/u)**2 in plain float arithmetic, which overflows to inf
     where ** and math.fsum would raise."""
     total = 0.0
-    for o in outcomes:
-        x = (o.payout - u) / u
-        total += o.weight * x * x
+    for a, w in outcomes:
+        x = (a - u) / u
+        total += w * x * x
     return total
 
 
 def _price_band(
-    outcomes: tuple[Outcome, ...],
+    outcomes: tuple[tuple[float, float], ...],
     stats: GameStats,
     lo: float,
     hi: float,
@@ -621,7 +617,7 @@ def optimal_price(
             proportion=1.0,
             growth_check=growth,
         )
-    outcomes = game.outcomes
+    outcomes = game._pairs
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
@@ -637,9 +633,7 @@ def optimal_price(
         if not slope:
             return growth - target
         # by the envelope theorem d log G*/du is the partial derivative at t
-        total = sum(
-            o.weight * o.payout / (price + t * (o.payout - price)) for o in outcomes
-        )
+        total = sum(w * a / (price + t * (a - price)) for a, w in outcomes)
         return _log_newton(growth - target, -t / price * total, target, eta)
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)

@@ -13,9 +13,8 @@ discounted by exp(rate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalConsistencyError
 from .games import Game, _require_shift, compute_stats, translate
@@ -44,8 +43,7 @@ _SEARCH_START_FACTOR = 10.0
 _MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     """Both sides of the shift-invariance identities at one (u, n) pair."""
 
     shift: float
@@ -97,8 +95,8 @@ def boundary_growth(game: Game, n: float) -> float:
     Strictly decreasing in n with limit 1.
     """
     _require_shift(game, n)
-    outcomes = game.outcomes
-    shifted = [o.payout + n for o in outcomes]
+    outcomes = game._pairs
+    shifted = [a + n for a, _ in outcomes]
     if not (
         math.isfinite(shifted[-1])
         and all(lo < hi for lo, hi in zip(shifted, shifted[1:]))
@@ -106,8 +104,8 @@ def boundary_growth(game: Game, n: float) -> float:
         # Rounding merged adjacent payouts, or the largest overflowed: the
         # shifted game is not these outcomes, so build and validate it.
         return compute_stats(translate(game, n)).boundary_growth
-    harmonic = math.fsum(o.weight / a for o, a in zip(outcomes, shifted))
-    log_moment = math.fsum(o.weight * math.log(a) for o, a in zip(outcomes, shifted))
+    harmonic = math.fsum(w / s for (_, w), s in zip(outcomes, shifted))
+    log_moment = math.fsum(w * math.log(s) for (_, w), s in zip(outcomes, shifted))
     return harmonic * math.exp(log_moment)
 
 
@@ -118,8 +116,7 @@ class ThresholdStatus(Enum):
     ALREADY_FULL_INVESTMENT_AT_ZERO_SHIFT = "already_full_investment_at_zero_shift"
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Shift at which pricing switches to the full-investment regime.
 
     n0 and residual are None when the unshifted game already prices in the
@@ -200,17 +197,17 @@ def threshold_shift(
                 f"boundary growth failed to drop below exp(r)={target!r}"
                 f" for shifts up to {hi!r}"
             )
-    outcomes = game.outcomes
+    outcomes = game._pairs
     mean = stats.expectation
 
     def log_slope(n: float) -> float:
         # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
         m = mean + n
         h = h2 = 0.0
-        for o in outcomes:
-            inv = m / (o.payout + n)
-            h += o.weight * inv
-            h2 += o.weight * inv * inv
+        for a, w in outcomes:
+            inv = m / (a + n)
+            h += w * inv
+            h2 += w * inv * inv
         return (h - h2 / h) / m
 
     def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:
@@ -218,10 +215,10 @@ def threshold_shift(
         return _log_newton(res, log_slope(n), target, eta) if slope else res
 
     var = mu3 = 0.0
-    for o in outcomes:
-        d = (o.payout - mean) / mean
-        var += o.weight * d * d
-        mu3 += o.weight * d * d * d
+    for a, w in outcomes:
+        d = (a - mean) / mean
+        var += w * d * d
+        mu3 += w * d * d * d
     start = math.nan
     if var > 0.0:
         start = mean * (
@@ -232,7 +229,7 @@ def threshold_shift(
     if slope < 0.0:
         start = max((r - math.log(b0)) / slope, start)
     largest_log = max(
-        abs(math.log(outcomes[0].payout)), abs(math.log(outcomes[-1].payout + hi))
+        abs(math.log(outcomes[0][0])), abs(math.log(outcomes[-1][0] + hi))
     )
     eta = (len(outcomes) + 8) * _EPS * (1.0 + largest_log)
     pos, neg = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
@@ -292,8 +289,7 @@ def _price_translated(
     return solution, base
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     """Large-shift tracking quantities for one shift value.
 
     gap: shifted expectation minus shifted fair price (drops to 0).

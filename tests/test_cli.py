@@ -573,10 +573,15 @@ _LOADED = {
     "verify": (_CLI_MODULES | {"oracle"}, {"numpy"}),
 }
 
+# Standard-library modules that no cold command imports: dataclasses and
+# inspect cost more than the rest of the package's import. verify may import
+# inspect and pathlib, as numpy does.
+_HEAVY_STDLIB = {"dataclasses", "inspect", "pathlib"}
+
 # Prints, as JSON on stderr once the interpreter exits, the loaded growthprice
-# modules and the top-level packages outside the standard library imported
-# from files after startup. Site hooks may import some before the code runs,
-# and Cython extensions register file-less helper modules such as
+# modules, and the top-level modules outside the standard library and in it
+# imported from files after startup. Site hooks may import some before the
+# code runs, and Cython extensions register file-less helper modules such as
 # cython_runtime.
 _REPORT_MODULES = (
     "import atexit, json, sys\n"
@@ -586,14 +591,16 @@ _REPORT_MODULES = (
     "                   if m.startswith('growthprice.'))\n"
     "    tops = {m.partition('.')[0] for m, module in sys.modules.items()\n"
     "            if m not in startup and getattr(module, '__file__', None)}\n"
-    "    other = tops - set(sys.stdlib_module_names) - {'growthprice'}\n"
-    "    print(json.dumps([names, sorted(other)]), file=sys.stderr)\n"
+    "    stdlib = tops & set(sys.stdlib_module_names)\n"
+    "    other = tops - stdlib - {'growthprice'}\n"
+    "    print(json.dumps([names, sorted(other), sorted(stdlib)]), file=sys.stderr)\n"
     "atexit.register(report)\n"
 )
 
 
 def loaded_modules(code: str, *argv: str):
-    """Run code in a fresh interpreter; its growthprice and third-party modules."""
+    """Run code in a fresh interpreter; its growthprice modules, then the
+    third-party and the standard-library modules it imported."""
     src = str(Path(growthprice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -603,13 +610,15 @@ def loaded_modules(code: str, *argv: str):
         timeout=60,
     )
     assert proc.returncode == EXIT_OK, proc.stderr.decode()
-    names, other = json.loads(proc.stderr.decode().splitlines()[-1])
-    return set(names), set(other)
+    names, other, stdlib = json.loads(proc.stderr.decode().splitlines()[-1])
+    return set(names), set(other), set(stdlib)
 
 
 class TestLazyImports:
     def test_bare_import_loads_errors_and_games(self):
-        assert loaded_modules("import growthprice") == ({"errors", "games"}, set())
+        names, other, stdlib = loaded_modules("import growthprice")
+        assert (names, other) == ({"errors", "games"}, set())
+        assert not stdlib & _HEAVY_STDLIB
 
     @pytest.mark.parametrize(
         "name", ("threshold_shift", "translation", "translation.threshold_shift")
@@ -617,7 +626,7 @@ class TestLazyImports:
     def test_a_name_loads_its_home_module(self, name):
         code = f"import growthprice\ngrowthprice.{name}\n"
         modules = {"errors", "games", "solver", "translation"}
-        assert loaded_modules(code) == (modules, set())
+        assert loaded_modules(code)[:2] == (modules, set())
 
     def test_every_command_is_in_the_table(self):
         assert set(_LOADED) == set(growthprice.cli._COMMANDS)
@@ -628,8 +637,10 @@ class TestLazyImports:
         # sweep writes CSV, so the csv branch runs too
         argv, _ = _ARGV[command]
         code = "from growthprice.cli import main\nmain()\n"
-        loaded = loaded_modules(code, command, "--game", spec_path, *argv)
-        assert loaded == _LOADED[command]
+        names, other, stdlib = loaded_modules(code, command, "--game", spec_path, *argv)
+        assert (names, other) == _LOADED[command]
+        heavy = {"dataclasses"} if command == "verify" else _HEAVY_STDLIB
+        assert not stdlib & heavy
 
 
 class TestPackageRoot:

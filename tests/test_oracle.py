@@ -1,6 +1,5 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
-import dataclasses
 import math
 import warnings
 from itertools import accumulate
@@ -492,7 +491,7 @@ class TestVerify:
         def off_target(game, u, t, **kwargs):
             sim = real(game, u, t, **kwargs)
             target = math.log(growth_rate(game, u, t))
-            return dataclasses.replace(sim, mean_log_growth=target + z * sim.std_error)
+            return sim._replace(mean_log_growth=target + z * sim.std_error)
 
         monkeypatch.setattr(oracle, "simulate_wealth", off_target)
         checks = {check.name: check.passed for check in verify(three_point, seed=8704)}
