@@ -21,15 +21,16 @@ eta proves nothing, the window is the whole grid.
 The simulation draws from the counter-based splitmix64 stream (Steele, Lea
 and Flood 2014), written out below so draws are bit-reproducible across
 platforms and languages: draw i depends only on (seed, i), so a block of
-draws is a handful of numpy uint64 operations with no state to carry. Draws
-are numbered path-major, so path j owns draws [j * periods, (j + 1) *
-periods). A guide table on their leading bits (Chen and Asau 1974) assigns
-most draws to their outcome, and only an integer count of draws per outcome
-is kept. The statistics are formed from those counts, so results do not
-depend on block size, and working memory does not grow with periods * paths.
+draws is a handful of in-place numpy uint64 operations on buffers made once
+per call, with no state to carry. Draws are numbered path-major, so path j
+owns draws [j * periods, (j + 1) * periods). A guide table on their leading
+bits (Chen and Asau 1974) assigns most draws to their outcome, and only an
+integer count of draws per outcome is kept. The statistics are formed from
+those counts, so results do not depend on block size, and working memory
+does not grow with periods * paths.
 
 numpy is imported inside the functions that use it, so importing this
-module (and the CLI, which imports it) does not load numpy.
+module does not load numpy. The CLI imports this module only to run verify.
 """
 
 from __future__ import annotations
@@ -239,50 +240,71 @@ def _require_seed(seed: object) -> int:
     return number
 
 
-# Draws generated and counted together by _draw_counts, so memory stays
-# fixed however many draws a call makes.
-_BLOCK_DRAWS = 2**15
+# Draws generated and counted together by _draw_counts, in buffers made
+# once per call, so memory stays fixed however many draws a call makes.
+_BLOCK_DRAWS = 2**14
 # Draws are sorted into 2**_GUIDE_BITS guide cells by their leading bits.
 _GUIDE_BITS = 12
 
 
-def _stream(seed: int, start: int, stop: int):
-    """Outputs start..stop-1 of the stream, as a uint64 array: output i is
-    mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64), mix64 the
-    splitmix64 finalizer."""
+def _gamma_ramp(m: int):
+    """(j + 1) * 0x9E3779B97F4A7C15 mod 2**64 for j = 0..m-1, as a uint64
+    array: the stream's increments from the start of a block."""
+    import numpy as np
+
+    ramp = np.arange(1, m + 1, dtype=np.uint64)
+    ramp *= np.uint64(_SPLITMIX_GAMMA)
+    return ramp
+
+
+def _stream(seed: int, start: int, ramp, out, scratch) -> None:
+    """Write outputs start..start+m-1 of the stream into the uint64 array
+    out, m = out.size; ramp is _gamma_ramp(m) and scratch a uint64 array of
+    size m. Output i is mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod
+    2**64), mix64 the splitmix64 finalizer, and (start + j + 1) * gamma is
+    start * gamma plus ramp[j]."""
     import numpy as np
 
     # Every operand is a uint64 array or np.uint64 scalar: numpy before
     # NEP 50 turns uint64 mixed with a Python or int64 integer into float64.
-    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    z *= np.uint64(_SPLITMIX_GAMMA)
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    np.copyto(out, ramp)
+    out += np.uint64((seed + start * _SPLITMIX_GAMMA) & _MASK64)
+    np.right_shift(out, np.uint64(30), out=scratch)
+    out ^= scratch
+    out *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(out, np.uint64(27), out=scratch)
+    out ^= scratch
+    out *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(out, np.uint64(31), out=scratch)
+    out ^= scratch
 
 
 def _guide_table(thresholds):
     """Bucket of the first draw of each guide cell, and whether the cell's
-    last draw falls in a later bucket. The draws of cell c are the x with
-    53-bit integer part in [c, c + 1) * 2**41; both ends are exact floats,
-    and the bucket is monotone in x."""
+    last draw falls in a later bucket.
+
+    The draws of cell c are the x with 53-bit integer part in
+    [c, c + 1) * 2**41, and the bucket of x counts the edges at or below
+    it. With s = edge * 2**12, exact: an edge lies at or below the first
+    draw of cell c when ceil(s) <= c, and between the first and the last
+    draw of cell floor(s) when s - floor(s) lies in (0, 1 - 2**-41]."""
     import numpy as np
 
-    low_bits = 53 - _GUIDE_BITS
-    first = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << np.uint64(low_bits)
-    last = first + np.uint64((1 << low_bits) - 1)
-    guide = np.searchsorted(thresholds, first * 2.0**-53, side="right")
-    straddles = guide != np.searchsorted(thresholds, last * 2.0**-53, side="right")
+    cells = 1 << _GUIDE_BITS
+    s = thresholds * float(cells)
+    above = np.minimum(np.ceil(s), cells).astype(np.intp)
+    guide = np.cumsum(np.bincount(above, minlength=cells + 1))[:cells]
+    whole = np.floor(s)
+    part = s - whole
+    splits = (part > 0.0) & (part <= 1.0 - 2.0**(_GUIDE_BITS - 53)) & (whole < cells)
+    straddles = np.zeros(cells, dtype=bool)
+    straddles[whole[splits].astype(np.intp)] = True
     return guide, straddles
 
 
 def _draw_counts(cum: list[float], n: int, seed: int) -> list[int]:
     """Draws per bucket of the cumulative weights `cum` (last entry 1.0)
-    among the first n outputs of _stream(seed, ...)."""
+    among the first n outputs of the stream at seed."""
     import numpy as np
 
     # Every draw lies below cum[-1] = 1.0, so `cum <= x` holds on a prefix
@@ -293,16 +315,27 @@ def _draw_counts(cum: list[float], n: int, seed: int) -> list[int]:
     cell_counts = np.zeros(1 << _GUIDE_BITS, dtype=np.int64)
     counts = np.zeros(len(cum), dtype=np.int64)
 
+    size = min(_BLOCK_DRAWS, n)
+    ramp = _gamma_ramp(size)
+    out = np.empty(size, dtype=np.uint64)
+    scratch = np.empty(size, dtype=np.uint64)
+    cell = scratch.view(np.int64)
     for start in range(0, n, _BLOCK_DRAWS):
-        out = _stream(seed, start, min(start + _BLOCK_DRAWS, n))
-        cell = (out >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)
+        m = min(size, n - start)
+        if m < size:
+            ramp, out, scratch, cell = ramp[:m], out[:m], scratch[:m], cell[:m]
+        _stream(seed, start, ramp, out, scratch)
+        # scratch, read through cell, now takes each output's guide cell
+        np.right_shift(out, np.uint64(64 - _GUIDE_BITS), out=scratch)
         cell_counts += np.bincount(cell, minlength=1 << _GUIDE_BITS)
         x = (out[straddles[cell]] >> np.uint64(11)) * 2.0**-53
         counts += np.bincount(
             np.searchsorted(thresholds, x, side="right"), minlength=len(cum)
         )
-    # every draw in a cell that no bucket edge splits falls in its guide bucket
-    np.add.at(counts, guide[~straddles], cell_counts[~straddles])
+    # every draw in a cell that no bucket edge splits falls in its guide
+    # bucket; the draws of the other cells were counted above
+    cell_counts[straddles] = 0
+    np.add.at(counts, guide, cell_counts)
     return counts.tolist()
 
 

@@ -107,9 +107,8 @@ def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls
 def test_draws_are_made_in_full_blocks_whatever_the_shape(
     two_point, calls, periods, paths
 ):
-    # ceil(10**5 / 2**15) blocks
     simulate_wealth(two_point, 7.0, 0.5, periods=periods, paths=paths, seed=3)
-    assert calls["_stream"] == 4
+    assert calls["_stream"] == math.ceil(10**5 / growthprice.oracle._BLOCK_DRAWS)
 
 
 def test_a_game_is_validated_once_across_calls(two_point, calls):

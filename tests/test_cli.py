@@ -1,6 +1,7 @@
 """CLI surface: reports, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -575,14 +576,14 @@ _LOADED = {
 
 # Standard-library modules that no cold command imports: dataclasses and
 # inspect cost more than the rest of the package's import. verify may import
-# inspect and pathlib, as numpy does.
+# inspect, as numpy does.
 _HEAVY_STDLIB = {"dataclasses", "inspect", "pathlib"}
 
 # Prints, as JSON on stderr once the interpreter exits, the loaded growthprice
 # modules, and the top-level modules outside the standard library and in it
-# imported from files after startup. Site hooks may import some before the
-# code runs, and Cython extensions register file-less helper modules such as
-# cython_runtime.
+# imported from files after startup. Interpreter startup imports some before
+# the code runs, and Cython extensions register file-less helper modules such
+# as cython_runtime.
 _REPORT_MODULES = (
     "import atexit, json, sys\n"
     "startup = set(sys.modules)\n"
@@ -600,11 +601,16 @@ _REPORT_MODULES = (
 
 def loaded_modules(code: str, *argv: str):
     """Run code in a fresh interpreter; its growthprice modules, then the
-    third-party and the standard-library modules it imported."""
-    src = str(Path(growthprice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    third-party and the standard-library modules it imported.
+
+    The interpreter runs with -S, since a site hook (such as a .pth file)
+    may import modules before the code runs and hide them from the report;
+    numpy's install directory follows src on the path instead."""
+    src = Path(growthprice.__file__).resolve().parents[1]
+    numpy_home = Path(importlib.util.find_spec("numpy").origin).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(numpy_home)]))
     proc = subprocess.run(
-        [sys.executable, "-c", _REPORT_MODULES + code, *argv],
+        [sys.executable, "-S", "-c", _REPORT_MODULES + code, *argv],
         env=env,
         capture_output=True,
         timeout=60,
@@ -639,7 +645,7 @@ class TestLazyImports:
         code = "from growthprice.cli import main\nmain()\n"
         names, other, stdlib = loaded_modules(code, command, "--game", spec_path, *argv)
         assert (names, other) == _LOADED[command]
-        heavy = {"dataclasses"} if command == "verify" else _HEAVY_STDLIB
+        heavy = _HEAVY_STDLIB - {"inspect"} if command == "verify" else _HEAVY_STDLIB
         assert not stdlib & heavy
 
 

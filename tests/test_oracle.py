@@ -1,6 +1,7 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import accumulate
 
@@ -145,6 +146,41 @@ def scalar_counts(cum, periods, paths, seed):
                 k += 1
             counts[k] += 1
     return counts
+
+
+def reference_guide_table(thresholds):
+    """The guide table by its definition: the bucket, by searchsorted, of
+    the first and of the last draw of each guide cell."""
+    low_bits = 53 - oracle._GUIDE_BITS
+    first = np.arange(1 << oracle._GUIDE_BITS, dtype=np.uint64) << np.uint64(low_bits)
+    last = first + np.uint64((1 << low_bits) - 1)
+    guide = np.searchsorted(thresholds, first * 2.0**-53, side="right")
+    return guide, guide != np.searchsorted(thresholds, last * 2.0**-53, side="right")
+
+
+def one_ulp_either_side(edge):
+    return [[math.nextafter(edge, 0.0), 1.0], [math.nextafter(edge, 1.0), 1.0]]
+
+
+# Bucket edges where the guide cells and the float grid meet: on a cell
+# boundary, one ulp either side of one (below 0.5 the ulp is finer than the
+# 2**-53 draw grid, so the edge can lie above a cell's last draw), at the
+# first and the last draw, several in one cell, and sums that rounding
+# lifted above 1 before the last entry.
+_GUIDE_EDGE_SETS = [
+    [0.25, 0.5, 1.0],
+    [2.0**-12, 7 * 2.0**-12, 2048 * 2.0**-12, 4095 * 2.0**-12, 1.0],
+    *one_ulp_either_side(0.25),
+    *one_ulp_either_side(0.5),
+    *one_ulp_either_side(3 * 2.0**-12),
+    *one_ulp_either_side(4095 * 2.0**-12),
+    [2.0**-53, 1.0],
+    [1.0 - 2.0**-53, 1.0],
+    [2.0**-53, 1.0 - 2.0**-53, 1.0],
+    [0.1, 0.10001, 0.100011, 0.10002, 1.0],
+    [0.3, 1.0 + 2.0**-52, 1.0],
+    [0.5, 1.0 + 2.0**-52, 1.0 + 2.0**-52, 1.0],
+]
 
 
 class TestGridArgmax:
@@ -418,11 +454,55 @@ class TestDrawStream:
         # Python or int64 integer in the arithmetic, numpy before NEP 50
         # would compute in float64, and numpy scalar arithmetic warns on wrap
         seed = 2**64 - 1
+        got = np.empty(stop - start, dtype=np.uint64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = oracle._stream(seed, start, stop)
-        assert got.dtype == np.uint64
+            ramp = oracle._gamma_ramp(got.size)
+            oracle._stream(seed, start, ramp, got, np.empty_like(got))
         assert got.tolist() == [stream_output(seed, i) for i in range(start, stop)]
+
+    @pytest.mark.parametrize("cum", _GUIDE_EDGE_SETS)
+    def test_guide_table_matches_its_definition_at_cell_edges(self, cum):
+        thresholds = np.array(cum)
+        guide, straddles = oracle._guide_table(thresholds)
+        expected_guide, expected_straddles = reference_guide_table(thresholds)
+        assert guide.tolist() == expected_guide.tolist()
+        assert straddles.tolist() == expected_straddles.tolist()
+        assert oracle._draw_counts(cum, 3000, 5) == scalar_counts(cum, 3000, 1, 5)
+
+    def test_guide_table_matches_its_definition_on_random_games(self):
+        rng = np.random.default_rng(4096)
+        for _ in range(200):
+            thresholds = np.array(bucket_edges(random_game(rng, 2, 64)))
+            guide, straddles = oracle._guide_table(thresholds)
+            expected_guide, expected_straddles = reference_guide_table(thresholds)
+            assert np.array_equal(guide, expected_guide)
+            assert np.array_equal(straddles, expected_straddles)
+
+    def test_working_memory_does_not_grow_with_the_draws(self):
+        # numpy reports its buffers to tracemalloc. A call holds three
+        # buffers of 8 * _BLOCK_DRAWS bytes and four int64 arrays with an
+        # entry per guide cell, however many draws it makes. The draws a
+        # block searches, free lists and caches move the traced peak by a few
+        # hundred bytes from call to call, so untraced calls fill the caches
+        # first and the peaks are compared to within 1 KiB.
+        cum = bucket_edges(random_game(np.random.default_rng(64), 64, 64))
+        draws = (10**5, 10**6)
+        for n in draws:
+            oracle._draw_counts(cum, n, 9)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in draws:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                oracle._draw_counts(cum, n, 9)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 1024
+        cell_tables = 4 * 8 * (1 << oracle._GUIDE_BITS)
+        assert max(peaks) < 3 * 8 * oracle._BLOCK_DRAWS + cell_tables
 
     @pytest.mark.parametrize("block_draws", [1, 10**9])
     def test_block_size_does_not_change_the_result(self, monkeypatch, block_draws):
