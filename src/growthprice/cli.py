@@ -123,12 +123,14 @@ def _cmd_price(cfg: RunConfig, game: Game) -> dict:
 
 
 def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
-    from .translation import _price_translated, check_invariance
+    from .translation import check_invariance, price_translated
 
-    pricing, base = _price_translated(game, cfg.rate, cfg.shift, cfg.tol, cfg.max_iter)
+    pricing = price_translated(
+        game, cfg.rate, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
+    )
     shifted_stats = compute_stats(translate(game, cfg.shift))
-    if base is None:
-        base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
+    # the game keeps its price, so this solves only where price_translated did not
+    base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
     invariance = note = None
     try:
         invariance = check_invariance(

@@ -40,15 +40,19 @@ class Game(_GameFields):
     sums deterministic. Negative and NaN weights are never merged: each stays
     an entry of its own, so validation reports it instead of a hiding sum.
 
-    The summary statistics are computed on first use and kept on the
-    instance, so a game is validated once however many solvers it passes
-    through. They take no part in equality or hashing. A game that fails
-    validation caches no statistics and raises again on every use.
-    Concurrent first access is safe: the computation is deterministic, so
-    every thread sees the same values.
+    The instance dict keeps what is computed from the game on first use:
+    the summary statistics, so a game is validated once however many
+    solvers it passes through; the outcomes as plain pairs; and
+    solver.optimal_price's last result with its arguments, so a game priced
+    twice at the same arguments is solved once. None of them takes part in
+    equality or hashing. A game that fails validation caches no statistics
+    and raises again on every use. Concurrent use is safe: each value is
+    deterministic and stored whole, the last price as one (arguments,
+    result) tuple, so every thread sees the values a fresh game would give.
     """
 
-    # No __slots__: the instance dict holds the cached statistics and pairs.
+    # No __slots__: the instance dict holds the cached statistics, the pairs
+    # and the last price.
 
     def __new__(cls, outcomes: Iterable[Outcome], label: str | None = None) -> "Game":
         merged: dict[float, float] = {}

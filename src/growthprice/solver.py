@@ -26,7 +26,11 @@ widths are relative, and ess_inf for the threshold shift, whose root may lie
 near 0. _bisect refuses max_iter below 1 and tol outside [0, inf), and so
 does every solver, even where the regime gives the answer in closed form.
 Everything here is a pure function of immutable inputs and is safe to call
-concurrently.
+concurrently. optimal_price also keeps its last result on the game, in the
+instance dict beside the cached statistics (Michie's memo function, 1968):
+one (arguments, result) tuple, stored and read whole, so a concurrent call
+sees either no entry or a complete one, and a hit returns the result a fresh
+game would.
 
 Bisections are replayed rather than run, from sign certificates: points
 whose sign every midpoint beyond them shares. The lemma behind them (Brent
@@ -598,7 +602,23 @@ def optimal_price(
     bounds the rounding of the log growth and the inner solve's optimality
     deficit; where it cannot be shown the bisection runs plain. A fair price
     within _PRICE_MARGIN of the expectation leaves no bracket and is refused.
+
+    The game keeps the last result, under its exact arguments compared by
+    type and value (r=1 and r=1.0 give different rate fields), and returns
+    it to a call with the same arguments without solving again. A call with
+    other arguments replaces it; a call that raises leaves it in place.
     """
+    key = (type(r), r, type(tol), tol, type(max_iter), max_iter)
+    kept = game.__dict__.get("_price")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    solution = _solve_price(game, r, tol, max_iter)
+    game.__dict__["_price"] = (key, solution)
+    return solution
+
+
+def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolution:
+    """optimal_price, solved without the kept result."""
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)

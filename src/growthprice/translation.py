@@ -255,20 +255,16 @@ def price_translated(
     regime, the result must equal the original optimal price plus n; the
     two routes are compared to TRANSLATION_CHECK_TOL relative, and a
     mismatch raises InternalConsistencyError, whose message says when either
-    solve stopped short of tol at max_iter.
+    solve stopped short of tol at max_iter. The original price is
+    optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
+    a caller that has just priced the game with these arguments, or prices
+    it after this call, pays for one solve. The shifted game is built anew,
+    so its price is always solved.
     """
-    return _price_translated(game, r, n, tol, max_iter)[0]
-
-
-def _price_translated(
-    game: Game, r: float, n: float, tol: float, max_iter: int
-) -> tuple[PricingSolution, PricingSolution | None]:
-    """price_translated, and the original game's optimal price when it was
-    computed: always, unless the shifted game prices at full investment."""
     target = _growth_target(r)
     solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)
     if solution.regime is Regime.FULL_INVESTMENT:
-        return solution, None
+        return solution
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)
     if base.regime is Regime.INTERIOR:
         expected = base.optimal_price + n
@@ -286,7 +282,7 @@ def _price_translated(
                     f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
                 )
             raise InternalConsistencyError(message)
-    return solution, base
+    return solution
 
 
 class AsymptoticRow(NamedTuple):

@@ -21,6 +21,8 @@ import growthprice.oracle
 import growthprice.solver
 import growthprice.translation
 from growthprice import (
+    DomainError,
+    Game,
     compute_stats,
     grid_argmax_growth,
     optimal_price,
@@ -29,6 +31,7 @@ from growthprice import (
     save_spec,
     simulate_wealth,
     threshold_shift,
+    translate,
 )
 from growthprice.cli import RunConfig, run
 
@@ -36,6 +39,7 @@ COUNTED = {
     "validate": growthprice.games,
     "translate": growthprice.games,
     "optimal_price": growthprice.solver,
+    "_solve_price": growthprice.solver,
     "_first_order_sum": growthprice.solver,
     "boundary_growth": growthprice.translation,
     "_stream": growthprice.oracle,
@@ -127,11 +131,55 @@ def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):
 
 
 def test_translate_command_prices_each_game_once(two_point, tmp_path, calls):
+    # the command asks for the original price twice, and the game keeps it
     path = tmp_path / "two_point.json"
     path.write_text(save_spec(two_point))
     cfg = RunConfig(command="translate", game_path=str(path), rate=0.05, shift=10.0)
     assert run(cfg, stdout=io.StringIO()) == 0
-    assert calls["optimal_price"] == 2
+    assert calls["_solve_price"] == 2
+
+
+def test_price_translated_reuses_the_price_its_caller_computed(two_point, calls):
+    optimal_price(translate(Game(*two_point), 10.0), 0.05)
+    shifted_alone = calls["_first_order_sum"]
+    calls.clear()
+    base = optimal_price(two_point, 0.05)
+    shifted = price_translated(two_point, 0.05, 10.0)
+    assert calls["_first_order_sum"] == 37 + shifted_alone
+    assert calls["_solve_price"] == 2
+    assert repr(base) == repr(optimal_price(Game(*two_point), 0.05))
+    assert repr(shifted) == repr(price_translated(Game(*two_point), 0.05, 10.0))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0.05, {}), (0.06, {})),
+        ((0.05, {}), (0.05, {"tol": 1e-10})),
+        ((0.05, {}), (0.05, {"max_iter": 100})),
+        ((1.0, {}), (1, {})),
+        ((0.05, {}), (np.float64(0.05), {})),
+    ],
+    ids=["rate", "tol", "max_iter", "int_rate", "numpy_rate"],
+)
+def test_other_arguments_solve_again(two_point, calls, first, second):
+    optimal_price(two_point, first[0], **first[1])
+    kept = set(vars(two_point))
+    got = optimal_price(two_point, second[0], **second[1])
+    assert calls["_solve_price"] == 2
+    assert repr(got) == repr(optimal_price(Game(*two_point), second[0], **second[1]))
+    # the new result replaced the old one
+    assert set(vars(two_point)) == kept
+    assert optimal_price(two_point, second[0], **second[1]) is got
+    assert calls["_solve_price"] == 3
+
+
+def test_a_refused_call_keeps_the_last_price(two_point, calls):
+    first = optimal_price(two_point, 0.05)
+    with pytest.raises(DomainError, match="^max_iter="):
+        optimal_price(two_point, 0.05, max_iter=0)
+    assert optimal_price(two_point, 0.05) is first
+    assert calls["_solve_price"] == 2
 
 
 @pytest.mark.parametrize("k", [2, 5, 12, 28, 64])

@@ -324,8 +324,9 @@ def test_certified_price_and_threshold_replay_plain_bisection(
     assume(r > 1e-15)
     for solve in (optimal_price, threshold_shift):
         certified = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
+        # on a fresh game, which keeps no price from the certified solve
         with patch.object(growthprice.solver, "_NEWTON_STEPS", 0):
-            plain = _outcome(solve, game, r, tol=tol, max_iter=max_iter)
+            plain = _outcome(solve, Game(*game), r, tol=tol, max_iter=max_iter)
         assert certified == plain, solve.__name__
 
 

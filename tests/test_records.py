@@ -105,6 +105,11 @@ class TestRecords:
         gp.compute_stats(warm)
         assert "_stats" in vars(warm) and "_stats" not in vars(cold)
         assert warm == cold and hash(warm) == hash(cold)
+        # nor does the last price the game keeps
+        stats_only = set(vars(warm))
+        gp.optimal_price(warm, 0.05)
+        assert set(vars(warm)) > stats_only
+        assert warm == cold and hash(warm) == hash(cold)
 
     @pytest.mark.parametrize(
         "fields",

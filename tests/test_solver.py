@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -246,6 +247,37 @@ class TestOptimalPrice:
         assert solution.regime is Regime.FULL_INVESTMENT
         assert 2.2250738585072014e-308 < solution.optimal_price < 4e-308
         assert math.isclose(solution.growth_check, math.exp(249.0), rel_tol=1e-15)
+
+    def test_threads_pricing_one_game_at_two_rates_get_fresh_results(self, two_point):
+        # the game keeps one price at a time; a thread must never be handed
+        # the other rate's result, nor a result another thread half stored
+        rates = (0.05, 0.3)
+        expected = {r: repr(optimal_price(Game(*two_point), r)) for r in rates}
+        wrong, finished = [], []
+
+        def price_in_turn(first: int) -> None:
+            for i in range(40):
+                r = rates[(first + i) % 2]
+                got = repr(optimal_price(two_point, r))
+                if got != expected[r]:
+                    wrong.append((r, got))
+            finished.append(first)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=price_in_turn, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert wrong == []
 
 
 class TestMonotonicity:
@@ -570,7 +602,7 @@ class TestFirstOrderKernels:
         r = 0.05
         n0 = threshold_shift(game, r).n0
 
-        def solve_all():
+        def solve_all(game):
             return repr(
                 (
                     optimal_price(game, r),
@@ -581,10 +613,11 @@ class TestFirstOrderKernels:
                 )
             )
 
-        vector = solve_all()
+        vector = solve_all(game)
         monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert isinstance(_first_order_kernel(game), partial)  # the loop
-        assert solve_all() == vector
+        # a fresh game, since game keeps the price the numpy kernel found
+        assert solve_all(Game(*game)) == vector
 
     def test_single_evaluations_leave_numpy_unimported(self):
         # optimal_proportion at or below the fair price and proportion_residual
