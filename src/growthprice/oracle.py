@@ -4,33 +4,23 @@ runs them.
 Three routes that never touch the bisection code: the closed-form solution
 for two-point games, the argmax of the growth rate over a uniform grid, and
 Monte Carlo simulation of per-period wealth growth. verify compares each of
-them with the solver and reports one Check per property.
+them with the solver and reports one Check per property. The module is pure
+Python: it imports no numpy, so neither does the verify command on games
+narrow enough for the solver's loop kernel.
 
-The grid argmax returns the first maximum, the smaller proportion, of the
-log growth as evaluated at every grid point, but evaluates few of them.
-The exact log growth F(t) = sum w log1p(t (a - u)/u) is strictly concave,
-so once F(c) > F(j) for grid points j < c, no point at or left of j can
-beat c, and likewise on the right. A coarse pass at every isqrt(N)-th
-point finds its first maximum c. eta bounds the rounding error of any one
-evaluation (see grid_argmax_growth), so a coarse point evaluated more than
-4 eta below c proves that no grid point beyond it is the first maximum.
-Only the window between the nearest such points on either side of c is
-evaluated in full, about 3 sqrt(N) points in all, 948 of 100 000; where
-eta proves nothing, the window is the whole grid.
+The grid argmax returns the first maximum of the log growth as evaluated
+at every grid point, but evaluates about 50 of 100 000 points: a ternary
+search cuts the range only where the concavity of the log growth and a
+bound on its rounding prove the cut (see grid_argmax_growth).
 
-The simulation draws from the counter-based splitmix64 stream (Steele, Lea
-and Flood 2014), written out below so draws are bit-reproducible across
-platforms and languages: draw i depends only on (seed, i), so a block of
-draws is a handful of in-place numpy uint64 operations on buffers made once
-per call, with no state to carry. Draws are numbered path-major, so path j
-owns draws [j * periods, (j + 1) * periods). A guide table on their leading
-bits (Chen and Asau 1974) assigns most draws to their outcome, and only an
-integer count of draws per outcome is kept. The statistics are formed from
-those counts, so results do not depend on block size, and working memory
-does not grow with periods * paths.
-
-numpy is imported inside the functions that use it, so importing this
-module does not load numpy. The CLI imports this module only to run verify.
+The simulation keeps only the number of draws that fall on each outcome,
+and those counts are Multinomial(periods * paths, w). They are sampled
+exactly as K - 1 conditional binomials (Davis 1993), each drawn by
+inversion where its smaller tail has mean below 10 and by Hoermann's BTRS
+otherwise, from the splitmix64 stream (Steele, Lea and Flood 2014). So a
+call costs the same at 10**3 draws as at 10**12. The binomials call
+math.log, math.log1p, math.exp and math.lgamma, so the counts are
+reproducible across platforms that share a libm, not across languages.
 """
 
 from __future__ import annotations
@@ -124,41 +114,30 @@ def _require_integer(name: str, value: object, low: int) -> int:
     except TypeError:
         raise DomainError(f"{name}={value!r} must be an integer") from None
     if not number >= low:
-        raise DomainError(
-            f"{name}={value!r} must be nonnegative"
-            if low == 0
-            else f"{name}={value!r} must be at least {low}"
-        )
+        bound = "be nonnegative" if low == 0 else f"be at least {low}"
+        raise DomainError(f"{name}={value!r} must {bound}")
     return number
 
 
-def _log_growth(game: Game, u: float, ts):
-    """The log growth at each proportion of the float64 array ts, as
-    sum w * log1p(ts * ((a - u) / u)) over the outcomes in order."""
-    import numpy as np
-
-    log_growth = np.zeros_like(ts)
-    # One scratch buffer for every outcome's term; the operations and their
-    # order are those of log_growth += w * log1p(ts * ((a - u) / u)).
-    term = np.empty_like(ts)
-    for o in game.outcomes:
-        np.multiply(ts, (o.payout - u) / u, out=term)
-        np.log1p(term, out=term)
-        term *= o.weight
-        log_growth += term
-    return log_growth
+def _log_growth(terms: list[tuple[float, float]], t: float) -> float:
+    """The log growth at proportion t: sum w * log1p(t * ratio) over the
+    (w, ratio) pairs, ratio = (a - u)/u, added in order from 0.0."""
+    total = 0.0
+    for w, ratio in terms:
+        total += w * math.log1p(t * ratio)
+    return total
 
 
 def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
-    """Argmax of the growth rate over a uniform proportion grid, found from
-    a coarse pass and a window that must hold it.
+    """Argmax of the growth rate over a uniform proportion grid, found by a
+    proven ternary search.
 
     Grid point i (0-based) of N = grid_points is cap * (i + 1)/(N + 1),
     cap = min(1, (1 - 1e-9) * u/(u - ess_inf)); ties resolve to the first
     maximum, the smaller proportion. Prices must lie in (fair_price,
     expectation), where the no-borrowing optimum is interior. The result is
     the first argmax of _log_growth over the whole grid, but only about
-    3 sqrt(N) points are evaluated.
+    2 log_1.5(N) points are evaluated where every probe pair proves a cut.
 
     Lemma. Let F(t) = sum w log1p(t (a - u)/u), with the weights and the
     ratios (a - u)/u as the floats used below, and F(i) its value at grid
@@ -180,22 +159,25 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     the 2 covering second-order terms and the roundings of eta and of the
     comparisons with it.
 
-    Window. The coarse pass evaluates points s - 1, 2s - 1, ... and N - 1,
-    s = isqrt(N), and c is its first argmax. j_a is the nearest coarse
-    point left of c with f~(c) - f~(j_a) > 4 eta, or -1 if there is none,
-    and j_b the nearest such point on the right, or N. Then
-    F(c) - F(j_a) > 2 eta, so by the lemma any evaluation of a point
-    i <= j_a is at most F(j_a) + eta < F(c) - eta, below any evaluation of
-    c; the same holds for i >= j_b. So the first maximum of the full grid
-    lies in (j_a, j_b), and only that window is evaluated. 4 eta rather
-    than 2 eta keeps the proof free of any assumption that a point gets the
-    same bits in a short array as in a long one. Where eta proves nothing,
-    as when (a - u)/u overflows and eta is NaN, the window is the whole
-    grid.
+    Cut. If f~(m2) - f~(m1) > 4 eta for probes m1 < m2, then
+    F(m2) - F(m1) > 2 eta, so by the lemma any point i <= m1 evaluates to
+    at most F(m1) + eta < F(m2) - eta, below f~(m2): none is the first
+    maximum, and the range [lo, hi] that holds it becomes [m1 + 1, hi].
+    Likewise on the right. The probes are lo + d and hi - d,
+    d = (hi - lo) // 3, and the search runs until lo = hi or a pair proves
+    nothing.
+
+    Window. What is left of the range is then settled as a whole grid:
+    a coarse pass evaluates points lo + s - 1, lo + 2s - 1, ... and hi,
+    s = isqrt(hi - lo + 1), and c is its first argmax. j_a is the nearest
+    coarse point left of c with f~(c) - f~(j_a) > 4 eta, or lo - 1 if there
+    is none, and j_b the nearest such point on the right, or hi + 1. By the
+    same argument no point outside (j_a, j_b) is the first maximum, so only
+    that window is evaluated. Where eta proves nothing, as when (a - u)/u
+    overflows and eta is NaN, every comparison with it is false, the search
+    stops at its first pair and the window is the whole grid.
     """
     n = _require_integer("grid_points", grid_points, 1)
-    import numpy as np
-
     stats = compute_stats(game)
     if not (stats.fair_price < u < stats.expectation):
         raise DomainError(
@@ -203,28 +185,40 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
             f" ({stats.fair_price!r}, {stats.expectation!r})"
         )
     cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
-    # Points are numbered i + 1 = 1..n; point i is cap * (i + 1) / (n + 1).
-    stride = math.isqrt(n)
-    coarse = np.append(np.arange(stride, n, stride, dtype=np.float64), n)
-    coarse_ts = cap * coarse / (n + 1)
-    values = _log_growth(game, u, coarse_ts)
-    c = int(np.argmax(values))
+    terms = [(o.weight, (o.payout - u) / u) for o in game.outcomes]
+    values: dict[int, float] = {}
 
-    t_last = float(coarse_ts[-1])
+    def value(i: int) -> float:
+        if i not in values:
+            values[i] = _log_growth(terms, cap * (i + 1) / (n + 1))
+        return values[i]
+
+    t_last = cap * n / (n + 1)
     spread = 0.0
-    for o in game.outcomes:
-        x = t_last * ((o.payout - u) / u)
-        spread += o.weight * (abs(math.log1p(x)) + abs(x) / (1.0 + x))
-    eta = 2.0 * (len(game.outcomes) + 8) * 2.0**-53 * spread
+    for w, ratio in terms:
+        x = t_last * ratio
+        spread += w * (abs(math.log1p(x)) + abs(x) / (1.0 + x))
+    eta = 2.0 * (len(terms) + 8) * 2.0**-53 * spread
 
-    # every comparison with a NaN eta is false
-    below = values < values[c] - 4.0 * eta
-    left = np.flatnonzero(below[:c])
-    right = np.flatnonzero(below[c + 1 :])
-    first = int(coarse[left[-1]]) + 1 if left.size else 1
-    last = int(coarse[c + 1 + right[0]]) - 1 if right.size else n
-    ts = cap * np.arange(first, last + 1, dtype=np.float64) / (n + 1)
-    return float(ts[int(np.argmax(_log_growth(game, u, ts)))])
+    lo, hi = 0, n - 1
+    while lo < hi:
+        third = (hi - lo) // 3
+        m1, m2 = lo + third, hi - third
+        if value(m1) < value(m2) - 4.0 * eta:
+            lo = m1 + 1
+        elif value(m2) < value(m1) - 4.0 * eta:
+            hi = m2 - 1
+        else:
+            break
+
+    stride = math.isqrt(hi - lo + 1)
+    coarse = [*range(lo + stride - 1, hi, stride), hi]
+    c = max(range(len(coarse)), key=lambda j: value(coarse[j]))
+    floor = value(coarse[c]) - 4.0 * eta
+    first = next((j + 1 for j in reversed(coarse[:c]) if value(j) < floor), lo)
+    last = next((j - 1 for j in coarse[c + 1 :] if value(j) < floor), hi)
+    best = max(range(first, last + 1), key=value)
+    return cap * (best + 1) / (n + 1)
 
 
 # splitmix64 constants, written out for cross-language reproducibility.
@@ -240,103 +234,119 @@ def _require_seed(seed: object) -> int:
     return number
 
 
-# Draws generated and counted together by _draw_counts, in buffers made
-# once per call, so memory stays fixed however many draws a call makes.
-_BLOCK_DRAWS = 2**14
-# Draws are sorted into 2**_GUIDE_BITS guide cells by their leading bits.
-_GUIDE_BITS = 12
+def _uniforms(seed: int):
+    """The splitmix64 stream at seed, as floats in (0, 1]: output i is
+
+        ((mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64) >> 11) + 1) * 2**-53
+
+    with mix64 the splitmix64 finalizer. 1 rather than 0 is included, so
+    log() of a draw is always finite."""
+    state = seed
+    while True:
+        state = (state + _SPLITMIX_GAMMA) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield (((z ^ (z >> 31)) >> 11) + 1) * 2.0**-53
 
 
-def _gamma_ramp(m: int):
-    """(j + 1) * 0x9E3779B97F4A7C15 mod 2**64 for j = 0..m-1, as a uint64
-    array: the stream's increments from the start of a block."""
-    import numpy as np
-
-    ramp = np.arange(1, m + 1, dtype=np.uint64)
-    ramp *= np.uint64(_SPLITMIX_GAMMA)
-    return ramp
+# A binomial whose smaller tail has mean below this is drawn by inversion,
+# in that many steps on average; BTRS's constants hold from n p >= 10.
+_INVERSION_MEAN = 10.0
 
 
-def _stream(seed: int, start: int, ramp, out, scratch) -> None:
-    """Write outputs start..start+m-1 of the stream into the uint64 array
-    out, m = out.size; ramp is _gamma_ramp(m) and scratch a uint64 array of
-    size m. Output i is mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod
-    2**64), mix64 the splitmix64 finalizer, and (start + j + 1) * gamma is
-    start * gamma plus ramp[j]."""
-    import numpy as np
-
-    # Every operand is a uint64 array or np.uint64 scalar: numpy before
-    # NEP 50 turns uint64 mixed with a Python or int64 integer into float64.
-    np.copyto(out, ramp)
-    out += np.uint64((seed + start * _SPLITMIX_GAMMA) & _MASK64)
-    np.right_shift(out, np.uint64(30), out=scratch)
-    out ^= scratch
-    out *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(out, np.uint64(27), out=scratch)
-    out ^= scratch
-    out *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(out, np.uint64(31), out=scratch)
-    out ^= scratch
+def _stirling_tail(x: int) -> float:
+    """log x! - (x + 1/2) log(x + 1) + x + 1 - log(2 pi)/2, Stirling's
+    remainder: by lgamma below 30, by its series in 1/(x + 1) above."""
+    if x < 30:
+        stirling = (x + 0.5) * math.log(x + 1) - x - 1 + 0.5 * math.log(math.tau)
+        return math.lgamma(x + 1) - stirling
+    z = 1.0 / (x + 1)
+    return (1 / 12 - (1 / 360 - z * z / 1260) * z * z) * z
 
 
-def _guide_table(thresholds):
-    """Bucket of the first draw of each guide cell, and whether the cell's
-    last draw falls in a later bucket.
-
-    The draws of cell c are the x with 53-bit integer part in
-    [c, c + 1) * 2**41, and the bucket of x counts the edges at or below
-    it. With s = edge * 2**12, exact: an edge lies at or below the first
-    draw of cell c when ceil(s) <= c, and between the first and the last
-    draw of cell floor(s) when s - floor(s) lies in (0, 1 - 2**-41]."""
-    import numpy as np
-
-    cells = 1 << _GUIDE_BITS
-    s = thresholds * float(cells)
-    above = np.minimum(np.ceil(s), cells).astype(np.intp)
-    guide = np.cumsum(np.bincount(above, minlength=cells + 1))[:cells]
-    whole = np.floor(s)
-    part = s - whole
-    splits = (part > 0.0) & (part <= 1.0 - 2.0**(_GUIDE_BITS - 53)) & (whole < cells)
-    straddles = np.zeros(cells, dtype=bool)
-    straddles[whole[splits].astype(np.intp)] = True
-    return guide, straddles
+def _log_pmf_ratio(n: int, p: float, m: int, k: int) -> float:
+    """log(f(k) / f(m)), f the Binomial(n, p) pmf, 0 <= k, m <= n, as
+    Stirling's formula plus _stirling_tail with its large terms differenced
+    by log1p: the rounding grows with |k - m|, not with n. A difference of
+    lgamma values would carry n log n 2**-53, about 3e-3 at n = 10**12."""
+    return (
+        (k + 0.5) * math.log1p((m - k) / (k + 1))
+        + (n - k + 0.5) * math.log1p((k - m) / (n - k + 1))
+        + (k - m) * math.log((n - m + 1) * p / ((m + 1) * (1.0 - p)))
+        + _stirling_tail(m) + _stirling_tail(n - m)
+        - _stirling_tail(k) - _stirling_tail(n - k)
+    )
 
 
-def _draw_counts(cum: list[float], n: int, seed: int) -> list[int]:
-    """Draws per bucket of the cumulative weights `cum` (last entry 1.0)
-    among the first n outputs of the stream at seed."""
-    import numpy as np
+def _binomial(n: int, p: float, uniform) -> int:
+    """One Binomial(n, p) draw, 0 <= p <= 1, from uniform(), which returns
+    the next draw in (0, 1].
 
-    # Every draw lies below cum[-1] = 1.0, so `cum <= x` holds on a prefix
-    # of cum even where rounding lifted an earlier sum above 1, and
-    # searchsorted finds the bucket a linear scan would.
-    thresholds = np.array(cum)
-    guide, straddles = _guide_table(thresholds)
-    cell_counts = np.zeros(1 << _GUIDE_BITS, dtype=np.int64)
-    counts = np.zeros(len(cum), dtype=np.int64)
+    With p the smaller of p and 1 - p (the count is mirrored otherwise):
+    where n p < 10, inversion walks the probabilities up from 0
+    (Kachitvichyanukul and Schmeiser 1988, BINV), redrawing a uniform that
+    rounding leaves above the total mass. Otherwise BTRS, transformed
+    rejection with a squeeze (Hoermann 1993), written out after CPython
+    3.12's random.binomialvariate, which 3.10 and 3.11 lack: each trial
+    takes two uniforms, accepts about 80% of the time, and needs
+    _log_pmf_ratio only outside the squeeze."""
+    mirrored = p > 0.5
+    if mirrored:
+        p = 1.0 - p
+    q = 1.0 - p
+    if n * p < _INVERSION_MEAN:
+        s = p / q
+        a = (n + 1) * s
+        r0 = math.exp(n * math.log1p(-p))
+        while True:
+            x = uniform()
+            k, r = 0, r0
+            while x > r and k < n:
+                x -= r
+                k += 1
+                r *= a / k - s
+            if x <= r:
+                break
+    else:
+        spq = math.sqrt(n * p * q)
+        b = 1.15 + 2.53 * spq
+        a = -0.0873 + 0.0248 * b + 0.01 * p
+        c = n * p + 0.5
+        v_r = 0.92 - 4.2 / b
+        alpha = (2.83 + 5.1 / b) * spq
+        m = math.floor((n + 1) * p)
+        while True:
+            x = uniform() - 0.5
+            us = 0.5 - abs(x)
+            if us == 0.0:  # the uniform 1.0, whose k is infinite
+                continue
+            k = math.floor((2.0 * a / us + b) * x + c)
+            if not 0 <= k <= n:
+                continue
+            v = uniform()
+            if us >= 0.07 and v <= v_r:
+                break
+            v *= alpha / (a / (us * us) + b)
+            if math.log(v) <= _log_pmf_ratio(n, p, m, k):
+                break
+    return n - k if mirrored else k
 
-    size = min(_BLOCK_DRAWS, n)
-    ramp = _gamma_ramp(size)
-    out = np.empty(size, dtype=np.uint64)
-    scratch = np.empty(size, dtype=np.uint64)
-    cell = scratch.view(np.int64)
-    for start in range(0, n, _BLOCK_DRAWS):
-        m = min(size, n - start)
-        if m < size:
-            ramp, out, scratch, cell = ramp[:m], out[:m], scratch[:m], cell[:m]
-        _stream(seed, start, ramp, out, scratch)
-        # scratch, read through cell, now takes each output's guide cell
-        np.right_shift(out, np.uint64(64 - _GUIDE_BITS), out=scratch)
-        cell_counts += np.bincount(cell, minlength=1 << _GUIDE_BITS)
-        x = (out[straddles[cell]] >> np.uint64(11)) * 2.0**-53
-        counts += np.bincount(
-            np.searchsorted(thresholds, x, side="right"), minlength=len(cum)
-        )
-    # every draw in a cell that no bucket edge splits falls in its guide
-    # bucket; the draws of the other cells were counted above
-    cell_counts[straddles] = 0
-    np.add.at(counts, guide, cell_counts)
-    return counts.tolist()
+
+def _multinomial(n: int, weights: list[float], uniform) -> list[int]:
+    """Counts per outcome of n i.i.d. draws from the weights (positive,
+    summing to 1 up to rounding): Multinomial(n, w / sum w), sampled as at
+    most K - 1 conditional binomials (Davis 1993). Outcome k takes
+    Binomial(draws left, w_k / (w_k + ... + w_K)), the tail summed from the
+    last outcome, and the last outcome takes the draws left."""
+    tails = list(accumulate(reversed(weights)))[::-1]
+    counts = []
+    left = n
+    for w, tail in zip(weights[:-1], tails):
+        count = _binomial(left, w / tail, uniform) if left else 0
+        counts.append(count)
+        left -= count
+    counts.append(left)
+    return counts
 
 
 class SimulationResult(NamedTuple):
@@ -359,27 +369,19 @@ def simulate_wealth(
 ) -> SimulationResult:
     """Simulate per-period log wealth growth at price u and proportion t.
 
-    Outcomes are drawn i.i.d. by inverse CDF over the payout-sorted
-    cumulative weights; each period multiplies wealth by a*t/u - t + 1, so
-    the per-period log growth is the log of that factor. Path j makes draws
-    i = j * periods, ..., (j + 1) * periods - 1 of the stream
-
-        x_i = (mix64((seed + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64) >> 11) * 2**-53
-
-    with mix64 the splitmix64 finalizer, and each x falls in the first
-    bucket k with x < cum[k]. So the counts, and the result, depend on
-    periods * paths alone.
-
-    _BLOCK_DRAWS draws are generated at once. Each goes to one of 4096
-    guide cells by its top 12 bits; a cell whose first and last x fall in
-    the same bucket adds its count there, and only draws in the cells that
-    a bucket edge splits are searched for their bucket. So every draw is
-    counted once in the bucket the scalar scan gives it. The mean and its
-    standard error aggregate every draw from those counts with math.fsum,
-    the variance in two passes, so the result does not depend on the block
-    size. Identical arguments give bit-identical results. The seed must be
-    an integer in [0, 2**64), periods and paths integers of at least 1, and
-    u positive and finite.
+    Each period draws an outcome i.i.d. from the weights and multiplies
+    wealth by a*t/u - t + 1, so the per-period log growth is the log of
+    that factor. The statistics depend only on how many of the
+    n = periods * paths draws fall on each outcome, so those counts are
+    sampled directly as Multinomial(n, w), at any n, by _multinomial from
+    the splitmix64 stream at seed (_uniforms), in at most K - 1 binomial
+    draws. The result depends on n alone, not on how it splits into
+    periods and paths. The mean and its standard error aggregate every
+    draw from those counts with math.fsum, the variance in two passes.
+    Identical arguments give bit-identical results on platforms that share
+    a libm (the binomials call math.log, math.log1p, math.exp and
+    math.lgamma). The seed must be an integer in [0, 2**64), periods and
+    paths integers of at least 1, and u positive and finite.
     """
     compute_stats(game)
     if not 0.0 < u < math.inf:
@@ -394,11 +396,10 @@ def simulate_wealth(
     paths = _require_integer("paths", paths, 1)
     seed = _require_seed(seed)
 
-    cum = list(accumulate(o.weight for o in game.outcomes))
-    cum[-1] = 1.0  # guard the last bucket against rounding
     log_factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
     n = periods * paths
-    counts = _draw_counts(cum, n, seed)
+    weights = [o.weight for o in game.outcomes]
+    counts = _multinomial(n, weights, _uniforms(seed).__next__)
     terms = list(zip(counts, log_factors))
     mean = math.fsum(c * lf for c, lf in terms) / n
     if n > 1:
@@ -432,23 +433,23 @@ def verify(
 ) -> list[Check]:
     """Cross-check the solver against every oracle, one Check per property.
 
-    The random two-point games are drawn from numpy's default_rng(seed), and
-    both simulations use the same seed, an integer in [0, 2**64).
+    The two-point games come from the splitmix64 stream at seed (_uniforms),
+    and both simulations use the same seed, an integer in [0, 2**64).
     """
-    _require_seed(seed)
-    import numpy as np
+    uniform = _uniforms(_require_seed(seed)).__next__
 
-    rng = np.random.default_rng(seed)
+    def draw(low: float, high: float) -> float:
+        return low + (high - low) * uniform()
+
     checks: list[Check] = []
 
     # Solver against the two-point closed form on random games.
-    worst_t = 0.0
-    worst_g = 0.0
+    worst_t = worst_g = 0.0
     for _ in range(200):
-        low = 10.0 ** rng.uniform(-1.0, 1.0)
-        high = low * (1.0 + 10.0 ** rng.uniform(-0.5, 1.5))
-        tp = TwoPointGame(high=high, low=low, p_high=float(rng.uniform(0.05, 0.95)))
-        u = low + float(rng.uniform(0.05, 0.95)) * (tp.expectation - low)
+        low = 10.0 ** draw(-1.0, 1.0)
+        high = low * (1.0 + 10.0 ** draw(-0.5, 1.5))
+        tp = TwoPointGame(high=high, low=low, p_high=draw(0.05, 0.95))
+        u = low + draw(0.05, 0.95) * (tp.expectation - low)
         solution = pre_optimal_proportion(tp.to_game(), u, tol=tol, max_iter=max_iter)
         t_cf, g_cf = two_point_closed_form(tp, u)
         worst_t = max(worst_t, abs(solution.proportion - t_cf) / t_cf)
@@ -481,9 +482,7 @@ def verify(
 
     # Monte Carlo mean against the analytic growth rate on the supplied game.
     # A correct solver misses a 5*SE band on about one seed in 1.7 million,
-    # against one in 370 at 3*SE. 1e6 draws make the band sqrt(10) times
-    # narrower than 1e5 did, so it tests the growth formula about 3x as
-    # tightly, for a few milliseconds more.
+    # against one in 370 at 3*SE; the counts cost the same at any number.
     sim = simulate_wealth(
         game, u_mid, root.proportion, periods=200, paths=5000, seed=seed
     )

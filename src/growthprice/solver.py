@@ -76,6 +76,7 @@ need not round like the C library's.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from enum import Enum
 from functools import partial
@@ -109,6 +110,14 @@ _PRICE_MARGIN = 1e-12
 #   "f(15.0, 0.5, slope=True)"
 # with 10**9 in place of 1 for the loop.
 _VECTOR_MIN_OUTCOMES = 40
+# Variables that set OpenBLAS's thread count, read once when numpy loads. The
+# numpy kernel makes no BLAS call, but left to itself OpenBLAS starts a worker
+# thread per CPU on load, and that worker spins for a while afterwards. On 2
+# vCPUs (Python 3.11, numpy 2.4.6 with OpenBLAS 0.3.31) the import took a
+# median of 141 ms with the worker and 78 ms without it (10 cold imports
+# each), and a pure-Python loop run just after it sometimes took 3 times as
+# long as usual. _import_numpy loads it on one thread unless one is set.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Newton on any root makes at most _NEWTON_STEPS evaluations before its
 # probes, and 0 leaves every search plain bisection. On the proportion it
 # stops, and probes, at _PROBE_GAP of the proportion from its root.
@@ -178,6 +187,24 @@ def _first_order_sum(
     return (total, derivative) if slope else total
 
 
+def _import_numpy():
+    """numpy, loaded with OpenBLAS on one thread if no thread count is set.
+
+    The variable is set only for the import, so child processes do not
+    inherit it; the loaded OpenBLAS keeps one thread for the whole process.
+    """
+    if "numpy" in sys.modules or not set(_BLAS_THREAD_VARS).isdisjoint(os.environ):
+        import numpy
+
+        return numpy
+    os.environ[_BLAS_THREAD_VARS[0]] = "1"
+    try:
+        import numpy
+    finally:
+        os.environ.pop(_BLAS_THREAD_VARS[0], None)
+    return numpy
+
+
 def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum of game as a function of (u, t, slope=False).
 
@@ -186,7 +213,7 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     """
     if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
         return partial(_first_order_sum, game._pairs)
-    import numpy as np
+    np = _import_numpy()
 
     lowest = game.outcomes[0].payout
     payouts = np.array([o.payout for o in game.outcomes])

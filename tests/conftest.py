@@ -1,9 +1,19 @@
-"""Shared fixtures and random-game samplers for the test suite."""
+"""Shared fixtures and random-game samplers for the test suite.
 
-import numpy as np
+The samplers take a numpy Generator; this file itself imports no numpy, so
+test files that use only the fixtures run where numpy is not installed.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import pytest
 
 from growthprice import Game, GameStats, TwoPointGame
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Ceilings on the validation, game-building, repricing and first-order work
-of the solvers, on the numpy blocks of the Monte Carlo, and on the points
+of the solvers, on the binomial draws of the Monte Carlo, and on the points
 the grid argmax evaluates.
 
 Counts repeat exactly from run to run, unlike wall times, so these are the
@@ -42,7 +42,8 @@ COUNTED = {
     "_solve_price": growthprice.solver,
     "_first_order_sum": growthprice.solver,
     "boundary_growth": growthprice.translation,
-    "_stream": growthprice.oracle,
+    "_binomial": growthprice.oracle,
+    "_log_growth": growthprice.oracle,
 }
 
 
@@ -107,12 +108,16 @@ def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls
     assert calls["boundary_growth"] == 10
 
 
-@pytest.mark.parametrize("periods, paths", [(1, 10**5), (10**5, 1)])
-def test_draws_are_made_in_full_blocks_whatever_the_shape(
-    two_point, calls, periods, paths
+@pytest.mark.parametrize("k", [2, 5, 64])
+@pytest.mark.parametrize(
+    "periods, paths", [(1, 1), (1, 10**5), (10**5, 1), (10**6, 10**6)]
+)
+def test_draws_at_most_one_binomial_per_outcome_but_the_last(
+    calls, k, periods, paths
 ):
-    simulate_wealth(two_point, 7.0, 0.5, periods=periods, paths=paths, seed=3)
-    assert calls["_stream"] == math.ceil(10**5 / growthprice.oracle._BLOCK_DRAWS)
+    game = random_game(np.random.default_rng(6100 + k), k, k)
+    simulate_wealth(game, compute_stats(game).expectation, 0.5, periods, paths, 3)
+    assert 1 <= calls["_binomial"] <= k - 1
 
 
 def test_a_game_is_validated_once_across_calls(two_point, calls):
@@ -183,20 +188,28 @@ def test_a_refused_call_keeps_the_last_price(two_point, calls):
 
 
 @pytest.mark.parametrize("k", [2, 5, 12, 28, 64])
-def test_grid_argmax_evaluates_at_most_five_sqrt_n_points(monkeypatch, k):
-    # points per call: the sizes of the log1p arrays over the K outcomes;
-    # the whole grid is 100 000
+def test_grid_argmax_evaluates_at_most_five_sqrt_n_points(calls, k):
+    # one _log_growth call per point; the whole grid is 100 000
     game = random_game(np.random.default_rng(6000 + k), k, k)
     stats = compute_stats(game)
     u_mid = 0.5 * (stats.fair_price + stats.expectation)
-    real_log1p = np.log1p
-    sizes = []
-
-    def counted(x, *args, **kwargs):
-        sizes.append(np.size(x))
-        return real_log1p(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "log1p", counted)
     grid_argmax_growth(game, u_mid, 100_000)
-    monkeypatch.undo()
-    assert sum(sizes) / k <= 5 * math.isqrt(100_000) + 2
+    assert calls["_log_growth"] <= 5 * math.isqrt(100_000) + 2
+
+
+def test_grid_argmax_median_evaluations_at_most_100(calls):
+    # a ternary search whose every probe pair proves a cut makes about
+    # 2 log_1.5(10**5) = 57 evaluations, against 948 for a coarse pass and
+    # its window
+    rng = np.random.default_rng(6200)
+    evaluations = []
+    for _ in range(25):
+        game = random_game(rng, 2, 64)
+        stats = compute_stats(game)
+        u = stats.fair_price + float(rng.uniform(0.05, 0.95)) * (
+            stats.expectation - stats.fair_price
+        )
+        calls.clear()
+        grid_argmax_growth(game, u, 100_000)
+        evaluations.append(calls["_log_growth"])
+    assert sorted(evaluations)[len(evaluations) // 2] <= 100

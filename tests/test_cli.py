@@ -571,12 +571,11 @@ _LOADED = {
     "translate": (_CLI_MODULES | {"translation"}, set()),
     "threshold": (_CLI_MODULES | {"translation"}, set()),
     "sweep": (_CLI_MODULES | {"translation"}, set()),
-    "verify": (_CLI_MODULES | {"oracle"}, {"numpy"}),
+    "verify": (_CLI_MODULES | {"oracle"}, set()),
 }
 
 # Standard-library modules that no cold command imports: dataclasses and
-# inspect cost more than the rest of the package's import. verify may import
-# inspect, as numpy does.
+# inspect cost more than the rest of the package's import.
 _HEAVY_STDLIB = {"dataclasses", "inspect", "pathlib"}
 
 # Prints, as JSON on stderr once the interpreter exits, the loaded growthprice
@@ -605,10 +604,13 @@ def loaded_modules(code: str, *argv: str):
 
     The interpreter runs with -S, since a site hook (such as a .pth file)
     may import modules before the code runs and hide them from the report;
-    numpy's install directory follows src on the path instead."""
-    src = Path(growthprice.__file__).resolve().parents[1]
-    numpy_home = Path(importlib.util.find_spec("numpy").origin).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(numpy_home)]))
+    numpy's install directory, where there is one, follows src on the path
+    instead."""
+    path = [str(Path(growthprice.__file__).resolve().parents[1])]
+    numpy_spec = importlib.util.find_spec("numpy")
+    if numpy_spec is not None:
+        path.append(str(Path(numpy_spec.origin).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _REPORT_MODULES + code, *argv],
         env=env,
@@ -645,8 +647,17 @@ class TestLazyImports:
         code = "from growthprice.cli import main\nmain()\n"
         names, other, stdlib = loaded_modules(code, command, "--game", spec_path, *argv)
         assert (names, other) == _LOADED[command]
-        heavy = _HEAVY_STDLIB - {"inspect"} if command == "verify" else _HEAVY_STDLIB
-        assert not stdlib & heavy
+        assert not stdlib & _HEAVY_STDLIB
+
+    def test_verify_loads_no_numpy_on_the_three_point_fixture(
+        self, tmp_path, three_point
+    ):
+        path = tmp_path / "three_point.json"
+        path.write_text(save_spec(three_point))
+        code = "from growthprice.cli import main\nmain()\n"
+        names, other, stdlib = loaded_modules(code, "verify", "--game", str(path))
+        assert (names, other) == _LOADED["verify"]
+        assert not stdlib & _HEAVY_STDLIB
 
 
 class TestPackageRoot:

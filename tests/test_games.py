@@ -42,6 +42,13 @@ class TestValidate:
         assert not verdict.ok
         assert any("sum" in p for p in verdict.problems)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("share, ok", [(0.9, True), (1.1, False)])
+    def test_weight_sum_tolerance_is_1e_12(self, sign, share, ok):
+        # weights that miss 1 by 0.9e-12 validate, and by 1.1e-12 do not
+        game = Game.from_pairs([(2.0, 0.5), (5.0, 0.5 + sign * share * 1e-12)])
+        assert validate(game).ok is ok
+
     def test_negative_weight_rejected(self):
         verdict = validate(Game.from_pairs([(2.0, -0.5), (5.0, 1.5)]))
         assert not verdict.ok

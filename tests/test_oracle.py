@@ -1,9 +1,7 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
 import math
-import tracemalloc
-import warnings
-from itertools import accumulate
+import operator
 
 import numpy as np
 import pytest
@@ -71,116 +69,55 @@ class TestClosedForm:
 
 
 def reference_grid(game, u, grid_points):
-    """The full grid, its log growth and its first argmax, one temporary
-    array per operation."""
+    """The full grid, its log growth and its first argmax, by a plain scan
+    with math.log1p: each value is 0.0 plus w * log1p(t * ((a - u)/u)) for
+    each outcome in order."""
     stats = compute_stats(game)
     cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
-    ts = cap * np.arange(1, grid_points + 1, dtype=np.float64) / (grid_points + 1)
-    log_growth = np.zeros_like(ts)
+    ts = [cap * (i + 1) / (grid_points + 1) for i in range(grid_points)]
+    log_growth = [0.0] * grid_points
     for o in game.outcomes:
-        log_growth += o.weight * np.log1p(ts * ((o.payout - u) / u))
-    return ts, log_growth, float(ts[int(np.argmax(log_growth))])
+        ratio = (o.payout - u) / u
+        logs = map(math.log1p, map(ratio.__mul__, ts))
+        log_growth = list(map(operator.add, log_growth, map(o.weight.__mul__, logs)))
+    first = max(range(grid_points), key=log_growth.__getitem__)
+    return ts, log_growth, ts[first]
 
 
-def assert_grid_argmax_matches_reference(monkeypatch, game, u, grid_points):
-    """grid_argmax_growth returns the reference argmax, and every value it
-    evaluates, in the coarse pass and in the window, is bit-equal to the
-    reference value at the same grid point. Returns the number of points
-    in the window."""
+def evaluated_points(monkeypatch, game, u, grid_points):
+    """grid_argmax_growth's result and the (t, value) of every point it
+    evaluated, in order."""
     real_log_growth = oracle._log_growth
     calls = []
 
-    def spy(game, u, ts):
-        values = real_log_growth(game, u, ts)
-        calls.append((ts.copy(), values.copy()))
-        return values
+    def spy(terms, t):
+        value = real_log_growth(terms, t)
+        calls.append((t, value))
+        return value
 
     monkeypatch.setattr(oracle, "_log_growth", spy)
     got = grid_argmax_growth(game, u, grid_points)
     monkeypatch.undo()
+    return got, calls
+
+
+def assert_grid_argmax_matches_reference(monkeypatch, game, u, grid_points):
+    """grid_argmax_growth returns the reference argmax, and every point it
+    evaluates is a grid point, evaluated once, to the reference value bit
+    for bit. Returns the number of points evaluated."""
+    got, calls = evaluated_points(monkeypatch, game, u, grid_points)
     ts, log_growth, argmax = reference_grid(game, u, grid_points)
     assert got == argmax
-    assert len(calls) == 2
-    for points, values in calls:
-        index = np.searchsorted(ts, points)
-        assert np.array_equal(ts[index].view(np.uint64), points.view(np.uint64))
-        assert np.array_equal(log_growth[index].view(np.uint64), values.view(np.uint64))
-    window, _ = calls[-1]
-    start = int(np.searchsorted(ts, window[0]))
-    assert np.array_equal(ts[start : start + window.size], window)
-    assert window[0] <= got <= window[-1]
-    return window.size
+    index = {t: i for i, t in enumerate(ts)}
+    assert len(index) == grid_points
+    for t, value in calls:
+        assert value == log_growth[index[t]]
+    assert len({t for t, _ in calls}) == len(calls)
+    return len(calls)
 
 
 def scaled(game, c):
     return Game.from_pairs((o.payout * c, o.weight) for o in game.outcomes)
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def stream_output(seed, i):
-    """Output i of the counter-based splitmix64 stream: the splitmix64
-    finalizer of seed + (i + 1) * gamma, on Python integers."""
-    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def bucket_edges(game):
-    cum = list(accumulate(o.weight for o in game.outcomes))
-    cum[-1] = 1.0
-    return cum
-
-
-def scalar_counts(cum, periods, paths, seed):
-    """Draws per bucket from the scalar stream and a linear scan; path j
-    makes draws j * periods to (j + 1) * periods - 1."""
-    counts = [0] * len(cum)
-    for j in range(paths):
-        for i in range(j * periods, (j + 1) * periods):
-            x = (stream_output(seed & _MASK64, i) >> 11) * 2.0**-53
-            k = 0
-            while x >= cum[k]:
-                k += 1
-            counts[k] += 1
-    return counts
-
-
-def reference_guide_table(thresholds):
-    """The guide table by its definition: the bucket, by searchsorted, of
-    the first and of the last draw of each guide cell."""
-    low_bits = 53 - oracle._GUIDE_BITS
-    first = np.arange(1 << oracle._GUIDE_BITS, dtype=np.uint64) << np.uint64(low_bits)
-    last = first + np.uint64((1 << low_bits) - 1)
-    guide = np.searchsorted(thresholds, first * 2.0**-53, side="right")
-    return guide, guide != np.searchsorted(thresholds, last * 2.0**-53, side="right")
-
-
-def one_ulp_either_side(edge):
-    return [[math.nextafter(edge, 0.0), 1.0], [math.nextafter(edge, 1.0), 1.0]]
-
-
-# Bucket edges where the guide cells and the float grid meet: on a cell
-# boundary, one ulp either side of one (below 0.5 the ulp is finer than the
-# 2**-53 draw grid, so the edge can lie above a cell's last draw), at the
-# first and the last draw, several in one cell, and sums that rounding
-# lifted above 1 before the last entry.
-_GUIDE_EDGE_SETS = [
-    [0.25, 0.5, 1.0],
-    [2.0**-12, 7 * 2.0**-12, 2048 * 2.0**-12, 4095 * 2.0**-12, 1.0],
-    *one_ulp_either_side(0.25),
-    *one_ulp_either_side(0.5),
-    *one_ulp_either_side(3 * 2.0**-12),
-    *one_ulp_either_side(4095 * 2.0**-12),
-    [2.0**-53, 1.0],
-    [1.0 - 2.0**-53, 1.0],
-    [2.0**-53, 1.0 - 2.0**-53, 1.0],
-    [0.1, 0.10001, 0.100011, 0.10002, 1.0],
-    [0.3, 1.0 + 2.0**-52, 1.0],
-    [0.5, 1.0 + 2.0**-52, 1.0 + 2.0**-52, 1.0],
-]
 
 
 class TestGridArgmax:
@@ -243,13 +180,69 @@ class TestGridArgmax:
         assert window == 1000
         assert grid_argmax_growth(game, 4e-300, 1000) == 1.0 / 1001
 
-    def test_two_point_window_at_a_million_points(self, two_point, monkeypatch):
-        # verify's grid: 1000 coarse points and a window of at most
-        # 2 * 1000 - 1, against 10**6 for the whole grid
-        window = assert_grid_argmax_matches_reference(
-            monkeypatch, two_point, 5.5, 1_000_000
+    @pytest.mark.parametrize("fixture", ["two_point", "three_point"])
+    def test_fixtures_at_a_million_points(self, fixture, request, monkeypatch):
+        # verify's grid and price: the search evaluates under 100 points,
+        # against 10**6 for the whole grid
+        game = request.getfixturevalue(fixture)
+        stats = compute_stats(game)
+        u_mid = 0.5 * (stats.fair_price + stats.expectation)
+        evaluated = assert_grid_argmax_matches_reference(
+            monkeypatch, game, u_mid, 1_000_000
         )
-        assert window <= 1999
+        assert evaluated <= 100
+
+    @pytest.mark.parametrize("u", [0.1, 2.5, 4.9])
+    def test_grid_points_follow_the_cap_where_it_binds(self, u, monkeypatch):
+        # ess_inf/u is below 1e-9, so the cap (1 - 1e-9) u/(u - ess_inf) lies
+        # below 1 and scales every grid point
+        game = Game.from_pairs([(1e-12, 0.5), (10.0, 0.5)])
+        cap = (1.0 - 1e-9) * u / (u - 1e-12)
+        assert cap < 1.0
+        grid = {cap * (i + 1) / 1002 for i in range(1001)}
+        got, calls = evaluated_points(monkeypatch, game, u, 1001)
+        assert got in grid
+        assert {t for t, _ in calls} <= grid
+
+    def test_a_near_tie_cuts_nothing(self, two_point, monkeypatch):
+        # Values within eta of a nearly flat concave curve, as the bound
+        # allows. The first probes of a 30-point grid, points 9 and 20,
+        # differ by 1.9 eta, less than 4 eta, and the first maximum, point 3,
+        # lies left of 9: a cut on f(9) < f(20) alone would drop it.
+        u, n = 5.5, 30
+        cap = min(1.0, (1.0 - 1e-9) * u / (u - 1.0))
+        t_last = cap * n / (n + 1)
+        spread = 0.0
+        for o in two_point.outcomes:
+            x = t_last * ((o.payout - u) / u)
+            spread += o.weight * (abs(math.log1p(x)) + abs(x) / (1.0 + x))
+        eta = 2.0 * (2 + 8) * 2.0**-53 * spread
+        noise = {3: eta, 9: -0.95 * eta, 20: 0.95 * eta}
+        values = [-1e-4 * eta * (i - 14.5) ** 2 + noise.get(i, 0.0) for i in range(n)]
+        index = {cap * (i + 1) / (n + 1): i for i in range(n)}
+        assert 0.0 < values[20] - values[9] < 4.0 * eta
+        assert max(range(n), key=values.__getitem__) == 3
+        monkeypatch.setattr(oracle, "_log_growth", lambda terms, t: values[index[t]])
+        assert grid_argmax_growth(two_point, u, n) == cap * 4 / (n + 1)
+
+    def test_flat_tops_bit_identical_to_the_full_grid(self, monkeypatch):
+        # payouts 1 and 1 + d, d near 1e-7.5: about 200 of the 10**5 points
+        # lie within 4 eta of the maximum, so probes deep in the search tie.
+        # Expectation and fair price lie a few ulps apart, and a price drawn
+        # between them may round onto either.
+        rng = np.random.default_rng(4400)
+        games = 0
+        while games < 30:
+            d = 10.0 ** float(rng.uniform(-7.8, -7.0))
+            p = float(rng.uniform(0.2, 0.8))
+            game = Game.from_pairs([(1.0, p), (1.0 + d, 1.0 - p)])
+            stats = compute_stats(game)
+            u = stats.fair_price + float(rng.uniform(0.2, 0.8)) * (
+                stats.expectation - stats.fair_price
+            )
+            if stats.fair_price < u < stats.expectation:
+                assert_grid_argmax_matches_reference(monkeypatch, game, u, 100_000)
+                games += 1
 
     def test_matches_closed_form_root(self, two_point):
         u = 7.2236
@@ -396,41 +389,7 @@ class TestSimulateWealth:
         assert result.mean_log_growth < 0.0
 
 
-class TestDrawStream:
-    @pytest.mark.parametrize(
-        "k, periods, paths, seed",
-        [
-            (2, 200, 50, 7),
-            (64, 20, 30, 11),
-            (2, 1, 300, 3),
-            (64, 1, 1, 5),
-            (7, 40, 25, 2**63 + 12345),
-            (5, 2, oracle._BLOCK_DRAWS + 37, 2**64 - 1),
-            (6, 10**5, 1, 2**64 - 1),
-            (12, 1001, 37, 0),
-            (3, 7, 3, 2**63 + 12345),
-            (2, 1, 1, 2**64 - 1),
-            (4, 3, oracle._BLOCK_DRAWS + 37, 8),
-        ],
-    )
-    def test_counts_equal_the_scalar_stream(self, k, periods, paths, seed):
-        cum = bucket_edges(random_game(np.random.default_rng(k), k, k))
-        got = oracle._draw_counts(cum, periods * paths, seed & _MASK64)
-        assert got == scalar_counts(cum, periods, paths, seed)
-
-    @settings(derandomize=True, deadline=None, max_examples=50)
-    @given(
-        k=st.integers(2, 64),
-        periods=st.integers(1, 3000),
-        paths=st.integers(1, 50),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_counts_equal_the_scalar_stream_for_any_shape(self, k, periods, paths, seed):
-        cum = bucket_edges(random_game(np.random.default_rng(seed % 1000), k, k))
-        assert oracle._draw_counts(cum, periods * paths, seed) == scalar_counts(
-            cum, periods, paths, seed
-        )
-
+class TestDrawCounts:
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(
         k=st.integers(2, 64),
@@ -446,79 +405,21 @@ class TestDrawStream:
         assert split.mean_log_growth == whole.mean_log_growth
         assert split.std_error == whole.std_error
 
-    @pytest.mark.parametrize(
-        "start, stop", [(0, 1), (0, 100), (2**40 - 3, 2**40 + 50)]
-    )
-    def test_stream_wraps_silently_at_the_largest_seed(self, start, stop):
-        # seed + (i + 1) * gamma and both products wrap mod 2**64; with a
-        # Python or int64 integer in the arithmetic, numpy before NEP 50
-        # would compute in float64, and numpy scalar arithmetic warns on wrap
-        seed = 2**64 - 1
-        got = np.empty(stop - start, dtype=np.uint64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ramp = oracle._gamma_ramp(got.size)
-            oracle._stream(seed, start, ramp, got, np.empty_like(got))
-        assert got.tolist() == [stream_output(seed, i) for i in range(start, stop)]
-
-    @pytest.mark.parametrize("cum", _GUIDE_EDGE_SETS)
-    def test_guide_table_matches_its_definition_at_cell_edges(self, cum):
-        thresholds = np.array(cum)
-        guide, straddles = oracle._guide_table(thresholds)
-        expected_guide, expected_straddles = reference_guide_table(thresholds)
-        assert guide.tolist() == expected_guide.tolist()
-        assert straddles.tolist() == expected_straddles.tolist()
-        assert oracle._draw_counts(cum, 3000, 5) == scalar_counts(cum, 3000, 1, 5)
-
-    def test_guide_table_matches_its_definition_on_random_games(self):
-        rng = np.random.default_rng(4096)
-        for _ in range(200):
-            thresholds = np.array(bucket_edges(random_game(rng, 2, 64)))
-            guide, straddles = oracle._guide_table(thresholds)
-            expected_guide, expected_straddles = reference_guide_table(thresholds)
-            assert np.array_equal(guide, expected_guide)
-            assert np.array_equal(straddles, expected_straddles)
-
-    def test_working_memory_does_not_grow_with_the_draws(self):
-        # numpy reports its buffers to tracemalloc. A call holds three
-        # buffers of 8 * _BLOCK_DRAWS bytes and four int64 arrays with an
-        # entry per guide cell, however many draws it makes. The draws a
-        # block searches, free lists and caches move the traced peak by a few
-        # hundred bytes from call to call, so untraced calls fill the caches
-        # first and the peaks are compared to within 1 KiB.
-        cum = bucket_edges(random_game(np.random.default_rng(64), 64, 64))
-        draws = (10**5, 10**6)
-        for n in draws:
-            oracle._draw_counts(cum, n, 9)
-        peaks = []
-        tracemalloc.start()
-        try:
-            for n in draws:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                oracle._draw_counts(cum, n, 9)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 1024
-        cell_tables = 4 * 8 * (1 << oracle._GUIDE_BITS)
-        assert max(peaks) < 3 * 8 * oracle._BLOCK_DRAWS + cell_tables
-
-    @pytest.mark.parametrize("block_draws", [1, 10**9])
-    def test_block_size_does_not_change_the_result(self, monkeypatch, block_draws):
-        game = random_game(np.random.default_rng(66), 6, 6)
-        args = (game, compute_stats(game).expectation, 0.3)
-        expected = simulate_wealth(*args, periods=45, paths=9, seed=2**63 + 1)
-        monkeypatch.setattr(oracle, "_BLOCK_DRAWS", block_draws)
-        assert simulate_wealth(*args, periods=45, paths=9, seed=2**63 + 1) == expected
-
-    def test_std_error_is_stable_under_a_large_common_offset(self):
+    def test_std_error_is_stable_under_a_large_common_offset(self, monkeypatch):
         # log factors all near log(2e6) with spreads near 1e-6: a one-pass
         # sum-of-squares variance cancels almost every digit here
         game = Game.from_pairs([(1e6, 0.3), (1e6 + 1.0, 0.3), (1e6 + 3.0, 0.4)])
         u, t, periods, paths, seed = 0.5, 1.0, 300, 20, 77
+        real = oracle._multinomial
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(oracle, "_multinomial", recorded)
         sim = simulate_wealth(game, u, t, periods=periods, paths=paths, seed=seed)
-        counts = scalar_counts(bucket_edges(game), periods, paths, seed)
+        [counts] = drawn
         factors = [math.log1p(t * (o.payout - u) / u) for o in game.outcomes]
         n = periods * paths
         mean = math.fsum(c * lf for c, lf in zip(counts, factors)) / n
@@ -545,27 +446,20 @@ class TestOracleAgainstSolver:
 
 class TestVerify:
     def test_negative_seed_refused(self, two_point):
-        # numpy's default_rng refuses it too, but with a ValueError
+        # the stream would have run it as seed 2**64 - 1
         with pytest.raises(DomainError, match=r"^seed=-1 must be nonnegative$"):
             verify(two_point, seed=-1)
 
     def test_fractional_seed_refused(self, two_point):
-        # numpy's SeedSequence ended it in a TypeError
         with pytest.raises(DomainError, match=r"^seed=2.5 must be an integer$"):
             verify(two_point, seed=2.5)
 
-    def test_monte_carlo_band_passes_seed_8704(self, three_point):
-        # 200 x 100 draws put this seed's mean 3.12 SE below the log growth,
-        # outside a 3*SE band, although the solver is correct
-        checks = {check.name: check for check in verify(three_point, seed=8704)}
-        check = checks["monte_carlo_consistency"]
-        assert check.passed, check.detail
-        assert " 5*SE " in check.detail
-
-    @pytest.mark.parametrize("z", [-6.0, 6.0])
-    def test_monte_carlo_band_fails_a_mean_six_standard_errors_off(
+    @pytest.mark.parametrize("z", [-6.0, -4.5, 4.5, 6.0])
+    def test_monte_carlo_band_is_five_standard_errors(
         self, three_point, monkeypatch, z
     ):
+        # a mean 4.5 SE off passes, although a 3*SE band would fail it, and
+        # one 6 SE off fails; the other checks hold either way
         real = oracle.simulate_wealth
 
         def off_target(game, u, t, **kwargs):
@@ -574,10 +468,27 @@ class TestVerify:
             return sim._replace(mean_log_growth=target + z * sim.std_error)
 
         monkeypatch.setattr(oracle, "simulate_wealth", off_target)
-        checks = {check.name: check.passed for check in verify(three_point, seed=8704)}
-        assert checks == {
+        checks = {check.name: check for check in verify(three_point, seed=8704)}
+        assert " 5*SE " in checks["monte_carlo_consistency"].detail
+        assert {name: check.passed for name, check in checks.items()} == {
             "closed_form_agreement": True,
             "grid_argmax_within_one_step": True,
-            "monte_carlo_consistency": False,
+            "monte_carlo_consistency": abs(z) < 5.0,
             "zero_proportion_exact": True,
         }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("fixture", ["two_point", "three_point"])
+    def test_every_check_passes_on_the_fixtures(self, fixture, seed, request):
+        checks = verify(request.getfixturevalue(fixture), seed=seed)
+        assert [check.name for check in checks] == [
+            "closed_form_agreement",
+            "grid_argmax_within_one_step",
+            "monte_carlo_consistency",
+            "zero_proportion_exact",
+        ]
+        assert all(check.passed for check in checks), checks
+
+    def test_same_seed_same_checks(self, two_point):
+        assert verify(two_point, seed=7) == verify(Game(*two_point), seed=7)
+        assert verify(two_point, seed=7) != verify(two_point, seed=8)

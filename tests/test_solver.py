@@ -640,6 +640,35 @@ class TestFirstOrderKernels:
         )
         assert proc.returncode == 0, proc.stderr.decode()
 
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_numpy_loads_on_one_blas_thread_unless_one_is_set(self, threads):
+        # The wide kernel makes no BLAS call, so it loads numpy without
+        # OpenBLAS's worker threads, and restores the environment after it.
+        child = (
+            "import os, sys\n"
+            "from growthprice import Game, optimal_price\n"
+            "game = Game.from_pairs((1.0 + i, 1.0 / 64) for i in range(64))\n"
+            "before = dict(os.environ)\n"
+            "optimal_price(game, 0.05)\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert dict(os.environ) == before\n"
+            "if sys.platform == 'linux' and 'OPENBLAS_NUM_THREADS' not in before:\n"
+            "    assert len(os.listdir('/proc/self/task')) == 1\n"
+        )
+        src = str(Path(growthprice.solver.__file__).resolve().parents[1])
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if name not in growthprice.solver._BLAS_THREAD_VARS
+        }
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
     def test_wide_game_values_are_pinned(self, two_point, three_point):
         # 17-digit values of the bisection solvers before the numpy kernel
         # existed; any change to the arithmetic of either kernel moves them.
