@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from itertools import islice, repeat
+from operator import add, lt, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, GameValidationError, SpecParseError
@@ -42,17 +44,25 @@ class Game(_GameFields):
 
     The instance dict keeps what is computed from the game on first use:
     the summary statistics, so a game is validated once however many
-    solvers it passes through; the outcomes as plain pairs; and
-    solver.optimal_price's last result with its arguments, so a game priced
-    twice at the same arguments is solved once. None of them takes part in
-    equality or hashing. A game that fails validation caches no statistics
-    and raises again on every use. Concurrent use is safe: each value is
-    deterministic and stored whole, the last price as one (arguments,
-    result) tuple, so every thread sees the values a fresh game would give.
+    solvers it passes through; the outcomes as plain pairs, and as a column
+    of payouts and a column of weights; from solver._VECTOR_MIN_OUTCOMES
+    outcomes up, the columns as numpy arrays with the first-order kernel
+    built on them; and solver.optimal_price's last result with its
+    arguments, so a game priced twice at the same arguments is solved once.
+    None of them takes part in equality or hashing. A game that fails
+    validation caches no statistics and raises again on every use.
+    Concurrent use is safe: each value is deterministic and stored whole,
+    the arrays and kernel as one tuple and the last price as one
+    (arguments, result) tuple, so every thread sees the values a fresh game
+    would give.
+
+    A game that translate builds without merging payouts keeps statistics
+    from birth and is never validated: it is valid by construction (see
+    translate).
     """
 
-    # No __slots__: the instance dict holds the cached statistics, the pairs
-    # and the last price.
+    # No __slots__: the instance dict holds the cached statistics, the pairs,
+    # the columns, the kept kernel and the last price.
 
     def __new__(cls, outcomes: Iterable[Outcome], label: str | None = None) -> "Game":
         merged: dict[float, float] = {}
@@ -84,18 +94,7 @@ class Game(_GameFields):
         verdict = validate(self)
         if not verdict.ok:
             raise GameValidationError(verdict)
-        outcomes = self.outcomes
-        xi = outcomes[0].payout
-        harmonic = math.fsum(o.weight / o.payout for o in outcomes)
-        return GameStats(
-            expectation=math.fsum(o.weight * o.payout for o in outcomes),
-            harmonic_integral=harmonic,
-            ess_inf=xi,
-            h_xi=math.inf,
-            lower_price_bound=xi,
-            fair_price=1.0 / harmonic,
-            log_moment=math.fsum(o.weight * math.log(o.payout) for o in outcomes),
-        )
+        return _summary(*self._columns)
 
     @cached_property
     def _pairs(self) -> tuple[tuple[float, float], ...]:
@@ -103,6 +102,14 @@ class Game(_GameFields):
         loops run over: CPython unpacks an exact tuple faster than it reads
         the fields of a record, or unpacks one."""
         return tuple(map(tuple, self.outcomes))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The payouts and the weights, each as a tuple in outcome order,
+        from which the statistics, the shifted payouts and the solver's
+        numpy arrays are built."""
+        payouts, weights = zip(*self.outcomes)
+        return payouts, weights
 
 
 class ValidationResult(NamedTuple):
@@ -167,6 +174,32 @@ class GameStats(NamedTuple):
         return self.harmonic_integral * math.exp(self.log_moment)
 
 
+def _harmonic(payouts: Sequence[float], weights: Sequence[float]) -> float:
+    """sum p/a, rounded once by math.fsum."""
+    return math.fsum(map(truediv, weights, payouts))
+
+
+def _log_moment(payouts: Sequence[float], weights: Sequence[float]) -> float:
+    """sum p log a, with the C library's log per term, rounded once by
+    math.fsum."""
+    return math.fsum(map(mul, weights, map(math.log, payouts)))
+
+
+def _summary(payouts: Sequence[float], weights: Sequence[float]) -> GameStats:
+    """Statistics of the valid game with these payout and weight columns."""
+    xi = payouts[0]
+    harmonic = _harmonic(payouts, weights)
+    return GameStats(
+        expectation=math.fsum(map(mul, weights, payouts)),
+        harmonic_integral=harmonic,
+        ess_inf=xi,
+        h_xi=math.inf,
+        lower_price_bound=xi,
+        fair_price=1.0 / harmonic,
+        log_moment=_log_moment(payouts, weights),
+    )
+
+
 def compute_stats(game: Game) -> GameStats:
     """Summary statistics of a valid game, computed once per game and kept.
 
@@ -180,12 +213,43 @@ def translate(game: Game, n: float) -> Game:
 
     The shift must stay above minus the essential infimum so that shifted
     payouts remain strictly positive.
+
+    The result equals Game(Outcome(a + n, w) ...) for the outcomes (a, w)
+    of game. Where the shifted payouts stay finite and strictly increasing
+    it is built from them directly, with no merge, sort or validation, and
+    keeps its statistics from _summary, the function Game._stats uses. It
+    is valid because game is: the weights are the same validated floats;
+    n > -ess_inf makes the exact sum a + n a positive multiple of 2**-1074
+    for every payout, so it rounds to a positive float; and strictly
+    increasing payouts are already canonical and at least two distinct.
+    Shifts that merge payouts or overflow build the game through Game and
+    validate it on first use.
+    """
+    payouts = _shifted_payouts(game, n)
+    if payouts is None:
+        return Game(
+            tuple(Outcome(o.payout + n, o.weight) for o in game.outcomes),
+            label=game.label,
+        )
+    weights = game._columns[1]
+    outcomes = tuple(map(Outcome, payouts, weights))
+    shifted = tuple.__new__(Game, (outcomes, game.label))
+    shifted.__dict__["_columns"] = (payouts, weights)
+    shifted.__dict__["_stats"] = _summary(payouts, weights)
+    return shifted
+
+
+def _shifted_payouts(game: Game, n: float) -> tuple[float, ...] | None:
+    """The payouts of game shifted by n, in order, or None where rounding
+    merges adjacent ones or the largest overflows.
+
+    Raises as _require_shift does.
     """
     _require_shift(game, n)
-    return Game(
-        tuple(Outcome(o.payout + n, o.weight) for o in game.outcomes),
-        label=game.label,
-    )
+    payouts = tuple(map(add, game._columns[0], repeat(n)))
+    if math.isfinite(payouts[-1]) and all(map(lt, payouts, islice(payouts, 1, None))):
+        return payouts
+    return None
 
 
 def _require_shift(game: Game, n: float) -> None:

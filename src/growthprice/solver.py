@@ -64,13 +64,20 @@ of outcomes, each of which returns the derivative in t next to the sum
 when asked. Below _VECTOR_MIN_OUTCOMES a plain loop over the outcomes is
 fastest; from there up, numpy forms the terms from arrays of the game's
 payouts and weights, which pays off because the per-call overhead of numpy
-no longer dominates. A single evaluation outside a solve always takes the
-loop. Both kernels form every term with the same IEEE operations in the
-same order and add them with math.fsum, which rounds the exact sum
-correctly, so they return the same sum and no result depends on which
-kernel ran; the derivative only steers Newton. Growth rates keep
-math.log1p per term on both widths, since numpy's transcendental functions
-need not round like the C library's.
+no longer dominates. The game keeps those arrays and the kernel built on
+them (_vector), so each is built once per game, not once per solve. A
+single evaluation outside a solve always takes the loop. Both kernels form
+every term with the same IEEE operations in the same order and add them
+with math.fsum, which rounds the exact sum correctly, so they return the
+same sum and no result depends on which kernel ran. Sums that only steer
+Newton run on the arrays with numpy's own summation, which rounds unlike a
+loop: the derivative, optimal_price's envelope slope and threshold_shift's
+log slope. Every residual, the first-order sum, the log growth, the
+boundary growth and the statistics, keeps math.fsum over per-term
+math.log and math.log1p on both widths: numpy's are not the C library's.
+On 200 000 random arguments each (numpy 2.4.6), np.log returned a
+different float from math.log for 154 and np.log1p from math.log1p for
+17 283.
 """
 
 from __future__ import annotations
@@ -93,17 +100,20 @@ DEFAULT_MAX_ITER = 200
 _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
-# Outcome count from which the first-order sum runs on numpy arrays. A solve
-# makes a little over half its evaluations with the derivative (Newton): 21
-# of 37 in optimal_price on the two-point fixture. On payouts 1..k with equal
-# weights, best of 9 with the two kernels alternating in one process, one
-# evaluation at u = 15, t = 0.5 took 7.4 us looped against 5.1 us on numpy
-# at 40 outcomes for the sum alone, and 7.0 against 7.4 with the derivative;
-# at 48, 9.1 against 5.8 and 8.6 against 8.4. Whole optimal_price solves at
-# r = 0.05 took 0.46 ms looped against 0.54 ms at 32 outcomes, 0.55 against
-# 0.54 at 40 and 0.70 against 0.67 at 48 (best of 15; Python 3.11, numpy 2.4,
-# 2 vCPUs). They cross near 40, and both kernels return the same float. One
-# kernel call alone:
+# Outcome count from which the first-order sum, and the slopes that steer
+# Newton in optimal_price and threshold_shift, run on numpy arrays that the
+# game keeps. A solve makes a little over half its evaluations with the
+# derivative (Newton): 21 of 37 in optimal_price on the two-point fixture.
+# On payouts 1..k with equal weights, best of 15 with the two ways
+# alternating in one process on a game that keeps its arrays and kernel, one
+# evaluation at u = 15, t = 0.5 took 5.3 us looped against 3.6 us on numpy at
+# 40 outcomes for the sum alone, and 5.4 against 5.6 with the derivative; at
+# 48, 6.1 against 3.6 and 6.2 against 5.5. Whole optimal_price solves at
+# r = 0.05 took 0.26 ms looped against 0.28 ms at 32 outcomes, 0.32 against
+# 0.30 at 40 (0.31 against 0.33 in a second run) and 0.39 against 0.35 at 48;
+# threshold_shift took 0.12 against 0.13 ms at 32, 0.16 against 0.16 at 40
+# and 0.18 against 0.18 at 48 (Python 3.11, numpy 2.4, 2 vCPUs). They cross
+# near 40, and both ways return the same floats. One kernel call alone:
 #   PYTHONPATH=src python -m timeit -r 9 -s "import growthprice.solver as s;
 #   s._VECTOR_MIN_OUTCOMES = 1; k = 40; f = s._first_order_kernel(
 #   s.Game.from_pairs((1.0 + i, 1 / k) for i in range(k)))"
@@ -205,19 +215,44 @@ def _import_numpy():
     return numpy
 
 
+def _vector(game: Game, build: bool = True) -> tuple | None:
+    """(payouts, weights, kernel) for a game of at least _VECTOR_MIN_OUTCOMES
+    outcomes, None for a narrower one: its payouts and weights as numpy
+    arrays and the numpy first-order kernel on them.
+
+    The game keeps the triple, built on first use and stored whole, so every
+    later solve on it reuses the arrays and the kernel. The width is checked
+    before the kept triple is read, so a narrow game never loads numpy.
+    Without build, a game that keeps no triple yet gets None.
+    """
+    if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
+        return None
+    kept = game.__dict__.get("_vector")
+    if kept is None and build:
+        np = _import_numpy()
+        payouts, weights = map(np.array, game._columns)
+        kernel = _vector_kernel(game.outcomes[0].payout, payouts, weights)
+        kept = game.__dict__["_vector"] = (payouts, weights, kernel)
+    return kept
+
+
 def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum of game as a function of (u, t, slope=False).
 
     Equal, bit for bit, to _first_order_sum(game.outcomes, u, t), and with
     slope its derivative is equal to rounding.
     """
-    if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
+    vector = _vector(game)
+    if vector is None:
         return partial(_first_order_sum, game._pairs)
-    np = _import_numpy()
+    return vector[2]
 
-    lowest = game.outcomes[0].payout
-    payouts = np.array([o.payout for o in game.outcomes])
-    weights = np.array([o.weight for o in game.outcomes])
+
+def _vector_kernel(
+    lowest: float, payouts, weights
+) -> Callable[..., float | tuple[float, float]]:
+    """The first-order sum on numpy arrays of the payouts and weights, whose
+    smallest payout is lowest."""
 
     def first_order_sum(
         u: float, t: float, slope: bool = False
@@ -665,6 +700,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             growth_check=growth,
         )
     outcomes = game._pairs
+    vector = _vector(game)
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
@@ -680,7 +716,11 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         if not slope:
             return growth - target
         # by the envelope theorem d log G*/du is the partial derivative at t
-        total = sum(w * a / (price + t * (a - price)) for a, w in outcomes)
+        if vector is not None:
+            payouts, weights, _ = vector
+            total = float((weights * payouts / (price + t * (payouts - price))).sum())
+        else:
+            total = sum(w * a / (price + t * (a - price)) for a, w in outcomes)
         return _log_newton(growth - target, -t / price * total, target, eta)
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)

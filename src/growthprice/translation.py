@@ -17,7 +17,14 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalConsistencyError
-from .games import Game, _require_shift, compute_stats, translate
+from .games import (
+    Game,
+    _harmonic,
+    _log_moment,
+    _shifted_payouts,
+    compute_stats,
+    translate,
+)
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -29,6 +36,7 @@ from .solver import (
     _log_newton,
     _newton_certificates,
     _require_bisect_args,
+    _vector,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -91,22 +99,17 @@ def boundary_growth(game: Game, n: float) -> float:
     """Growth rate of the shifted game at its fair price with full investment.
 
     Equals compute_stats(translate(game, n)).boundary_growth bit for bit,
-    without building the shifted game unless rounding merges its payouts.
+    without building the shifted game unless rounding merges its payouts:
+    it makes translate's shift check and the statistics' own sums.
     Strictly decreasing in n with limit 1.
     """
-    _require_shift(game, n)
-    outcomes = game._pairs
-    shifted = [a + n for a, _ in outcomes]
-    if not (
-        math.isfinite(shifted[-1])
-        and all(lo < hi for lo, hi in zip(shifted, shifted[1:]))
-    ):
+    payouts = _shifted_payouts(game, n)
+    if payouts is None:
         # Rounding merged adjacent payouts, or the largest overflowed: the
         # shifted game is not these outcomes, so build and validate it.
         return compute_stats(translate(game, n)).boundary_growth
-    harmonic = math.fsum(w / s for (_, w), s in zip(outcomes, shifted))
-    log_moment = math.fsum(w * math.log(s) for (_, w), s in zip(outcomes, shifted))
-    return harmonic * math.exp(log_moment)
+    weights = game._columns[1]
+    return _harmonic(payouts, weights) * math.exp(_log_moment(payouts, weights))
 
 
 class ThresholdStatus(Enum):
@@ -150,7 +153,10 @@ def threshold_shift(
     Newton runs on log B(n) - r, with d log B/dn = H - H2/H for
     H = sum p/(a + n) and H2 = sum p/(a + n)**2, formed on the ratios
     (a + n)/(E + n) so that nothing overflows or underflows at any payout
-    scale. It starts from the large-shift asymptote
+    scale, and summed with numpy on the arrays that a wide game keeps from
+    an earlier price solve (solver._vector): the slope only steers Newton,
+    so the sums' rounding moves no result. It starts from the large-shift
+    asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3, or from the tangent of log B at n = 0 where
     that lies further out: near the boundary the asymptote is negative and
@@ -199,15 +205,25 @@ def threshold_shift(
             )
     outcomes = game._pairs
     mean = stats.expectation
+    # the arrays a wide price solve left on the game; building them here
+    # would load numpy to save a few microseconds per step
+    vector = _vector(game, build=False)
 
     def log_slope(n: float) -> float:
         # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
         m = mean + n
-        h = h2 = 0.0
-        for a, w in outcomes:
-            inv = m / (a + n)
-            h += w * inv
-            h2 += w * inv * inv
+        if vector is not None:
+            payouts, weights, _ = vector
+            inv = m / (payouts + n)
+            terms = weights * inv
+            h = float(terms.sum())
+            h2 = float((terms * inv).sum())
+        else:
+            h = h2 = 0.0
+            for a, w in outcomes:
+                inv = m / (a + n)
+                h += w * inv
+                h2 += w * inv * inv
         return (h - h2 / h) / m
 
     def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:

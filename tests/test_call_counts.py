@@ -41,6 +41,7 @@ COUNTED = {
     "optimal_price": growthprice.solver,
     "_solve_price": growthprice.solver,
     "_first_order_sum": growthprice.solver,
+    "_vector_kernel": growthprice.solver,
     "boundary_growth": growthprice.translation,
     "_binomial": growthprice.oracle,
     "_log_growth": growthprice.oracle,
@@ -125,6 +126,41 @@ def test_a_game_is_validated_once_across_calls(two_point, calls):
         optimal_price(two_point, 0.05)
         threshold_shift(two_point, 0.05)
     assert calls["validate"] == 1
+
+
+@pytest.mark.parametrize(
+    "pairs, n, validations",
+    [
+        ([(1.0, 0.5), (19.0, 0.5)], 10.0, 0),
+        ([(1.0, 0.5), (19.0, 0.5)], -0.5, 0),
+        # rounding merges the two smaller payouts, so Game builds and
+        # validates the shifted game
+        ([(1.0, 0.3), (1.0 + 2.0**-52, 0.6), (5.0, 0.1)], 1.0, 1),
+    ],
+    ids=["above", "below", "merging"],
+)
+def test_price_translated_validates_only_a_merged_shifted_game(
+    calls, pairs, n, validations
+):
+    # a shifted game whose payouts stay apart inherits its parent's validity
+    game = Game.from_pairs(pairs)
+    compute_stats(game)
+    calls.clear()
+    price_translated(game, 0.05, n)
+    assert calls["validate"] == validations
+
+
+def test_a_wide_game_builds_its_arrays_and_kernel_once(calls):
+    game = random_game(np.random.default_rng(256), 256, 256)
+    threshold_shift(game, 0.05)
+    assert "_vector" not in vars(game)  # a threshold builds no arrays
+    optimal_price(game, 0.05)
+    kept = vars(game)["_vector"]
+    optimal_price(game, 0.06)
+    threshold_shift(game, 0.06)
+    assert calls["_solve_price"] == 2
+    assert calls["_vector_kernel"] == 1
+    assert vars(game)["_vector"] is kept
 
 
 def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):

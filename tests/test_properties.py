@@ -3,10 +3,12 @@ one regime boundary shared by all of them, additive prices below the threshold
 shift, monotone prices in the rate and the shift, cap tests at the smallest
 payout that refuse exactly what a per-term scan refuses, first-order sums that
 are weakly decreasing in t as evaluated, proportion, price and threshold
-solves from sign certificates that replay plain bisection bit for bit, and an
-exact spec round trip."""
+solves from sign certificates that replay plain bisection bit for bit, an
+exact spec round trip, and shifted games that equal the games built from
+their shifted outcomes."""
 
 import math
+import sys
 from functools import partial
 from unittest.mock import patch
 
@@ -19,7 +21,9 @@ import growthprice.translation
 from growthprice import (
     DomainError,
     Game,
+    GrowthPriceError,
     InternalConsistencyError,
+    Outcome,
     Regime,
     boundary_growth,
     compute_stats,
@@ -30,6 +34,8 @@ from growthprice import (
     price_translated,
     save_spec,
     threshold_shift,
+    translate,
+    validate,
 )
 from growthprice.solver import (
     _CAP_MARGIN,
@@ -192,6 +198,53 @@ def test_spec_round_trip_is_exact(pairs, label):
     assert [(o.payout, o.weight) for o in loaded.outcomes] == [
         (o.payout, o.weight) for o in game.outcomes
     ]
+
+
+def _verdict(fn, game: Game) -> str:
+    try:
+        return repr(fn(game))
+    except GrowthPriceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    game=st.builds(_scaled, cap_games, st.sampled_from((1.0, *SCALES, 1e305))),
+    label=st.none() | st.text(max_size=3),
+)
+def test_translate_equals_the_game_built_from_the_shifted_outcomes(game, label):
+    # translate skips the merge, the sort and the validation where the
+    # shifted payouts stay finite and strictly increasing; the game must be
+    # the one Game builds, with the same statistics, and a shift that merges
+    # payouts or overflows the largest must validate or raise as Game's does.
+    game = game._replace(label=label)
+    xi = compute_stats(game).ess_inf
+    top = game.outcomes[-1].payout
+    shifts = [
+        0.0,
+        5e-324,
+        math.ulp(xi),
+        math.nextafter(-xi, 0.0),
+        -0.5 * xi,
+        3,
+        3.0 * top,
+        1e15 * xi,  # merges the payouts nearest the infimum on some games
+        1e17 * top,  # merges every payout
+        sys.float_info.max,  # overflows the largest payout from 1e292 up
+    ]
+    for n in filter(math.isfinite, shifts):
+        got = translate(game, n)
+        expected = Game(
+            tuple(Outcome(o.payout + n, o.weight) for o in game.outcomes),
+            label=game.label,
+        )
+        assert type(got) is Game, n
+        assert got == expected and got.label == expected.label, n
+        assert [tuple(map(type, o)) for o in got.outcomes] == [
+            tuple(map(type, o)) for o in expected.outcomes
+        ], n
+        assert _verdict(compute_stats, got) == _verdict(compute_stats, expected), n
+        assert repr(validate(got)) == repr(validate(expected)), n
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)

@@ -248,17 +248,31 @@ class TestOptimalPrice:
         assert 2.2250738585072014e-308 < solution.optimal_price < 4e-308
         assert math.isclose(solution.growth_check, math.exp(249.0), rel_tol=1e-15)
 
-    def test_threads_pricing_one_game_at_two_rates_get_fresh_results(self, two_point):
-        # the game keeps one price at a time; a thread must never be handed
-        # the other rate's result, nor a result another thread half stored
+    @pytest.mark.parametrize("k", [2, 64], ids=["narrow", "wide"])
+    def test_threads_pricing_one_game_at_two_rates_get_fresh_results(
+        self, two_point, k
+    ):
+        # the game keeps one price at a time, and a wide game its arrays; a
+        # thread must never be handed the other rate's result, nor a value
+        # another thread half stored
+        def solve(game, r):
+            return repr(
+                (
+                    optimal_price(game, r),
+                    threshold_shift(game, r),
+                    compute_stats(translate(game, 1.0)),
+                )
+            )
+
+        game = two_point if k == 2 else random_game(np.random.default_rng(6364), k, k)
         rates = (0.05, 0.3)
-        expected = {r: repr(optimal_price(Game(*two_point), r)) for r in rates}
+        expected = {r: solve(Game(*game), r) for r in rates}
         wrong, finished = [], []
 
         def price_in_turn(first: int) -> None:
-            for i in range(40):
+            for i in range(40 if k == 2 else 10):
                 r = rates[(first + i) % 2]
-                got = repr(optimal_price(two_point, r))
+                got = solve(game, r)
                 if got != expected[r]:
                     wrong.append((r, got))
             finished.append(first)
@@ -598,26 +612,37 @@ class TestFirstOrderKernels:
                 assert math.isfinite(kernel(u, inside))
 
     def test_solves_agree_on_both_kernels(self, monkeypatch):
+        # Wide games also take the envelope slope of optimal_price and the
+        # log slope of threshold_shift on numpy, whose sums round unlike the
+        # loop's; those steer Newton only, so every result keeps its bits.
         game = random_game(np.random.default_rng(256), 256, 256)
-        r = 0.05
-        n0 = threshold_shift(game, r).n0
+        xi = compute_stats(game).ess_inf
+        log_b0 = math.log(compute_stats(game).boundary_growth)
+        rates = [0.05, 1e-4 * log_b0, 0.5 * log_b0, 0.99 * log_b0]
+        n0s = [threshold_shift(game, r).n0 for r in rates]
 
         def solve_all(game):
-            return repr(
-                (
+            results = [asymptotic_sweep(game, 0.05, [0.0, 10.0, 1e3])]
+            for r, n0 in zip(rates, n0s):
+                # the price leaves the arrays that the thresholds steer with
+                results += [
                     optimal_price(game, r),
                     threshold_shift(game, r),
-                    price_translated(game, r, 0.5 * n0),
-                    price_translated(game, r, 2.0 * n0),
-                    asymptotic_sweep(game, r, [0.0, 10.0, 1e3]),
-                )
-            )
+                    threshold_shift(game, r, tol=1e-6),
+                    threshold_shift(game, r, max_iter=17),
+                ]
+                for n in (-0.5 * xi, 0.5 * n0, 2.0 * n0):
+                    results.append(price_translated(game, r, n))
+            return repr(results)
 
         vector = solve_all(game)
+        assert "_vector" in vars(game)
         monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert isinstance(_first_order_kernel(game), partial)  # the loop
         # a fresh game, since game keeps the price the numpy kernel found
-        assert solve_all(Game(*game)) == vector
+        fresh = Game(*game)
+        assert solve_all(fresh) == vector
+        assert "_vector" not in vars(fresh)
 
     def test_single_evaluations_leave_numpy_unimported(self):
         # optimal_proportion at or below the fair price and proportion_residual
@@ -640,6 +665,38 @@ class TestFirstOrderKernels:
         )
         assert proc.returncode == 0, proc.stderr.decode()
 
+    @pytest.mark.parametrize(
+        "k, solves",
+        [
+            # below 40 outcomes a game keeps no arrays, and every solve and
+            # shift runs on plain floats
+            (32, ["optimal_price(game, 0.05)", "price_translated(game, 0.05, 1.0)"]),
+            # threshold_shift uses the arrays a wide game keeps, and builds none
+            (40, []),
+        ],
+        ids=["narrow", "wide_threshold"],
+    )
+    def test_shifts_and_narrow_solves_leave_numpy_unimported(self, k, solves):
+        child = "\n".join(
+            [
+                "import sys",
+                "from growthprice import Game, boundary_growth, optimal_price,"
+                " price_translated, threshold_shift, translate",
+                f"game = Game.from_pairs((1.0 + i, 1.0 / {k}) for i in range({k}))",
+                "translate(game, 10.0)",
+                "boundary_growth(game, 10.0)",
+                "threshold_shift(game, 0.05)",
+                *solves,
+                "assert 'numpy' not in sys.modules",
+            ]
+        )
+        src = str(Path(growthprice.solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
     @pytest.mark.parametrize("threads", [None, "2"])
     def test_numpy_loads_on_one_blas_thread_unless_one_is_set(self, threads):
         # The wide kernel makes no BLAS call, so it loads numpy without
@@ -647,7 +704,7 @@ class TestFirstOrderKernels:
         child = (
             "import os, sys\n"
             "from growthprice import Game, optimal_price\n"
-            "game = Game.from_pairs((1.0 + i, 1.0 / 64) for i in range(64))\n"
+            "game = Game.from_pairs((1.0 + i, 1.0 / 40) for i in range(40))\n"
             "before = dict(os.environ)\n"
             "optimal_price(game, 0.05)\n"
             "assert 'numpy' in sys.modules\n"
