@@ -63,21 +63,19 @@ The first-order sum has two kernels, chosen once per solve from the number
 of outcomes, each of which returns the derivative in t next to the sum
 when asked. Below _VECTOR_MIN_OUTCOMES a plain loop over the outcomes is
 fastest; from there up, numpy forms the terms from arrays of the game's
-payouts and weights, which pays off because the per-call overhead of numpy
-no longer dominates. The game keeps those arrays and the kernel built on
-them (_vector), so each is built once per game, not once per solve. A
-single evaluation outside a solve always takes the loop. Both kernels form
-every term with the same IEEE operations in the same order and add them
-with math.fsum, which rounds the exact sum correctly, so they return the
-same sum and no result depends on which kernel ran. Sums that only steer
-Newton run on the arrays with numpy's own summation, which rounds unlike a
-loop: the derivative, optimal_price's envelope slope and threshold_shift's
-log slope. Every residual, the first-order sum, the log growth, the
-boundary growth and the statistics, keeps math.fsum over per-term
-math.log and math.log1p on both widths: numpy's are not the C library's.
-On 200 000 random arguments each (numpy 2.4.6), np.log returned a
-different float from math.log for 154 and np.log1p from math.log1p for
-17 283.
+payouts and weights, which the game keeps with the kernel built on them
+(_vector). A single evaluation outside a solve takes the loop, and so does
+every solve where numpy cannot be imported: numpy only accelerates. Both
+kernels form each term with the same IEEE operations in the same order.
+Every residual (the first-order sum, the log growth, the boundary growth
+and the statistics) adds its terms with math.fsum, which rounds the exact
+sum correctly, over per-term math.log and math.log1p: numpy's are not the C
+library's (on 200 000 random arguments each, numpy 2.4.6, np.log differed
+from math.log for 154 and np.log1p from math.log1p for 17 283). The sums
+that only steer Newton, the derivative and threshold_shift's log slope, add
+in outcome order, += in the loop and .cumsum()[-1] on the arrays, which
+round alike; optimal_price's envelope slope needs no sum. So no result and
+no evaluation count depends on the kernel or the interpreter.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ import math
 import os
 import sys
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -100,20 +98,14 @@ DEFAULT_MAX_ITER = 200
 _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
-# Outcome count from which the first-order sum, and the slopes that steer
-# Newton in optimal_price and threshold_shift, run on numpy arrays that the
-# game keeps. A solve makes a little over half its evaluations with the
-# derivative (Newton): 21 of 37 in optimal_price on the two-point fixture.
-# On payouts 1..k with equal weights, best of 15 with the two ways
-# alternating in one process on a game that keeps its arrays and kernel, one
-# evaluation at u = 15, t = 0.5 took 5.3 us looped against 3.6 us on numpy at
-# 40 outcomes for the sum alone, and 5.4 against 5.6 with the derivative; at
-# 48, 6.1 against 3.6 and 6.2 against 5.5. Whole optimal_price solves at
-# r = 0.05 took 0.26 ms looped against 0.28 ms at 32 outcomes, 0.32 against
-# 0.30 at 40 (0.31 against 0.33 in a second run) and 0.39 against 0.35 at 48;
-# threshold_shift took 0.12 against 0.13 ms at 32, 0.16 against 0.16 at 40
-# and 0.18 against 0.18 at 48 (Python 3.11, numpy 2.4, 2 vCPUs). They cross
-# near 40, and both ways return the same floats. One kernel call alone:
+# Outcome count from which the first-order sum, and threshold_shift's log
+# slope, run on numpy arrays that the game keeps. On payouts 1..k with equal
+# weights (Python 3.11, numpy 2.4, 2 vCPUs), one evaluation at u = 15,
+# t = 0.5 with the derivative took 5.6-5.7 us looped against 5.6-6.3 us on
+# numpy at 40 outcomes and 6.4-7.4 against 5.9-6.3 at 48 (two runs). Whole optimal_price solves at
+# r = 0.05 took 0.26 ms looped against 0.28 at 32 outcomes, 0.32 against 0.30
+# at 40 and 0.39 against 0.35 at 48; threshold_shift 0.12 against 0.13, 0.16
+# against 0.16 and 0.18 against 0.18. They cross near 40. One kernel call:
 #   PYTHONPATH=src python -m timeit -r 9 -s "import growthprice.solver as s;
 #   s._VECTOR_MIN_OUTCOMES = 1; k = 40; f = s._first_order_kernel(
 #   s.Game.from_pairs((1.0 + i, 1 / k) for i in range(k)))"
@@ -197,39 +189,46 @@ def _first_order_sum(
     return (total, derivative) if slope else total
 
 
+@cache
 def _import_numpy():
-    """numpy, loaded with OpenBLAS on one thread if no thread count is set.
+    """numpy, loaded with OpenBLAS on one thread if no thread count is set,
+    or None where it cannot be imported; the import is tried once per
+    process.
 
     The variable is set only for the import, so child processes do not
     inherit it; the loaded OpenBLAS keeps one thread for the whole process.
     """
-    if "numpy" in sys.modules or not set(_BLAS_THREAD_VARS).isdisjoint(os.environ):
-        import numpy
-
-        return numpy
-    os.environ[_BLAS_THREAD_VARS[0]] = "1"
+    pin = "numpy" not in sys.modules and set(_BLAS_THREAD_VARS).isdisjoint(os.environ)
+    if pin:
+        os.environ[_BLAS_THREAD_VARS[0]] = "1"
     try:
         import numpy
+    except ImportError:
+        return None
     finally:
-        os.environ.pop(_BLAS_THREAD_VARS[0], None)
+        if pin:
+            os.environ.pop(_BLAS_THREAD_VARS[0], None)
     return numpy
 
 
 def _vector(game: Game, build: bool = True) -> tuple | None:
     """(payouts, weights, kernel) for a game of at least _VECTOR_MIN_OUTCOMES
-    outcomes, None for a narrower one: its payouts and weights as numpy
-    arrays and the numpy first-order kernel on them.
+    outcomes, None for a narrower one or where numpy cannot be imported: its
+    payouts and weights as numpy arrays and the numpy first-order kernel on
+    them.
 
     The game keeps the triple, built on first use and stored whole, so every
     later solve on it reuses the arrays and the kernel. The width is checked
-    before the kept triple is read, so a narrow game never loads numpy.
-    Without build, a game that keeps no triple yet gets None.
+    before the kept triple is read, so a narrow game never loads numpy nor
+    looks it up. Without build, a game that keeps no triple yet gets None.
     """
     if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
         return None
     kept = game.__dict__.get("_vector")
     if kept is None and build:
         np = _import_numpy()
+        if np is None:
+            return None
         payouts, weights = map(np.array, game._columns)
         kernel = _vector_kernel(game.outcomes[0].payout, payouts, weights)
         kept = game.__dict__["_vector"] = (payouts, weights, kernel)
@@ -237,11 +236,9 @@ def _vector(game: Game, build: bool = True) -> tuple | None:
 
 
 def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
-    """The first-order sum of game as a function of (u, t, slope=False).
-
-    Equal, bit for bit, to _first_order_sum(game.outcomes, u, t), and with
-    slope its derivative is equal to rounding.
-    """
+    """The first-order sum of game as a function of (u, t, slope=False),
+    equal, bit for bit and with slope too, to
+    _first_order_sum(game._pairs, u, t, slope)."""
     vector = _vector(game)
     if vector is None:
         return partial(_first_order_sum, game._pairs)
@@ -252,7 +249,8 @@ def _vector_kernel(
     lowest: float, payouts, weights
 ) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum on numpy arrays of the payouts and weights, whose
-    smallest payout is lowest."""
+    smallest payout is lowest. The derivative is added in outcome order, as
+    the loop adds it."""
 
     def first_order_sum(
         u: float, t: float, slope: bool = False
@@ -263,7 +261,7 @@ def _vector_kernel(
         d = x * t + u
         terms = weights * x / d
         total = math.fsum(terms.tolist())
-        return (total, -float((terms * x / d).sum())) if slope else total
+        return (total, -float((terms * x / d).cumsum()[-1])) if slope else total
 
     return first_order_sum
 
@@ -656,7 +654,10 @@ def optimal_price(
 
     The bisection is replayed from the certificates of _newton_certificates:
     Newton in u on log G - r, with the envelope slope
-    d log G*/du = -(t/u) sum p a/(u + t (a - u)). Where log G* is convex,
+    d log G*/du = -(t/u) sum p a/d, d = u + t (a - u). As a = (1 - t)(a - u)
+    + d, that sum is sum p + (1 - t) g(t) with g the first-order sum, which
+    the inner solve returns at t, so the slope takes no pass over the
+    outcomes and is the same float on both kernels. Where log G* is convex,
     as its small-rate form (E - u)**2/(2 sigma**2) is, Newton from below the
     root climbs to it without overshooting, so it starts from the later of
     the tangent at the fair price, where the slope is -1/u, and the
@@ -700,7 +701,6 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             growth_check=growth,
         )
     outcomes = game._pairs
-    vector = _vector(game)
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
@@ -711,17 +711,14 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         # Keeps the proportion and growth of the last price evaluated, which
         # is the price _bisect returns; that proportion starts the next solve.
         nonlocal t, growth
-        t, _, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter, t)
+        t, g, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter, t)
         growth = math.exp(_log_growth(outcomes, price, t))
         if not slope:
             return growth - target
-        # by the envelope theorem d log G*/du is the partial derivative at t
-        if vector is not None:
-            payouts, weights, _ = vector
-            total = float((weights * payouts / (price + t * (payouts - price))).sum())
-        else:
-            total = sum(w * a / (price + t * (a - price)) for a, w in outcomes)
-        return _log_newton(growth - target, -t / price * total, target, eta)
+        # the envelope slope, with sum p taken as 1
+        return _log_newton(
+            growth - target, -t / price * (1.0 + (1.0 - t) * g), target, eta
+        )
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
     hi = stats.expectation * (1.0 - _PRICE_MARGIN)

@@ -153,10 +153,10 @@ def threshold_shift(
     Newton runs on log B(n) - r, with d log B/dn = H - H2/H for
     H = sum p/(a + n) and H2 = sum p/(a + n)**2, formed on the ratios
     (a + n)/(E + n) so that nothing overflows or underflows at any payout
-    scale, and summed with numpy on the arrays that a wide game keeps from
-    an earlier price solve (solver._vector): the slope only steers Newton,
-    so the sums' rounding moves no result. It starts from the large-shift
-    asymptote
+    scale, and added in outcome order, on the arrays that a wide game keeps
+    from an earlier price solve (solver._vector) or in a loop, which round
+    alike, so the Newton path is the same on both. It starts from the
+    large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3, or from the tangent of log B at n = 0 where
     that lies further out: near the boundary the asymptote is negative and
@@ -216,8 +216,8 @@ def threshold_shift(
             payouts, weights, _ = vector
             inv = m / (payouts + n)
             terms = weights * inv
-            h = float(terms.sum())
-            h2 = float((terms * inv).sum())
+            h = float(terms.cumsum()[-1])
+            h2 = float((terms * inv).cumsum()[-1])
         else:
             h = h2 = 0.0
             for a, w in outcomes:

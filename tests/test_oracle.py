@@ -1,7 +1,6 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -71,17 +70,19 @@ class TestClosedForm:
 def reference_grid(game, u, grid_points):
     """The full grid, its log growth and its first argmax, by a plain scan
     with math.log1p: each value is 0.0 plus w * log1p(t * ((a - u)/u)) for
-    each outcome in order."""
+    each outcome in order. numpy forms the grid, the products and the
+    running sums, each the same IEEE operation in the same order as a
+    per-point loop; math.log1p runs on every element."""
     stats = compute_stats(game)
     cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
-    ts = [cap * (i + 1) / (grid_points + 1) for i in range(grid_points)]
-    log_growth = [0.0] * grid_points
+    ts = cap * np.arange(1, grid_points + 1, dtype=float) / (grid_points + 1)
+    log_growth = np.zeros(grid_points)
     for o in game.outcomes:
         ratio = (o.payout - u) / u
-        logs = map(math.log1p, map(ratio.__mul__, ts))
-        log_growth = list(map(operator.add, log_growth, map(o.weight.__mul__, logs)))
-    first = max(range(grid_points), key=log_growth.__getitem__)
-    return ts, log_growth, ts[first]
+        logs = np.fromiter(map(math.log1p, (ratio * ts).tolist()), float, grid_points)
+        log_growth += o.weight * logs
+    first = int(np.argmax(log_growth))
+    return ts.tolist(), log_growth.tolist(), float(ts[first])
 
 
 def evaluated_points(monkeypatch, game, u, grid_points):

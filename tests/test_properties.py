@@ -4,8 +4,9 @@ shift, monotone prices in the rate and the shift, cap tests at the smallest
 payout that refuse exactly what a per-term scan refuses, first-order sums that
 are weakly decreasing in t as evaluated, proportion, price and threshold
 solves from sign certificates that replay plain bisection bit for bit, an
-exact spec round trip, and shifted games that equal the games built from
-their shifted outcomes."""
+envelope slope from an exact identity that matches a direct sum, an exact
+spec round trip, and shifted games that equal the games built from their
+shifted outcomes."""
 
 import math
 import sys
@@ -37,6 +38,7 @@ from growthprice import (
     translate,
     validate,
 )
+from growthprice.games import WEIGHT_SUM_TOL
 from growthprice.solver import (
     _CAP_MARGIN,
     _bisect,
@@ -85,17 +87,14 @@ def _scaled(game: Game, c: float) -> Game:
 
 
 # 2-64 outcomes, payouts on a 0.1 grid in [0.1, 1000] with integer weights,
-# at every payout scale the solvers support.
-wide_games = st.builds(
-    _scaled,
-    st.lists(
-        st.tuples(st.integers(1, 10_000), st.integers(1, 20)),
-        min_size=2,
-        max_size=64,
-        unique_by=lambda pair: pair[0],
-    ).map(_game),
-    st.sampled_from((1.0, *SCALES)),
-)
+unscaled_wide_games = st.lists(
+    st.tuples(st.integers(1, 10_000), st.integers(1, 20)),
+    min_size=2,
+    max_size=64,
+    unique_by=lambda pair: pair[0],
+).map(_game)
+# and at every payout scale the solvers support.
+wide_games = st.builds(_scaled, unscaled_wide_games, st.sampled_from((1.0, *SCALES)))
 
 
 def _near_cap(game: Game, fraction: float) -> tuple[float, float, list[float]]:
@@ -381,6 +380,61 @@ def test_certified_price_and_threshold_replay_plain_bisection(
         with patch.object(growthprice.solver, "_NEWTON_STEPS", 0):
             plain = _outcome(solve, Game(*game), r, tol=tol, max_iter=max_iter)
         assert certified == plain, solve.__name__
+
+
+def _envelope_slopes(game: Game, r: float, tol: float) -> list[tuple[float, ...]]:
+    """(u, t, g, slope) at every Newton step of optimal_price: the price, the
+    proportion and first-order sum that the inner solve returned there, and
+    the envelope slope that steered Newton."""
+    solve, newton = growthprice.solver._solve_proportion, growthprice.solver._log_newton
+    inner, seen = [], []
+
+    def spy_solve(first_order_sum, xi, u, *args):
+        t, g, steps = solve(first_order_sum, xi, u, *args)
+        inner[:] = [u, t, g]
+        return t, g, steps
+
+    def spy_newton(res, slope, target, eta):
+        seen.append((*inner, slope))
+        return newton(res, slope, target, eta)
+
+    with patch.object(growthprice.solver, "_solve_proportion", spy_solve):
+        with patch.object(growthprice.solver, "_log_newton", spy_newton):
+            optimal_price(game, r, tol=tol)
+    return seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    game=st.builds(_scaled, unscaled_wide_games, st.sampled_from((1e-200, 1.0, 1e200)))
+    | st.builds(_with_tiny_infimum_mass, wide_games, st.sampled_from((1e-9, 1e-6))),
+    fraction=st.floats(0.01, 0.99),
+    tol=st.sampled_from((1e-12, 1e-6)),
+)
+def test_envelope_slope_from_the_identity_matches_a_direct_sum(game, fraction, tol):
+    # optimal_price takes d log G*/du = -(t/u) sum p a/d, d = u + t (a - u),
+    # as -(t/u) (1 + (1 - t) g) from the inner solve's (t, g). The two agree
+    # to rounding and to validate's slack in sum p. Each term of either sum is
+    # within 5.1 eps (1 + t|a - u|/d) of its size, the second factor for the
+    # cancellation in d, and fsum, the product with 1 - t and the sums add a
+    # few eps of the whole, so with M the fsum of p (a + |(1 - t)(a - u)|)/d
+    # times that factor, the sums differ by at most WEIGHT_SUM_TOL + 16 eps M.
+    # The slope shares its factor -t/u with the direct sum's.
+    eps = 2.0**-53
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15)
+    for u, t, g, slope in _envelope_slopes(game, r, tol):
+        terms, sizes = [], []
+        for a, w in game._pairs:
+            x = a - u
+            d = x * t + u
+            terms.append(w * a / d)
+            sizes.append(w * (a + abs((1.0 - t) * x)) / d * (1.0 + t * abs(x) / d))
+        total = math.fsum(terms)
+        direct = -t / u * total
+        bound = (WEIGHT_SUM_TOL + 16.0 * eps * math.fsum(sizes)) / total + 4.0 * eps
+        assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
+        assert bound < 1e-11
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

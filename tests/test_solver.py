@@ -5,18 +5,25 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growthprice.solver
+import growthprice.translation
 from conftest import admissible_price, random_game, random_two_point
 from growthprice import (
     DomainError,
     Game,
+    GrowthPriceError,
     InternalConsistencyError,
     Regime,
     asymptotic_sweep,
@@ -591,6 +598,62 @@ def _solve_reprs(game: Game, n: float, max_iter: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@contextmanager
+def _counting():
+    """A Counter of first-order evaluations, on either kernel, and of
+    boundary_growth calls, made inside the with block."""
+    counts = Counter()
+    kernel = growthprice.solver._first_order_kernel
+    growth = growthprice.translation.boundary_growth
+
+    def counted_kernel(game):
+        evaluate = kernel(game)
+
+        def counted(*args, **kwargs):
+            counts["first_order"] += 1
+            return evaluate(*args, **kwargs)
+
+        return counted
+
+    def counted_growth(game, n):
+        counts["boundary_growth"] += 1
+        return growth(game, n)
+
+    with patch.object(growthprice.solver, "_first_order_kernel", counted_kernel):
+        with patch.object(growthprice.translation, "boundary_growth", counted_growth):
+            yield counts
+
+
+def _wide_game(pairs) -> Game:
+    total = math.fsum(weight for _, weight in pairs)
+    return Game.from_pairs((0.1 * a, weight / total) for a, weight in pairs)
+
+
+# 40-256 outcomes, the width drawn first so that every width is as likely,
+# payouts on a 0.1 grid in [0.1, 1000] with integer weights
+wide_games = st.integers(40, 256).flatmap(
+    lambda k: st.lists(
+        st.tuples(st.integers(1, 10_000), st.integers(1, 20)),
+        min_size=k,
+        max_size=k,
+        unique_by=lambda pair: pair[0],
+    ).map(_wide_game)
+)
+
+
+def _counted_solves(game: Game, r: float) -> list[tuple[str, int, int]]:
+    """Each solve's repr, or its error's, with the running counts after it."""
+    out = []
+    with _counting() as counts:
+        for solve in (optimal_price, threshold_shift, partial(price_translated, n=3.0)):
+            try:
+                got = repr(solve(game, r))
+            except GrowthPriceError as exc:
+                got = repr(exc)
+            out.append((got, counts["first_order"], counts["boundary_growth"]))
+    return out
+
+
 class TestFirstOrderKernels:
     """The numpy kernel for wide games must return the loop's float exactly."""
 
@@ -608,13 +671,17 @@ class TestFirstOrderKernels:
                 inside = cap * (1.0 - 1e-13)
                 for t in (0.0, float(rng.uniform(0.0, cap)), inside, cap, 2.0 * cap):
                     assert kernel(u, t) == _first_order_sum(game.outcomes, u, t)
+                    # the derivative too, added in outcome order on both
+                    assert kernel(u, t, slope=True) == _first_order_sum(
+                        game._pairs, u, t, slope=True
+                    )
                 assert kernel(u, 2.0 * cap) == -math.inf
                 assert math.isfinite(kernel(u, inside))
 
     def test_solves_agree_on_both_kernels(self, monkeypatch):
-        # Wide games also take the envelope slope of optimal_price and the
-        # log slope of threshold_shift on numpy, whose sums round unlike the
-        # loop's; those steer Newton only, so every result keeps its bits.
+        # Wide games also take the kernel's derivative and the log slope of
+        # threshold_shift on numpy, added in the loop's order, so Newton
+        # takes the same path: every result keeps its bits and every count.
         game = random_game(np.random.default_rng(256), 256, 256)
         xi = compute_stats(game).ess_inf
         log_b0 = math.log(compute_stats(game).boundary_growth)
@@ -635,14 +702,34 @@ class TestFirstOrderKernels:
                     results.append(price_translated(game, r, n))
             return repr(results)
 
-        vector = solve_all(game)
+        with _counting() as vector_counts:
+            vector = solve_all(game)
         assert "_vector" in vars(game)
         monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert isinstance(_first_order_kernel(game), partial)  # the loop
         # a fresh game, since game keeps the price the numpy kernel found
         fresh = Game(*game)
-        assert solve_all(fresh) == vector
+        with _counting() as loop_counts:
+            assert solve_all(fresh) == vector
         assert "_vector" not in vars(fresh)
+        assert loop_counts == vector_counts
+        assert vector_counts["first_order"] and vector_counts["boundary_growth"]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        game=wide_games,
+        share=st.floats(0.01, 0.99),
+    )
+    def test_kernels_take_the_same_newton_path_on_wide_games(self, game, share):
+        log_b0 = math.log(compute_stats(game).boundary_growth)
+        for r in (share * log_b0, 1e-4 * log_b0, 1e-6 * log_b0):
+            # fresh games, since each keeps the price it found
+            vector = Game(*game)
+            on_numpy = _counted_solves(vector, r)
+            assert "_vector" in vars(vector)
+            with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9):
+                looped = _counted_solves(Game(*game), r)
+            assert looped == on_numpy, r
 
     def test_single_evaluations_leave_numpy_unimported(self):
         # optimal_proportion at or below the fair price and proportion_residual
@@ -688,6 +775,9 @@ class TestFirstOrderKernels:
                 "threshold_shift(game, 0.05)",
                 *solves,
                 "assert 'numpy' not in sys.modules",
+                # nor looked up
+                "import growthprice.solver",
+                "assert growthprice.solver._import_numpy.cache_info().misses == 0",
             ]
         )
         src = str(Path(growthprice.solver.__file__).resolve().parents[1])

@@ -1,0 +1,101 @@
+"""numpy is an optional accelerator: without it every solver runs its loops,
+with the same results and the same evaluation counts.
+
+This file imports no numpy, so it runs where numpy is not installed.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import growthprice
+
+# Run in a child process as `python -c CHILD blocked|free`. It prices,
+# thresholds, translates, sweeps and verifies games of 40, 64 and 256
+# outcomes, and prints each result's repr with the first-order evaluations,
+# on either kernel, and the boundary_growth calls it made, as JSON.
+CHILD = r"""
+import json, math, random, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from collections import Counter
+import growthprice.solver as solver
+import growthprice.translation as translation
+from growthprice import (
+    Game, asymptotic_sweep, compute_stats, optimal_price, price_translated,
+    threshold_shift, verify,
+)
+
+counts = Counter()
+kernel, growth = solver._first_order_kernel, translation.boundary_growth
+
+def counted_kernel(game):
+    evaluate = kernel(game)
+    def counted(*args, **kwargs):
+        counts["first_order"] += 1
+        return evaluate(*args, **kwargs)
+    return counted
+
+def counted_growth(game, n):
+    counts["boundary_growth"] += 1
+    return growth(game, n)
+
+solver._first_order_kernel = counted_kernel
+translation.boundary_growth = counted_growth
+
+results, kept = [], []
+for k in (40, 64, 256):
+    rng = random.Random(k)
+    weights = [rng.uniform(0.05, 1.0) for _ in range(k)]
+    total = math.fsum(weights)
+    pairs = [(10.0 ** rng.uniform(-1.0, 2.0), w / total) for w in weights]
+    log_b0 = math.log(compute_stats(Game.from_pairs(pairs)).boundary_growth)
+    for r in (0.3 * log_b0, 1e-6 * log_b0):
+        game = Game.from_pairs(pairs)
+        calls = [
+            lambda: optimal_price(game, r),
+            lambda: threshold_shift(game, r),
+            lambda: price_translated(game, r, 3.0),
+            lambda: asymptotic_sweep(game, r, [0.0, 10.0, 1e3]),
+            lambda: verify(game),
+        ]
+        for call in calls:
+            counts.clear()
+            results.append([repr(call()), counts["first_order"], counts["boundary_growth"]])
+        kept.append("_vector" in vars(game))
+print(json.dumps({
+    "results": results,
+    "kept": kept,
+    "numpy": sys.modules.get("numpy") is not None,
+    "imports": solver._import_numpy.cache_info().misses,
+}))
+"""
+
+
+def _run_child(mode: str) -> dict:
+    src = str(Path(growthprice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, mode], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def test_wide_games_solve_alike_with_numpy_blocked():
+    blocked = _run_child("blocked")
+    assert not blocked["numpy"]
+    assert not any(blocked["kept"])
+    assert blocked["imports"] == 1  # tried once, not once per game or solve
+    free = _run_child("free")
+    # where numpy is installed, the free run priced on it
+    installed = importlib.util.find_spec("numpy") is not None
+    assert free["numpy"] == installed
+    assert all(free["kept"]) == installed
+    assert free["imports"] == 1
+    assert blocked["results"] == free["results"]
+    # every optimal_price call solved
+    assert all(first_order > 0 for _, first_order, _ in blocked["results"][::5])
