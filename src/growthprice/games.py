@@ -45,10 +45,11 @@ class Game(_GameFields):
     The instance dict keeps what is computed from the game on first use:
     the summary statistics, so a game is validated once however many
     solvers it passes through; the outcomes as plain pairs, and as a column
-    of payouts and a column of weights; from solver._VECTOR_MIN_OUTCOMES
-    outcomes up, where numpy can be imported, the columns as numpy arrays
-    with the first-order kernel built on them; and solver.optimal_price's last result with its
-    arguments, so a game priced twice at the same arguments is solved once.
+    of payouts and a column of weights; after a price solve on a game of
+    solver._VECTOR_MIN_OUTCOMES outcomes or more, where numpy can be
+    imported, the columns as numpy arrays with the first-order kernel on
+    them; and solver.optimal_price's last result with its arguments, so a
+    game priced twice at the same arguments is solved once.
     None of them takes part in equality or hashing. A game that fails
     validation caches no statistics and raises again on every use.
     Concurrent use is safe: each value is deterministic and stored whole,

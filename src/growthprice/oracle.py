@@ -5,8 +5,8 @@ Three routes that never touch the bisection code: the closed-form solution
 for two-point games, the argmax of the growth rate over a uniform grid, and
 Monte Carlo simulation of per-period wealth growth. verify compares each of
 them with the solver and reports one Check per property. The module is pure
-Python: it imports no numpy, so neither does the verify command on games
-narrow enough for the solver's loop kernel.
+Python: it imports no numpy, and the solver's proportion solves that verify
+runs take the loop at any width, so the verify command never loads numpy.
 
 The grid argmax returns the first maximum of the log growth as evaluated
 at every grid point, but evaluates about 50 of 100 000 points: a ternary

@@ -59,14 +59,15 @@ the log of the growth; _price_band and threshold_shift derive theirs, and
 Newton runs on the log residual (_log_newton). Where eta cannot be shown,
 the bisection runs without certificates.
 
-The first-order sum has two kernels, chosen once per solve from the number
-of outcomes, each of which returns the derivative in t next to the sum
-when asked. Below _VECTOR_MIN_OUTCOMES a plain loop over the outcomes is
-fastest; from there up, numpy forms the terms from arrays of the game's
-payouts and weights, which the game keeps with the kernel built on them
-(_vector). A single evaluation outside a solve takes the loop, and so does
-every solve where numpy cannot be imported: numpy only accelerates. Both
-kernels form each term with the same IEEE operations in the same order.
+The first-order sum has two kernels, each of which returns the derivative
+in t next to the sum when asked: a plain loop, and numpy on arrays of the
+game's payouts and weights. Only a price solve, which nests about six
+proportion solves, repays loading numpy, and it alone builds numpy state
+(_first_order_kernel), which threshold_shift's slope reads
+(_shift_slope). All else takes the loop, as does every solve where numpy
+cannot be imported: numpy only accelerates, and only this module holds
+numpy code. Both kernels form each term with the same IEEE operations in
+the same order.
 Every residual (the first-order sum, the log growth, the boundary growth
 and the statistics) adds its terms with math.fsum, which rounds the exact
 sum correctly, over per-term math.log and math.log1p: numpy's are not the C
@@ -98,8 +99,8 @@ DEFAULT_MAX_ITER = 200
 _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
-# Outcome count from which the first-order sum, and threshold_shift's log
-# slope, run on numpy arrays that the game keeps. On payouts 1..k with equal
+# Outcome count from which a price solve runs the first-order sum on numpy
+# arrays that the game keeps. On payouts 1..k with equal
 # weights (Python 3.11, numpy 2.4, 2 vCPUs), one evaluation at u = 15,
 # t = 0.5 with the derivative took 5.6-5.7 us looped against 5.6-6.3 us on
 # numpy at 40 outcomes and 6.4-7.4 against 5.9-6.3 at 48 (two runs). Whole optimal_price solves at
@@ -211,38 +212,24 @@ def _import_numpy():
     return numpy
 
 
-def _vector(game: Game, build: bool = True) -> tuple | None:
-    """(payouts, weights, kernel) for a game of at least _VECTOR_MIN_OUTCOMES
-    outcomes, None for a narrower one or where numpy cannot be imported: its
-    payouts and weights as numpy arrays and the numpy first-order kernel on
-    them.
-
-    The game keeps the triple, built on first use and stored whole, so every
-    later solve on it reuses the arrays and the kernel. The width is checked
-    before the kept triple is read, so a narrow game never loads numpy nor
-    looks it up. Without build, a game that keeps no triple yet gets None.
-    """
-    if len(game.outcomes) < _VECTOR_MIN_OUTCOMES:
-        return None
-    kept = game.__dict__.get("_vector")
-    if kept is None and build:
-        np = _import_numpy()
-        if np is None:
-            return None
-        payouts, weights = map(np.array, game._columns)
-        kernel = _vector_kernel(game.outcomes[0].payout, payouts, weights)
-        kept = game.__dict__["_vector"] = (payouts, weights, kernel)
-    return kept
-
-
 def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum of game as a function of (u, t, slope=False),
     equal, bit for bit and with slope too, to
-    _first_order_sum(game._pairs, u, t, slope)."""
-    vector = _vector(game)
-    if vector is None:
-        return partial(_first_order_sum, game._pairs)
-    return vector[2]
+    _first_order_sum(game._pairs, u, t, slope). Only _solve_price calls it.
+
+    From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
+    game keeps (payouts, weights, kernel), its columns as arrays and the
+    numpy kernel on them, built once and stored whole. A narrow game never
+    loads numpy nor looks it up."""
+    if len(game.outcomes) >= _VECTOR_MIN_OUTCOMES:
+        kept = game.__dict__.get("_vector")
+        if kept is None and (np := _import_numpy()) is not None:
+            payouts, weights = map(np.array, game._columns)
+            kernel = _vector_kernel(game.outcomes[0].payout, payouts, weights)
+            kept = game.__dict__["_vector"] = (payouts, weights, kernel)
+        if kept is not None:
+            return kept[2]
+    return partial(_first_order_sum, game._pairs)
 
 
 def _vector_kernel(
@@ -264,6 +251,38 @@ def _vector_kernel(
         return (total, -float((terms * x / d).cumsum()[-1])) if slope else total
 
     return first_order_sum
+
+
+def _shift_slope(game: Game) -> Callable[[float], float]:
+    """d log B/dn as a function of n, for B(n) = boundary_growth(game, n) =
+    H exp(sum p log(a + n)) with H = sum p/(a + n): H - H2/H, where
+    H2 = sum p/(a + n)**2. Both sums are formed on the ratios
+    (E + n)/(a + n) so that nothing overflows or underflows at any payout
+    scale, and added in outcome order, on the arrays that a price solve
+    left on the game or in a loop, which round alike, so threshold_shift's
+    Newton takes the same path on both. Loading numpy here would cost more
+    than it saves, so no arrays are built."""
+    mean = compute_stats(game).expectation
+    kept = game.__dict__.get("_vector")
+
+    def log_slope(n: float) -> float:
+        # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
+        m = mean + n
+        if kept is not None:
+            payouts, weights, _ = kept
+            inv = m / (payouts + n)
+            terms = weights * inv
+            h = float(terms.cumsum()[-1])
+            h2 = float((terms * inv).cumsum()[-1])
+        else:
+            h = h2 = 0.0
+            for a, w in game._pairs:
+                inv = m / (a + n)
+                h += w * inv
+                h2 += w * inv * inv
+        return (h - h2 / h) / m
+
+    return log_slope
 
 
 def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
@@ -462,7 +481,7 @@ def pre_optimal_proportion(
             f" ({stats.lower_price_bound!r}, {stats.expectation!r})"
         )
     t, res, iterations = _solve_proportion(
-        _first_order_kernel(game), stats.ess_inf, u, tol, max_iter
+        partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
     )
     growth = math.exp(_log_growth(game._pairs, u, t))
     return ProportionSolution(

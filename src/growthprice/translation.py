@@ -36,7 +36,7 @@ from .solver import (
     _log_newton,
     _newton_certificates,
     _require_bisect_args,
-    _vector,
+    _shift_slope,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -145,18 +145,16 @@ def threshold_shift(
     The boundary growth is strictly decreasing in the shift, so
     solver._bisect, with floor ess_inf, finds the root on [0, n_hi], with
     n_hi found by doubling from 10 * expectation, so tol is relative to the
-    payout scale. When exp(r) already exceeds the unshifted boundary growth
+    payout scale. The exact B drops below exp(r) long before a shift that
+    merges every payout, so a doubling that reaches one raises
+    InternalConsistencyError. When exp(r) already exceeds the unshifted boundary growth
     there is nothing to solve and the status says so.
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
-    Newton runs on log B(n) - r, with d log B/dn = H - H2/H for
-    H = sum p/(a + n) and H2 = sum p/(a + n)**2, formed on the ratios
-    (a + n)/(E + n) so that nothing overflows or underflows at any payout
-    scale, and added in outcome order, on the arrays that a wide game keeps
-    from an earlier price solve (solver._vector) or in a loop, which round
-    alike, so the Newton path is the same on both. It starts from the
-    large-shift asymptote
+    Newton runs on log B(n) - r, with the slope of solver._shift_slope,
+    which reads the arrays that an earlier price solve left on a wide game
+    and builds none. It starts from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3, or from the tangent of log B at n = 0 where
     that lies further out: near the boundary the asymptote is negative and
@@ -193,38 +191,19 @@ def threshold_shift(
         return ThresholdResult(
             rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND
         )
+    outcomes = game._pairs
     hi = _SEARCH_START_FACTOR * stats.expectation
     doublings = 0
     while boundary_growth(game, hi) >= target:
         hi *= 2.0
         doublings += 1
-        if doublings > _MAX_DOUBLINGS:
+        if doublings > _MAX_DOUBLINGS or outcomes[0][0] + hi == outcomes[-1][0] + hi:
             raise InternalConsistencyError(
-                f"boundary growth failed to drop below exp(r)={target!r}"
-                f" for shifts up to {hi!r}"
+                f"boundary growth failed to drop below exp(r)={target!r} for shifts"
+                f" up to {hi!r}; the weights sum to {math.fsum(game._columns[1])!r}"
             )
-    outcomes = game._pairs
     mean = stats.expectation
-    # the arrays a wide price solve left on the game; building them here
-    # would load numpy to save a few microseconds per step
-    vector = _vector(game, build=False)
-
-    def log_slope(n: float) -> float:
-        # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
-        m = mean + n
-        if vector is not None:
-            payouts, weights, _ = vector
-            inv = m / (payouts + n)
-            terms = weights * inv
-            h = float(terms.cumsum()[-1])
-            h2 = float((terms * inv).cumsum()[-1])
-        else:
-            h = h2 = 0.0
-            for a, w in outcomes:
-                inv = m / (a + n)
-                h += w * inv
-                h2 += w * inv * inv
-        return (h - h2 / h) / m
+    log_slope = _shift_slope(game)
 
     def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:
         res = boundary_growth(game, n) - target

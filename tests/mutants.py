@@ -1,0 +1,297 @@
+"""Mutation run: break the package on purpose, one mutant at a time, and
+require the tests named for each mutant to fail.
+
+    python tests/mutants.py             # every entry
+    python tests/mutants.py NAME ...    # the named entries
+
+For each entry the script copies src/, tests/ and pyproject.toml to a fresh
+temporary directory, replaces the entry's old text in its file under
+src/growthprice/ with its new text, and runs pytest on the entry's test ids
+in that directory, where pyproject.toml's pythonpath puts the mutated src/
+first (the control entry shows that it does). The old text must occur
+exactly once, so a stale entry fails loudly, and so does a test id that no
+longer exists: only pytest's exit code 1, tests that ran and failed, kills
+a mutant. Hypothesis does not shrink there, since one failing example is
+enough. A mutant that no test can kill yet stays in the table, failing the
+run, until a test kills it.
+
+Needs the test dependencies and nothing else: the script itself is stdlib
+only. Exits 0 when every mutant is killed. Its name does not match
+test_*.py, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# pytest, under a hypothesis profile that keeps failing examples unshrunk and
+# unsaved; explicit @settings in the tests inherit its phases. It is loaded
+# once pytest has started, so that pytest can still rewrite hypothesis.
+RUNNER = """\
+import sys
+import pytest
+
+
+class NoShrink:
+    @staticmethod
+    def pytest_configure(config):
+        from hypothesis import Phase, settings
+
+        settings.register_profile(
+            "mutants", phases=(Phase.explicit, Phase.generate), database=None
+        )
+        settings.load_profile("mutants")
+
+
+sys.exit(pytest.main(sys.argv[1:], plugins=[NoShrink()]))
+"""
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/growthprice/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    origin: str  # the change that motivated the entry
+
+
+SOLVER_TESTS = "tests/test_solver.py"
+KERNELS = f"{SOLVER_TESTS}::TestFirstOrderKernels"
+
+MUTANTS = (
+    Mutant(
+        "control: the tests import the mutated copy",
+        "solver.py",
+        "    key = (type(r), r, type(tol), tol, type(max_iter), max_iter)\n",
+        '    raise AssertionError("the mutated copy")\n',
+        ("tests/test_call_counts.py::test_optimal_price_validates_at_most_once",),
+        "the mutation run itself",
+    ),
+    Mutant(
+        "a cold command imports inspect",
+        "cli.py",
+        "import argparse\n",
+        "import argparse\nimport inspect\n",
+        ("tests/test_cli.py::TestLazyImports::test_cold_command_loads_only_its_modules",),
+        "ef3c7e6, records as NamedTuples",
+    ),
+    Mutant(
+        "the price certificates' band is -1",
+        "solver.py",
+        "excess_growth, lo, hi, start, 3.0 * eta * target",
+        "excess_growth, lo, hi, start, -1.0",
+        ("tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",),
+        "b2f761f, a game keeps its last price",
+    ),
+    Mutant(
+        "the price memo publishes its key before its result",
+        "solver.py",
+        "    solution = _solve_price(game, r, tol, max_iter)\n",
+        '    game.__dict__["_price"] = (key, None)\n'
+        "    solution = _solve_price(game, r, tol, max_iter)\n",
+        ("tests/test_call_counts.py::test_a_refused_call_keeps_the_last_price",),
+        "b2f761f, a game keeps its last price",
+    ),
+    Mutant(
+        "the grid cap at 1 - 1e-6",
+        "oracle.py",
+        "cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))",
+        "cap = min(1.0, (1.0 - 1e-6) * u / (u - stats.ess_inf))",
+        ("tests/test_oracle.py::TestGridArgmax::test_grid_points_follow_the_cap_where_it_binds",),
+        "313d645, oracle without numpy",
+    ),
+    Mutant(
+        "the grid search cuts with no margin",
+        "oracle.py",
+        "        if value(m1) < value(m2) - 4.0 * eta:\n"
+        "            lo = m1 + 1\n"
+        "        elif value(m2) < value(m1) - 4.0 * eta:\n",
+        "        if value(m1) < value(m2) - 0.0 * eta:\n"
+        "            lo = m1 + 1\n"
+        "        elif value(m2) < value(m1) - 0.0 * eta:\n",
+        ("tests/test_oracle.py::TestGridArgmax::test_a_near_tie_cuts_nothing",),
+        "313d645, oracle without numpy",
+    ),
+    Mutant(
+        "the grid window's floor has no margin",
+        "oracle.py",
+        "floor = value(coarse[c]) - 4.0 * eta",
+        "floor = value(coarse[c]) - 0.0 * eta",
+        ("tests/test_oracle.py::TestGridArgmax::test_a_near_tie_cuts_nothing",),
+        "313d645, oracle without numpy",
+    ),
+    Mutant(
+        "weights may sum to 1 +- 1e-6",
+        "games.py",
+        "WEIGHT_SUM_TOL = 1e-12",
+        "WEIGHT_SUM_TOL = 1e-6",
+        ("tests/test_games.py::TestValidate::test_weight_sum_tolerance_is_1e_12",),
+        "cc79a57, the roadmap's hand run",
+    ),
+    Mutant(
+        "no margin inside the pricing bracket",
+        "solver.py",
+        "_PRICE_MARGIN = 1e-12",
+        "_PRICE_MARGIN = 0.0",
+        (
+            f"{SOLVER_TESTS}::TestOptimalPrice::test_fair_price_within_the_margins_of_the_expectation_is_refused",
+        ),
+        "cc79a57, the roadmap's hand run",
+    ),
+    Mutant(
+        "a shift keeps payouts that rounding merged",
+        "games.py",
+        "if math.isfinite(payouts[-1]) and all(map(lt, payouts, islice(payouts, 1, None))):",
+        "if math.isfinite(payouts[-1]):",
+        ("tests/test_translation.py::TestBoundaryGrowthShifts::test_shift_merging_two_payouts_is_invalid",),
+        "0c71e59, shifted games inherit their parent's validation",
+    ),
+    Mutant(
+        "no margin below the proportion cap",
+        "solver.py",
+        "_CAP_MARGIN = 1e-13",
+        "_CAP_MARGIN = 0.0",
+        ("tests/test_call_counts.py::test_optimal_price_makes_at_most_80_first_order_evaluations",),
+        "cc79a57, the roadmap's item 11",
+    ),
+    Mutant(
+        "the proportion probes 1e-10 from its root",
+        "solver.py",
+        "_PROBE_GAP = 1e-14",
+        "_PROBE_GAP = 1e-10",
+        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        "cc79a57, the roadmap's item 11",
+    ),
+    Mutant(
+        "the two shift routes may differ by 1e-3",
+        "translation.py",
+        "TRANSLATION_CHECK_TOL = 1e-9",
+        "TRANSLATION_CHECK_TOL = 1e-3",
+        (f"{KERNELS}::test_wide_game_values_are_pinned",),
+        "cc79a57, the roadmap's item 11",
+    ),
+    Mutant(
+        "the threshold search doubles at most 8 times",
+        "translation.py",
+        "_MAX_DOUBLINGS = 60",
+        "_MAX_DOUBLINGS = 8",
+        ("tests/test_translation.py::TestRateDomain::test_rates_inside_the_domain_are_solved",),
+        "cc79a57, the roadmap's item 11",
+    ),
+    Mutant(
+        "the price's eta is 0",
+        "solver.py",
+        "return eta if eta <= 1e-6 else math.inf",
+        "return 0.0 if eta <= 1e-6 else math.inf",
+        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        "09b1d46, price and threshold certificates",
+    ),
+    Mutant(
+        "the price certificates' band is 0",
+        "solver.py",
+        "excess_growth, lo, hi, start, 3.0 * eta * target",
+        "excess_growth, lo, hi, start, 0.0 * eta * target",
+        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        "09b1d46, price and threshold certificates",
+    ),
+    Mutant(
+        "the envelope slope drops the first-order sum",
+        "solver.py",
+        "-t / price * (1.0 + (1.0 - t) * g)",
+        "-t / price * (1.0 + 0.0 * g)",
+        ("tests/test_properties.py::test_envelope_slope_from_the_identity_matches_a_direct_sum",),
+        "1b9ef19, one arithmetic on both kernels",
+    ),
+    Mutant(
+        "a proportion solve builds a wide game's numpy kernel",
+        "solver.py",
+        "partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter",
+        "_first_order_kernel(game), stats.ess_inf, u, tol, max_iter",
+        (
+            f"{KERNELS}::test_shifts_and_narrow_solves_leave_numpy_unimported[wide_proportion_64]",
+        ),
+        "only a price solve builds numpy state",
+    ),
+    Mutant(
+        "the threshold's slope builds the arrays",
+        "solver.py",
+        '    mean = compute_stats(game).expectation\n    kept = game.__dict__.get("_vector")\n',
+        "    mean = compute_stats(game).expectation\n    _first_order_kernel(game)\n"
+        '    kept = game.__dict__.get("_vector")\n',
+        ("tests/test_call_counts.py::test_a_wide_game_builds_its_arrays_and_kernel_once",),
+        "only a price solve builds numpy state",
+    ),
+    Mutant(
+        "the threshold doubles past the shift that merges every payout",
+        "translation.py",
+        "if doublings > _MAX_DOUBLINGS or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
+        "if doublings > _MAX_DOUBLINGS:",
+        (
+            "tests/test_translation.py::TestThresholdShift::test_doubling_to_a_shift_that_merges_every_payout_is_internal",
+        ),
+        "only a price solve builds numpy state",
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or why the entry could not be run."""
+    with tempfile.TemporaryDirectory(prefix="growthprice-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(
+                ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "growthprice" / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"stale: the old text occurs {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        argv = [sys.executable, "-c", RUNNER, "-x", "-q", "-p", "no:cacheprovider"]
+        proc = subprocess.run(
+            [*argv, *mutant.tests], cwd=copy, env=env, capture_output=True, text=True
+        )
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:
+        return "killed"
+    tail = "\n".join(proc.stdout.splitlines()[-5:] + proc.stderr.splitlines()[-5:])
+    return f"pytest exited {proc.returncode}:\n{tail}"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such entries: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    start = time.perf_counter()
+    for mutant in chosen:
+        began = time.perf_counter()
+        outcome = run(mutant)
+        failed += outcome != "killed"
+        print(f"{time.perf_counter() - began:5.1f} s  {mutant.name}: {outcome}")
+    print(
+        f"{len(chosen) - failed} of {len(chosen)} mutants killed"
+        f" in {time.perf_counter() - start:.1f} s"
+    )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -385,6 +385,18 @@ class TestExitCodes:
         assert "disagrees" in err
         assert "stopped before tolerance" not in err
 
+    def test_threshold_doubling_to_a_merging_shift_is_exit_3(self, capsys, tmp_path):
+        # a valid game whose weights exceed 1 by 9e-13: the fault lies in the
+        # evaluated boundary growth, not in the game, so the exit is not 1
+        path = tmp_path / "excess.json"
+        path.write_text(
+            save_spec(Game.from_pairs([(1.0, 0.5), (19.0, 0.5000000000009)]))
+        )
+        argv = ["threshold", "--game", str(path), "--rate", "1e-11"]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (EXIT_INTERNAL, ""), err
+        assert "weights sum to 1.0000000000009" in err
+
     def test_failed_verification_is_exit_3(self, spec_path, monkeypatch):
         failing = [Check("always_fails", False, "patched")]
         # the verify handler looks verify up in the oracle module when it runs

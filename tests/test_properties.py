@@ -364,7 +364,9 @@ def _outcome(solve, *args, **kwargs) -> str:
     | st.builds(_scaled, cap_games, st.sampled_from(SCALES))
     | st.builds(_with_tiny_infimum_mass, wide_games, st.sampled_from((1e-9, 1e-6))),
     fraction=st.floats(0.02, 1.0 - 1e-9) | st.sampled_from((1.0 - 1e-9, 1.0 - 1e-12)),
-    tol=st.sampled_from((0.0, 1e-12, 1e-6)),
+    # 1e-4 and 1e-2 make _price_band refuse: eta above 1e-6, and tol past
+    # the bracket bound
+    tol=st.sampled_from((0.0, 1e-12, 1e-6, 1e-4, 1e-2)),
     max_iter=st.sampled_from((200, 1, 3, 17)),
 )
 def test_certified_price_and_threshold_replay_plain_bisection(

@@ -654,6 +654,16 @@ def _counted_solves(game: Game, r: float) -> list[tuple[str, int, int]]:
     return out
 
 
+# a price inside the admissible interval of the game in the child below
+_PROPORTION_SOLVES = [
+    "stats = compute_stats(game)",
+    "u = 0.5 * (stats.lower_price_bound + stats.expectation)",
+    "pre_optimal_proportion(game, u)",
+    "check_invariance(game, u, 10.0)",
+    "assert all(check.passed for check in verify(game))",
+]
+
+
 class TestFirstOrderKernels:
     """The numpy kernel for wide games must return the loop's float exactly."""
 
@@ -760,15 +770,20 @@ class TestFirstOrderKernels:
             (32, ["optimal_price(game, 0.05)", "price_translated(game, 0.05, 1.0)"]),
             # threshold_shift uses the arrays a wide game keeps, and builds none
             (40, []),
+            # only a price solve builds them: a proportion solve, and the
+            # invariance check and verify that run on it, take the loop
+            (64, _PROPORTION_SOLVES),
+            (256, _PROPORTION_SOLVES),
         ],
-        ids=["narrow", "wide_threshold"],
+        ids=["narrow", "wide_threshold", "wide_proportion_64", "wide_proportion_256"],
     )
     def test_shifts_and_narrow_solves_leave_numpy_unimported(self, k, solves):
         child = "\n".join(
             [
                 "import sys",
-                "from growthprice import Game, boundary_growth, optimal_price,"
-                " price_translated, threshold_shift, translate",
+                "from growthprice import Game, boundary_growth, check_invariance,"
+                " compute_stats, optimal_price, pre_optimal_proportion,"
+                " price_translated, threshold_shift, translate, verify",
                 f"game = Game.from_pairs((1.0 + i, 1.0 / {k}) for i in range({k}))",
                 "translate(game, 10.0)",
                 "boundary_growth(game, 10.0)",

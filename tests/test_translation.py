@@ -180,6 +180,18 @@ class TestThresholdShift:
         with pytest.raises(DomainError):
             threshold_shift(two_point, 0.0)
 
+    def test_doubling_to_a_shift_that_merges_every_payout_is_internal(self):
+        # The weights' 9e-13 excess over 1 keeps B(n) - 1 as evaluated above
+        # about 1.6e-11, so at r = 1e-11 the doubling reaches the shift where
+        # both payouts round to one. That is no game, and the fault is the
+        # evaluated B, not the caller's.
+        game = Game.from_pairs([(1.0, 0.5), (19.0, 0.5000000000009)])
+        assert threshold_shift(game, 1e-9).n0 == 202443.94836516277
+        with pytest.raises(InternalConsistencyError) as info:
+            threshold_shift(game, 1e-11)
+        assert "shifts up to 4.5035996273781965e+17" in str(info.value)
+        assert "weights sum to 1.0000000000009" in str(info.value)
+
 
 class TestPriceTranslated:
     def test_zero_shift_equals_direct_pricing(self, two_point):
