@@ -43,9 +43,20 @@ closest such certificates, _bisect evaluates only the midpoints between
 them, and where it needs a residual, and returns what plain bisection
 returns, bit for bit, in the same number of steps.
 
+Only values that may be returned replay a bisection. Every evaluation that
+_newton_certificates makes is a call f(x, slope=True), whose value steers
+Newton or certifies a point and is never returned; _bisect makes only plain
+calls f(x), whose value may be. A certificate of the price needs the growth
+there only within the price's eta (_price_band), so at such a call the
+inner proportion solve skips its replay where its own certificates already
+meet the tolerance rule's two tests, and returns one of them. The price
+bisection's own evaluations replay theirs, so every proportion and growth
+a solver returns is plain bisection's.
+
 _newton_certificates finds the certificates of all three roots: safeguarded
-Newton (rtsafe in Numerical Recipes) on the residual, then one probe on each
-side of its root, keeping every point whose residual lies beyond a band.
+Newton (rtsafe in Numerical Recipes) on the residual, then a probe on each
+side of its root, and further probes outward on a side the first left
+uncertified, keeping every point whose residual lies beyond a band.
 For the proportion the band is 0, as the lemma holds with eta = 0 and F the
 first-order sum as evaluated: the chain needs F only weakly decreasing. Each
 term p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
@@ -123,9 +134,18 @@ _VECTOR_MIN_OUTCOMES = 40
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Newton on any root makes at most _NEWTON_STEPS evaluations before its
 # probes, and 0 leaves every search plain bisection. On the proportion it
-# stops, and probes, at _PROBE_GAP of the proportion from its root.
+# stops, and probes, at _PROBE_GAP of the proportion from its root. A side
+# that its first probe leaves uncertified is probed on outward, each try
+# _PROBE_GROWTH times as far out, for at most _PROBE_TRIES tries; 12 tries at
+# 16-fold reach 16**11 gaps, a sixth of the proportion itself. On the
+# two-point fixture optimal_price made 364 first-order evaluations at
+# r = 1e-12 with one try, and 420, 335, 312, 301 and 285 at growth 2, 4, 8,
+# 16 and 32; at r = 1e-8, 167 with one try and 97 at 16 against 104 at 32.
+# The bench's solve_narrow mix made 50.05 per op at every growth.
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
+_PROBE_GROWTH = 16.0
+_PROBE_TRIES = 12
 # Unit roundoff of binary64.
 _EPS = 2.0**-53
 
@@ -344,25 +364,30 @@ def _bisect(
 
 
 def _newton_certificates(
-    f: Callable[..., float | tuple[float, float, float]],
+    f: Callable[..., tuple[float, float, float]],
     lo: float,
     hi: float,
     start: float,
     band: float,
-) -> tuple[float, float]:
-    """Sign certificates (pos, neg) for _bisect on a decreasing residual f.
+) -> tuple[float, float, float, float]:
+    """Sign certificates for _bisect on a decreasing residual f, each next to
+    the residual there: (pos, f(pos), neg, f(neg)).
 
-    f(x) is the residual at x and f(x, slope=True) the triple (residual,
-    Newton step, gap). Safeguarded Newton from start, or from the midpoint
+    f(x, slope=True), the only call made, is the triple (residual, Newton
+    step, gap) at x: each is a certificate evaluation, whose value the
+    caller never returns. Safeguarded Newton from start, or from the midpoint
     where start is outside (lo, hi), brackets the root by the sign of each
     residual and stops once a step is within gap, or leaves a bracket whose
     ends it both evaluated: there rounding steers the step more than the
     curve does, and _bisect splits the bracket as cheaply. It then probes at
-    its root -+ gap on each side not yet certified that closely. A residual
-    above band certifies its point positive, and one at or below -band
-    non-positive. With _NEWTON_STEPS at 0 nothing is certified.
+    its root -+ gap on each side not yet certified that closely, and on a
+    side that its probe left uncertified probes on outward, at distances
+    growing _PROBE_GROWTH-fold, at most _PROBE_TRIES times a side. A
+    residual above band certifies its point positive, and one at or below
+    -band non-positive; a missing certificate is an infinity with residual
+    nan. With _NEWTON_STEPS at 0 nothing is certified.
     """
-    pos, neg = -math.inf, math.inf
+    pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
     below, above = lo, hi
     x = start if lo < start < hi else 0.5 * (lo + hi)
     gap = math.nan
@@ -372,11 +397,11 @@ def _newton_certificates(
         if res > 0.0:
             below = x
             if res > band:
-                pos = x
+                pos, pos_res = x, res
         else:
             above = x
             if res <= -band:
-                neg = x
+                neg, neg_res = x, res
         x -= step
         if abs(step) <= gap:
             break
@@ -384,14 +409,19 @@ def _newton_certificates(
             if lo < below and above < hi:
                 break
             x = 0.5 * (below + above)
-    for probe in (x - gap, x + gap):
-        if pos < probe < neg and lo < probe < hi:
-            res = f(probe)
+    for distance in (-gap, gap):
+        for _ in range(_PROBE_TRIES):
+            probe = x + distance
+            # past a certificate on its side a probe certifies nothing new
+            if not (pos < probe < neg and lo < probe < hi):
+                break
+            res = f(probe, slope=True)[0]
             if res > band:
-                pos = probe
+                pos, pos_res = probe, res
             elif res <= -band:
-                neg = probe
-    return pos, neg
+                neg, neg_res = probe, res
+            distance *= _PROBE_GROWTH
+    return pos, pos_res, neg, neg_res
 
 
 def _log_newton(
@@ -420,24 +450,33 @@ def _solve_proportion(
     tol: float,
     max_iter: int,
     start: float = math.nan,
+    replay: bool = True,
 ) -> tuple[float, float, int]:
     """Bisect the first-order sum over (0, u/(u - xi)), from certificates.
 
     The sum is positive at 0 for u below the expectation and strictly
     decreasing, so [0, cap) brackets the unique root. Every point that
     _newton_certificates evaluates from start, with band 0, certifies the
-    sign of the midpoints beyond it for _bisect.
+    sign of the midpoints beyond it for _bisect, which returns the same
+    float whatever the start. Without replay, where the certificates are
+    at most tol*pos apart and one of them has a residual within tol, that
+    one is returned with its residual and 0 steps instead: it meets the
+    tolerance rule's two tests as a bisection's end does (the third ending
+    in _price_band), though its bits depend on the start. Only optimal_price
+    asks for that, at its certificate evaluations.
     """
     hi = u / (u - xi) * (1.0 - _CAP_MARGIN)
-    f = partial(first_order_sum, u)
 
-    def residual(t: float, slope: bool = False) -> float | tuple[float, float, float]:
-        if not slope:
-            return f(t)
+    def residual(t: float, slope: bool) -> tuple[float, float, float]:
         s, ds = first_order_sum(u, t, slope=True)
         return s, (s / ds if ds < 0.0 else math.nan), _PROBE_GAP * t
 
-    pos, neg = _newton_certificates(residual, 0.0, hi, start, 0.0)
+    pos, pos_res, neg, neg_res = _newton_certificates(residual, 0.0, hi, start, 0.0)
+    if not replay and neg - pos <= tol * pos:
+        for t, res in ((pos, pos_res), (neg, neg_res)):
+            if abs(res) <= tol:
+                return t, res, 0
+    f = partial(first_order_sum, u)
     return _bisect(f, 0.0, hi, tol, max_iter, pos=pos, neg=neg)
 
 
@@ -593,11 +632,19 @@ def _price_band(
       1.01/_CAP_MARGIN and B <= Y S. g as evaluated is within
       e = 6 eps (S + B)/t of g: each term is within eps (4.02 + 2.01|y|) of
       its own size, and fsum adds eps |g|.
-    - Endings. Suppose every inner solve ends on its tolerance rule or on
-      an unsplittable bracket. On the first, |g~(t~)| <= tol and the final
-      bracket is at most tol*t~/(1 - tol) wide; on the second it is one ulp
-      wide, <= 2 eps t~, and |g(t~)| <= 2 eps B/t~ + 2e. With
-      tol*K <= 1e-3, K the largest proportion bracket, this gives
+    - Endings. Suppose every inner solve ends on its tolerance rule, on an
+      unsplittable bracket or on close certificates. On the first,
+      |g~(t~)| <= tol and the final bracket, which encloses g~'s sign
+      change with t~ on it, is at most tol*t~/(1 - tol) wide; on the second
+      it is one ulp wide, <= 2 eps t~, and |g(t~)| <= 2 eps B/t~ + 2e. The
+      third is a certificate evaluation that skips the replay
+      (_solve_proportion): certificates pos < neg with g~(pos) > 0 >=
+      g~(neg) and neg - pos <= tol*pos, and t~ the one of them with
+      |g~(t~)| <= tol. g~ is weakly decreasing as evaluated, so [pos, neg]
+      encloses its sign change with t~ on it, and tol*pos <=
+      tol*t~/(1 - tol): the first ending's two conditions word for word,
+      and all that follows holds for it unchanged. With tol*K <= 1e-3, K
+      the largest proportion bracket, this gives
       t~|g(t~)| <= 1e-3 + 14 eps (1 + Y) S, hence S <= 2.04.
     - Rounding. t~(a - u)/u is within 3.01 eps of x, which moves log1p by
       at most 1.01 * 3.01 eps |y|; log1p, exp (faithful) and the product
@@ -614,8 +661,9 @@ def _price_band(
       28 eps**2 (S + B). In all, at most 1.01 tol**2 K + 0.014 tol + 3e-17.
 
     eta is twice the sum, which covers the second-order terms dropped
-    above. The endings hold when max_iter covers the most bisection steps
-    an inner solve may need. Let v(u) = sum p (a - u)**2/u**2. Below
+    above. The bisections' endings hold when max_iter covers the most
+    bisection steps an inner solve may need. Let
+    v(u) = sum p (a - u)**2/u**2. Below
     t0 = min(cap/2, (E - u)/(8 u v)) the first-order sum stays above
     g(0)/2 = (E - u)/(2u), since it falls by at most 4v per unit t there,
     and each term is within 14.1 eps of its size, so g~ stays within
@@ -668,8 +716,12 @@ def optimal_price(
     below it the strictly decreasing growth-versus-price curve is inverted
     by _bisect on (fair_price, expectation), with the proportion at each
     trial price from _solve_proportion, started from the previous trial
-    price's proportion. That proportion is the same float whatever the
-    start, so the evaluated growth is a function of the price alone.
+    price's proportion. At the bisection's own trial prices that solve
+    replays its bisection, whose proportion is the same float whatever the
+    start, so the growth compared there, and returned, is a function of the
+    price alone. At Newton's points and probes it may instead return one of
+    its certificates (the third ending in _price_band), whose growth is
+    within eta of the best growth all the same.
 
     The bisection is replayed from the certificates of _newton_certificates:
     Newton in u on log G - r, with the envelope slope
@@ -730,7 +782,9 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         # Keeps the proportion and growth of the last price evaluated, which
         # is the price _bisect returns; that proportion starts the next solve.
         nonlocal t, growth
-        t, g, _ = _solve_proportion(first_order_sum, xi, price, tol, max_iter, t)
+        t, g, _ = _solve_proportion(
+            first_order_sum, xi, price, tol, max_iter, t, replay=not slope
+        )
         growth = math.exp(_log_growth(outcomes, price, t))
         if not slope:
             return growth - target
@@ -755,7 +809,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             lo * (1.0 + math.log(stats.boundary_growth) - r),
             mean * (1.0 - math.sqrt(2.0 * r * spread)),
         )
-        pos, neg = _newton_certificates(
+        pos, _, neg, _ = _newton_certificates(
             excess_growth, lo, hi, start, 3.0 * eta * target
         )
     price, _, _ = _bisect(excess_growth, lo, hi, tol, max_iter, pos=pos, neg=neg)

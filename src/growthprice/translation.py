@@ -227,7 +227,7 @@ def threshold_shift(
         abs(math.log(outcomes[0][0])), abs(math.log(outcomes[-1][0] + hi))
     )
     eta = (len(outcomes) + 8) * _EPS * (1.0 + largest_log)
-    pos, neg = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
+    pos, _, neg, _ = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
     n0, res, _ = _bisect(
         excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg
     )

@@ -67,6 +67,10 @@ class Mutant(NamedTuple):
 
 SOLVER_TESTS = "tests/test_solver.py"
 KERNELS = f"{SOLVER_TESTS}::TestFirstOrderKernels"
+REPLAY_FREE = f"{SOLVER_TESTS}::TestReplayFreeProportion"
+REFERENCE_ETA = (
+    "tests/test_reference.py::test_every_price_certificate_is_within_eta_of_the_best_log_growth"
+)
 
 MUTANTS = (
     Mutant(
@@ -209,7 +213,10 @@ MUTANTS = (
         "solver.py",
         "-t / price * (1.0 + (1.0 - t) * g)",
         "-t / price * (1.0 + 0.0 * g)",
-        ("tests/test_properties.py::test_envelope_slope_from_the_identity_matches_a_direct_sum",),
+        (
+            "tests/test_properties.py::test_envelope_slope_from_the_identity_matches_a_direct_sum",
+            "tests/test_properties.py::test_envelope_slope_identity_holds_away_from_the_root",
+        ),
         "1b9ef19, one arithmetic on both kernels",
     ),
     Mutant(
@@ -240,6 +247,49 @@ MUTANTS = (
             "tests/test_translation.py::TestThresholdShift::test_doubling_to_a_shift_that_merges_every_payout_is_internal",
         ),
         "only a price solve builds numpy state",
+    ),
+    Mutant(
+        "the price's eta is 0, seen in the growth at its certificates",
+        "solver.py",
+        "return eta if eta <= 1e-6 else math.inf",
+        "return 0.0 if eta <= 1e-6 else math.inf",
+        (REFERENCE_ETA,),
+        "only returned values replay",
+    ),
+    Mutant(
+        "the price bisection's own evaluations skip the replay too",
+        "solver.py",
+        "first_order_sum, xi, price, tol, max_iter, t, replay=not slope",
+        "first_order_sum, xi, price, tol, max_iter, t, replay=False",
+        ("tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",),
+        "only returned values replay",
+    ),
+    Mutant(
+        "an unreplayed proportion needs no close certificates",
+        "solver.py",
+        "if not replay and neg - pos <= tol * pos:",
+        "if not replay:",
+        (f"{REPLAY_FREE}::test_wide_certificates_are_replayed",),
+        "only returned values replay",
+    ),
+    Mutant(
+        "an unreplayed proportion needs no residual within tol",
+        "solver.py",
+        "            if abs(res) <= tol:\n                return t, res, 0\n",
+        "            if abs(res) <= math.inf:\n                return t, res, 0\n",
+        (f"{REPLAY_FREE}::test_a_steep_residual_is_replayed",),
+        "only returned values replay",
+    ),
+    Mutant(
+        "a side left uncertified is probed once",
+        "solver.py",
+        "_PROBE_TRIES = 12",
+        "_PROBE_TRIES = 1",
+        (
+            "tests/test_call_counts.py::test_a_proportion_near_the_expectation_probes_outward",
+            f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_side_left_uncertified_is_probed_outward",
+        ),
+        "only returned values replay",
     ),
 )
 

@@ -7,8 +7,9 @@ float, also converted exactly. Results are Decimals.
 
 Price: below the regime boundary log B(0) = log(sum p/a) + sum p log a, the
 price u in (1/H, E) solves L*(u) = r, where L*(u) = max_t sum p log(1 +
-t (a - u)/u) and, by the envelope theorem, dL*/du = -(t/u) sum p a/(u +
-t (a - u)). At or above it the price is exp(sum p log a - r).
+t (a - u)/u), the best log growth, and, by the envelope theorem,
+dL*/du = -(t/u) sum p a/(u + t (a - u)). At or above it the price is
+exp(sum p log a - r).
 
 Threshold: the shift n0 >= 0 solves log B(n) = r with log B(n) =
 log(sum p/(a + n)) + sum p log(a + n) and d log B/dn = H - H2/H.
@@ -43,6 +44,32 @@ def _game(pairs):
     return [(Decimal(a), Decimal(p)) for a, p in pairs]
 
 
+def _proportion(game, u, t):
+    """The root in (0, 1) of the first-order sum at a price u above the fair
+    price, from t."""
+
+    def foc(t):
+        terms = [(a - u, u + t * (a - u)) for a, _ in game]
+        value = sum(p * x / d for (x, d), (_, p) in zip(terms, game))
+        slope = -sum(p * (x / d) ** 2 for (x, d), (_, p) in zip(terms, game))
+        return value, slope
+
+    return _solve(foc, Decimal(0), Decimal(1), t)
+
+
+def _log_growth(game, u, t):
+    return sum(p * (1 + t * (a - u) / u).ln() for a, p in game)
+
+
+def best_log_growth(pairs, u: float) -> Decimal:
+    """L*(u), the log of the best growth at a price u in (1/H, E)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        game = _game(pairs)
+        price = Decimal(u)
+        return _log_growth(game, price, _proportion(game, price, Decimal("0.5")))
+
+
 def log_boundary(pairs) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DIGITS
@@ -62,19 +89,10 @@ def price(pairs, r: float) -> Decimal:
         expectation = sum(p * a for a, p in game)
         t = Decimal("0.5")
 
-        def proportion(u):
-            def foc(t):
-                terms = [(a - u, u + t * (a - u)) for a, _ in game]
-                value = sum(p * x / d for (x, d), (_, p) in zip(terms, game))
-                slope = -sum(p * (x / d) ** 2 for (x, d), (_, p) in zip(terms, game))
-                return value, slope
-
-            return _solve(foc, Decimal(0), Decimal(1), t)
-
         def excess(u):
             nonlocal t
-            t = proportion(u)
-            growth = sum(p * (1 + t * (a - u) / u).ln() for a, p in game)
+            t = _proportion(game, u, t)
+            growth = _log_growth(game, u, t)
             slope = -t / u * sum(p * a / (u + t * (a - u)) for a, p in game)
             return growth - rate, slope
 

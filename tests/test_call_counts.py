@@ -40,6 +40,7 @@ COUNTED = {
     "translate": growthprice.games,
     "optimal_price": growthprice.solver,
     "_solve_price": growthprice.solver,
+    "_bisect": growthprice.solver,
     "_first_order_sum": growthprice.solver,
     "_vector_kernel": growthprice.solver,
     "boundary_growth": growthprice.translation,
@@ -91,7 +92,7 @@ def test_optimal_price_makes_at_most_80_first_order_evaluations(two_point, calls
     "solve, evaluations",
     [
         (lambda g: pre_optimal_proportion(g, 5.0), 7),
-        (lambda g: optimal_price(g, 0.05), 37),
+        (lambda g: optimal_price(g, 0.05), 31),
     ],
     ids=["proportion", "price"],
 )
@@ -99,6 +100,41 @@ def test_first_order_evaluations_at_the_default_max_iter(
     two_point, calls, solve, evaluations
 ):
     solve(two_point)
+    assert calls["_first_order_sum"] == evaluations
+
+
+def test_only_the_price_bisection_replays_its_proportions(two_point, calls):
+    # the outer bisection, and one inner bisection for each of its two
+    # evaluations; the 6 inner solves at Newton and probe points take their
+    # proportion from the certificates. Every solve replayed made 9.
+    optimal_price(two_point, 0.05)
+    assert calls["_bisect"] == 3
+
+
+@pytest.mark.parametrize(
+    "delta, evaluations",
+    [(1e-4, 11), (1e-7, 25), (1e-10, 36)],
+)
+def test_a_proportion_near_the_expectation_probes_outward(
+    two_point, calls, delta, evaluations
+):
+    # The first-order sum reads 0 on a stretch below the root that Newton
+    # reaches from above, so the first probe below reads 0 too and certifies
+    # no positive point; one probe a side made 32, 38 and 40 evaluations.
+    pre_optimal_proportion(two_point, 10.0 * (1.0 - delta))
+    assert calls["_first_order_sum"] == evaluations
+
+
+@pytest.mark.parametrize(
+    "r, evaluations",
+    [(0.2, 35), (1e-4, 39), (1e-6, 68), (1e-8, 97), (1e-10, 163), (1e-12, 301)],
+)
+def test_first_order_evaluations_of_a_price_across_rates(
+    two_point, calls, r, evaluations
+):
+    # every solve replayed and one probe a side made 42, 44, 103, 157, 228
+    # and 364
+    optimal_price(two_point, r)
     assert calls["_first_order_sum"] == evaluations
 
 
@@ -186,7 +222,7 @@ def test_price_translated_reuses_the_price_its_caller_computed(two_point, calls)
     calls.clear()
     base = optimal_price(two_point, 0.05)
     shifted = price_translated(two_point, 0.05, 10.0)
-    assert calls["_first_order_sum"] == 37 + shifted_alone
+    assert calls["_first_order_sum"] == 31 + shifted_alone
     assert calls["_solve_price"] == 2
     assert repr(base) == repr(optimal_price(Game(*two_point), 0.05))
     assert repr(shifted) == repr(price_translated(Game(*two_point), 0.05, 10.0))

@@ -384,15 +384,22 @@ def test_certified_price_and_threshold_replay_plain_bisection(
         assert certified == plain, solve.__name__
 
 
-def _envelope_slopes(game: Game, r: float, tol: float) -> list[tuple[float, ...]]:
+def _envelope_slopes(
+    game: Game, r: float, tol: float, offset: float = 0.0
+) -> list[tuple[float, ...]]:
     """(u, t, g, slope) at every Newton step of optimal_price: the price, the
     proportion and first-order sum that the inner solve returned there, and
-    the envelope slope that steered Newton."""
+    the envelope slope that steered Newton. A nonzero offset moves each
+    proportion the inner solve returns down by that share of itself, with g
+    the first-order sum there."""
     solve, newton = growthprice.solver._solve_proportion, growthprice.solver._log_newton
     inner, seen = [], []
 
-    def spy_solve(first_order_sum, xi, u, *args):
-        t, g, steps = solve(first_order_sum, xi, u, *args)
+    def spy_solve(first_order_sum, xi, u, *args, **kwargs):
+        t, g, steps = solve(first_order_sum, xi, u, *args, **kwargs)
+        if offset:
+            t *= 1.0 - offset
+            g = first_order_sum(u, t)
         inner[:] = [u, t, g]
         return t, g, steps
 
@@ -437,6 +444,33 @@ def test_envelope_slope_from_the_identity_matches_a_direct_sum(game, fraction, t
         bound = (WEIGHT_SUM_TOL + 16.0 * eps * math.fsum(sizes)) / total + 4.0 * eps
         assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
         assert bound < 1e-11
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(game=wide_games, fraction=st.floats(0.01, 0.99))
+def test_envelope_slope_identity_holds_away_from_the_root(game, fraction):
+    # The identity holds at every t, not only at the root, where g is near 0
+    # and a slope that dropped its (1 - t) g term would pass unseen. A
+    # proportion 1e-3 below the root makes that term about 1e-3 of the slope.
+    # The bound is the one derived in the test above.
+    eps = 2.0**-53
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15)
+    seen = _envelope_slopes(game, r, 1e-12, offset=1e-3)
+    assert seen
+    for u, t, g, slope in seen:
+        terms, sizes = [], []
+        for a, w in game._pairs:
+            x = a - u
+            d = x * t + u
+            terms.append(w * a / d)
+            sizes.append(w * (a + abs((1.0 - t) * x)) / d * (1.0 + t * abs(x) / d))
+        total = math.fsum(terms)
+        direct = -t / u * total
+        bound = (WEIGHT_SUM_TOL + 16.0 * eps * math.fsum(sizes)) / total + 4.0 * eps
+        assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
+        # the term the identity adds to sum p is far beyond the bound
+        assert abs((1.0 - t) * g) > 100.0 * bound, (u, t, g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

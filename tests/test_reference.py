@@ -6,16 +6,22 @@ shares of the log regime boundary, rates (1 - delta) of it for delta in
 {1e-13, 1e-12, 1e-11}, and past it. Every case asserts a relative error of
 at most MAX_REL_ERROR. The cases the solvers miss today are marked
 xfail(strict=True), so a change that mends one must drop its mark.
+
+On the same games, the log growth that optimal_price evaluates at each of
+its certificates must lie within the eta of _price_band of the best log
+growth L*(u) there.
 """
 
 import math
 import random
 from decimal import Decimal
+from unittest.mock import patch
 
 import pytest
 
+import growthprice.solver
 import reference
-from growthprice import Game, optimal_price, threshold_shift
+from growthprice import Game, compute_stats, optimal_price, threshold_shift
 
 MAX_REL_ERROR = 1e-11
 SEED = 20261018
@@ -111,3 +117,47 @@ def test_threshold_shift_matches_the_reference(pairs, r):
     else:
         assert n0 is not None
         assert _relative_error(n0, reference.threshold(pairs, r)) <= MAX_REL_ERROR
+
+
+def _certificate_evaluations(game: Game, r: float):
+    """The etas _price_band returned, and (u, t) at every certificate
+    evaluation of optimal_price: each inner solve that may skip the replay,
+    whether it did or fell back to the replayed bisection."""
+    solver = growthprice.solver
+    price_band, solve = solver._price_band, solver._solve_proportion
+    etas, seen = [], []
+
+    def spy_band(*args):
+        etas.append(price_band(*args))
+        return etas[-1]
+
+    def spy_solve(first_order_sum, xi, u, *args, replay=True):
+        t, g, steps = solve(first_order_sum, xi, u, *args, replay=replay)
+        if not replay:
+            seen.append((u, t))
+        return t, g, steps
+
+    with patch.object(solver, "_price_band", spy_band):
+        with patch.object(solver, "_solve_proportion", spy_solve):
+            optimal_price(game, r)
+    return etas, seen
+
+
+@pytest.mark.parametrize(
+    "pairs, r", [pytest.param(pairs, r, id=name) for name, pairs, r in CASES]
+)
+def test_every_price_certificate_is_within_eta_of_the_best_log_growth(pairs, r):
+    # |ln(growth~) - L*(u)| <= eta is what makes a certificate sound, for a
+    # proportion from a replayed bisection and from a certificate alike.
+    # A rate priced at full investment has no band, so that game is priced
+    # at half its log boundary instead.
+    game = Game.from_pairs(pairs)
+    boundary = compute_stats(game).boundary_growth
+    if math.exp(r) >= boundary:
+        r = 0.5 * math.log(boundary)
+    (eta,), seen = _certificate_evaluations(game, r)
+    assert eta < math.inf and seen
+    for u, t in seen:
+        growth = math.exp(growthprice.solver._log_growth(game._pairs, u, t))
+        error = abs(Decimal(growth).ln() - reference.best_log_growth(pairs, u))
+        assert error <= eta, (u, t)

@@ -46,6 +46,7 @@ from growthprice.solver import (
     _first_order_kernel,
     _first_order_sum,
     _newton_certificates,
+    _solve_proportion,
 )
 
 
@@ -439,6 +440,13 @@ def _residual(square: bool, band: float):
     return f
 
 
+def _flat_residual(x, slope=False):
+    """0.25 - x below 0.25, 0 up to 0.3 and 0.3 - x above: weakly
+    decreasing, with Newton's step on slope -1 and the proportion's gap."""
+    res = 0.25 - x if x < 0.25 else min(0.0, 0.3 - x)
+    return (res, -res, 1e-14 * x) if slope else res
+
+
 class TestNewtonCertificates:
     """The one routine that certifies the proportion, the price and the
     threshold for _bisect."""
@@ -450,8 +458,10 @@ class TestNewtonCertificates:
         self, square, band, start
     ):
         f = _residual(square, band)
-        pos, neg = _newton_certificates(f, 0.0, 2.0, start, band)
+        pos, pos_res, neg, neg_res = _newton_certificates(f, 0.0, 2.0, start, band)
         assert f(pos) > band and f(neg) <= -band
+        # each certificate comes with the residual there
+        assert (pos_res, neg_res) == (f(pos), f(neg))
         # the root, compared exactly: sqrt(2) through squares, or 0.3
         if square:
             assert Fraction(pos) ** 2 < 2 < Fraction(neg) ** 2
@@ -459,11 +469,81 @@ class TestNewtonCertificates:
             assert pos < 0.3 <= neg
         assert neg - pos <= 1e-13 + 10.0 * band
 
+    def test_every_evaluation_asks_for_the_slope(self):
+        seen = []
+
+        def f(x, slope=False):
+            seen.append(slope)
+            return _residual(True, 0.0)(x, slope)
+
+        _newton_certificates(f, 0.0, 2.0, 1.9, 0.0)
+        assert seen and all(seen)
+
     def test_no_newton_steps_leave_no_certificates(self, monkeypatch):
         monkeypatch.setattr(growthprice.solver, "_NEWTON_STEPS", 0)
         for square in (True, False):
             f = _residual(square, 0.0)
-            assert _newton_certificates(f, 0.0, 2.0, 1.0, 0.0) == (-math.inf, math.inf)
+            pos, pos_res, neg, neg_res = _newton_certificates(f, 0.0, 2.0, 1.0, 0.0)
+            assert (pos, neg) == (-math.inf, math.inf)
+            assert math.isnan(pos_res) and math.isnan(neg_res)
+
+    def test_a_side_left_uncertified_is_probed_outward(self):
+        # Newton lands on 0.3, where the residual reads 0, as the first-order
+        # sum does on a stretch near its root at prices close to the
+        # expectation. Probes below it read 0 until one passes 0.25, at
+        # 0.3 - 3e-15 * 16**11 = 0.247.
+        pos, pos_res, neg, neg_res = _newton_certificates(
+            _flat_residual, 0.0, 1.0, 0.9, 0.0
+        )
+        assert 0.24 < pos < 0.25 <= neg <= 0.3
+        assert pos_res > 0.0 and neg_res == 0.0
+
+    def test_outward_probes_stop_after_their_tries(self, monkeypatch):
+        monkeypatch.setattr(growthprice.solver, "_PROBE_TRIES", 4)
+        pos, _, neg, _ = _newton_certificates(_flat_residual, 0.0, 1.0, 0.9, 0.0)
+        assert pos == -math.inf and 0.25 < neg < 0.3
+
+
+class TestReplayFreeProportion:
+    """A proportion solve without replay returns a certificate that meets the
+    tolerance rule's two tests, or falls back to the replayed bisection."""
+
+    @staticmethod
+    def _solve(scale, replay):
+        # scale (0.5 - t*t), whose root sqrt(0.5) is no float: its nearest
+        # floats read about 1.6e-16 scale
+        def first_order_sum(u, t, slope=False):
+            s = scale * (0.5 - t * t)
+            return (s, -2.0 * scale * t) if slope else s
+
+        return first_order_sum, _solve_proportion(
+            first_order_sum, 0.0, 1.0, 1e-12, 200, 0.9, replay=replay
+        )
+
+    def test_a_close_certificate_is_returned_unreplayed(self):
+        f, (t, res, steps) = self._solve(1.0, replay=False)
+        _, (replayed, _, _) = self._solve(1.0, replay=True)
+        assert steps == 0 and res == f(1.0, t) and abs(res) <= 1e-12
+        # the certificate is within tol t of the bisection's root
+        assert abs(t - replayed) <= 1e-12 * t
+
+    def test_a_steep_residual_is_replayed(self):
+        # both certificates enclose the root within an ulp, but read more
+        # than tol
+        _, free = self._solve(1e6, replay=False)
+        _, replayed = self._solve(1e6, replay=True)
+        assert free == replayed and free[2] > 0
+
+    def test_wide_certificates_are_replayed(self):
+        # 0 reads within tol up to 0.3, but the certificates enclose a
+        # sign change on [0.25, 0.3]
+        def first_order_sum(u, t, slope=False):
+            res, _, _ = _flat_residual(t, True)
+            return (res, -1.0) if slope else res
+
+        free = _solve_proportion(first_order_sum, 0.0, 1.0, 1e-12, 200, 0.9, replay=False)
+        replayed = _solve_proportion(first_order_sum, 0.0, 1.0, 1e-12, 200, 0.9)
+        assert free == replayed and free[2] > 0
 
 
 class TestSolverArguments:
