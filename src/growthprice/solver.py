@@ -56,7 +56,8 @@ a solver returns is plain bisection's.
 _newton_certificates finds the certificates of all three roots: safeguarded
 Newton (rtsafe in Numerical Recipes) on the residual, then a probe on each
 side of its root, and further probes outward on a side the first left
-uncertified, keeping every point whose residual lies beyond a band.
+uncertified, keeping every point whose residual lies beyond a band. The
+price's Newton starts at the optimality system's root (_joint_newton).
 For the proportion the band is 0, as the lemma holds with eta = 0 and F the
 first-order sum as evaluated: the chain needs F only weakly decreasing. Each
 term p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
@@ -72,7 +73,7 @@ the bisection runs without certificates.
 
 The first-order sum has two kernels, each of which returns the derivative
 in t next to the sum when asked: a plain loop, and numpy on arrays of the
-game's payouts and weights. Only a price solve, which nests about six
+game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
 (_first_order_kernel), which threshold_shift's slope reads
 (_shift_slope). All else takes the loop, as does every solve where numpy
@@ -138,10 +139,10 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 # that its first probe leaves uncertified is probed on outward, each try
 # _PROBE_GROWTH times as far out, for at most _PROBE_TRIES tries; 12 tries at
 # 16-fold reach 16**11 gaps, a sixth of the proportion itself. On the
-# two-point fixture optimal_price made 364 first-order evaluations at
-# r = 1e-12 with one try, and 420, 335, 312, 301 and 285 at growth 2, 4, 8,
-# 16 and 32; at r = 1e-8, 167 with one try and 97 at 16 against 104 at 32.
-# The bench's solve_narrow mix made 50.05 per op at every growth.
+# two-point fixture optimal_price made 358 first-order evaluations at
+# r = 1e-12 with one try, and 460, 326, 303, 292 and 278 at growth 2, 4, 8,
+# 16 and 32; at r = 1e-8, 151 with one try and 89 at 16 against 93 at 32.
+# The bench's solve_narrow mix made 27.05 per op at every growth.
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
 _PROBE_GROWTH = 16.0
@@ -700,6 +701,49 @@ def _price_band(
     return eta if eta <= 1e-6 else math.inf
 
 
+def _price_slopes(u: float, t: float, g: float, g_t: float) -> tuple[float, float]:
+    """(dg/du, dL/du) at (u, t) for the first-order sum g, g_t = dg/dt, and the
+    log growth L. With x = a - u, d = u + t x, u/d = 1 - t x/d and sum p = 1:
+    -u dg/du = sum p (x + u) u/d**2 = (1 - t g) + (1 - t)(g + t g_t), and
+    u dL/du = sum p ((1 - t) u/d - 1) = -t (1 + (1 - t) g)."""
+    g_u = -((1.0 - t * g) + (1.0 - t) * (g + t * g_t)) / u
+    return g_u, -t / u * (1.0 + (1.0 - t) * g)
+
+
+def _joint_newton(
+    first_order_sum: Callable[..., tuple[float, float]],
+    game: Game,
+    lo: float,
+    hi: float,
+    u: float,
+    r: float,
+    eta: float,
+) -> tuple[float, float]:
+    """The root (u, t) of the optimality system (g, L - r) = 0 by Newton from
+    u and the proportion's chord (E - u)/(E - fair_price), with dL/dt = g and
+    _price_slopes, once a step moves u by at most sqrt(eta) of it, the next
+    by about eta; or (u, nan) as given where a point leaves (lo, hi) or the
+    capped proportions, the determinant is not positive, or _NEWTON_STEPS pass."""
+    stats = compute_stats(game)
+    xi, mean = stats.ess_inf, stats.expectation
+    start, t, du = u, (mean - u) / (mean - stats.fair_price), math.inf
+    for _ in range(_NEWTON_STEPS):
+        if not (lo < u < hi and 0.0 < t < u / (u - xi) * (1.0 - _CAP_MARGIN)):
+            break
+        if abs(du) <= math.sqrt(eta) * u:
+            return u, t
+        g, g_t = first_order_sum(u, t, slope=True)
+        excess = _log_growth(game._pairs, u, t) - r
+        g_u, l_u = _price_slopes(u, t, g, g_t)
+        det = g_t * l_u - g_u * g
+        if not det > 0.0:
+            break
+        du = (g_t * excess - g * g) / det
+        t -= (g * l_u - g_u * excess) / det
+        u -= du
+    return start, math.nan
+
+
 def optimal_price(
     game: Game,
     r: float,
@@ -724,18 +768,18 @@ def optimal_price(
     within eta of the best growth all the same.
 
     The bisection is replayed from the certificates of _newton_certificates:
-    Newton in u on log G - r, with the envelope slope
-    d log G*/du = -(t/u) sum p a/d, d = u + t (a - u). As a = (1 - t)(a - u)
-    + d, that sum is sum p + (1 - t) g(t) with g the first-order sum, which
-    the inner solve returns at t, so the slope takes no pass over the
-    outcomes and is the same float on both kernels. Where log G* is convex,
-    as its small-rate form (E - u)**2/(2 sigma**2) is, Newton from below the
-    root climbs to it without overshooting, so it starts from the later of
-    the tangent at the fair price, where the slope is -1/u, and the
-    small-rate estimate E - sigma sqrt(2 r). eta, derived in _price_band,
-    bounds the rounding of the log growth and the inner solve's optimality
-    deficit; where it cannot be shown the bisection runs plain. A fair price
-    within _PRICE_MARGIN of the expectation leaves no bracket and is refused.
+    Newton in u on log G - r with the envelope slope d log G*/du, dL/du at
+    the inner root (_price_slopes), from the inner solve's (t, g): no pass
+    over the outcomes, and one float on both kernels. It starts at the root
+    of the optimality system (_joint_newton), or where that fails at the
+    later of the tangent at the fair price, where the slope is -1/u, and the
+    small-rate estimate E - sigma sqrt(2 r), which Newton climbs from below
+    without overshooting where log G* is convex, as its small-rate form
+    (E - u)**2/(2 sigma**2) is; no start moves a bit. eta, derived in
+    _price_band, bounds the rounding of the log growth and the inner solve's
+    optimality deficit; where it cannot be shown the bisection runs plain. A
+    fair price within _PRICE_MARGIN of the expectation leaves no bracket and
+    is refused.
 
     The game keeps the last result, under its exact arguments compared by
     type and value (r=1 and r=1.0 give different rate fields), and returns
@@ -752,7 +796,7 @@ def optimal_price(
 
 
 def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolution:
-    """optimal_price, solved without the kept result."""
+    """optimal_price without the kept result: joint root, certificates, replay."""
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
@@ -809,6 +853,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             lo * (1.0 + math.log(stats.boundary_growth) - r),
             mean * (1.0 - math.sqrt(2.0 * r * spread)),
         )
+        start, t = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
         pos, _, neg, _ = _newton_certificates(
             excess_growth, lo, hi, start, 3.0 * eta * target
         )

@@ -71,6 +71,10 @@ REPLAY_FREE = f"{SOLVER_TESTS}::TestReplayFreeProportion"
 REFERENCE_ETA = (
     "tests/test_reference.py::test_every_price_certificate_is_within_eta_of_the_best_log_growth"
 )
+REFERENCE_BAND = (
+    "tests/test_reference.py::test_every_price_certificate_clears_eta_in_the_best_log_growth"
+)
+JOINT_JACOBIAN = "tests/test_properties.py::test_joint_jacobian_identities_match_direct_sums"
 
 MUTANTS = (
     Mutant(
@@ -205,7 +209,10 @@ MUTANTS = (
         "solver.py",
         "excess_growth, lo, hi, start, 3.0 * eta * target",
         "excess_growth, lo, hi, start, 0.0 * eta * target",
-        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        (
+            "tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",
+            REFERENCE_BAND,
+        ),
         "09b1d46, price and threshold certificates",
     ),
     Mutant(
@@ -261,7 +268,10 @@ MUTANTS = (
         "solver.py",
         "first_order_sum, xi, price, tol, max_iter, t, replay=not slope",
         "first_order_sum, xi, price, tol, max_iter, t, replay=False",
-        ("tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",),
+        (
+            "tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",
+            "tests/test_properties.py::test_the_joint_start_moves_no_bit",
+        ),
         "only returned values replay",
     ),
     Mutant(
@@ -279,6 +289,38 @@ MUTANTS = (
         "            if abs(res) <= math.inf:\n                return t, res, 0\n",
         (f"{REPLAY_FREE}::test_a_steep_residual_is_replayed",),
         "only returned values replay",
+    ),
+    Mutant(
+        "the joint step's dg/du drops its factor 1 - t",
+        "solver.py",
+        "    g_u = -((1.0 - t * g) + (1.0 - t) * (g + t * g_t)) / u\n",
+        "    g_u = -((1.0 - t * g) + (g + t * g_t)) / u\n",
+        (JOINT_JACOBIAN,),
+        "the price by Newton on the optimality system",
+    ),
+    Mutant(
+        "the joint step's dL/du drops the first-order sum",
+        "solver.py",
+        "    return g_u, -t / u * (1.0 + (1.0 - t) * g)\n",
+        "    return g_u, -t / u * (1.0 + 0.0 * g)\n",
+        (JOINT_JACOBIAN,),
+        "the price by Newton on the optimality system",
+    ),
+    Mutant(
+        "the joint step's stop squares u, which overflows at large scales",
+        "solver.py",
+        "        if abs(du) <= math.sqrt(eta) * u:\n",
+        "        if du * du <= eta * u * u:\n",
+        ("tests/test_call_counts.py::test_the_joint_newton_steps_of_a_price",),
+        "the price by Newton on the optimality system",
+    ),
+    Mutant(
+        "the joint root is ignored as a start",
+        "solver.py",
+        "        start, t = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
+        "        _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
+        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        "the price by Newton on the optimality system",
     ),
     Mutant(
         "a side left uncertified is probed once",

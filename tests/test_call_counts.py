@@ -92,7 +92,9 @@ def test_optimal_price_makes_at_most_80_first_order_evaluations(two_point, calls
     "solve, evaluations",
     [
         (lambda g: pre_optimal_proportion(g, 5.0), 7),
-        (lambda g: optimal_price(g, 0.05), 31),
+        # 4 joint steps, 3 outer certificate evaluations and 2 replayed
+        # midpoints; 31 without the joint steps
+        (lambda g: optimal_price(g, 0.05), 20),
     ],
     ids=["proportion", "price"],
 )
@@ -105,10 +107,31 @@ def test_first_order_evaluations_at_the_default_max_iter(
 
 def test_only_the_price_bisection_replays_its_proportions(two_point, calls):
     # the outer bisection, and one inner bisection for each of its two
-    # evaluations; the 6 inner solves at Newton and probe points take their
+    # evaluations; the 3 inner solves at Newton and probe points take their
     # proportion from the certificates. Every solve replayed made 9.
     optimal_price(two_point, 0.05)
     assert calls["_bisect"] == 3
+
+
+@pytest.mark.parametrize("r, steps", [(0.2, 5), (0.05, 4), (1e-4, 3)])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_the_joint_newton_steps_of_a_price(monkeypatch, r, steps, scale):
+    # Each joint step is one first-order evaluation with the slope, and the
+    # steps do not depend on the payout scale. From the joint root the
+    # certificates take 3 outer evaluations at r = 0.05, where nested Newton
+    # from the tangent or small-rate start took 6.
+    joint, seen = growthprice.solver._joint_newton, []
+
+    def counted(first_order_sum, *args):
+        def kernel(*point, **kwargs):
+            seen.append(point)
+            return first_order_sum(*point, **kwargs)
+
+        return joint(kernel, *args)
+
+    monkeypatch.setattr(growthprice.solver, "_joint_newton", counted)
+    optimal_price(Game.from_pairs([(scale, 0.5), (19.0 * scale, 0.5)]), r)
+    assert len(seen) == steps
 
 
 @pytest.mark.parametrize(
@@ -127,13 +150,14 @@ def test_a_proportion_near_the_expectation_probes_outward(
 
 @pytest.mark.parametrize(
     "r, evaluations",
-    [(0.2, 35), (1e-4, 39), (1e-6, 68), (1e-8, 97), (1e-10, 163), (1e-12, 301)],
+    [(0.2, 21), (1e-4, 31), (1e-6, 62), (1e-8, 89), (1e-10, 158), (1e-12, 292)],
 )
 def test_first_order_evaluations_of_a_price_across_rates(
     two_point, calls, r, evaluations
 ):
-    # every solve replayed and one probe a side made 42, 44, 103, 157, 228
-    # and 364
+    # the joint steps included; without them nested Newton made 35, 39, 68,
+    # 97, 163 and 301, and with every solve replayed and one probe a side 42,
+    # 44, 103, 157, 228 and 364
     optimal_price(two_point, r)
     assert calls["_first_order_sum"] == evaluations
 
@@ -222,7 +246,7 @@ def test_price_translated_reuses_the_price_its_caller_computed(two_point, calls)
     calls.clear()
     base = optimal_price(two_point, 0.05)
     shifted = price_translated(two_point, 0.05, 10.0)
-    assert calls["_first_order_sum"] == 31 + shifted_alone
+    assert calls["_first_order_sum"] == 20 + shifted_alone
     assert calls["_solve_price"] == 2
     assert repr(base) == repr(optimal_price(Game(*two_point), 0.05))
     assert repr(shifted) == repr(price_translated(Game(*two_point), 0.05, 10.0))

@@ -41,9 +41,11 @@ from growthprice import (
 from growthprice.games import WEIGHT_SUM_TOL
 from growthprice.solver import (
     _CAP_MARGIN,
+    _PRICE_MARGIN,
     _bisect,
     _first_order_kernel,
     _first_order_sum,
+    _price_slopes,
     _solve_proportion,
 )
 
@@ -351,6 +353,15 @@ def _with_tiny_infimum_mass(game: Game, mass: float) -> Game:
     return Game.from_pairs((a, weight / total) for a, weight in pairs)
 
 
+def _has_pricing_bracket(game: Game) -> bool:
+    # optimal_price refuses a game whose fair price lies within the bracket's
+    # margins of its expectation
+    stats = compute_stats(game)
+    return stats.fair_price * (1.0 + _PRICE_MARGIN) < stats.expectation * (
+        1.0 - _PRICE_MARGIN
+    )
+
+
 def _outcome(solve, *args, **kwargs) -> str:
     try:
         return repr(solve(*args, **kwargs))
@@ -382,6 +393,35 @@ def test_certified_price_and_threshold_replay_plain_bisection(
         with patch.object(growthprice.solver, "_NEWTON_STEPS", 0):
             plain = _outcome(solve, Game(*game), r, tol=tol, max_iter=max_iter)
         assert certified == plain, solve.__name__
+
+
+def _price_threshold_and_shift(game: Game, r: float) -> list[str]:
+    n0 = threshold_shift(game, r).n0
+    n = 0.5 * (compute_stats(game).expectation if n0 is None else n0)
+    return [
+        _outcome(optimal_price, game, r),
+        _outcome(threshold_shift, game, r),
+        _outcome(price_translated, game, r, n),
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    game=st.builds(_scaled, unscaled_wide_games, st.sampled_from((1e-200, 1.0, 1e200))),
+    fraction=st.floats(0.01, 1.0 - 1e-9) | st.sampled_from((1e-9, 1.0 - 1e-12, 1.5)),
+)
+def test_the_joint_start_moves_no_bit(game, fraction):
+    # The joint root only starts the certificate search. With the joint step
+    # returning the start it was given, as it does where it fails, every
+    # price, threshold and shifted price keeps its bits.
+    def start_as_given(first_order_sum, game, lo, hi, u, r, eta):
+        return u, math.nan
+
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15)
+    joint = _price_threshold_and_shift(game, r)
+    with patch.object(growthprice.solver, "_joint_newton", start_as_given):
+        assert _price_threshold_and_shift(Game(*game), r) == joint
 
 
 def _envelope_slopes(
@@ -431,7 +471,7 @@ def test_envelope_slope_from_the_identity_matches_a_direct_sum(game, fraction, t
     # The slope shares its factor -t/u with the direct sum's.
     eps = 2.0**-53
     r = fraction * math.log(boundary_growth(game, 0.0))
-    assume(r > 1e-15)
+    assume(r > 1e-15 and _has_pricing_bracket(game))
     for u, t, g, slope in _envelope_slopes(game, r, tol):
         terms, sizes = [], []
         for a, w in game._pairs:
@@ -471,6 +511,49 @@ def test_envelope_slope_identity_holds_away_from_the_root(game, fraction):
         assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
         # the term the identity adds to sum p is far beyond the bound
         assert abs((1.0 - t) * g) > 100.0 * bound, (u, t, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    game=wide_games
+    | st.builds(_with_tiny_infimum_mass, wide_games, st.sampled_from((1e-9, 1e-6))),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_joint_jacobian_identities_match_direct_sums(game, fraction):
+    # _joint_newton takes dg/du = -sum p a/d**2 and dL/du =
+    # sum p ((1 - t)/d - 1/u), d = u + t (a - u), from the kernel's (g, g_t)
+    # by the identities of _price_slopes, which take sum p as 1. At the
+    # price's root (u, t), where g is near 0, and at a proportion 1e-3 below
+    # it, each must match its direct sum to rounding and to the game's slack
+    # |sum p - 1|. With x = a - u and tau = t|x|/d, each per-term value, of g,
+    # g_t or either direct sum, is within 9 eps (1 + tau) of its size, the
+    # second factor for the cancellation in d; the derivative adds up to k eps
+    # of its size in order, and fsum and the identities' own products a few
+    # eps. So with S the sum of
+    # p (1 + |x|/d + x**2/d**2 + u a/d**2 + |1 - t| u/d)(1 + tau), both
+    # differ from their direct sums by at most (slack + (k + 16) eps S)/u.
+    eps = 2.0**-53
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15 and _has_pricing_bracket(game))
+    price = optimal_price(game, r)
+    u, root = price.optimal_price, price.proportion
+    kernel, k = _first_order_kernel(game), len(game.outcomes)
+    slack = abs(math.fsum(w for _, w in game._pairs) - 1.0)
+    for t in (root, root * (1.0 - 1e-3)):
+        g, g_t = kernel(u, t, slope=True)
+        g_u, l_u = _price_slopes(u, t, g, g_t)
+        dg, dl, sizes = [], [], []
+        for a, w in game._pairs:
+            x = a - u
+            d = x * t + u
+            dg.append(w * a / d / d)
+            dl.append(w * ((1.0 - t) / d - 1.0 / u))
+            size = 1.0 + abs(x) / d + (x / d) ** 2 + u / d * (a / d + abs(1.0 - t))
+            sizes.append(w * size * (1.0 + t * abs(x) / d))
+        bound = (slack + (k + 16) * eps * math.fsum(sizes)) / u
+        assert abs(g_u + math.fsum(dg)) <= bound, (u, t)
+        assert abs(l_u - math.fsum(dl)) <= bound, (u, t)
+        assert bound < 1e-10 * min(abs(g_u), abs(l_u)), (u, t)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

@@ -9,7 +9,9 @@ xfail(strict=True), so a change that mends one must drop its mark.
 
 On the same games, the log growth that optimal_price evaluates at each of
 its certificates must lie within the eta of _price_band of the best log
-growth L*(u) there.
+growth L*(u) there, and L*(u) - r must exceed eta at the two certificates
+that its price bisection is handed, positive below the root and negative
+above it.
 """
 
 import math
@@ -120,12 +122,14 @@ def test_threshold_shift_matches_the_reference(pairs, r):
 
 
 def _certificate_evaluations(game: Game, r: float):
-    """The etas _price_band returned, and (u, t) at every certificate
-    evaluation of optimal_price: each inner solve that may skip the replay,
-    whether it did or fell back to the replayed bisection."""
+    """The etas _price_band returned; (u, t) at every certificate evaluation
+    of optimal_price: each inner solve that may skip the replay, whether it
+    did or fell back to the replayed bisection; and the (pos, neg) handed to
+    the price bisection."""
     solver = growthprice.solver
     price_band, solve = solver._price_band, solver._solve_proportion
-    etas, seen = [], []
+    bisect = solver._bisect
+    etas, seen, certificates = [], [], []
 
     def spy_band(*args):
         etas.append(price_band(*args))
@@ -137,10 +141,16 @@ def _certificate_evaluations(game: Game, r: float):
             seen.append((u, t))
         return t, g, steps
 
+    def spy_bisect(f, *args, pos=-math.inf, neg=math.inf, **kwargs):
+        if getattr(f, "__name__", None) == "excess_growth":
+            certificates.append((pos, neg))
+        return bisect(f, *args, pos=pos, neg=neg, **kwargs)
+
     with patch.object(solver, "_price_band", spy_band):
         with patch.object(solver, "_solve_proportion", spy_solve):
-            optimal_price(game, r)
-    return etas, seen
+            with patch.object(solver, "_bisect", spy_bisect):
+                optimal_price(game, r)
+    return etas, seen, certificates
 
 
 @pytest.mark.parametrize(
@@ -155,9 +165,30 @@ def test_every_price_certificate_is_within_eta_of_the_best_log_growth(pairs, r):
     boundary = compute_stats(game).boundary_growth
     if math.exp(r) >= boundary:
         r = 0.5 * math.log(boundary)
-    (eta,), seen = _certificate_evaluations(game, r)
+    (eta,), seen, _ = _certificate_evaluations(game, r)
     assert eta < math.inf and seen
     for u, t in seen:
         growth = math.exp(growthprice.solver._log_growth(game._pairs, u, t))
         error = abs(Decimal(growth).ln() - reference.best_log_growth(pairs, u))
         assert error <= eta, (u, t)
+
+
+@pytest.mark.parametrize(
+    "pairs, r", [pytest.param(pairs, r, id=name) for name, pairs, r in CASES]
+)
+def test_every_price_certificate_clears_eta_in_the_best_log_growth(pairs, r):
+    # A certificate's log growth clears r by the band less its own rounding,
+    # so the best log growth there clears it by more than eta, and the exact
+    # root lies strictly between the two. A band of 0 would hand the bisection
+    # a point next to the root. Rates priced at full investment are moved to
+    # half the log boundary, as above.
+    game = Game.from_pairs(pairs)
+    boundary = compute_stats(game).boundary_growth
+    if math.exp(r) >= boundary:
+        r = 0.5 * math.log(boundary)
+    (eta,), _, ((pos, neg),) = _certificate_evaluations(game, r)
+    assert eta < math.inf and pos < neg
+    for u, sign in ((pos, 1), (neg, -1)):
+        if math.isfinite(u):
+            excess = reference.best_log_growth(pairs, u) - Decimal(r)
+            assert sign * excess > eta, (u, excess)
