@@ -9,9 +9,9 @@ Python: it imports no numpy, and the solver's proportion solves that verify
 runs take the loop at any width, so the verify command never loads numpy.
 
 The grid argmax returns the first maximum of the log growth as evaluated
-at every grid point, but evaluates about 50 of 100 000 points: a ternary
-search cuts the range only where the concavity of the log growth and a
-bound on its rounding prove the cut (see grid_argmax_growth).
+at every grid point, but evaluates 24 of 100 000 points: a Fibonacci
+search (Kiefer 1953) cuts the range only where the concavity of the log
+growth and a bound on its rounding prove the cut (see grid_argmax_growth).
 
 The simulation keeps only the number of draws that fall on each outcome,
 and those counts are Multinomial(periods * paths, w). They are sampled
@@ -130,14 +130,14 @@ def _log_growth(terms: list[tuple[float, float]], t: float) -> float:
 
 def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     """Argmax of the growth rate over a uniform proportion grid, found by a
-    proven ternary search.
+    proven Fibonacci search.
 
     Grid point i (0-based) of N = grid_points is cap * (i + 1)/(N + 1),
     cap = min(1, (1 - 1e-9) * u/(u - ess_inf)); ties resolve to the first
     maximum, the smaller proportion. Prices must lie in (fair_price,
     expectation), where the no-borrowing optimum is interior. The result is
     the first argmax of _log_growth over the whole grid, but only about
-    2 log_1.5(N) points are evaluated where every probe pair proves a cut.
+    log_phi(N) points, phi = 1.618..., are evaluated where every pair cuts.
 
     Lemma. Let F(t) = sum w log1p(t (a - u)/u), with the weights and the
     ratios (a - u)/u as the floats used below, and F(i) its value at grid
@@ -163,9 +163,11 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     F(m2) - F(m1) > 2 eta, so by the lemma any point i <= m1 evaluates to
     at most F(m1) + eta < F(m2) - eta, below f~(m2): none is the first
     maximum, and the range [lo, hi] that holds it becomes [m1 + 1, hi].
-    Likewise on the right. The probes are lo + d and hi - d,
-    d = (hi - lo) // 3, and the search runs until lo = hi or a pair proves
-    nothing.
+    Likewise on the right. The range is padded to Fib(k) - 1 points, Fib
+    the Fibonacci numbers, with probes Fib(k - 2) - 1 in from each end; a cut
+    keeps one probe and mirrors it, lo + hi - m, so it evaluates one new
+    point, and none past N - 1, where padding lies below every grid point.
+    The search runs until one point is left or a pair proves nothing.
 
     Window. What is left of the range is then settled as a whole grid:
     a coarse pass evaluates points lo + s - 1, lo + 2s - 1, ... and hi,
@@ -200,16 +202,23 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
         spread += w * (abs(math.log1p(x)) + abs(x) / (1.0 + x))
     eta = 2.0 * (len(terms) + 8) * 2.0**-53 * spread
 
-    lo, hi = 0, n - 1
-    while lo < hi:
-        third = (hi - lo) // 3
-        m1, m2 = lo + third, hi - third
-        if value(m1) < value(m2) - 4.0 * eta:
-            lo = m1 + 1
-        elif value(m2) < value(m1) - 4.0 * eta:
-            hi = m2 - 1
+    a, b = 1, 1
+    while a + b <= n:
+        a, b = b, a + b
+    lo, hi, m1, m2 = 0, a + b - 2, a - 1, b - 1
+    v1, v2 = value(m1), value(m2)
+    while m1 < m2:
+        if v1 < v2 - 4.0 * eta:
+            lo, m1, v1 = m1 + 1, m2, v2
+            m2 = lo + hi - m1
+            v2 = value(m2) if m2 < n else -math.inf
+        elif v2 < v1 - 4.0 * eta:
+            hi, m2, v2 = m2 - 1, m1, v1
+            m1 = lo + hi - m2
+            v1 = value(m1)
         else:
             break
+    hi = min(hi, n - 1)
 
     stride = math.isqrt(hi - lo + 1)
     coarse = [*range(lo + stride - 1, hi, stride), hi]

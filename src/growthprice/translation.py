@@ -173,8 +173,11 @@ def threshold_shift(
     result is within eps (4.02 Lambda + 7.04) of log B(n). Where rounding
     merges m payouts, boundary_growth validates the shifted game, which sums
     their weights with up to m - 1 more roundings: eps ((m + 3) Lambda +
-    m + 6.04). With k outcomes, c = k + 8 covers both, and
-    eta = c eps (1 + Lambda).
+    m + 6.04). A shift in [0, n_hi] moves each payout by at most
+    eps (a_max + n_hi) in rounding, so it merges none where every gap
+    between adjacent payouts exceeds 4 eps (a_max + n_hi), the 4 covering
+    the roundings of that test. There c = 8 covers the bound, elsewhere
+    c = k + 8, with k outcomes, covers both, and eta = c eps (1 + Lambda).
     """
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
@@ -226,7 +229,9 @@ def threshold_shift(
     largest_log = max(
         abs(math.log(outcomes[0][0])), abs(math.log(outcomes[-1][0] + hi))
     )
-    eta = (len(outcomes) + 8) * _EPS * (1.0 + largest_log)
+    width = 4.0 * _EPS * (outcomes[-1][0] + hi)
+    merges = any(b - a <= width for (a, _), (b, _) in zip(outcomes, outcomes[1:]))
+    eta = ((len(outcomes) if merges else 0) + 8) * _EPS * (1.0 + largest_log)
     pos, _, neg, _ = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
     n0, res, _ = _bisect(
         excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg

@@ -74,6 +74,9 @@ REFERENCE_ETA = (
 REFERENCE_BAND = (
     "tests/test_reference.py::test_every_price_certificate_clears_eta_in_the_best_log_growth"
 )
+REFERENCE_THRESHOLD_BAND = (
+    "tests/test_reference.py::test_every_threshold_certificate_clears_eta_in_the_log_boundary"
+)
 JOINT_JACOBIAN = "tests/test_properties.py::test_joint_jacobian_identities_match_direct_sums"
 
 MUTANTS = (
@@ -121,12 +124,16 @@ MUTANTS = (
     Mutant(
         "the grid search cuts with no margin",
         "oracle.py",
-        "        if value(m1) < value(m2) - 4.0 * eta:\n"
-        "            lo = m1 + 1\n"
-        "        elif value(m2) < value(m1) - 4.0 * eta:\n",
-        "        if value(m1) < value(m2) - 0.0 * eta:\n"
-        "            lo = m1 + 1\n"
-        "        elif value(m2) < value(m1) - 0.0 * eta:\n",
+        "        if v1 < v2 - 4.0 * eta:\n"
+        "            lo, m1, v1 = m1 + 1, m2, v2\n"
+        "            m2 = lo + hi - m1\n"
+        "            v2 = value(m2) if m2 < n else -math.inf\n"
+        "        elif v2 < v1 - 4.0 * eta:\n",
+        "        if v1 < v2 - 0.0 * eta:\n"
+        "            lo, m1, v1 = m1 + 1, m2, v2\n"
+        "            m2 = lo + hi - m1\n"
+        "            v2 = value(m2) if m2 < n else -math.inf\n"
+        "        elif v2 < v1 - 0.0 * eta:\n",
         ("tests/test_oracle.py::TestGridArgmax::test_a_near_tie_cuts_nothing",),
         "313d645, oracle without numpy",
     ),
@@ -321,6 +328,14 @@ MUTANTS = (
         "        _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
         ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
         "the price by Newton on the optimality system",
+    ),
+    Mutant(
+        "the threshold's band is 0",
+        "translation.py",
+        "_newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)",
+        "_newton_certificates(excess, 0.0, hi, start, 0.0 * eta * target)",
+        (REFERENCE_THRESHOLD_BAND,),
+        "the threshold's band grows with the outcomes only where payouts merge",
     ),
     Mutant(
         "a side left uncertified is probed once",

@@ -70,10 +70,11 @@ def best_log_growth(pairs, u: float) -> Decimal:
         return _log_growth(game, price, _proportion(game, price, Decimal("0.5")))
 
 
-def log_boundary(pairs) -> Decimal:
+def log_boundary(pairs, n: float = 0.0) -> Decimal:
+    """log B(n), the log boundary growth of the game shifted by n."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        game = _game(pairs)
+        game = [(a + Decimal(n), p) for a, p in _game(pairs)]
         return sum(p / a for a, p in game).ln() + sum(p * a.ln() for a, p in game)
 
 

@@ -183,15 +183,15 @@ class TestGridArgmax:
 
     @pytest.mark.parametrize("fixture", ["two_point", "three_point"])
     def test_fixtures_at_a_million_points(self, fixture, request, monkeypatch):
-        # verify's grid and price: the search evaluates under 100 points,
-        # against 10**6 for the whole grid
+        # verify's grid and price: the search evaluates at most 35 points
+        # (29 on both), against 10**6 for the whole grid
         game = request.getfixturevalue(fixture)
         stats = compute_stats(game)
         u_mid = 0.5 * (stats.fair_price + stats.expectation)
         evaluated = assert_grid_argmax_matches_reference(
             monkeypatch, game, u_mid, 1_000_000
         )
-        assert evaluated <= 100
+        assert evaluated <= 35
 
     @pytest.mark.parametrize("u", [0.1, 2.5, 4.9])
     def test_grid_points_follow_the_cap_where_it_binds(self, u, monkeypatch):
@@ -207,9 +207,11 @@ class TestGridArgmax:
 
     def test_a_near_tie_cuts_nothing(self, two_point, monkeypatch):
         # Values within eta of a nearly flat concave curve, as the bound
-        # allows. The first probes of a 30-point grid, points 9 and 20,
-        # differ by 1.9 eta, less than 4 eta, and the first maximum, point 3,
-        # lies left of 9: a cut on f(9) < f(20) alone would drop it.
+        # allows: noise rising from -0.95 eta to 0.95 eta, and eta at point
+        # 3, the first maximum. Every two points differ by less than 4 eta,
+        # so no pair proves a cut, but the values other than point 3 rise:
+        # a cut on f(m1) < f(m2) alone, at any probes 3 < m1 < m2, or a
+        # window floor with no margin would drop point 3.
         u, n = 5.5, 30
         cap = min(1.0, (1.0 - 1e-9) * u / (u - 1.0))
         t_last = cap * n / (n + 1)
@@ -218,10 +220,13 @@ class TestGridArgmax:
             x = t_last * ((o.payout - u) / u)
             spread += o.weight * (abs(math.log1p(x)) + abs(x) / (1.0 + x))
         eta = 2.0 * (2 + 8) * 2.0**-53 * spread
-        noise = {3: eta, 9: -0.95 * eta, 20: 0.95 * eta}
-        values = [-1e-4 * eta * (i - 14.5) ** 2 + noise.get(i, 0.0) for i in range(n)]
+        noise = [0.95 * eta * (2.0 * i / (n - 1) - 1.0) for i in range(n)]
+        noise[3] = eta
+        values = [-1e-4 * eta * (i - 14.5) ** 2 + noise[i] for i in range(n)]
         index = {cap * (i + 1) / (n + 1): i for i in range(n)}
-        assert 0.0 < values[20] - values[9] < 4.0 * eta
+        assert max(values) - min(values) < 4.0 * eta
+        rest = values[:3] + values[4:]
+        assert all(map(float.__lt__, rest, rest[1:]))
         assert max(range(n), key=values.__getitem__) == 3
         monkeypatch.setattr(oracle, "_log_growth", lambda terms, t: values[index[t]])
         assert grid_argmax_growth(two_point, u, n) == cap * 4 / (n + 1)

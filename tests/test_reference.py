@@ -11,7 +11,8 @@ On the same games, the log growth that optimal_price evaluates at each of
 its certificates must lie within the eta of _price_band of the best log
 growth L*(u) there, and L*(u) - r must exceed eta at the two certificates
 that its price bisection is handed, positive below the root and negative
-above it.
+above it. Likewise log B(n) - r must exceed threshold_shift's eta at the two
+certificates that its bisection is handed.
 """
 
 import math
@@ -22,6 +23,7 @@ from unittest.mock import patch
 import pytest
 
 import growthprice.solver
+import growthprice.translation
 import reference
 from growthprice import Game, compute_stats, optimal_price, threshold_shift
 
@@ -192,3 +194,44 @@ def test_every_price_certificate_clears_eta_in_the_best_log_growth(pairs, r):
         if math.isfinite(u):
             excess = reference.best_log_growth(pairs, u) - Decimal(r)
             assert sign * excess > eta, (u, excess)
+
+
+def _threshold_certificates(game: Game, r: float):
+    """The etas threshold_shift handed _log_newton, and the (pos, neg) handed
+    to its bisection."""
+    translation = growthprice.translation
+    log_newton, bisect = translation._log_newton, translation._bisect
+    etas, certificates = set(), []
+
+    def spy_newton(res, slope, target, eta):
+        etas.add(eta)
+        return log_newton(res, slope, target, eta)
+
+    def spy_bisect(f, *args, pos=-math.inf, neg=math.inf, **kwargs):
+        certificates.append((pos, neg))
+        return bisect(f, *args, pos=pos, neg=neg, **kwargs)
+
+    with patch.object(translation, "_log_newton", spy_newton):
+        with patch.object(translation, "_bisect", spy_bisect):
+            threshold_shift(game, r)
+    return etas, certificates
+
+
+@pytest.mark.parametrize(
+    "pairs, r", [pytest.param(pairs, r, id=name) for name, pairs, r in CASES]
+)
+def test_every_threshold_certificate_clears_eta_in_the_log_boundary(pairs, r):
+    # The threshold's certificates clear r by its band less their rounding,
+    # so the exact log B(n) clears it by more than eta there, and the exact
+    # root lies strictly between the two. Rates past the log boundary, which
+    # have no threshold, are moved to half the log boundary.
+    game = Game.from_pairs(pairs)
+    boundary = compute_stats(game).boundary_growth
+    if math.exp(r) >= boundary:
+        r = 0.5 * math.log(boundary)
+    (eta,), ((pos, neg),) = _threshold_certificates(game, r)
+    assert eta < math.inf and pos < neg
+    for n, sign in ((pos, 1), (neg, -1)):
+        if math.isfinite(n):
+            excess = reference.log_boundary(pairs, n) - Decimal(r)
+            assert sign * excess > eta, (n, excess)

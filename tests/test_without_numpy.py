@@ -1,17 +1,23 @@
 """numpy is an optional accelerator: without it every solver runs its loops,
-with the same results and the same evaluation counts.
+with the same results and the same evaluation counts. The grid argmax, which
+never uses numpy, is checked here against a plain scan of the whole grid.
 
 This file imports no numpy, so it runs where numpy is not installed.
 """
 
 import importlib.util
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import growthprice
+from growthprice import Game, compute_stats, grid_argmax_growth, oracle
 
 # Run in a child process as `python -c CHILD blocked|free`. It prices,
 # thresholds, translates, sweeps and verifies games of 40, 64 and 256
@@ -106,3 +112,45 @@ def test_wide_games_solve_alike_with_numpy_blocked():
     for i, (_, first_order, boundary) in enumerate(blocked["results"]):
         if i % 5 != 2:
             assert (boundary if i % 5 == 1 else first_order) > 0, i
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 7, 2001])
+@pytest.mark.parametrize("k", [2, 12, 64])
+def test_grid_argmax_matches_a_full_scan(k, grid_points, monkeypatch):
+    # The first argmax of the log growth over every grid point, each value
+    # 0.0 plus w * log1p(t * ((a - u)/u)) in outcome order; the search must
+    # return it and evaluate only grid points, each once, to the same bits.
+    rng = random.Random(7000 + k)
+    real_log_growth = oracle._log_growth
+    for s in (1e-9, 0.3, 0.7, 1.0 - 1e-9):
+        weights = [rng.uniform(0.05, 1.0) for _ in range(k)]
+        total = math.fsum(weights)
+        game = Game.from_pairs(
+            (10.0 ** rng.uniform(-1.0, 2.0), w / total) for w in weights
+        )
+        stats = compute_stats(game)
+        u = stats.fair_price + s * (stats.expectation - stats.fair_price)
+        cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
+        grid = [cap * (i + 1) / (grid_points + 1) for i in range(grid_points)]
+        scan = []
+        for t in grid:
+            value = 0.0
+            for o in game.outcomes:
+                value += o.weight * math.log1p(t * ((o.payout - u) / u))
+            scan.append(value)
+        first = max(range(grid_points), key=scan.__getitem__)
+        calls = []
+
+        def spy(terms, t):
+            calls.append((t, real_log_growth(terms, t)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "_log_growth", spy)
+        got = grid_argmax_growth(game, u, grid_points)
+        monkeypatch.undo()
+        assert got == grid[first]
+        index = {t: i for i, t in enumerate(grid)}
+        assert len(index) == grid_points
+        assert len({t for t, _ in calls}) == len(calls)
+        for t, value in calls:
+            assert value == scan[index[t]]
