@@ -2,78 +2,74 @@
 
 import importlib
 
-from .errors import (
-    DomainError,
-    GameValidationError,
-    GrowthPriceError,
-    InternalConsistencyError,
-    SpecParseError,
-)
-from .games import (
-    Game,
-    GameStats,
-    Outcome,
-    ValidationResult,
-    compute_stats,
-    game_from_nodes,
-    load_spec,
-    save_spec,
-    translate,
-    validate,
-)
+__version__ = "0.1.0"
 
-# Every other public name, by its home module. These modules are imported
-# on first access (PEP 562), so a process that never touches, say, the
-# oracles never compiles or loads them.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "PricingSolution",
-            "ProportionSolution",
-            "Regime",
-            "growth_rate",
-            "optimal_price",
-            "optimal_proportion",
-            "pre_optimal_proportion",
-            "proportion_residual",
-        ),
-        "solver",
+# Every public name, by its home module. The package imports none of them:
+# a module is imported on first access to it or to one of its names (PEP
+# 562), and the name is then kept here, so a process that never touches,
+# say, the oracles never compiles or loads them.
+_NAMES = {
+    "errors": (
+        "DomainError",
+        "GameValidationError",
+        "GrowthPriceError",
+        "InternalConsistencyError",
+        "SpecParseError",
     ),
-    **dict.fromkeys(
-        (
-            "Check",
-            "SimulationResult",
-            "TwoPointGame",
-            "grid_argmax_growth",
-            "simulate_wealth",
-            "two_point_closed_form",
-            "verify",
-        ),
-        "oracle",
+    "games": (
+        "Game",
+        "GameStats",
+        "Outcome",
+        "ValidationResult",
+        "compute_stats",
+        "game_from_nodes",
+        "load_spec",
+        "save_spec",
+        "translate",
+        "validate",
     ),
-    **dict.fromkeys(
-        (
-            "AsymptoticRow",
-            "ThresholdResult",
-            "ThresholdStatus",
-            "TranslationReport",
-            "asymptotic_sweep",
-            "boundary_growth",
-            "check_invariance",
-            "price_translated",
-            "threshold_shift",
-        ),
-        "translation",
+    "solver": (
+        "PricingSolution",
+        "ProportionSolution",
+        "Regime",
+        "growth_rate",
+        "optimal_price",
+        "optimal_proportion",
+        "pre_optimal_proportion",
+        "proportion_residual",
+    ),
+    "oracle": (
+        "Check",
+        "SimulationResult",
+        "TwoPointGame",
+        "grid_argmax_growth",
+        "simulate_wealth",
+        "two_point_closed_form",
+        "verify",
+    ),
+    "translation": (
+        "AsymptoticRow",
+        "ThresholdResult",
+        "ThresholdStatus",
+        "TranslationReport",
+        "asymptotic_sweep",
+        "boundary_growth",
+        "check_invariance",
+        "price_translated",
+        "threshold_shift",
     ),
 }
+_HOME = {name: home for home, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _LAZY.values():
-        # the module itself, which `import growthprice` once bound eagerly
+    if name in _NAMES:
+        # importing a submodule binds it here, so this runs once per module
         return importlib.import_module(f".{name}", __name__)
     try:
-        home = _LAZY[name]
+        home = _HOME[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     value = getattr(importlib.import_module(f".{home}", __name__), name)
@@ -83,48 +79,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticRow",
-    "Check",
-    "DomainError",
-    "Game",
-    "GameStats",
-    "GameValidationError",
-    "GrowthPriceError",
-    "InternalConsistencyError",
-    "Outcome",
-    "PricingSolution",
-    "ProportionSolution",
-    "Regime",
-    "SimulationResult",
-    "SpecParseError",
-    "ThresholdResult",
-    "ThresholdStatus",
-    "TranslationReport",
-    "TwoPointGame",
-    "ValidationResult",
-    "asymptotic_sweep",
-    "boundary_growth",
-    "check_invariance",
-    "compute_stats",
-    "game_from_nodes",
-    "grid_argmax_growth",
-    "growth_rate",
-    "load_spec",
-    "optimal_price",
-    "optimal_proportion",
-    "pre_optimal_proportion",
-    "price_translated",
-    "proportion_residual",
-    "save_spec",
-    "simulate_wealth",
-    "threshold_shift",
-    "translate",
-    "two_point_closed_form",
-    "validate",
-    "verify",
-]

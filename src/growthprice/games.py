@@ -44,18 +44,13 @@ class Game(_GameFields):
 
     The instance dict keeps what is computed from the game on first use:
     the summary statistics, so a game is validated once however many
-    solvers it passes through; the outcomes as plain pairs, and as a column
-    of payouts and a column of weights; after a price solve on a game of
-    solver._VECTOR_MIN_OUTCOMES outcomes or more, where numpy can be
-    imported, the columns as numpy arrays with the first-order kernel on
-    them; and solver.optimal_price's last result with its arguments, so a
-    game priced twice at the same arguments is solved once.
-    None of them takes part in equality or hashing. A game that fails
-    validation caches no statistics and raises again on every use.
-    Concurrent use is safe: each value is deterministic and stored whole,
-    the arrays and kernel as one tuple and the last price as one
-    (arguments, result) tuple, so every thread sees the values a fresh game
-    would give.
+    solvers it passes through; and the outcomes as plain pairs, and as a
+    column of payouts and a column of weights. The solver keeps what it
+    computes from a game there too. None of them takes part in equality or
+    hashing. A game that fails validation caches no statistics and raises
+    again on every use. Concurrent use is safe: each value is deterministic
+    and stored whole, so every thread sees the values a fresh game would
+    give.
 
     A game that translate builds without merging payouts keeps statistics
     from birth and is never validated: it is valid by construction (see
@@ -63,7 +58,7 @@ class Game(_GameFields):
     """
 
     # No __slots__: the instance dict holds the cached statistics, the pairs,
-    # the columns, the kept kernel and the last price.
+    # the columns and what the solver keeps.
 
     def __new__(cls, outcomes: Iterable[Outcome], label: str | None = None) -> "Game":
         merged: dict[float, float] = {}

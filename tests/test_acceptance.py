@@ -9,7 +9,7 @@ import io
 import json
 import math
 
-import numpy as np
+import pytest
 
 from conftest import admissible_price, random_game, random_two_point
 from growthprice import (
@@ -28,6 +28,8 @@ from growthprice import (
 )
 from growthprice.cli import RunConfig, run
 from growthprice.translation import asymptotic_sweep, check_invariance
+
+np = pytest.importorskip("numpy")
 
 RATE = 0.05
 

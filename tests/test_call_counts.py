@@ -11,7 +11,6 @@ import math
 import sys
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from conftest import random_game
@@ -34,6 +33,8 @@ from growthprice import (
     translate,
 )
 from growthprice.cli import RunConfig, run
+
+np = pytest.importorskip("numpy")
 
 COUNTED = {
     "validate": growthprice.games,

@@ -181,6 +181,19 @@ class TestReports:
         assert dumps_report(cli_checks) == dumps_report(verify(two_point, seed=seed))
 
 
+class TestDumpsReport:
+    def test_nan_and_empty_containers(self):
+        report = {"value": math.nan, "map": {}, "list": [], "row": [math.nan]}
+        assert dumps_report(report) == (
+            '{\n  "value": "NaN",\n  "map": {},\n  "list": [],\n'
+            '  "row": [\n    "NaN"\n  ]\n}\n'
+        )
+
+    def test_an_unserializable_object_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot serialize object in a report"):
+            dumps_report({"value": object()})
+
+
 class TestPayoutScales:
     @pytest.mark.parametrize("c", [1e-200, 1e-18, 1e6, 1e200])
     def test_threshold_and_translate_scale_with_the_payouts(self, tmp_path, c):
@@ -226,6 +239,10 @@ class TestCsvOutput:
 
 
 class TestExitCodes:
+    def test_unknown_command_is_exit_2(self, spec_path):
+        code, out, err = run_config(RunConfig(command="nope", game_path=spec_path))
+        assert (code, out, err) == (EXIT_DOMAIN, "", "error: unknown command 'nope'\n")
+
     def test_validation_failure_is_exit_1(self, bad_spec_path):
         code, out, err = run_config(RunConfig(command="analyze", game_path=bad_spec_path))
         assert code == EXIT_VALIDATION
@@ -635,9 +652,9 @@ def loaded_modules(code: str, *argv: str):
 
 
 class TestLazyImports:
-    def test_bare_import_loads_errors_and_games(self):
+    def test_bare_import_loads_no_submodule(self):
         names, other, stdlib = loaded_modules("import growthprice")
-        assert (names, other) == ({"errors", "games"}, set())
+        assert (names, other) == (set(), set())
         assert not stdlib & _HEAVY_STDLIB
 
     @pytest.mark.parametrize(
@@ -647,6 +664,10 @@ class TestLazyImports:
         code = f"import growthprice\ngrowthprice.{name}\n"
         modules = {"errors", "games", "solver", "translation"}
         assert loaded_modules(code)[:2] == (modules, set())
+
+    def test_a_game_name_loads_only_games_and_errors(self):
+        code = "import growthprice\ngrowthprice.Game\n"
+        assert loaded_modules(code)[:2] == ({"errors", "games"}, set())
 
     def test_every_command_is_in_the_table(self):
         assert set(_LOADED) == set(growthprice.cli._COMMANDS)
@@ -677,9 +698,6 @@ class TestPackageRoot:
     def test_public_name_is_its_home_module_attribute(self, name):
         value = getattr(growthprice, name)
         assert getattr(sys.modules[value.__module__], name) is value
-
-    def test_lazy_names_are_public(self):
-        assert set(growthprice._LAZY) <= set(growthprice.__all__)
 
     def test_dir_covers_all(self):
         assert set(growthprice.__all__) <= set(dir(growthprice))

@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from conftest import random_game
@@ -19,6 +18,8 @@ from growthprice import (
     translate,
     validate,
 )
+
+np = pytest.importorskip("numpy")
 
 
 class TestValidate:

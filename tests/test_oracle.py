@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +21,8 @@ from growthprice import (
     two_point_closed_form,
     verify,
 )
+
+np = pytest.importorskip("numpy")
 
 
 class TestTwoPointGame:

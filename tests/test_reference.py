@@ -76,15 +76,17 @@ def _cases() -> list[tuple[str, list[tuple[float, float]], float]]:
 
 CASES = _cases()
 # Both solvers compare the growth with exp(r) in absolute terms, so at small
-# rates they lose the digits of r (ROADMAP item 3). Near the regime boundary
-# n0 is far below ess_inf, the absolute width floor of the threshold
-# bisection, and in case 20 the boundary as evaluated in floats falls below r
-# (ROADMAP item 2).
-_SMALL = "small rate: absolute growth residual, ROADMAP item 3"
-_NEAR = "near the boundary: width floor ess_inf far above n0, ROADMAP item 2"
-PRICE_MISSES = {name: _SMALL for name in ("00", "01", "12", "13")}
+# rates they lose the digits of r: the price until it is solved at the joint
+# root (ROADMAP item 15), the threshold until its boundary growth is centred
+# on the mean (ROADMAP item 2). Near the regime boundary n0 is fixed by
+# log B(0) - r, which rounding leaves with few digits, and in case 20 the
+# boundary as evaluated in floats falls below r (ROADMAP item 16).
+_SMALL_PRICE = "small rate: absolute growth residual, ROADMAP item 15"
+_SMALL_THRESHOLD = "small rate: log B(n) not centred on the mean, ROADMAP item 2"
+_NEAR = "near the boundary: log B(0) - r lost to rounding, ROADMAP item 16"
+PRICE_MISSES = {name: _SMALL_PRICE for name in ("00", "01", "12", "13")}
 THRESHOLD_MISSES = {
-    **{name: _SMALL for name in ("00", "01", "02", "03", "12", "13", "14")},
+    **{name: _SMALL_THRESHOLD for name in ("00", "01", "02", "03", "12", "13", "14")},
     **{name: _NEAR for name in ("08", "09", "10", "20", "21", "22")},
 }
 

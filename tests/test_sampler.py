@@ -9,7 +9,7 @@ file needs no numpy.
 
 import math
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -157,6 +157,18 @@ def test_acceptance_log_ratio_is_accurate_at_any_n(n, p):
         exact = exact_log_pmf_ratio(n, p, m, k)
         got = oracle._log_pmf_ratio(n, p, m, k)
         assert abs(got - exact) <= 1e-13 * (abs(k - m) + 1), (k, got, exact)
+
+
+@pytest.mark.parametrize("n, p", [(40, 0.3), (1000, 0.5), (10**6, 0.9)])
+def test_btrs_redraws_the_uniform_one(n, p):
+    # a BTRS trial's first uniform at 1.0 puts k at infinity: the trial
+    # draws again, so the 1.0 is skipped and the rest of the stream decides
+    plain = oracle._uniforms(23)
+    with_one = chain([1.0], oracle._uniforms(23))
+    assert oracle._binomial(n, p, with_one.__next__) == oracle._binomial(
+        n, p, plain.__next__
+    )
+    assert next(with_one) == next(plain)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 10**15])

@@ -12,7 +12,6 @@ from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,9 +44,12 @@ from growthprice.solver import (
     _bisect,
     _first_order_kernel,
     _first_order_sum,
+    _log_newton,
     _newton_certificates,
     _solve_proportion,
 )
+
+np = pytest.importorskip("numpy")
 
 
 def closed_form_proportion(u: float) -> float:
@@ -502,6 +504,10 @@ class TestNewtonCertificates:
         monkeypatch.setattr(growthprice.solver, "_PROBE_TRIES", 4)
         pos, _, neg, _ = _newton_certificates(_flat_residual, 0.0, 1.0, 0.9, 0.0)
         assert pos == -math.inf and 0.25 < neg < 0.3
+
+    @pytest.mark.parametrize("slope", (0.0, 1.0, math.nan))
+    def test_log_newton_takes_no_step_where_the_slope_is_not_negative(self, slope):
+        assert _log_newton(0.25, slope, 2.0, 1e-9) == (0.25, 0.0, math.inf)
 
 
 class TestReplayFreeProportion:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import growthprice.translation
@@ -26,6 +25,8 @@ from growthprice import (
     translate,
     two_point_closed_form,
 )
+
+np = pytest.importorskip("numpy")
 
 
 class TestRatioInvariance:

@@ -20,9 +20,10 @@ import growthprice
 from growthprice import Game, compute_stats, grid_argmax_growth, oracle
 
 # Run in a child process as `python -c CHILD blocked|free`. It prices,
-# thresholds, translates, sweeps and verifies games of 40, 64 and 256
-# outcomes, and prints each result's repr with the first-order evaluations,
-# on either kernel, and the boundary_growth calls it made, as JSON.
+# thresholds, translates, sweeps, verifies and checks the invariance of games
+# of 40, 64 and 256 outcomes, and prints each result's repr with the
+# first-order evaluations, on either kernel, and the boundary_growth calls it
+# made, as JSON.
 CHILD = r"""
 import json, math, random, sys
 if sys.argv[1] == "blocked":
@@ -31,8 +32,8 @@ from collections import Counter
 import growthprice.solver as solver
 import growthprice.translation as translation
 from growthprice import (
-    Game, asymptotic_sweep, compute_stats, optimal_price, price_translated,
-    threshold_shift, verify,
+    Game, asymptotic_sweep, check_invariance, compute_stats, optimal_price,
+    price_translated, threshold_shift, verify,
 )
 
 counts = Counter()
@@ -69,6 +70,8 @@ for k in (40, 64, 256):
             lambda: price_translated(game, r, 3.0),
             lambda: asymptotic_sweep(game, r, [0.0, 10.0, 1e3]),
             lambda: verify(game),
+            # as `translate` reports it, at the game's kept price
+            lambda: check_invariance(game, optimal_price(game, r).optimal_price, 3.0),
         ]
         for call in calls:
             counts.clear()
@@ -105,13 +108,13 @@ def test_wide_games_solve_alike_with_numpy_blocked():
     assert all(free["kept"]) == installed
     assert free["imports"] == 1
     assert blocked["results"] == free["results"]
-    # The rows count work: first-order evaluations for the price, the sweep
-    # and verify, boundary growth for the threshold. price_translated's
-    # shift of 3 passes n0 on some games, whose shifted price is then the
-    # full-investment closed form.
+    # The rows count work: first-order evaluations for the price, the sweep,
+    # verify and the invariance check, boundary growth for the threshold.
+    # price_translated's shift of 3 passes n0 on some games, whose shifted
+    # price is then the full-investment closed form.
     for i, (_, first_order, boundary) in enumerate(blocked["results"]):
-        if i % 5 != 2:
-            assert (boundary if i % 5 == 1 else first_order) > 0, i
+        if i % 6 != 2:
+            assert (boundary if i % 6 == 1 else first_order) > 0, i
 
 
 @pytest.mark.parametrize("grid_points", [1, 2, 7, 2001])
