@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -27,8 +26,8 @@ from .errors import (
 from .games import Game, compute_stats, load_spec, translate
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_price
 
-# The translation and oracle modules, and csv, are imported inside the
-# handlers that use them, so a cold process loads only what its command runs.
+# The translation and oracle modules are imported inside the handlers that
+# use them, so a cold process loads only what its command runs.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -164,14 +163,9 @@ def _cmd_sweep(cfg: RunConfig, game: Game):
         game, cfg.rate, cfg.shifts, tol=cfg.tol, max_iter=cfg.max_iter
     )
     if cfg.output_format == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(format(v, ".17g") for v in row)
-        return buffer.getvalue()
+        # header words and .17g floats need no quoting; CRLF ends each record
+        lines = [_SWEEP_COLUMNS, *([format(v, ".17g") for v in row] for row in rows)]
+        return "".join(",".join(line) + "\r\n" for line in lines)
     return {"rows": rows}
 
 

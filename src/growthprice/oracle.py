@@ -167,17 +167,11 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     the Fibonacci numbers, with probes Fib(k - 2) - 1 in from each end; a cut
     keeps one probe and mirrors it, lo + hi - m, so it evaluates one new
     point, and none past N - 1, where padding lies below every grid point.
-    The search runs until one point is left or a pair proves nothing.
-
-    Window. What is left of the range is then settled as a whole grid:
-    a coarse pass evaluates points lo + s - 1, lo + 2s - 1, ... and hi,
-    s = isqrt(hi - lo + 1), and c is its first argmax. j_a is the nearest
-    coarse point left of c with f~(c) - f~(j_a) > 4 eta, or lo - 1 if there
-    is none, and j_b the nearest such point on the right, or hi + 1. By the
-    same argument no point outside (j_a, j_b) is the first maximum, so only
-    that window is evaluated. Where eta proves nothing, as when (a - u)/u
-    overflows and eta is NaN, every comparison with it is false, the search
-    stops at its first pair and the window is the whole grid.
+    The search runs until one point is left or a pair proves nothing, and
+    the first maximum of what is left of the range, none past N - 1, is
+    then the first maximum of the whole grid. Where eta proves nothing, as
+    when (a - u)/u overflows and eta is NaN, every comparison with it is
+    false, the search stops at its first pair and every point is evaluated.
     """
     n = _require_integer("grid_points", grid_points, 1)
     stats = compute_stats(game)
@@ -218,15 +212,7 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
             v1 = value(m1)
         else:
             break
-    hi = min(hi, n - 1)
-
-    stride = math.isqrt(hi - lo + 1)
-    coarse = [*range(lo + stride - 1, hi, stride), hi]
-    c = max(range(len(coarse)), key=lambda j: value(coarse[j]))
-    floor = value(coarse[c]) - 4.0 * eta
-    first = next((j + 1 for j in reversed(coarse[:c]) if value(j) < floor), lo)
-    last = next((j - 1 for j in coarse[c + 1 :] if value(j) < floor), hi)
-    best = max(range(first, last + 1), key=value)
+    best = max(range(lo, min(hi, n - 1) + 1), key=value)
     return cap * (best + 1) / (n + 1)
 
 

@@ -137,16 +137,15 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 # probes, and 0 leaves every search plain bisection. On the proportion it
 # stops, and probes, at _PROBE_GAP of the proportion from its root. A side
 # that its first probe leaves uncertified is probed on outward, each try
-# _PROBE_GROWTH times as far out, for at most _PROBE_TRIES tries; 12 tries at
-# 16-fold reach 16**11 gaps, a sixth of the proportion itself. On the
+# _PROBE_GROWTH times as far out, until a certificate or the bracket. On the
 # two-point fixture optimal_price made 358 first-order evaluations at
-# r = 1e-12 with one try, and 460, 326, 303, 292 and 278 at growth 2, 4, 8,
-# 16 and 32; at r = 1e-8, 151 with one try and 89 at 16 against 93 at 32.
-# The bench's solve_narrow mix made 27.05 per op at every growth.
+# r = 1e-12 with one try a side, and 460, 326, 303, 292 and 278 at growth 2,
+# 4, 8, 16 and 32; at r = 1e-8, 151 with one try and 89 at 16 against 93 at
+# 32. The bench's solve_narrow mix made 27.05 per op at every growth. Those
+# runs capped the tries at 12 a side; lifting the cap changed no count.
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
 _PROBE_GROWTH = 16.0
-_PROBE_TRIES = 12
 # Unit roundoff of binary64.
 _EPS = 2.0**-53
 
@@ -383,10 +382,11 @@ def _newton_certificates(
     curve does, and _bisect splits the bracket as cheaply. It then probes at
     its root -+ gap on each side not yet certified that closely, and on a
     side that its probe left uncertified probes on outward, at distances
-    growing _PROBE_GROWTH-fold, at most _PROBE_TRIES times a side. A
-    residual above band certifies its point positive, and one at or below
-    -band non-positive; a missing certificate is an infinity with residual
-    nan. With _NEWTON_STEPS at 0 nothing is certified.
+    growing _PROBE_GROWTH-fold, until a probe reaches a certificate or
+    leaves the bracket; a gap of 0, which would probe one point forever,
+    probes nothing. A residual above band certifies its point positive, and
+    one at or below -band non-positive; a missing certificate is an infinity
+    with residual nan. With _NEWTON_STEPS at 0 nothing is certified.
     """
     pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
     below, above = lo, hi
@@ -411,7 +411,7 @@ def _newton_certificates(
                 break
             x = 0.5 * (below + above)
     for distance in (-gap, gap):
-        for _ in range(_PROBE_TRIES):
+        while distance:
             probe = x + distance
             # past a certificate on its side a probe certifies nothing new
             if not (pos < probe < neg and lo < probe < hi):

@@ -46,9 +46,8 @@ from .solver import (
 # relative at every payout scale.
 TRANSLATION_CHECK_TOL = 1e-9
 
-# Threshold search: initial upper bound factor and doubling cap.
+# Threshold search: initial upper bound factor.
 _SEARCH_START_FACTOR = 10.0
-_MAX_DOUBLINGS = 60
 
 
 class TranslationReport(NamedTuple):
@@ -147,8 +146,11 @@ def threshold_shift(
     n_hi found by doubling from 10 * expectation, so tol is relative to the
     payout scale. The exact B drops below exp(r) long before a shift that
     merges every payout, so a doubling that reaches one raises
-    InternalConsistencyError. When exp(r) already exceeds the unshifted boundary growth
-    there is nothing to solve and the status says so.
+    InternalConsistencyError. The doubling ends there at the latest: an
+    infinite shift merges every payout. An expectation that underflows to 0
+    leaves a shift of 0 that no doubling moves, and raises the same. When
+    exp(r) already exceeds the unshifted boundary growth there is nothing to
+    solve and the status says so.
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
@@ -196,11 +198,9 @@ def threshold_shift(
         )
     outcomes = game._pairs
     hi = _SEARCH_START_FACTOR * stats.expectation
-    doublings = 0
     while boundary_growth(game, hi) >= target:
         hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS or outcomes[0][0] + hi == outcomes[-1][0] + hi:
+        if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:
             raise InternalConsistencyError(
                 f"boundary growth failed to drop below exp(r)={target!r} for shifts"
                 f" up to {hi!r}; the weights sum to {math.fsum(game._columns[1])!r}"

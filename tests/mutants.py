@@ -138,12 +138,12 @@ MUTANTS = (
         "313d645, oracle without numpy",
     ),
     Mutant(
-        "the grid window's floor has no margin",
+        "the leftover pass stops one short",
         "oracle.py",
-        "floor = value(coarse[c]) - 4.0 * eta",
-        "floor = value(coarse[c]) - 0.0 * eta",
-        ("tests/test_oracle.py::TestGridArgmax::test_a_near_tie_cuts_nothing",),
-        "313d645, oracle without numpy",
+        "best = max(range(lo, min(hi, n - 1) + 1), key=value)",
+        "best = max(range(lo, min(hi, n - 1)), key=value)",
+        ("tests/test_oracle.py::TestGridArgmax::test_bit_identical_on_small_and_odd_grids",),
+        "each search stops where its proof says",
     ),
     Mutant(
         "weights may sum to 1 +- 1e-6",
@@ -193,14 +193,6 @@ MUTANTS = (
         "TRANSLATION_CHECK_TOL = 1e-9",
         "TRANSLATION_CHECK_TOL = 1e-3",
         (f"{KERNELS}::test_wide_game_values_are_pinned",),
-        "cc79a57, the roadmap's item 11",
-    ),
-    Mutant(
-        "the threshold search doubles at most 8 times",
-        "translation.py",
-        "_MAX_DOUBLINGS = 60",
-        "_MAX_DOUBLINGS = 8",
-        ("tests/test_translation.py::TestRateDomain::test_rates_inside_the_domain_are_solved",),
         "cc79a57, the roadmap's item 11",
     ),
     Mutant(
@@ -255,12 +247,22 @@ MUTANTS = (
     Mutant(
         "the threshold doubles past the shift that merges every payout",
         "translation.py",
-        "if doublings > _MAX_DOUBLINGS or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
-        "if doublings > _MAX_DOUBLINGS:",
+        "if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
+        "if not hi:",
         (
             "tests/test_translation.py::TestThresholdShift::test_doubling_to_a_shift_that_merges_every_payout_is_internal",
         ),
         "only a price solve builds numpy state",
+    ),
+    Mutant(
+        "the threshold doubles a shift of 0 forever",
+        "translation.py",
+        "if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
+        "if outcomes[0][0] + hi == outcomes[-1][0] + hi:",
+        (
+            "tests/test_translation.py::TestThresholdShift::test_an_expectation_that_underflows_to_zero_is_internal",
+        ),
+        "each search stops where its proof says",
     ),
     Mutant(
         "the price's eta is 0, seen in the growth at its certificates",
@@ -338,10 +340,18 @@ MUTANTS = (
         "the threshold's band grows with the outcomes only where payouts merge",
     ),
     Mutant(
+        "a zero gap probes its point forever",
+        "solver.py",
+        "        while distance:\n",
+        "        while True:\n",
+        (f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_zero_gap_probes_nothing",),
+        "each search stops where its proof says",
+    ),
+    Mutant(
         "a side left uncertified is probed once",
         "solver.py",
-        "_PROBE_TRIES = 12",
-        "_PROBE_TRIES = 1",
+        "            distance *= _PROBE_GROWTH\n",
+        "            break\n",
         (
             "tests/test_call_counts.py::test_a_proportion_near_the_expectation_probes_outward",
             f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_side_left_uncertified_is_probed_outward",

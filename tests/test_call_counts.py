@@ -297,7 +297,7 @@ def test_grid_argmax_evaluates_at_most_five_sqrt_n_points(calls, k):
 def test_grid_argmax_median_evaluations_at_most_30(calls):
     # a Fibonacci search whose every probe pair proves a cut makes one
     # evaluation per cut, about log_phi(10**5) = 24 (24 on each of these
-    # games), against 948 for a coarse pass and its window
+    # games), against 10**5 for the whole grid
     rng = np.random.default_rng(6200)
     evaluations = []
     for _ in range(25):

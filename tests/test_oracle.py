@@ -124,7 +124,7 @@ def scaled(game, c):
 
 class TestGridArgmax:
     @pytest.mark.parametrize("k", [2, 3, 5, 12, 28, 64])
-    def test_window_bit_identical_to_the_full_grid(self, k, monkeypatch):
+    def test_bit_identical_to_the_full_grid(self, k, monkeypatch):
         rng = np.random.default_rng(4000 + k)
         for _ in range(5):
             game = random_game(rng, k, k)
@@ -136,7 +136,7 @@ class TestGridArgmax:
 
     @pytest.mark.parametrize("c", [1e-200, 1e200])
     @pytest.mark.parametrize("k", [2, 12, 64])
-    def test_window_bit_identical_at_extreme_payout_scales(self, k, c, monkeypatch):
+    def test_bit_identical_at_extreme_payout_scales(self, k, c, monkeypatch):
         rng = np.random.default_rng(4100 + k)
         for _ in range(3):
             game = scaled(random_game(rng, k, k), c)
@@ -150,7 +150,7 @@ class TestGridArgmax:
     @pytest.mark.parametrize(
         "s", [1e-9, 1.0 - 1e-9], ids=["argmax_near_cap", "argmax_near_zero"]
     )
-    def test_window_bit_identical_at_the_ends_of_the_price_range(
+    def test_bit_identical_at_the_ends_of_the_price_range(
         self, k, s, monkeypatch
     ):
         rng = np.random.default_rng(4200 + k)
@@ -162,7 +162,7 @@ class TestGridArgmax:
 
     @pytest.mark.parametrize("grid_points", [1, 2, 7, 20_001])
     @pytest.mark.parametrize("k", [2, 5, 28])
-    def test_window_bit_identical_on_small_and_odd_grids(
+    def test_bit_identical_on_small_and_odd_grids(
         self, k, grid_points, monkeypatch
     ):
         rng = np.random.default_rng(4300 + k)
@@ -176,10 +176,12 @@ class TestGridArgmax:
 
     def test_whole_grid_where_eta_proves_nothing(self, monkeypatch):
         # (a - u)/u overflows, so every grid value is inf and eta is NaN;
-        # the window is the whole grid and its first point the argmax
+        # no pair cuts, every point is evaluated and the first is the argmax
         game = Game.from_pairs([(1e-300, 0.5), (1e300, 0.5)])
-        window = assert_grid_argmax_matches_reference(monkeypatch, game, 4e-300, 1000)
-        assert window == 1000
+        evaluated = assert_grid_argmax_matches_reference(
+            monkeypatch, game, 4e-300, 1000
+        )
+        assert evaluated == 1000
         assert grid_argmax_growth(game, 4e-300, 1000) == 1.0 / 1001
 
     @pytest.mark.parametrize("fixture", ["two_point", "three_point"])
@@ -211,8 +213,8 @@ class TestGridArgmax:
         # allows: noise rising from -0.95 eta to 0.95 eta, and eta at point
         # 3, the first maximum. Every two points differ by less than 4 eta,
         # so no pair proves a cut, but the values other than point 3 rise:
-        # a cut on f(m1) < f(m2) alone, at any probes 3 < m1 < m2, or a
-        # window floor with no margin would drop point 3.
+        # a cut on f(m1) < f(m2) alone, at any probes 3 < m1 < m2, would
+        # drop point 3.
         u, n = 5.5, 30
         cap = min(1.0, (1.0 - 1e-9) * u / (u - 1.0))
         t_last = cap * n / (n + 1)

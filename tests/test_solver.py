@@ -500,10 +500,21 @@ class TestNewtonCertificates:
         assert 0.24 < pos < 0.25 <= neg <= 0.3
         assert pos_res > 0.0 and neg_res == 0.0
 
-    def test_outward_probes_stop_after_their_tries(self, monkeypatch):
-        monkeypatch.setattr(growthprice.solver, "_PROBE_TRIES", 4)
-        pos, _, neg, _ = _newton_certificates(_flat_residual, 0.0, 1.0, 0.9, 0.0)
-        assert pos == -math.inf and 0.25 < neg < 0.3
+    def test_a_zero_gap_probes_nothing(self):
+        # a gap that underflows to 0 would probe Newton's root forever, as a
+        # residual inside the band certifies nothing there
+        calls = []
+
+        def f(x, slope=False):
+            calls.append(x)
+            if len(calls) > 50:
+                raise AssertionError("probed the same point over and over")
+            return (0.0, 0.0, 0.0) if slope else 0.0
+
+        pos, pos_res, neg, neg_res = _newton_certificates(f, 0.0, 1.0, 0.5, 1e-9)
+        assert calls == [0.5]
+        assert (pos, neg) == (-math.inf, math.inf)
+        assert math.isnan(pos_res) and math.isnan(neg_res)
 
     @pytest.mark.parametrize("slope", (0.0, 1.0, math.nan))
     def test_log_newton_takes_no_step_where_the_slope_is_not_negative(self, slope):
