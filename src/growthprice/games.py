@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import cached_property
 from itertools import islice, repeat
 from operator import add, lt, mul, truediv
@@ -119,8 +120,11 @@ def validate(game: Game) -> ValidationResult:
     """Check the standing assumptions and list every violation found.
 
     A valid game has finite nonnegative weights summing to 1 (within
-    WEIGHT_SUM_TOL absolute), finite strictly positive payouts, and at least
-    two distinct payouts carrying positive weight.
+    WEIGHT_SUM_TOL absolute), finite payouts no smaller than the smallest
+    normal float, and at least two distinct payouts carrying positive
+    weight. Below the normal floats a weight over a payout can overflow and
+    rounding is no longer relative, so the solvers' error bounds fail: such
+    payouts are refused here rather than deep inside a solve.
     """
     problems: list[str] = []
     for o in game.outcomes:
@@ -137,6 +141,11 @@ def validate(game: Game) -> ValidationResult:
     for o in game.outcomes:
         if not (math.isfinite(o.payout) and o.payout > 0.0):
             problems.append(f"payout {o.payout!r} must be finite and strictly positive")
+        elif o.payout < sys.float_info.min:
+            problems.append(
+                f"payout {o.payout!r} is below the smallest normal float"
+                f" {sys.float_info.min!r}"
+            )
     distinct = {o.payout for o in game.outcomes if o.weight > 0.0}
     if len(distinct) < 2:
         problems.append(
@@ -215,11 +224,11 @@ def translate(game: Game, n: float) -> Game:
     it is built from them directly, with no merge, sort or validation, and
     keeps its statistics from _summary, the function Game._stats uses. It
     is valid because game is: the weights are the same validated floats;
-    n > -ess_inf makes the exact sum a + n a positive multiple of 2**-1074
-    for every payout, so it rounds to a positive float; and strictly
-    increasing payouts are already canonical and at least two distinct.
-    Shifts that merge payouts or overflow build the game through Game and
-    validate it on first use.
+    the smallest shifted payout is tested against the smallest normal float,
+    and the others exceed it; and strictly increasing payouts are already
+    canonical and at least two distinct. Shifts that merge payouts, overflow
+    or leave a payout below the normal floats build the game through Game
+    and validate it on first use.
     """
     payouts = _shifted_payouts(game, n)
     if payouts is None:
@@ -237,13 +246,18 @@ def translate(game: Game, n: float) -> Game:
 
 def _shifted_payouts(game: Game, n: float) -> tuple[float, ...] | None:
     """The payouts of game shifted by n, in order, or None where rounding
-    merges adjacent ones or the largest overflows.
+    merges adjacent ones, the largest overflows or the smallest is below the
+    normal floats.
 
     Raises as _require_shift does.
     """
     _require_shift(game, n)
     payouts = tuple(map(add, game._columns[0], repeat(n)))
-    if math.isfinite(payouts[-1]) and all(map(lt, payouts, islice(payouts, 1, None))):
+    if (
+        sys.float_info.min <= payouts[0]
+        and math.isfinite(payouts[-1])
+        and all(map(lt, payouts, islice(payouts, 1, None)))
+    ):
         return payouts
     return None
 

@@ -57,7 +57,9 @@ _newton_certificates finds the certificates of all three roots: safeguarded
 Newton (rtsafe in Numerical Recipes) on the residual, then a probe on each
 side of its root, and further probes outward on a side the first left
 uncertified, keeping every point whose residual lies beyond a band. The
-price's Newton starts at the optimality system's root (_joint_newton).
+price's certificates are probed from the optimality system's root
+(_joint_newton), which has converged and so is not evaluated again; where
+the joint Newton fails, nested Newton runs from its start as before.
 For the proportion the band is 0, as the lemma holds with eta = 0 and F the
 first-order sum as evaluated: the chain needs F only weakly decreasing. Each
 term p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
@@ -75,20 +77,29 @@ The first-order sum has two kernels, each of which returns the derivative
 in t next to the sum when asked: a plain loop, and numpy on arrays of the
 game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel), which threshold_shift's slope reads
-(_shift_slope). All else takes the loop, as does every solve where numpy
-cannot be imported: numpy only accelerates, and only this module holds
-numpy code. Both kernels form each term with the same IEEE operations in
-the same order.
+(_first_order_kernel). Once a game keeps those arrays, three more sums
+read them in place of a loop over the outcomes: the boundary growth
+(_kept_boundary_growth, for translation.boundary_growth), the relative
+spread of the price band and of the price's start and the threshold's
+central moments (_relative_spread), and threshold_shift's slope
+(_shift_slope). All else takes the loop, as does every game of fewer than
+_VECTOR_MIN_OUTCOMES outcomes and every solve where numpy cannot be
+imported: numpy only accelerates, and only this module holds numpy code.
+Both kernels form each term with the same IEEE operations in the same
+order, and no array operation may overflow, so numpy warns of nothing.
 Every residual (the first-order sum, the log growth, the boundary growth
 and the statistics) adds its terms with math.fsum, which rounds the exact
 sum correctly, over per-term math.log and math.log1p: numpy's are not the C
 library's (on 200 000 random arguments each, numpy 2.4.6, np.log differed
 from math.log for 154 and np.log1p from math.log1p for 17 283). The sums
-that only steer Newton, the derivative and threshold_shift's log slope, add
-in outcome order, += in the loop and .cumsum()[-1] on the arrays, which
-round alike; optimal_price's envelope slope needs no sum. So no result and
-no evaluation count depends on the kernel or the interpreter.
+that only steer Newton or bound its band, the derivative, threshold_shift's
+log slope and moments and the relative spread, add in outcome order, += in
+the loop and .cumsum()[-1] on the arrays, which round alike; optimal_price's
+envelope slope needs no sum. The log growth stays a loop on every game: on
+payouts 1..k with equal weights at u = 0.6 k, t = 0.5, the arrays took
+24.8-26.2 us against 27.4-29.0 looped at 256 outcomes, but 5.7-7.4 against
+4.8-5.6 at 40 (best of 9, two runs). So no result and no evaluation count
+depends on the kernel or the interpreter.
 """
 
 from __future__ import annotations
@@ -101,7 +112,7 @@ from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .games import Game, GameStats, compute_stats
+from .games import Game, GameStats, _log_moment, compute_stats
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -146,6 +157,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
 _PROBE_GROWTH = 16.0
+# Halvings of a joint (t, u) step that leaves the price bracket or the
+# capped proportions, before the joint Newton gives up. Of the 1960 interior
+# price solves in 1400 solve_narrow ops (seed 6), the joint step gave up in
+# 59 with no halving, 9 with 1, 7 with 2, 5 with 3 or 4, and 4 with 5 to 10
+# (24.83, 23.81, 23.76, 23.72 and 23.70 first-order evaluations per op).
+_JOINT_HALVINGS = 5
 # Unit roundoff of binary64.
 _EPS = 2.0**-53
 
@@ -305,6 +322,28 @@ def _shift_slope(game: Game) -> Callable[[float], float]:
     return log_slope
 
 
+def _kept_boundary_growth(game: Game, n: float) -> float | None:
+    """translation.boundary_growth(game, n) on the arrays that a price solve
+    kept on the game, bit for bit, or None where it kept none or the
+    shifted payouts are no valid game's: the smallest below the normal
+    floats, the largest not finite, or two merged, as _shifted_payouts
+    tests. Those two ends are tested on floats first, so no array operation
+    overflows. Each shifted payout and quotient w/(a + n) is the loop's IEEE
+    operation, each log is math.log's, and the sums are math.fsum's."""
+    kept = game.__dict__.get("_vector")
+    if kept is None:
+        return None
+    column = game._columns[0]
+    if not (sys.float_info.min <= column[0] + n and column[-1] + n < math.inf):
+        return None
+    payouts, weights, _ = kept
+    shifted = payouts + n
+    if not (shifted[:-1] < shifted[1:]).all():
+        return None
+    harmonic = math.fsum((weights / shifted).tolist())
+    return harmonic * math.exp(_log_moment(shifted.tolist(), game._columns[1]))
+
+
 def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
     return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in outcomes)
 
@@ -369,6 +408,7 @@ def _newton_certificates(
     hi: float,
     start: float,
     band: float,
+    gap: float = math.nan,
 ) -> tuple[float, float, float, float]:
     """Sign certificates for _bisect on a decreasing residual f, each next to
     the residual there: (pos, f(pos), neg, f(neg)).
@@ -384,15 +424,16 @@ def _newton_certificates(
     side that its probe left uncertified probes on outward, at distances
     growing _PROBE_GROWTH-fold, until a probe reaches a certificate or
     leaves the bracket; a gap of 0, which would probe one point forever,
-    probes nothing. A residual above band certifies its point positive, and
-    one at or below -band non-positive; a missing certificate is an infinity
-    with residual nan. With _NEWTON_STEPS at 0 nothing is certified.
+    probes nothing. Given a gap, start is taken for Newton's root: the
+    probes start there, and start is never evaluated. A residual above band
+    certifies its point positive, and one at or below -band non-positive; a
+    missing certificate is an infinity with residual nan. With _NEWTON_STEPS
+    at 0 and no gap nothing is certified.
     """
     pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
     below, above = lo, hi
     x = start if lo < start < hi else 0.5 * (lo + hi)
-    gap = math.nan
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_NEWTON_STEPS if math.isnan(gap) else 0):
         res, step, gap = f(x, slope=True)
         # x lies in (below, above), so each certificate is the closest yet
         if res > 0.0:
@@ -600,18 +641,35 @@ def _growth_target(r: float) -> float:
     return target
 
 
-def _relative_spread(outcomes: tuple[tuple[float, float], ...], u: float) -> float:
-    """sum p ((a - u)/u)**2 in plain float arithmetic, which overflows to inf
-    where ** and math.fsum would raise."""
-    total = 0.0
-    for a, w in outcomes:
+def _relative_spread(
+    game: Game, u: float, third: bool = False
+) -> float | tuple[float, float]:
+    """sum p x**2 with x = (a - u)/u, added in outcome order in plain float
+    arithmetic, which overflows to inf where ** and math.fsum would raise;
+    with third, the pair of it and sum p x**3.
+
+    On the arrays that a price solve kept on the game, the same products
+    are added by .cumsum()[-1], which rounds as += does, wherever every
+    payout is below 1e100 u: there |x| < 1e100, so no term overflows and
+    numpy warns of nothing. Elsewhere the loop runs."""
+    kept = game.__dict__.get("_vector")
+    if kept is not None and game._columns[0][-1] < 1e100 * u:
+        payouts, weights, _ = kept
+        x = (payouts - u) / u
+        squares = weights * x * x
+        spread = float(squares.cumsum()[-1])
+        return (spread, float((squares * x).cumsum()[-1])) if third else spread
+    spread = cubes = 0.0
+    for a, w in game._pairs:
         x = (a - u) / u
-        total += w * x * x
-    return total
+        square = w * x * x
+        spread += square
+        cubes += square * x
+    return (spread, cubes) if third else spread
 
 
 def _price_band(
-    outcomes: tuple[tuple[float, float], ...],
+    game: Game,
     stats: GameStats,
     lo: float,
     hi: float,
@@ -681,7 +739,7 @@ def _price_band(
     xi, mean = stats.ess_inf, stats.expectation
     top = lo / (lo - xi) * (1.0 - _CAP_MARGIN)
     cap_hi = hi / (hi - xi)
-    v_lo, v_hi = _relative_spread(outcomes, lo), _relative_spread(outcomes, hi)
+    v_lo, v_hi = _relative_spread(game, lo), _relative_spread(game, hi)
     if not (
         tol * top <= 1e-3
         and cap_hi * (1.0 - _CAP_MARGIN) > 1.0
@@ -718,20 +776,28 @@ def _joint_newton(
     u: float,
     r: float,
     eta: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """The root (u, t) of the optimality system (g, L - r) = 0 by Newton from
     u and the proportion's chord (E - u)/(E - fair_price), with dL/dt = g and
     _price_slopes, once a step moves u by at most sqrt(eta) of it, the next
-    by about eta; or (u, nan) as given where a point leaves (lo, hi) or the
-    capped proportions, the determinant is not positive, or _NEWTON_STEPS pass."""
+    by about eta; with it the distance 4 eta u/t at which the price's
+    certificates are probed, the gap of _log_newton where g = 0. A step that
+    leaves (lo, hi) or the capped proportions is halved, up to
+    _JOINT_HALVINGS times. Where the start is outside them, a step still
+    leaves them, the determinant is not positive, or _NEWTON_STEPS pass, it
+    returns (u, nan, nan) with u as given."""
     stats = compute_stats(game)
     xi, mean = stats.ess_inf, stats.expectation
+
+    def inside(u: float, t: float) -> bool:
+        return lo < u < hi and 0.0 < t < u / (u - xi) * (1.0 - _CAP_MARGIN)
+
     start, t, du = u, (mean - u) / (mean - stats.fair_price), math.inf
+    if not inside(u, t):
+        return start, math.nan, math.nan
     for _ in range(_NEWTON_STEPS):
-        if not (lo < u < hi and 0.0 < t < u / (u - xi) * (1.0 - _CAP_MARGIN)):
-            break
         if abs(du) <= math.sqrt(eta) * u:
-            return u, t
+            return u, t, 4.0 * eta * u / t
         g, g_t = first_order_sum(u, t, slope=True)
         excess = _log_growth(game._pairs, u, t) - r
         g_u, l_u = _price_slopes(u, t, g, g_t)
@@ -739,9 +805,15 @@ def _joint_newton(
         if not det > 0.0:
             break
         du = (g_t * excess - g * g) / det
-        t -= (g * l_u - g_u * excess) / det
-        u -= du
-    return start, math.nan
+        dt = (g * l_u - g_u * excess) / det
+        for _ in range(_JOINT_HALVINGS + 1):
+            if inside(u - du, t - dt):
+                break
+            du, dt = 0.5 * du, 0.5 * dt
+        else:
+            break
+        u, t = u - du, t - dt
+    return start, math.nan, math.nan
 
 
 def optimal_price(
@@ -770,16 +842,19 @@ def optimal_price(
     The bisection is replayed from the certificates of _newton_certificates:
     Newton in u on log G - r with the envelope slope d log G*/du, dL/du at
     the inner root (_price_slopes), from the inner solve's (t, g): no pass
-    over the outcomes, and one float on both kernels. It starts at the root
-    of the optimality system (_joint_newton), or where that fails at the
-    later of the tangent at the fair price, where the slope is -1/u, and the
-    small-rate estimate E - sigma sqrt(2 r), which Newton climbs from below
-    without overshooting where log G* is convex, as its small-rate form
-    (E - u)**2/(2 sigma**2) is; no start moves a bit. eta, derived in
-    _price_band, bounds the rounding of the log growth and the inner solve's
-    optimality deficit; where it cannot be shown the bisection runs plain. A
-    fair price within _PRICE_MARGIN of the expectation leaves no bracket and
-    is refused.
+    over the outcomes, and one float on both kernels. Where the joint Newton
+    (_joint_newton) reaches the root of the optimality system, that root
+    takes Newton's place: it is not evaluated, and the probes start there,
+    4 eta u/t out, and its proportion starts the first inner solve.
+    Elsewhere Newton starts at the later of the tangent at the fair price,
+    where the slope is -1/u, and the small-rate estimate
+    E - sigma sqrt(2 r), which Newton climbs from below without overshooting
+    where log G* is convex, as its small-rate form (E - u)**2/(2 sigma**2)
+    is; the joint Newton starts there too. No start moves a bit. eta,
+    derived in _price_band, bounds the rounding of the log growth and the
+    inner solve's optimality deficit; where it cannot be shown the
+    bisection runs plain. A fair price within _PRICE_MARGIN of the
+    expectation leaves no bracket and is refused.
 
     The game keeps the last result, under its exact arguments compared by
     type and value (r=1 and r=1.0 give different rate fields), and returns
@@ -845,17 +920,17 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             f" relative margin {_PRICE_MARGIN} of the expectation {stats.expectation!r}"
         )
     pos, neg = -math.inf, math.inf
-    eta = _price_band(outcomes, stats, lo, hi, tol, max_iter)
+    eta = _price_band(game, stats, lo, hi, tol, max_iter)
     if eta < math.inf:
         mean = stats.expectation
-        spread = _relative_spread(outcomes, mean)
+        spread = _relative_spread(game, mean)
         start = max(
             lo * (1.0 + math.log(stats.boundary_growth) - r),
             mean * (1.0 - math.sqrt(2.0 * r * spread)),
         )
-        start, t = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
+        start, t, gap = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
         pos, _, neg, _ = _newton_certificates(
-            excess_growth, lo, hi, start, 3.0 * eta * target
+            excess_growth, lo, hi, start, 3.0 * eta * target, gap
         )
     price, _, _ = _bisect(excess_growth, lo, hi, tol, max_iter, pos=pos, neg=neg)
     return PricingSolution(

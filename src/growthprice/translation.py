@@ -33,8 +33,10 @@ from .solver import (
     _EPS,
     _bisect,
     _growth_target,
+    _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
+    _relative_spread,
     _require_bisect_args,
     _shift_slope,
     optimal_price,
@@ -99,13 +101,19 @@ def boundary_growth(game: Game, n: float) -> float:
 
     Equals compute_stats(translate(game, n)).boundary_growth bit for bit,
     without building the shifted game unless rounding merges its payouts:
-    it makes translate's shift check and the statistics' own sums.
-    Strictly decreasing in n with limit 1.
+    it makes translate's shift check and the statistics' own sums, on the
+    arrays that a price solve kept on a wide game (solver's
+    _kept_boundary_growth) and in a loop elsewhere. Strictly decreasing in
+    n with limit 1.
     """
+    growth = _kept_boundary_growth(game, n)
+    if growth is not None:
+        return growth
     payouts = _shifted_payouts(game, n)
     if payouts is None:
-        # Rounding merged adjacent payouts, or the largest overflowed: the
-        # shifted game is not these outcomes, so build and validate it.
+        # Rounding merged adjacent payouts, the largest overflowed or the
+        # smallest left the normal floats: the shifted game is not these
+        # outcomes, so build and validate it.
         return compute_stats(translate(game, n)).boundary_growth
     weights = game._columns[1]
     return _harmonic(payouts, weights) * math.exp(_log_moment(payouts, weights))
@@ -147,22 +155,22 @@ def threshold_shift(
     payout scale. The exact B drops below exp(r) long before a shift that
     merges every payout, so a doubling that reaches one raises
     InternalConsistencyError. The doubling ends there at the latest: an
-    infinite shift merges every payout. An expectation that underflows to 0
-    leaves a shift of 0 that no doubling moves, and raises the same. When
-    exp(r) already exceeds the unshifted boundary growth there is nothing to
-    solve and the status says so.
+    infinite shift merges every payout. When exp(r) already exceeds the
+    unshifted boundary growth there is nothing to solve and the status says
+    so.
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
     Newton runs on log B(n) - r, with the slope of solver._shift_slope,
     which reads the arrays that an earlier price solve left on a wide game
-    and builds none. It starts from the large-shift asymptote
+    and builds none, as boundary_growth and the moments below do. It starts
+    from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
-    moments sigma**2 and mu3, or from the tangent of log B at n = 0 where
-    that lies further out: near the boundary the asymptote is negative and
-    the tangent close. Where log B is convex, as its large-shift decay
-    sigma**2/(2 m**2) is, Newton from below n0 climbs to it without
-    overshooting.
+    moments sigma**2 and mu3 (solver._relative_spread), or from the tangent
+    of log B at n = 0 where that lies further out: near the boundary the
+    asymptote is negative and the tangent close. Where log B is convex, as
+    its large-shift decay sigma**2/(2 m**2) is, Newton from below n0 climbs
+    to it without overshooting.
 
     eta bounds the error of log boundary_growth as evaluated, with
     eps = 2**-53 and Lambda the largest |log(a_i + n)| over [0, n_hi]. Each
@@ -200,7 +208,7 @@ def threshold_shift(
     hi = _SEARCH_START_FACTOR * stats.expectation
     while boundary_growth(game, hi) >= target:
         hi *= 2.0
-        if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:
+        if outcomes[0][0] + hi == outcomes[-1][0] + hi:
             raise InternalConsistencyError(
                 f"boundary growth failed to drop below exp(r)={target!r} for shifts"
                 f" up to {hi!r}; the weights sum to {math.fsum(game._columns[1])!r}"
@@ -212,11 +220,7 @@ def threshold_shift(
         res = boundary_growth(game, n) - target
         return _log_newton(res, log_slope(n), target, eta) if slope else res
 
-    var = mu3 = 0.0
-    for a, w in outcomes:
-        d = (a - mean) / mean
-        var += w * d * d
-        mu3 += w * d * d * d
+    var, mu3 = _relative_spread(game, mean, third=True)
     start = math.nan
     if var > 0.0:
         start = mean * (

@@ -68,6 +68,7 @@ class Mutant(NamedTuple):
 SOLVER_TESTS = "tests/test_solver.py"
 KERNELS = f"{SOLVER_TESTS}::TestFirstOrderKernels"
 REPLAY_FREE = f"{SOLVER_TESTS}::TestReplayFreeProportion"
+KEPT_ARRAYS = f"{SOLVER_TESTS}::TestKeptArrays"
 REFERENCE_ETA = (
     "tests/test_reference.py::test_every_price_certificate_is_within_eta_of_the_best_log_growth"
 )
@@ -166,8 +167,8 @@ MUTANTS = (
     Mutant(
         "a shift keeps payouts that rounding merged",
         "games.py",
-        "if math.isfinite(payouts[-1]) and all(map(lt, payouts, islice(payouts, 1, None))):",
-        "if math.isfinite(payouts[-1]):",
+        "        and all(map(lt, payouts, islice(payouts, 1, None)))\n",
+        "        and True\n",
         ("tests/test_translation.py::TestBoundaryGrowthShifts::test_shift_merging_two_payouts_is_invalid",),
         "0c71e59, shifted games inherit their parent's validation",
     ),
@@ -211,6 +212,7 @@ MUTANTS = (
         (
             "tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",
             REFERENCE_BAND,
+            f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_price_probe_inside_the_band_certifies_nothing",
         ),
         "09b1d46, price and threshold certificates",
     ),
@@ -247,22 +249,12 @@ MUTANTS = (
     Mutant(
         "the threshold doubles past the shift that merges every payout",
         "translation.py",
-        "if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
-        "if not hi:",
+        "if outcomes[0][0] + hi == outcomes[-1][0] + hi:",
+        "if False:",
         (
             "tests/test_translation.py::TestThresholdShift::test_doubling_to_a_shift_that_merges_every_payout_is_internal",
         ),
         "only a price solve builds numpy state",
-    ),
-    Mutant(
-        "the threshold doubles a shift of 0 forever",
-        "translation.py",
-        "if not hi or outcomes[0][0] + hi == outcomes[-1][0] + hi:",
-        "if outcomes[0][0] + hi == outcomes[-1][0] + hi:",
-        (
-            "tests/test_translation.py::TestThresholdShift::test_an_expectation_that_underflows_to_zero_is_internal",
-        ),
-        "each search stops where its proof says",
     ),
     Mutant(
         "the price's eta is 0, seen in the growth at its certificates",
@@ -326,10 +318,43 @@ MUTANTS = (
     Mutant(
         "the joint root is ignored as a start",
         "solver.py",
-        "        start, t = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
-        "        _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
+        "        start, t, gap = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
+        "        _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n"
+        "        gap = math.nan\n",
         ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
         "the price by Newton on the optimality system",
+    ),
+    Mutant(
+        "the certificates probe the joint root at distance 0",
+        "solver.py",
+        "            return u, t, 4.0 * eta * u / t\n",
+        "            return u, t, 0.0 * eta * u / t\n",
+        ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
+        "wide solves certify from the joint root",
+    ),
+    Mutant(
+        "the joint step is never halved",
+        "solver.py",
+        "_JOINT_HALVINGS = 5",
+        "_JOINT_HALVINGS = 0",
+        ("tests/test_call_counts.py::test_a_joint_step_that_leaves_the_proportions_is_halved",),
+        "wide solves certify from the joint root",
+    ),
+    Mutant(
+        "the arrays form w/(a + n) through 1/(a + n)",
+        "solver.py",
+        "    harmonic = math.fsum((weights / shifted).tolist())\n",
+        "    harmonic = math.fsum((weights * (1.0 / shifted)).tolist())\n",
+        (f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",),
+        "wide solves certify from the joint root",
+    ),
+    Mutant(
+        "the arrays add the spread pairwise",
+        "solver.py",
+        "        spread = float(squares.cumsum()[-1])\n",
+        "        spread = float(squares.sum())\n",
+        (f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",),
+        "wide solves certify from the joint root",
     ),
     Mutant(
         "the threshold's band is 0",

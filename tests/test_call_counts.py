@@ -93,9 +93,11 @@ def test_optimal_price_makes_at_most_80_first_order_evaluations(two_point, calls
     "solve, evaluations",
     [
         (lambda g: pre_optimal_proportion(g, 5.0), 7),
-        # 4 joint steps, 3 outer certificate evaluations and 2 replayed
-        # midpoints; 31 without the joint steps
-        (lambda g: optimal_price(g, 0.05), 20),
+        # 4 joint steps, 2 outer certificate evaluations (the probes on
+        # either side of the joint root, which is not evaluated itself) and
+        # 2 replayed midpoints; 20 with the joint root evaluated, 31 without
+        # the joint steps
+        (lambda g: optimal_price(g, 0.05), 18),
     ],
     ids=["proportion", "price"],
 )
@@ -108,8 +110,8 @@ def test_first_order_evaluations_at_the_default_max_iter(
 
 def test_only_the_price_bisection_replays_its_proportions(two_point, calls):
     # the outer bisection, and one inner bisection for each of its two
-    # evaluations; the 3 inner solves at Newton and probe points take their
-    # proportion from the certificates. Every solve replayed made 9.
+    # evaluations; the 2 inner solves at the probes take their proportion
+    # from the certificates. Every solve replayed made 9.
     optimal_price(two_point, 0.05)
     assert calls["_bisect"] == 3
 
@@ -119,7 +121,7 @@ def test_only_the_price_bisection_replays_its_proportions(two_point, calls):
 def test_the_joint_newton_steps_of_a_price(monkeypatch, r, steps, scale):
     # Each joint step is one first-order evaluation with the slope, and the
     # steps do not depend on the payout scale. From the joint root the
-    # certificates take 3 outer evaluations at r = 0.05, where nested Newton
+    # certificates take 2 outer evaluations at r = 0.05, where nested Newton
     # from the tangent or small-rate start took 6.
     joint, seen = growthprice.solver._joint_newton, []
 
@@ -133,6 +135,16 @@ def test_the_joint_newton_steps_of_a_price(monkeypatch, r, steps, scale):
     monkeypatch.setattr(growthprice.solver, "_joint_newton", counted)
     optimal_price(Game.from_pairs([(scale, 0.5), (19.0 * scale, 0.5)]), r)
     assert len(seen) == steps
+
+
+def test_a_joint_step_that_leaves_the_proportions_is_halved(calls):
+    # From the chord t = 0.86 the first joint step would take t below 0;
+    # halved once it lands at t = 0.30, and four more steps reach the root.
+    # Without the halving the joint Newton gave up there and nested Newton
+    # ran from its start: 44 first-order evaluations in place of 15.
+    game = Game.from_pairs([(2.5, 0.875), (18.0, 0.125)])
+    assert repr(optimal_price(game, 0.05).optimal_price) == "3.207217684446309"
+    assert calls["_first_order_sum"] == 15
 
 
 @pytest.mark.parametrize(
@@ -151,14 +163,17 @@ def test_a_proportion_near_the_expectation_probes_outward(
 
 @pytest.mark.parametrize(
     "r, evaluations",
-    [(0.2, 21), (1e-4, 31), (1e-6, 62), (1e-8, 89), (1e-10, 158), (1e-12, 292)],
+    [(0.2, 19), (1e-4, 29), (1e-6, 69), (1e-8, 85), (1e-10, 150), (1e-12, 280)],
 )
 def test_first_order_evaluations_of_a_price_across_rates(
     two_point, calls, r, evaluations
 ):
-    # the joint steps included; without them nested Newton made 35, 39, 68,
-    # 97, 163 and 301, and with every solve replayed and one probe a side 42,
-    # 44, 103, 157, 228 and 364
+    # the joint steps included, the joint root itself not evaluated. With it
+    # evaluated, 21, 31, 62, 89, 158 and 292: at r = 1e-6 the joint root is
+    # about 1e-9 off, so the probes from it start wide of the root, where one
+    # Newton step from it had closed in. Without the joint steps nested
+    # Newton made 35, 39, 68, 97, 163 and 301, and with every solve replayed
+    # and one probe a side 42, 44, 103, 157, 228 and 364
     optimal_price(two_point, r)
     assert calls["_first_order_sum"] == evaluations
 
@@ -247,7 +262,7 @@ def test_price_translated_reuses_the_price_its_caller_computed(two_point, calls)
     calls.clear()
     base = optimal_price(two_point, 0.05)
     shifted = price_translated(two_point, 0.05, 10.0)
-    assert calls["_first_order_sum"] == 20 + shifted_alone
+    assert calls["_first_order_sum"] == 18 + shifted_alone
     assert calls["_solve_price"] == 2
     assert repr(base) == repr(optimal_price(Game(*two_point), 0.05))
     assert repr(shifted) == repr(price_translated(Game(*two_point), 0.05, 10.0))

@@ -286,6 +286,33 @@ class TestExitCodes:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith(message)
 
+    @pytest.mark.parametrize("command", ("analyze", "price", "threshold"))
+    @pytest.mark.parametrize(
+        "pairs",
+        (
+            # threshold raised OverflowError from the harmonic sum and price
+            # ZeroDivisionError, each a traceback
+            ((5e-324, 0.8), (1e-323, 0.2)),
+            # an expectation of 0.0: threshold said "for shifts up to 0.0",
+            # exit 3
+            tuple(
+                (k * 5e-324, w)
+                for k, w in enumerate((0.5, 0.25, 1 / 6 - 4e-13, 1 / 12 - 4e-13), 1)
+            ),
+        ),
+        ids=("two_subnormal", "underflowing_expectation"),
+    )
+    def test_subnormal_payouts_are_exit_1(self, tmp_path, pairs, command):
+        path = tmp_path / "subnormal.json"
+        path.write_text(save_spec(Game.from_pairs(pairs)))
+        code, out, err = run_config(
+            RunConfig(command=command, game_path=str(path), rate=0.05)
+        )
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith(f"error: payout {pairs[0][0]!r} is below the smallest")
+        for a, _ in pairs:
+            assert f"payout {a!r} is below the smallest normal float" in err
+
     def test_domain_failure_is_exit_2(self, spec_path):
         code, _, err = run_config(
             RunConfig(command="price", game_path=spec_path, rate=-0.5)

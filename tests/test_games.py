@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -58,6 +59,29 @@ class TestValidate:
     def test_nonfinite_payout_rejected(self):
         verdict = validate(Game.from_pairs([(math.inf, 0.5), (5.0, 0.5)]))
         assert not verdict.ok
+
+    def test_payouts_below_the_normal_floats_rejected(self):
+        # the smallest normal float passes; the subnormal just below it, and
+        # the smallest subnormal, are each named in a problem of their own
+        smallest = sys.float_info.min
+        assert validate(Game.from_pairs([(smallest, 0.5), (5.0, 0.5)])).ok
+        below = math.nextafter(smallest, 0.0)
+        verdict = validate(Game.from_pairs([(5e-324, 0.25), (below, 0.25), (5.0, 0.5)]))
+        assert verdict.problems == tuple(
+            f"payout {a!r} is below the smallest normal float {smallest!r}"
+            for a in (5e-324, below)
+        )
+
+    def test_a_shift_below_the_normal_floats_builds_an_invalid_game(self):
+        # n > -ess_inf, but the smallest shifted payout is subnormal: translate
+        # builds the game through Game, which refuses it as it would the
+        # outcomes given directly
+        game = Game.from_pairs([(1e-300, 0.5), (1.0, 0.5)])
+        n = math.nextafter(-1e-300, 0.0)
+        shifted = translate(game, n)
+        assert "_stats" not in vars(shifted)
+        with pytest.raises(GameValidationError, match="below the smallest normal"):
+            compute_stats(shifted)
 
     def test_zero_weight_outcomes_dropped_before_validation(self):
         game = Game.from_pairs([(2.0, 0.5), (7.0, 0.0), (19.0, 0.5)])

@@ -415,7 +415,7 @@ def test_the_joint_start_moves_no_bit(game, fraction):
     # returning the start it was given, as it does where it fails, every
     # price, threshold and shifted price keeps its bits.
     def start_as_given(first_order_sum, game, lo, hi, u, r, eta):
-        return u, math.nan
+        return u, math.nan, math.nan
 
     r = fraction * math.log(boundary_growth(game, 0.0))
     assume(r > 1e-15)

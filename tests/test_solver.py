@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -44,8 +45,10 @@ from growthprice.solver import (
     _bisect,
     _first_order_kernel,
     _first_order_sum,
+    _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
+    _relative_spread,
     _solve_proportion,
 )
 
@@ -516,6 +519,39 @@ class TestNewtonCertificates:
         assert (pos, neg) == (-math.inf, math.inf)
         assert math.isnan(pos_res) and math.isnan(neg_res)
 
+    def test_a_price_probe_inside_the_band_certifies_nothing(self):
+        # At small rates a probe from the joint root can read a growth
+        # residual of 0 or a few ulps, inside the band 3 eta exp(r), where
+        # the lemma certifies nothing; each certificate must clear the band.
+        game = random_game(np.random.default_rng(6), 2, 8)
+        r = 1e-3 * math.log(compute_stats(game).boundary_growth)
+        band, certify = growthprice.solver._price_band, _newton_certificates
+        etas, residuals, certificates = [], [], []
+
+        def spy_band(*args):
+            etas.append(band(*args))
+            return etas[-1]
+
+        def spy_certify(f, *args):
+            if f.__name__ != "excess_growth":  # an inner proportion solve
+                return certify(f, *args)
+
+            def evaluation(x, slope=False):
+                out = f(x, slope=slope)
+                residuals.append(out[0])
+                return out
+
+            certificates.append(certify(evaluation, *args))
+            return certificates[-1]
+
+        with patch.object(growthprice.solver, "_price_band", spy_band):
+            with patch.object(growthprice.solver, "_newton_certificates", spy_certify):
+                optimal_price(game, r)
+        (eta,), ((_, pos_res, _, neg_res),) = etas, certificates
+        band = 3.0 * eta * math.exp(r)
+        assert any(abs(res) <= band for res in residuals)
+        assert pos_res > band and neg_res <= -band
+
     @pytest.mark.parametrize("slope", (0.0, 1.0, math.nan))
     def test_log_newton_takes_no_step_where_the_slope_is_not_negative(self, slope):
         assert _log_newton(0.25, slope, 2.0, 1e-9) == (0.25, 0.0, math.inf)
@@ -945,3 +981,82 @@ class TestFirstOrderKernels:
         for (name, max_iter), expected in _PINNED.items():
             got = _solve_reprs(games[name], _PINNED_SHIFTS[name], max_iter)
             assert got == expected, (name, max_iter)
+
+
+def _verdict(call) -> str:
+    """repr of what call returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except GrowthPriceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestKeptArrays:
+    """boundary_growth, the relative spread and the threshold's moments read
+    the arrays that a price solve kept on a wide game, and return the loop's
+    floats bit for bit without a numpy warning."""
+
+    @staticmethod
+    def _games(k: int, scale: float) -> tuple[Game, Game]:
+        """A game of k outcomes at the payout scale that keeps the arrays, with
+        its pairs taken away so that only the arrays can serve it, and the
+        same game without them, which runs the loops."""
+        drawn = random_game(np.random.default_rng(9000 + k), k, k)
+        looped = Game.from_pairs((scale * a, w) for a, w in drawn.outcomes)
+        kept = Game(*looped)
+        compute_stats(kept)
+        assert not isinstance(_first_order_kernel(kept), partial)
+        vars(kept)["_pairs"] = None
+        return kept, looped
+
+    @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+    @pytest.mark.parametrize("k", (40, 64, 256))
+    def test_the_array_sums_equal_the_loops(self, k, scale):
+        kept, looped = self._games(k, scale)
+        stats = compute_stats(looped)
+        xi, top, mean = stats.ess_inf, looped.outcomes[-1].payout, stats.expectation
+        prices = (xi, stats.fair_price, 0.5 * (stats.fair_price + mean), mean, top)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0.0, -0.5 * xi, 0.25 * xi, 3.0 * top, 1e3 * top):
+                assert _kept_boundary_growth(kept, n) is not None
+                got = boundary_growth(kept, n)
+                assert repr(got) == repr(boundary_growth(looped, n))
+            for u in prices:
+                for third in (False, True):
+                    assert repr(_relative_spread(kept, u, third)) == repr(
+                        _relative_spread(looped, u, third)
+                    )
+
+    @pytest.mark.parametrize("scale", (1e-300, 1e-200, 1.0, 1e200))
+    def test_merging_and_overflowing_shifts_take_the_loop(self, scale):
+        # 1e15 ess_inf merges some payouts and 1e17 times the largest every
+        # one; the largest float overflows the largest payout at scale 1e200
+        # and merges every one below it. At scale 1e-300 a shift just above
+        # -ess_inf leaves the smallest payout below the normal floats. Each
+        # gets the shifted game's verdict.
+        kept, looped = self._games(256, scale)
+        vars(kept)["_pairs"] = looped._pairs
+        xi, top = compute_stats(looped).ess_inf, looped.outcomes[-1].payout
+        shifts = [1e15 * xi, 1e17 * top, sys.float_info.max]
+        if scale == 1e-300:
+            shifts = [math.nextafter(-xi, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in shifts:
+                assert _kept_boundary_growth(kept, n) is None
+                got = _verdict(lambda: boundary_growth(kept, n))
+                assert got == _verdict(lambda: boundary_growth(looped, n))
+
+    def test_a_spread_that_overflows_is_inf_on_both(self):
+        # at 1e-160 of the largest payout every x = (a - u)/u squares past the
+        # largest float; the arrays would warn there, so the loop serves it
+        kept, looped = self._games(64, 1e200)
+        vars(kept)["_pairs"] = looped._pairs
+        u = 1e-160 * looped.outcomes[-1].payout
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for third in (False, True):
+                got = _relative_spread(kept, u, third)
+                assert repr(got) == repr(_relative_spread(looped, u, third))
+            assert got == (math.inf, math.inf)

@@ -193,25 +193,17 @@ class TestThresholdShift:
         assert "shifts up to 4.5035996273781965e+17" in str(info.value)
         assert "weights sum to 1.0000000000009" in str(info.value)
 
-    def test_an_expectation_that_underflows_to_zero_is_internal(self, monkeypatch):
-        # every w * a rounds to 0, so the search starts at a shift of 0,
-        # which doubling never moves
+    def test_an_expectation_that_underflows_to_zero_is_refused(self):
+        # every w * a rounds to 0, so the search would start at a shift of 0,
+        # which doubling never moves; validation refuses every payout first
         weights = (0.5, 0.25, 1 / 6 - 4e-13, 1 / 12 - 4e-13)
         game = Game.from_pairs((k * 5e-324, w) for k, w in enumerate(weights, 1))
-        assert compute_stats(game).expectation == 0.0
-        real = growthprice.translation.boundary_growth
-        calls = []
-
-        def counted(game, n):
-            calls.append(n)
-            if len(calls) > 50:
-                raise AssertionError("doubled a shift of 0 over and over")
-            return real(game, n)
-
-        monkeypatch.setattr(growthprice.translation, "boundary_growth", counted)
-        with pytest.raises(InternalConsistencyError, match="shifts up to 0.0;"):
+        with pytest.raises(GameValidationError) as info:
             threshold_shift(game, 0.05)
-        assert calls == [0.0]
+        problems = info.value.verdict.problems
+        assert len(problems) == 4
+        for k, problem in enumerate(problems, 1):
+            assert problem.startswith(f"payout {k * 5e-324!r} is below the smallest")
 
 
 class TestPriceTranslated:
