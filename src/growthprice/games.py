@@ -237,10 +237,13 @@ def translate(game: Game, n: float) -> Game:
             label=game.label,
         )
     weights = game._columns[1]
-    outcomes = tuple(map(Outcome, payouts, weights))
+    pairs = tuple(zip(payouts, weights))
+    # each record as tuple.__new__ makes it, without Outcome's Python __new__
+    outcomes = tuple(map(tuple.__new__, repeat(Outcome), pairs))
     shifted = tuple.__new__(Game, (outcomes, game.label))
-    shifted.__dict__["_columns"] = (payouts, weights)
-    shifted.__dict__["_stats"] = _summary(payouts, weights)
+    vars(shifted).update(
+        _pairs=pairs, _columns=(payouts, weights), _stats=_summary(payouts, weights)
+    )
     return shifted
 
 

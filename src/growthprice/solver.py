@@ -77,29 +77,23 @@ The first-order sum has two kernels, each of which returns the derivative
 in t next to the sum when asked: a plain loop, and numpy on arrays of the
 game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel). Once a game keeps those arrays, three more sums
-read them in place of a loop over the outcomes: the boundary growth
-(_kept_boundary_growth, for translation.boundary_growth), the relative
-spread of the price band and of the price's start and the threshold's
-central moments (_relative_spread), and threshold_shift's slope
-(_shift_slope). All else takes the loop, as does every game of fewer than
-_VECTOR_MIN_OUTCOMES outcomes and every solve where numpy cannot be
-imported: numpy only accelerates, and only this module holds numpy code.
-Both kernels form each term with the same IEEE operations in the same
-order, and no array operation may overflow, so numpy warns of nothing.
-Every residual (the first-order sum, the log growth, the boundary growth
-and the statistics) adds its terms with math.fsum, which rounds the exact
-sum correctly, over per-term math.log and math.log1p: numpy's are not the C
-library's (on 200 000 random arguments each, numpy 2.4.6, np.log differed
-from math.log for 154 and np.log1p from math.log1p for 17 283). The sums
-that only steer Newton or bound its band, the derivative, threshold_shift's
-log slope and moments and the relative spread, add in outcome order, += in
-the loop and .cumsum()[-1] on the arrays, which round alike; optimal_price's
-envelope slope needs no sum. The log growth stays a loop on every game: on
-payouts 1..k with equal weights at u = 0.6 k, t = 0.5, the arrays took
-24.8-26.2 us against 27.4-29.0 looped at 256 outcomes, but 5.7-7.4 against
-4.8-5.6 at 40 (best of 9, two runs). So no result and no evaluation count
-depends on the kernel or the interpreter.
+(_first_order_kernel), which price_translated passes on to the shifted game
+(_keep_shifted). Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and
+solves where numpy cannot be imported, take the loops: numpy only
+accelerates, and only this module holds numpy code. On kept arrays a value
+that certifies a sign or may be returned (the first-order sum, the log
+growth, the boundary growth) is exact: terms formed with the loop's IEEE
+operations, math.log or math.log1p per term (on 200 000 random arguments
+each, numpy 2.4.6, np.log differed from math.log for 154 and np.log1p from
+math.log1p for 17 283), and math.fsum. A value that only steers Newton, a
+start or a band test (the derivative, the joint Newton's _kept_system, log B
+and its slope in _shift_slope, the relative spread) is numpy's np.log,
+np.log1p and pairwise .sum(). So no result depends on the kernel, though on
+a wide game the count of exact evaluations may depend on numpy's build.
+Each steering pass but the kernel's derivative runs only where every payout
+is below 1e100 times its scale, so that no product overflows and numpy
+warns of nothing; the arrays meet only elementwise and in .sum(), so no
+BLAS call is made.
 """
 
 from __future__ import annotations
@@ -109,6 +103,7 @@ import os
 import sys
 from enum import Enum
 from functools import cache, partial
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -251,8 +246,8 @@ def _import_numpy():
 
 def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum of game as a function of (u, t, slope=False),
-    equal, bit for bit and with slope too, to
-    _first_order_sum(game._pairs, u, t, slope). Only _solve_price calls it.
+    equal, bit for bit, to _first_order_sum(game._pairs, u, t, slope), but
+    for the derivative, which steers. Only _solve_price calls it.
 
     From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
     game keeps (payouts, weights, kernel), its columns as arrays and the
@@ -273,8 +268,7 @@ def _vector_kernel(
     lowest: float, payouts, weights
 ) -> Callable[..., float | tuple[float, float]]:
     """The first-order sum on numpy arrays of the payouts and weights, whose
-    smallest payout is lowest. The derivative is added in outcome order, as
-    the loop adds it."""
+    smallest payout is lowest, with numpy's sum of the derivative."""
 
     def first_order_sum(
         u: float, t: float, slope: bool = False
@@ -285,39 +279,58 @@ def _vector_kernel(
         d = x * t + u
         terms = weights * x / d
         total = math.fsum(terms.tolist())
-        return (total, -float((terms * x / d).cumsum()[-1])) if slope else total
+        return (total, -float((terms * x / d).sum())) if slope else total
 
     return first_order_sum
 
 
-def _shift_slope(game: Game) -> Callable[[float], float]:
-    """d log B/dn as a function of n, for B(n) = boundary_growth(game, n) =
-    H exp(sum p log(a + n)) with H = sum p/(a + n): H - H2/H, where
-    H2 = sum p/(a + n)**2. Both sums are formed on the ratios
-    (E + n)/(a + n) so that nothing overflows or underflows at any payout
-    scale, and added in outcome order, on the arrays that a price solve
-    left on the game or in a loop, which round alike, so threshold_shift's
-    Newton takes the same path on both. Loading numpy here would cost more
-    than it saves, so no arrays are built."""
+def _keep_shifted(game: Game, shifted: Game, n: float) -> None:
+    """Give shifted = translate(game, n), where no payout merged or
+    overflowed, game's kept arrays plus n, the add translate makes per payout."""
+    kept = game.__dict__.get("_vector")
+    outcomes = shifted.outcomes
+    if kept and len(outcomes) == len(kept[0]) and outcomes[-1].payout < math.inf:
+        payouts = kept[0] + n
+        kernel = _vector_kernel(outcomes[0].payout, payouts, kept[1])
+        shifted.__dict__["_vector"] = (payouts, kept[1], kernel)
+
+
+def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
+    """(d log B/dn, log B(n)) as a function of n, for B(n) =
+    boundary_growth(game, n) = H exp(sum p log(a + n)) with H = sum p/(a + n).
+    The slope is H - H2/H, H2 = sum p/(a + n)**2, both sums formed on the
+    ratios (E + n)/(a + n) so that nothing overflows or underflows at any
+    payout scale. numpy forms both on arrays that a price solve kept, if every
+    payout is below 1e100 times the smallest, so that no squared ratio
+    overflows; elsewhere a loop forms the slope, and log B is nan.
+    No arrays are built: loading numpy would cost more than it saves."""
     mean = compute_stats(game).expectation
     kept = game.__dict__.get("_vector")
+    column = game._columns[0]
+    if kept is not None and column[-1] < 1e100 * column[0]:
+        payouts, weights, _ = kept
+        log = _import_numpy().log
 
-    def log_slope(n: float) -> float:
+        def steer(n: float) -> tuple[float, float]:
+            m = mean + n
+            shifted = payouts + n
+            inv = m / shifted
+            terms = weights * inv
+            h, h2 = float(terms.sum()), float((terms * inv).sum())
+            log_sum = float((weights * log(shifted)).sum())
+            return (h - h2 / h) / m, math.log(h) - math.log(m) + log_sum
+
+        return steer
+
+    def log_slope(n: float) -> tuple[float, float]:
         # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
         m = mean + n
-        if kept is not None:
-            payouts, weights, _ = kept
-            inv = m / (payouts + n)
-            terms = weights * inv
-            h = float(terms.cumsum()[-1])
-            h2 = float((terms * inv).cumsum()[-1])
-        else:
-            h = h2 = 0.0
-            for a, w in game._pairs:
-                inv = m / (a + n)
-                h += w * inv
-                h2 += w * inv * inv
-        return (h - h2 / h) / m
+        h = h2 = 0.0
+        for a, w in game._pairs:
+            inv = m / (a + n)
+            h += w * inv
+            h2 += w * inv * inv
+        return (h - h2 / h) / m, math.nan
 
     return log_slope
 
@@ -344,8 +357,15 @@ def _kept_boundary_growth(game: Game, n: float) -> float | None:
     return harmonic * math.exp(_log_moment(shifted.tolist(), game._columns[1]))
 
 
-def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
-    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in outcomes)
+def _log_growth(game: Game, u: float, t: float) -> float:
+    """sum p log1p(t (a - u)/u) for t below the proportion cap, by math.log1p
+    and math.fsum; numpy forms the arguments on kept arrays with the same
+    IEEE operations where t times every payout is below 1e100 u."""
+    kept = game.__dict__.get("_vector")
+    if kept is not None and t * game._columns[0][-1] < 1e100 * u:
+        x = t * (kept[0] - u) / u
+        return math.fsum(map(mul, game._columns[1], map(math.log1p, x.tolist())))
+    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in game._pairs)
 
 
 def _require_bisect_args(tol: float, max_iter: int) -> None:
@@ -409,13 +429,16 @@ def _newton_certificates(
     start: float,
     band: float,
     gap: float = math.nan,
+    steer: Callable[[float], tuple[float, float, float]] | None = None,
 ) -> tuple[float, float, float, float]:
     """Sign certificates for _bisect on a decreasing residual f, each next to
     the residual there: (pos, f(pos), neg, f(neg)).
 
-    f(x, slope=True), the only call made, is the triple (residual, Newton
+    f(x, slope=True), the only call made of f, is the triple (residual, Newton
     step, gap) at x: each is a certificate evaluation, whose value the
-    caller never returns. Safeguarded Newton from start, or from the midpoint
+    caller never returns. Given steer, Newton calls steer(x) in its place, an
+    approximation of that triple whose points certify nothing, and only the
+    probes call f. Safeguarded Newton from start, or from the midpoint
     where start is outside (lo, hi), brackets the root by the sign of each
     residual and stops once a step is within gap, or leaves a bracket whose
     ends it both evaluated: there rounding steers the step more than the
@@ -433,16 +456,17 @@ def _newton_certificates(
     pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
     below, above = lo, hi
     x = start if lo < start < hi else 0.5 * (lo + hi)
+    certify = steer is None
     for _ in range(_NEWTON_STEPS if math.isnan(gap) else 0):
-        res, step, gap = f(x, slope=True)
+        res, step, gap = f(x, slope=True) if certify else steer(x)
         # x lies in (below, above), so each certificate is the closest yet
         if res > 0.0:
             below = x
-            if res > band:
+            if certify and res > band:
                 pos, pos_res = x, res
         else:
             above = x
-            if res <= -band:
+            if certify and res <= -band:
                 neg, neg_res = x, res
         x -= step
         if abs(step) <= gap:
@@ -564,7 +588,7 @@ def pre_optimal_proportion(
     t, res, iterations = _solve_proportion(
         partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
     )
-    growth = math.exp(_log_growth(game._pairs, u, t))
+    growth = math.exp(_log_growth(game, u, t))
     return ProportionSolution(
         price=u, proportion=t, growth=growth, residual=res, iterations=iterations
     )
@@ -593,7 +617,7 @@ def growth_rate(game: Game, u: float, t: float) -> float:
             f"wealth factor {1.0 + x!r} is not positive for payout"
             f" {stats.ess_inf!r} at u={u!r}, t={t!r}"
         )
-    return math.exp(_log_growth(game._pairs, u, t))
+    return math.exp(_log_growth(game, u, t))
 
 
 def optimal_proportion(
@@ -644,21 +668,21 @@ def _growth_target(r: float) -> float:
 def _relative_spread(
     game: Game, u: float, third: bool = False
 ) -> float | tuple[float, float]:
-    """sum p x**2 with x = (a - u)/u, added in outcome order in plain float
-    arithmetic, which overflows to inf where ** and math.fsum would raise;
-    with third, the pair of it and sum p x**3.
+    """sum p x**2 with x = (a - u)/u, added in plain float arithmetic, which
+    overflows to inf where ** and math.fsum would raise; with third, the
+    pair of it and sum p x**3. It steers and tests bands only.
 
-    On the arrays that a price solve kept on the game, the same products
-    are added by .cumsum()[-1], which rounds as += does, wherever every
-    payout is below 1e100 u: there |x| < 1e100, so no term overflows and
-    numpy warns of nothing. Elsewhere the loop runs."""
+    On the arrays that a price solve kept on the game, numpy adds the same
+    products wherever every payout is below 1e100 u: there |x| < 1e100, so
+    no term overflows and numpy warns of nothing. Elsewhere a loop adds
+    them in outcome order."""
     kept = game.__dict__.get("_vector")
     if kept is not None and game._columns[0][-1] < 1e100 * u:
         payouts, weights, _ = kept
         x = (payouts - u) / u
         squares = weights * x * x
-        spread = float(squares.cumsum()[-1])
-        return (spread, float((squares * x).cumsum()[-1])) if third else spread
+        spread = float(squares.sum())
+        return (spread, float((squares * x).sum())) if third else spread
     spread = cubes = 0.0
     for a, w in game._pairs:
         x = (a - u) / u
@@ -768,6 +792,18 @@ def _price_slopes(u: float, t: float, g: float, g_t: float) -> tuple[float, floa
     return g_u, -t / u * (1.0 + (1.0 - t) * g)
 
 
+def _kept_system(kept, u: float, t: float) -> tuple[float, float, float]:
+    """(g, dg/dt, L) at (u, t) on the kept (payouts, weights, kernel) by numpy
+    alone, to steer the joint Newton. Inside the capped proportions and with
+    every payout below 1e100 u, each |x|/d is below 1e100: nothing overflows."""
+    payouts, weights, _ = kept
+    x = payouts - u
+    d = x * t + u
+    terms = weights * x / d
+    log_growth = weights * _import_numpy().log1p(t * x / u)
+    return float(terms.sum()), -float((terms * x / d).sum()), float(log_growth.sum())
+
+
 def _joint_newton(
     first_order_sum: Callable[..., tuple[float, float]],
     game: Game,
@@ -788,6 +824,7 @@ def _joint_newton(
     returns (u, nan, nan) with u as given."""
     stats = compute_stats(game)
     xi, mean = stats.ess_inf, stats.expectation
+    kept, top = game.__dict__.get("_vector"), game._columns[0][-1]
 
     def inside(u: float, t: float) -> bool:
         return lo < u < hi and 0.0 < t < u / (u - xi) * (1.0 - _CAP_MARGIN)
@@ -798,8 +835,12 @@ def _joint_newton(
     for _ in range(_NEWTON_STEPS):
         if abs(du) <= math.sqrt(eta) * u:
             return u, t, 4.0 * eta * u / t
-        g, g_t = first_order_sum(u, t, slope=True)
-        excess = _log_growth(game._pairs, u, t) - r
+        if kept is not None and top < 1e100 * u:
+            g, g_t, log_growth = _kept_system(kept, u, t)
+        else:
+            g, g_t = first_order_sum(u, t, slope=True)
+            log_growth = _log_growth(game, u, t)
+        excess = log_growth - r
         g_u, l_u = _price_slopes(u, t, g, g_t)
         det = g_t * l_u - g_u * g
         if not det > 0.0:
@@ -841,9 +882,9 @@ def optimal_price(
 
     The bisection is replayed from the certificates of _newton_certificates:
     Newton in u on log G - r with the envelope slope d log G*/du, dL/du at
-    the inner root (_price_slopes), from the inner solve's (t, g): no pass
-    over the outcomes, and one float on both kernels. Where the joint Newton
-    (_joint_newton) reaches the root of the optimality system, that root
+    the inner root (_price_slopes), from the inner solve's (t, g), with no
+    pass over the outcomes. Where the joint Newton (_joint_newton) reaches
+    the root of the optimality system, that root
     takes Newton's place: it is not evaluated, and the probes start there,
     4 eta u/t out, and its proportion starts the first inner solve.
     Elsewhere Newton starts at the later of the tangent at the fair price,
@@ -890,7 +931,6 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             proportion=1.0,
             growth_check=growth,
         )
-    outcomes = game._pairs
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
@@ -904,7 +944,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         t, g, _ = _solve_proportion(
             first_order_sum, xi, price, tol, max_iter, t, replay=not slope
         )
-        growth = math.exp(_log_growth(outcomes, price, t))
+        growth = math.exp(_log_growth(game, price, t))
         if not slope:
             return growth - target
         # the envelope slope, with sum p taken as 1

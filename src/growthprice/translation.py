@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalConsistencyError
@@ -33,6 +34,7 @@ from .solver import (
     _EPS,
     _bisect,
     _growth_target,
+    _keep_shifted,
     _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
@@ -79,10 +81,16 @@ def check_invariance(
     both sides of the proportion-to-price ratio and of the growth rate at
     the root, along with their absolute residuals.
     """
+    return _check_invariance(game, u, n, tol, max_iter)
+
+
+def _check_invariance(
+    game: Game, u: float, n: float, tol: float, max_iter: int, moved: Game | None = None
+) -> TranslationReport:
+    """check_invariance, on moved = translate(game, n) where it is given."""
     base = pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
-    shifted = pre_optimal_proportion(
-        translate(game, n), u + n, tol=tol, max_iter=max_iter
-    )
+    moved = translate(game, n) if moved is None else moved
+    shifted = pre_optimal_proportion(moved, u + n, tol=tol, max_iter=max_iter)
     ratio_original = base.proportion / u
     ratio_translated = shifted.proportion / (u + n)
     return TranslationReport(
@@ -163,8 +171,9 @@ def threshold_shift(
     solver._newton_certificates (the lemma in the solver module docstring).
     Newton runs on log B(n) - r, with the slope of solver._shift_slope,
     which reads the arrays that an earlier price solve left on a wide game
-    and builds none, as boundary_growth and the moments below do. It starts
-    from the large-shift asymptote
+    and builds none, as boundary_growth and the moments below do; there its
+    numpy log B steers Newton, and only the probes and the bisection evaluate
+    B. It starts from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3 (solver._relative_spread), or from the tangent
     of log B at n = 0 where that lies further out: near the boundary the
@@ -214,11 +223,15 @@ def threshold_shift(
                 f" up to {hi!r}; the weights sum to {math.fsum(game._columns[1])!r}"
             )
     mean = stats.expectation
-    log_slope = _shift_slope(game)
+    shift_slope = _shift_slope(game)
 
     def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:
         res = boundary_growth(game, n) - target
-        return _log_newton(res, log_slope(n), target, eta) if slope else res
+        return _log_newton(res, shift_slope(n)[0], target, eta) if slope else res
+
+    def steer(n: float) -> tuple[float, float, float]:
+        slope, log_b = shift_slope(n)
+        return _log_newton(math.expm1(log_b - r) * target, slope, target, eta)
 
     var, mu3 = _relative_spread(game, mean, third=True)
     start = math.nan
@@ -227,16 +240,19 @@ def threshold_shift(
             math.sqrt(var / (2.0 * math.expm1(r))) - 1.0 - 2.0 * mu3 / (3.0 * var)
         )
     # the later of the tangent at n = 0 and the asymptote, where each is a number
-    slope = log_slope(0.0)
+    slope, log_b0 = shift_slope(0.0)
     if slope < 0.0:
         start = max((r - math.log(b0)) / slope, start)
     largest_log = max(
         abs(math.log(outcomes[0][0])), abs(math.log(outcomes[-1][0] + hi))
     )
     width = 4.0 * _EPS * (outcomes[-1][0] + hi)
-    merges = any(b - a <= width for (a, _), (b, _) in zip(outcomes, outcomes[1:]))
+    merges = min(map(sub, game._columns[0][1:], game._columns[0])) <= width
     eta = ((len(outcomes) if merges else 0) + 8) * _EPS * (1.0 + largest_log)
-    pos, _, neg, _ = _newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)
+    steered = None if math.isnan(log_b0) else steer
+    pos, _, neg, _ = _newton_certificates(
+        excess, 0.0, hi, start, 3.0 * eta * target, steer=steered
+    )
     n0, res, _ = _bisect(
         excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg
     )
@@ -263,12 +279,22 @@ def price_translated(
     optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
     a caller that has just priced the game with these arguments, or prices
     it after this call, pays for one solve. The shifted game is built anew,
-    so its price is always solved.
+    with the arrays that a wide game keeps plus n, so its price is always
+    solved.
     """
+    return _price_translated(game, r, n, tol, max_iter)[0]
+
+
+def _price_translated(
+    game: Game, r: float, n: float, tol: float, max_iter: int
+) -> tuple[PricingSolution, Game]:
+    """price_translated, with the shifted game that it priced."""
     target = _growth_target(r)
-    solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)
+    shifted = translate(game, n)
+    _keep_shifted(game, shifted, n)
+    solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
     if solution.regime is Regime.FULL_INVESTMENT:
-        return solution
+        return solution, shifted
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)
     if base.regime is Regime.INTERIOR:
         expected = base.optimal_price + n
@@ -286,7 +312,7 @@ def price_translated(
                     f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
                 )
             raise InternalConsistencyError(message)
-    return solution
+    return solution, shifted
 
 
 class AsymptoticRow(NamedTuple):

@@ -349,18 +349,10 @@ MUTANTS = (
         "wide solves certify from the joint root",
     ),
     Mutant(
-        "the arrays add the spread pairwise",
-        "solver.py",
-        "        spread = float(squares.cumsum()[-1])\n",
-        "        spread = float(squares.sum())\n",
-        (f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",),
-        "wide solves certify from the joint root",
-    ),
-    Mutant(
         "the threshold's band is 0",
         "translation.py",
-        "_newton_certificates(excess, 0.0, hi, start, 3.0 * eta * target)",
-        "_newton_certificates(excess, 0.0, hi, start, 0.0 * eta * target)",
+        "excess, 0.0, hi, start, 3.0 * eta * target, steer=steered",
+        "excess, 0.0, hi, start, 0.0 * eta * target, steer=steered",
         (REFERENCE_THRESHOLD_BAND,),
         "the threshold's band grows with the outcomes only where payouts merge",
     ),
@@ -382,6 +374,45 @@ MUTANTS = (
             f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_side_left_uncertified_is_probed_outward",
         ),
         "only returned values replay",
+    ),
+    Mutant(
+        "probes certify with the steering values",
+        "solver.py",
+        "            res = f(probe, slope=True)[0]\n",
+        "            res = (f(probe, slope=True) if certify else steer(probe))[0]\n",
+        (f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_steered_newton_certifies_with_f_alone",),
+        "numpy steers, the exact kernels certify",
+    ),
+    Mutant(
+        "the shifted arrays omit the shift",
+        "solver.py",
+        "        payouts = kept[0] + n\n",
+        "        payouts = kept[0]\n",
+        (
+            f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift",
+            f"{KERNELS}::test_wide_games_steer_without_warnings_to_the_blocked_results",
+        ),
+        "numpy steers, the exact kernels certify",
+    ),
+    Mutant(
+        "the full-investment residual is taken at t = 2",
+        "solver.py",
+        "    res = _first_order_sum(game._pairs, u, 1.0)\n",
+        "    res = _first_order_sum(game._pairs, u, 2.0)\n",
+        (
+            f"{SOLVER_TESTS}::TestOptimalProportion::test_full_investment_residual_is_the_first_order_sum_at_one",
+        ),
+        "numpy steers, the exact kernels certify",
+    ),
+    Mutant(
+        "a rate at the boundary growth leaves residual 1",
+        "translation.py",
+        "rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND",
+        "rate=r, n0=0.0, residual=1.0, regime_note=ThresholdStatus.FOUND",
+        (
+            "tests/test_translation.py::TestThresholdShift::test_a_rate_whose_exp_is_the_boundary_growth_has_zero_residual",
+        ),
+        "numpy steers, the exact kernels certify",
     ),
 )
 

@@ -178,6 +178,15 @@ class TestOptimalProportion:
         assert at_one.proportion == 1.0
         assert math.isclose(at_one.growth, math.sqrt(19.0), rel_tol=1e-12)
 
+    def test_full_investment_residual_is_the_first_order_sum_at_one(self, two_point):
+        # sum p (a - u)/((a - u) + u) at t = 1, in closed form 1 - u H with
+        # H = (1 + 1/19)/2; at t = 2 it would read 0.24 at u = 1
+        for u, closed_form in ((1.9, 0.0), (1.0, 9.0 / 19.0)):
+            solution = optimal_proportion(two_point, u)
+            terms = [w * (a - u) / ((a - u) * 1.0 + u) for a, w in two_point._pairs]
+            assert solution.residual == math.fsum(terms)
+            assert math.isclose(solution.residual, closed_form, abs_tol=1e-15)
+
     def test_interior_matches_raw_root(self, two_point):
         capped = optimal_proportion(two_point, 7.2236)
         raw = pre_optimal_proportion(two_point, 7.2236)
@@ -484,6 +493,28 @@ class TestNewtonCertificates:
         _newton_certificates(f, 0.0, 2.0, 1.9, 0.0)
         assert seen and all(seen)
 
+    @pytest.mark.parametrize("bias", (0.0, 1e-7, -1e-7))
+    def test_a_steered_newton_certifies_with_f_alone(self, bias):
+        # steer is 0.3 - x off by bias, as numpy's values may be off the exact
+        # ones: Newton runs on it from 0.9 and certifies nothing, and the
+        # probes from its root walk out until f certifies each side of 0.3
+        f, seen = _residual(False, 1e-9), []
+
+        def evaluated(x, slope=False):
+            seen.append(x)
+            return f(x, slope)
+
+        def steer(x):
+            res = 0.3 + bias - x
+            return res, -res, 4e-9
+
+        pos, pos_res, neg, neg_res = _newton_certificates(
+            evaluated, 0.0, 2.0, 0.9, 1e-9, steer=steer
+        )
+        assert pos < 0.3 <= neg
+        assert (pos_res, neg_res) == (f(pos), f(neg))
+        assert 0.9 not in seen and len(seen) <= 4
+
     def test_no_newton_steps_leave_no_certificates(self, monkeypatch):
         monkeypatch.setattr(growthprice.solver, "_NEWTON_STEPS", 0)
         for square in (True, False):
@@ -733,11 +764,13 @@ def _solve_reprs(game: Game, n: float, max_iter: int) -> tuple[str, ...]:
 
 @contextmanager
 def _counting():
-    """A Counter of first-order evaluations, on either kernel, and of
-    boundary_growth calls, made inside the with block."""
+    """A Counter of first-order evaluations, on either kernel, of exact log
+    growth evaluations and of boundary_growth calls, made inside the with
+    block."""
     counts = Counter()
     kernel = growthprice.solver._first_order_kernel
     growth = growthprice.translation.boundary_growth
+    log_growth = growthprice.solver._log_growth
 
     def counted_kernel(game):
         evaluate = kernel(game)
@@ -752,9 +785,22 @@ def _counting():
         counts["boundary_growth"] += 1
         return growth(game, n)
 
+    def counted_log_growth(game, u, t):
+        counts["log_growth"] += 1
+        return log_growth(game, u, t)
+
     with patch.object(growthprice.solver, "_first_order_kernel", counted_kernel):
         with patch.object(growthprice.translation, "boundary_growth", counted_growth):
-            yield counts
+            with patch.object(growthprice.solver, "_log_growth", counted_log_growth):
+                yield counts
+
+
+# The exact evaluations that numpy's steering values save on a wide game
+_EXACT = ("boundary_growth", "log_growth")
+
+
+def _no_more_exact(on_numpy: Counter, looped: Counter) -> bool:
+    return all(on_numpy[name] <= looped[name] for name in _EXACT)
 
 
 def _wide_game(pairs) -> Game:
@@ -774,17 +820,17 @@ wide_games = st.integers(40, 256).flatmap(
 )
 
 
-def _counted_solves(game: Game, r: float) -> list[tuple[str, int, int]]:
-    """Each solve's repr, or its error's, with the running counts after it."""
-    out = []
+def _counted_solves(game: Game, r: float) -> tuple[list[str], list[Counter]]:
+    """Each solve's repr, or its error's, and the running counts after it."""
+    reprs, running = [], []
     with _counting() as counts:
         for solve in (optimal_price, threshold_shift, partial(price_translated, n=3.0)):
             try:
-                got = repr(solve(game, r))
+                reprs.append(repr(solve(game, r)))
             except GrowthPriceError as exc:
-                got = repr(exc)
-            out.append((got, counts["first_order"], counts["boundary_growth"]))
-    return out
+                reprs.append(repr(exc))
+            running.append(counts.copy())
+    return reprs, running
 
 
 # a price inside the admissible interval of the game in the child below
@@ -798,7 +844,8 @@ _PROPORTION_SOLVES = [
 
 
 class TestFirstOrderKernels:
-    """The numpy kernel for wide games must return the loop's float exactly."""
+    """The numpy kernel for wide games must return the loop's first-order sum
+    exactly, and every solve the loop's result."""
 
     def test_vector_kernel_equals_loop(self):
         rng = np.random.default_rng(404)
@@ -814,17 +861,19 @@ class TestFirstOrderKernels:
                 inside = cap * (1.0 - 1e-13)
                 for t in (0.0, float(rng.uniform(0.0, cap)), inside, cap, 2.0 * cap):
                     assert kernel(u, t) == _first_order_sum(game.outcomes, u, t)
-                    # the derivative too, added in outcome order on both
-                    assert kernel(u, t, slope=True) == _first_order_sum(
-                        game._pairs, u, t, slope=True
-                    )
+                    # the derivative only steers: numpy's sum of the loop's
+                    # terms, all of one sign, within 2k eps of the loop's sum
+                    total, slope = kernel(u, t, slope=True)
+                    looped = _first_order_sum(game._pairs, u, t, slope=True)
+                    assert total == looped[0]
+                    assert math.isclose(slope, looped[1], rel_tol=k * 2.0**-52)
                 assert kernel(u, 2.0 * cap) == -math.inf
                 assert math.isfinite(kernel(u, inside))
 
     def test_solves_agree_on_both_kernels(self, monkeypatch):
-        # Wide games also take the kernel's derivative and the log slope of
-        # threshold_shift on numpy, added in the loop's order, so Newton
-        # takes the same path: every result keeps its bits and every count.
+        # Wide games steer Newton with numpy's logs and sums, so Newton may
+        # take another path, but every result keeps its bits, and the steering
+        # saves exact evaluations: the log growth and the boundary growth.
         game = random_game(np.random.default_rng(256), 256, 256)
         xi = compute_stats(game).ess_inf
         log_b0 = math.log(compute_stats(game).boundary_growth)
@@ -855,7 +904,7 @@ class TestFirstOrderKernels:
         with _counting() as loop_counts:
             assert solve_all(fresh) == vector
         assert "_vector" not in vars(fresh)
-        assert loop_counts == vector_counts
+        assert _no_more_exact(vector_counts, loop_counts), (vector_counts, loop_counts)
         assert vector_counts["first_order"] and vector_counts["boundary_growth"]
 
     @settings(derandomize=True, deadline=None, max_examples=40)
@@ -863,16 +912,46 @@ class TestFirstOrderKernels:
         game=wide_games,
         share=st.floats(0.01, 0.99),
     )
-    def test_kernels_take_the_same_newton_path_on_wide_games(self, game, share):
+    def test_kernels_agree_on_wide_games(self, game, share):
         log_b0 = math.log(compute_stats(game).boundary_growth)
         for r in (share * log_b0, 1e-4 * log_b0, 1e-6 * log_b0):
             # fresh games, since each keeps the price it found
             vector = Game(*game)
-            on_numpy = _counted_solves(vector, r)
+            on_numpy, numpy_counts = _counted_solves(vector, r)
             assert "_vector" in vars(vector)
             with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9):
-                looped = _counted_solves(Game(*game), r)
+                looped, loop_counts = _counted_solves(Game(*game), r)
             assert looped == on_numpy, r
+            for pair in zip(numpy_counts, loop_counts):
+                assert _no_more_exact(*pair), (r, pair)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        game=wide_games,
+        scale=st.sampled_from((1e-200, 1.0, 1e200)),
+        fraction=st.floats(1e-8, 1.5),
+    )
+    def test_wide_games_steer_without_warnings_to_the_blocked_results(
+        self, game, scale, fraction
+    ):
+        # numpy's values only steer: at every payout scale and rate, with
+        # every numpy warning an error, each price, threshold and shifted
+        # price is the one that a process without numpy returns
+        game = Game.from_pairs((scale * a, w) for a, w in game.outcomes)
+        stats = compute_stats(game)
+        r = fraction * math.log(stats.boundary_growth)
+        shifts = (-0.5 * stats.ess_inf, 0.5 * stats.expectation)
+
+        def solve_all(game: Game) -> list[str]:
+            solves = [optimal_price, threshold_shift]
+            solves += [partial(price_translated, n=n) for n in shifts]
+            return [_verdict(lambda: solve(game, r)) for solve in solves]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            on_numpy = solve_all(Game(*game))
+        with patch.object(growthprice.solver, "_import_numpy", lambda: None):
+            assert solve_all(Game(*game)) == on_numpy
 
     def test_single_evaluations_leave_numpy_unimported(self):
         # optimal_proportion at or below the fair price and proportion_residual
@@ -993,8 +1072,10 @@ def _verdict(call) -> str:
 
 class TestKeptArrays:
     """boundary_growth, the relative spread and the threshold's moments read
-    the arrays that a price solve kept on a wide game, and return the loop's
-    floats bit for bit without a numpy warning."""
+    the arrays that a price solve kept on a wide game without a numpy
+    warning: the boundary growth, which certifies, is the loop's float bit
+    for bit, and the spread and moments, which steer, are numpy's sums of
+    the loop's terms."""
 
     @staticmethod
     def _games(k: int, scale: float) -> tuple[Game, Game]:
@@ -1023,10 +1104,33 @@ class TestKeptArrays:
                 got = boundary_growth(kept, n)
                 assert repr(got) == repr(boundary_growth(looped, n))
             for u in prices:
-                for third in (False, True):
-                    assert repr(_relative_spread(kept, u, third)) == repr(
-                        _relative_spread(looped, u, third)
-                    )
+                spread, cubes = _relative_spread(kept, u, third=True)
+                assert _relative_spread(kept, u) == spread
+                loop_spread, loop_cubes = _relative_spread(looped, u, third=True)
+                # each sum within k eps of its terms' absolute sum, and
+                # sum p |x|**3 <= max |x| * sum p x**2
+                bound = k * 2.0**-52 * loop_spread
+                top = max(abs(a - u) / u for a in looped._columns[0])
+                assert abs(spread - loop_spread) <= bound
+                assert abs(cubes - loop_cubes) <= bound * top
+
+    @pytest.mark.parametrize("scale", (1e-200, 1.0, 1e200))
+    def test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift(self, scale):
+        kept, _ = self._games(256, scale)
+        vars(kept).pop("_pairs")
+        shifted = []
+
+        def spy(game, n):
+            shifted.append(translate(game, n))
+            return shifted[-1]
+
+        xi = compute_stats(kept).ess_inf
+        for n in (-0.5 * xi, 10.0 * xi):
+            with patch.object(growthprice.translation, "translate", spy):
+                price_translated(kept, 0.05, n)
+            payouts, weights, _ = vars(shifted[-1])["_vector"]
+            assert payouts.tolist() == list(shifted[-1]._columns[0])
+            assert weights is vars(kept)["_vector"][1]
 
     @pytest.mark.parametrize("scale", (1e-300, 1e-200, 1.0, 1e200))
     def test_merging_and_overflowing_shifts_take_the_loop(self, scale):

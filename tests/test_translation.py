@@ -160,6 +160,19 @@ class TestThresholdShift:
         assert result.regime_note is ThresholdStatus.FOUND
         assert result.n0 == 0.0
 
+    def test_a_rate_whose_exp_is_the_boundary_growth_has_zero_residual(self, two_point):
+        # the float r nearest log B(0) whose exp rounds to B(0) exactly
+        b0 = compute_stats(two_point).boundary_growth
+        r = math.log(b0)
+        while math.exp(r) < b0:
+            r = math.nextafter(r, math.inf)
+        while math.exp(r) > b0:
+            r = math.nextafter(r, 0.0)
+        assert math.exp(r) == b0
+        result = threshold_shift(two_point, r)
+        assert result.regime_note is ThresholdStatus.FOUND
+        assert (result.n0, result.residual) == (0.0, 0.0)
+
     def test_rate_above_boundary_reports_status(self, two_point):
         result = threshold_shift(two_point, 1.0)
         assert result.regime_note is ThresholdStatus.ALREADY_FULL_INVESTMENT_AT_ZERO_SHIFT

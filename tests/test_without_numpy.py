@@ -1,5 +1,5 @@
 """numpy is an optional accelerator: without it every solver runs its loops,
-with the same results and the same evaluation counts. The grid argmax, which
+with the same results, and with no fewer exact evaluations. The grid argmax, which
 never uses numpy, is checked here against a plain scan of the whole grid.
 
 This file imports no numpy, so it runs where numpy is not installed.
@@ -22,8 +22,8 @@ from growthprice import Game, compute_stats, grid_argmax_growth, oracle
 # Run in a child process as `python -c CHILD blocked|free`. It prices,
 # thresholds, translates, sweeps, verifies and checks the invariance of games
 # of 40, 64 and 256 outcomes, and prints each result's repr with the
-# first-order evaluations, on either kernel, and the boundary_growth calls it
-# made, as JSON.
+# first-order evaluations, on either kernel, the boundary_growth calls and
+# the exact log growth evaluations it made, as JSON.
 CHILD = r"""
 import json, math, random, sys
 if sys.argv[1] == "blocked":
@@ -38,7 +38,7 @@ from growthprice import (
 
 counts = Counter()
 loop, vector = solver._first_order_sum, solver._vector_kernel
-growth = translation.boundary_growth
+growth, log_growth = translation.boundary_growth, solver._log_growth
 
 def counted(evaluate):
     def evaluation(*args, **kwargs):
@@ -54,6 +54,12 @@ def counted_growth(game, n):
 solver._first_order_sum = counted(loop)
 solver._vector_kernel = lambda *args: counted(vector(*args))
 translation.boundary_growth = counted_growth
+
+def counted_log_growth(game, u, t):
+    counts["log_growth"] += 1
+    return log_growth(game, u, t)
+
+solver._log_growth = counted_log_growth
 
 results, kept = [], []
 for k in (40, 64, 256):
@@ -75,7 +81,10 @@ for k in (40, 64, 256):
         ]
         for call in calls:
             counts.clear()
-            results.append([repr(call()), counts["first_order"], counts["boundary_growth"]])
+            results.append([
+                repr(call()), counts["first_order"], counts["boundary_growth"],
+                counts["log_growth"],
+            ])
         kept.append("_vector" in vars(game))
 print(json.dumps({
     "results": results,
@@ -107,12 +116,16 @@ def test_wide_games_solve_alike_with_numpy_blocked():
     assert free["numpy"] == installed
     assert all(free["kept"]) == installed
     assert free["imports"] == 1
-    assert blocked["results"] == free["results"]
+    assert [row[0] for row in blocked["results"]] == [row[0] for row in free["results"]]
+    # numpy's values steer Newton on the wide games and certify nothing, so
+    # they spare exact boundary and log growth evaluations, and add none.
+    for i, (numpy_row, loop_row) in enumerate(zip(free["results"], blocked["results"])):
+        assert numpy_row[2] <= loop_row[2] and numpy_row[3] <= loop_row[3], i
     # The rows count work: first-order evaluations for the price, the sweep,
     # verify and the invariance check, boundary growth for the threshold.
     # price_translated's shift of 3 passes n0 on some games, whose shifted
     # price is then the full-investment closed form.
-    for i, (_, first_order, boundary) in enumerate(blocked["results"]):
+    for i, (_, first_order, boundary, _) in enumerate(blocked["results"]):
         if i % 6 != 2:
             assert (boundary if i % 6 == 1 else first_order) > 0, i
 
