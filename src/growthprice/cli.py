@@ -23,7 +23,7 @@ from .errors import (
     InternalConsistencyError,
     SpecParseError,
 )
-from .games import Game, compute_stats, load_spec
+from .games import Game, compute_stats, load_spec, translate
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, optimal_price
 
 # The translation and oracle modules are imported inside the handlers that
@@ -122,18 +122,18 @@ def _cmd_price(cfg: RunConfig, game: Game) -> dict:
 
 
 def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
-    from .translation import _check_invariance, _price_translated
+    from .translation import check_invariance, price_translated
 
-    # one shifted game serves the shifted price, its stats and the invariance
-    pricing, shifted = _price_translated(
-        game, cfg.rate, cfg.shift, cfg.tol, cfg.max_iter
+    pricing = price_translated(
+        game, cfg.rate, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
     )
+    shifted_stats = compute_stats(translate(game, cfg.shift))
     # the game keeps its price, so this solves only where price_translated did not
     base = optimal_price(game, cfg.rate, tol=cfg.tol, max_iter=cfg.max_iter)
     invariance = note = None
     try:
-        invariance = _check_invariance(
-            game, base.optimal_price, cfg.shift, cfg.tol, cfg.max_iter, shifted
+        invariance = check_invariance(
+            game, base.optimal_price, cfg.shift, tol=cfg.tol, max_iter=cfg.max_iter
         )
     except DomainError as exc:
         # The shift passed above, so only an inadmissible price lands here.
@@ -145,9 +145,7 @@ def _cmd_translate(cfg: RunConfig, game: Game) -> dict:
         "pricing": pricing,
         "invariance": invariance,
         "invariance_note": note,
-        "discounted_expectation": (
-            compute_stats(shifted).expectation / math.exp(cfg.rate)
-        ),
+        "discounted_expectation": shifted_stats.expectation / math.exp(cfg.rate),
     }
 
 

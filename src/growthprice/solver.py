@@ -81,19 +81,20 @@ proportion solves, repays loading numpy, and it alone builds numpy state
 (_keep_shifted). Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and
 solves where numpy cannot be imported, take the loops: numpy only
 accelerates, and only this module holds numpy code. On kept arrays a value
-that certifies a sign or may be returned (the first-order sum, the log
-growth, the boundary growth) is exact: terms formed with the loop's IEEE
-operations, math.log or math.log1p per term (on 200 000 random arguments
-each, numpy 2.4.6, np.log differed from math.log for 154 and np.log1p from
-math.log1p for 17 283), and math.fsum. A value that only steers Newton, a
-start or a band test (the derivative, the joint Newton's _kept_system, log B
-and its slope in _shift_slope, the relative spread) is numpy's np.log,
-np.log1p and pairwise .sum(). So no result depends on the kernel, though on
-a wide game the count of exact evaluations may depend on numpy's build.
-Each steering pass but the kernel's derivative runs only where every payout
-is below 1e100 times its scale, so that no product overflows and numpy
-warns of nothing; the arrays meet only elementwise and in .sum(), so no
-BLAS call is made.
+that certifies a sign or may be returned (the first-order sum, the boundary
+growth) is exact: terms formed with the loop's IEEE operations, math.log per
+term and math.fsum. The exact log growth stays a loop on every game: per
+call the arrays lost at 40 and 64 outcomes and gained under 10% at 256. A
+value that only steers Newton, a start or a band test (the derivative, the
+joint Newton's log growth, log B and its slope in _shift_slope, the relative
+spread) is numpy's np.log, np.log1p and pairwise .sum(), which are not the
+C library's (on 200 000 random arguments each, numpy 2.4.6, np.log differed
+from math.log for 154 and np.log1p from math.log1p for 17 283). So no result
+depends on the kernel, though on a wide game the count of exact evaluations
+may depend on numpy's build. Each steering pass but the kernel's derivative
+runs only where every payout is below 1e100 times its scale, so that no
+product overflows and numpy warns of nothing; the arrays meet only
+elementwise and in .sum(), so no BLAS call is made.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ import os
 import sys
 from enum import Enum
 from functools import cache, partial
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -285,13 +285,14 @@ def _vector_kernel(
 
 
 def _keep_shifted(game: Game, shifted: Game, n: float) -> None:
-    """Give shifted = translate(game, n), where no payout merged or
-    overflowed, game's kept arrays plus n, the add translate makes per payout."""
+    """Give shifted = translate(game, n) game's kept arrays plus n, the add
+    translate makes per payout, where translate kept those payouts as its
+    column: it does so only where none merged, overflowed or fell below the
+    normal floats."""
     kept = game.__dict__.get("_vector")
-    outcomes = shifted.outcomes
-    if kept and len(outcomes) == len(kept[0]) and outcomes[-1].payout < math.inf:
+    if kept and "_columns" in vars(shifted):
         payouts = kept[0] + n
-        kernel = _vector_kernel(outcomes[0].payout, payouts, kept[1])
+        kernel = _vector_kernel(shifted._columns[0][0], payouts, kept[1])
         shifted.__dict__["_vector"] = (payouts, kept[1], kernel)
 
 
@@ -357,15 +358,8 @@ def _kept_boundary_growth(game: Game, n: float) -> float | None:
     return harmonic * math.exp(_log_moment(shifted.tolist(), game._columns[1]))
 
 
-def _log_growth(game: Game, u: float, t: float) -> float:
-    """sum p log1p(t (a - u)/u) for t below the proportion cap, by math.log1p
-    and math.fsum; numpy forms the arguments on kept arrays with the same
-    IEEE operations where t times every payout is below 1e100 u."""
-    kept = game.__dict__.get("_vector")
-    if kept is not None and t * game._columns[0][-1] < 1e100 * u:
-        x = t * (kept[0] - u) / u
-        return math.fsum(map(mul, game._columns[1], map(math.log1p, x.tolist())))
-    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in game._pairs)
+def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
+    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in outcomes)
 
 
 def _require_bisect_args(tol: float, max_iter: int) -> None:
@@ -588,7 +582,7 @@ def pre_optimal_proportion(
     t, res, iterations = _solve_proportion(
         partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
     )
-    growth = math.exp(_log_growth(game, u, t))
+    growth = math.exp(_log_growth(game._pairs, u, t))
     return ProportionSolution(
         price=u, proportion=t, growth=growth, residual=res, iterations=iterations
     )
@@ -617,7 +611,7 @@ def growth_rate(game: Game, u: float, t: float) -> float:
             f"wealth factor {1.0 + x!r} is not positive for payout"
             f" {stats.ess_inf!r} at u={u!r}, t={t!r}"
         )
-    return math.exp(_log_growth(game, u, t))
+    return math.exp(_log_growth(game._pairs, u, t))
 
 
 def optimal_proportion(
@@ -792,18 +786,6 @@ def _price_slopes(u: float, t: float, g: float, g_t: float) -> tuple[float, floa
     return g_u, -t / u * (1.0 + (1.0 - t) * g)
 
 
-def _kept_system(kept, u: float, t: float) -> tuple[float, float, float]:
-    """(g, dg/dt, L) at (u, t) on the kept (payouts, weights, kernel) by numpy
-    alone, to steer the joint Newton. Inside the capped proportions and with
-    every payout below 1e100 u, each |x|/d is below 1e100: nothing overflows."""
-    payouts, weights, _ = kept
-    x = payouts - u
-    d = x * t + u
-    terms = weights * x / d
-    log_growth = weights * _import_numpy().log1p(t * x / u)
-    return float(terms.sum()), -float((terms * x / d).sum()), float(log_growth.sum())
-
-
 def _joint_newton(
     first_order_sum: Callable[..., tuple[float, float]],
     game: Game,
@@ -835,12 +817,13 @@ def _joint_newton(
     for _ in range(_NEWTON_STEPS):
         if abs(du) <= math.sqrt(eta) * u:
             return u, t, 4.0 * eta * u / t
-        if kept is not None and top < 1e100 * u:
-            g, g_t, log_growth = _kept_system(kept, u, t)
+        g, g_t = first_order_sum(u, t, slope=True)
+        if kept is not None and t * top < 1e100 * u:
+            # numpy's log1p steers; t (a - u)/u < 1e100 overflows nowhere
+            x = t * (kept[0] - u) / u
+            excess = float((kept[1] * _import_numpy().log1p(x)).sum()) - r
         else:
-            g, g_t = first_order_sum(u, t, slope=True)
-            log_growth = _log_growth(game, u, t)
-        excess = log_growth - r
+            excess = _log_growth(game._pairs, u, t) - r
         g_u, l_u = _price_slopes(u, t, g, g_t)
         det = g_t * l_u - g_u * g
         if not det > 0.0:
@@ -931,6 +914,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             proportion=1.0,
             growth_check=growth,
         )
+    outcomes = game._pairs
     first_order_sum = _first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
@@ -944,7 +928,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         t, g, _ = _solve_proportion(
             first_order_sum, xi, price, tol, max_iter, t, replay=not slope
         )
-        growth = math.exp(_log_growth(game, price, t))
+        growth = math.exp(_log_growth(outcomes, price, t))
         if not slope:
             return growth - target
         # the envelope slope, with sum p taken as 1

@@ -81,16 +81,10 @@ def check_invariance(
     both sides of the proportion-to-price ratio and of the growth rate at
     the root, along with their absolute residuals.
     """
-    return _check_invariance(game, u, n, tol, max_iter)
-
-
-def _check_invariance(
-    game: Game, u: float, n: float, tol: float, max_iter: int, moved: Game | None = None
-) -> TranslationReport:
-    """check_invariance, on moved = translate(game, n) where it is given."""
     base = pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
-    moved = translate(game, n) if moved is None else moved
-    shifted = pre_optimal_proportion(moved, u + n, tol=tol, max_iter=max_iter)
+    shifted = pre_optimal_proportion(
+        translate(game, n), u + n, tol=tol, max_iter=max_iter
+    )
     ratio_original = base.proportion / u
     ratio_translated = shifted.proportion / (u + n)
     return TranslationReport(
@@ -282,19 +276,12 @@ def price_translated(
     with the arrays that a wide game keeps plus n, so its price is always
     solved.
     """
-    return _price_translated(game, r, n, tol, max_iter)[0]
-
-
-def _price_translated(
-    game: Game, r: float, n: float, tol: float, max_iter: int
-) -> tuple[PricingSolution, Game]:
-    """price_translated, with the shifted game that it priced."""
     target = _growth_target(r)
     shifted = translate(game, n)
     _keep_shifted(game, shifted, n)
     solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
     if solution.regime is Regime.FULL_INVESTMENT:
-        return solution, shifted
+        return solution
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)
     if base.regime is Regime.INTERIOR:
         expected = base.optimal_price + n
@@ -312,7 +299,7 @@ def _price_translated(
                     f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
                 )
             raise InternalConsistencyError(message)
-    return solution, shifted
+    return solution
 
 
 class AsymptoticRow(NamedTuple):

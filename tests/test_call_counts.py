@@ -256,19 +256,6 @@ def test_translate_command_prices_each_game_once(two_point, tmp_path, calls):
     assert calls["_solve_price"] == 2
 
 
-@pytest.mark.parametrize("shift", [-0.5, 10.0, 99.0])
-def test_translate_command_builds_the_shifted_game_once(
-    two_point, tmp_path, calls, shift
-):
-    # one shifted game serves the shifted price, its stats and the invariance
-    # check; each built its own, 3 in all
-    path = tmp_path / "two_point.json"
-    path.write_text(save_spec(two_point))
-    cfg = RunConfig(command="translate", game_path=str(path), rate=0.05, shift=shift)
-    assert run(cfg, stdout=io.StringIO()) == 0
-    assert calls["translate"] == 1
-
-
 def test_price_translated_reuses_the_price_its_caller_computed(two_point, calls):
     optimal_price(translate(Game(*two_point), 10.0), 0.05)
     shifted_alone = calls["_first_order_sum"]

@@ -172,7 +172,7 @@ def test_every_price_certificate_is_within_eta_of_the_best_log_growth(pairs, r):
     (eta,), seen, _ = _certificate_evaluations(game, r)
     assert eta < math.inf and seen
     for u, t in seen:
-        growth = math.exp(growthprice.solver._log_growth(game, u, t))
+        growth = math.exp(growthprice.solver._log_growth(game._pairs, u, t))
         error = abs(Decimal(growth).ln() - reference.best_log_growth(pairs, u))
         assert error <= eta, (u, t)
 

@@ -45,6 +45,7 @@ from growthprice.solver import (
     _bisect,
     _first_order_kernel,
     _first_order_sum,
+    _keep_shifted,
     _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
@@ -785,9 +786,9 @@ def _counting():
         counts["boundary_growth"] += 1
         return growth(game, n)
 
-    def counted_log_growth(game, u, t):
+    def counted_log_growth(outcomes, u, t):
         counts["log_growth"] += 1
-        return log_growth(game, u, t)
+        return log_growth(outcomes, u, t)
 
     with patch.object(growthprice.solver, "_first_order_kernel", counted_kernel):
         with patch.object(growthprice.translation, "boundary_growth", counted_growth):
@@ -1151,6 +1152,10 @@ class TestKeptArrays:
                 assert _kept_boundary_growth(kept, n) is None
                 got = _verdict(lambda: boundary_growth(kept, n))
                 assert got == _verdict(lambda: boundary_growth(looped, n))
+                # nor does a price solve pass its arrays on to such a game
+                moved = translate(kept, n)
+                _keep_shifted(kept, moved, n)
+                assert "_vector" not in vars(moved)
 
     def test_a_spread_that_overflows_is_inf_on_both(self):
         # at 1e-160 of the largest payout every x = (a - u)/u squares past the

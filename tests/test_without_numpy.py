@@ -55,9 +55,9 @@ solver._first_order_sum = counted(loop)
 solver._vector_kernel = lambda *args: counted(vector(*args))
 translation.boundary_growth = counted_growth
 
-def counted_log_growth(game, u, t):
+def counted_log_growth(outcomes, u, t):
     counts["log_growth"] += 1
-    return log_growth(game, u, t)
+    return log_growth(outcomes, u, t)
 
 solver._log_growth = counted_log_growth
 
