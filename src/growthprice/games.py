@@ -222,13 +222,14 @@ def translate(game: Game, n: float) -> Game:
     The result equals Game(Outcome(a + n, w) ...) for the outcomes (a, w)
     of game. Where the shifted payouts stay finite and strictly increasing
     it is built from them directly, with no merge, sort or validation, and
-    keeps its statistics from _summary, the function Game._stats uses. It
-    is valid because game is: the weights are the same validated floats;
-    the smallest shifted payout is tested against the smallest normal float,
-    and the others exceed it; and strictly increasing payouts are already
-    canonical and at least two distinct. Shifts that merge payouts, overflow
-    or leave a payout below the normal floats build the game through Game
-    and validate it on first use.
+    keeps its statistics from _summary, the function Game._stats uses, and
+    (game, n), from which the solver shifts game's numpy arrays. It is valid
+    because game is: the weights are the same validated floats; the smallest
+    shifted payout is tested against the smallest normal float, and the
+    others exceed it; and strictly increasing payouts are already canonical
+    and at least two distinct. Shifts that merge payouts, overflow or leave
+    a payout below the normal floats build the game through Game and
+    validate it on first use.
     """
     payouts = _shifted_payouts(game, n)
     if payouts is None:
@@ -241,8 +242,9 @@ def translate(game: Game, n: float) -> Game:
     # each record as tuple.__new__ makes it, without Outcome's Python __new__
     outcomes = tuple(map(tuple.__new__, repeat(Outcome), pairs))
     shifted = tuple.__new__(Game, (outcomes, game.label))
+    columns, stats = (payouts, weights), _summary(payouts, weights)
     vars(shifted).update(
-        _pairs=pairs, _columns=(payouts, weights), _stats=_summary(payouts, weights)
+        _pairs=pairs, _columns=columns, _stats=stats, _shifted_from=(game, n)
     )
     return shifted
 
@@ -256,13 +258,16 @@ def _shifted_payouts(game: Game, n: float) -> tuple[float, ...] | None:
     """
     _require_shift(game, n)
     payouts = tuple(map(add, game._columns[0], repeat(n)))
-    if (
-        sys.float_info.min <= payouts[0]
-        and math.isfinite(payouts[-1])
-        and all(map(lt, payouts, islice(payouts, 1, None)))
+    if _valid_ends(payouts[0], payouts[-1]) and all(
+        map(lt, payouts, islice(payouts, 1, None))
     ):
         return payouts
     return None
+
+
+def _valid_ends(smallest: float, largest: float) -> bool:
+    """Whether a valid game may end at these payouts: normal, and finite."""
+    return sys.float_info.min <= smallest and largest < math.inf
 
 
 def _require_shift(game: Game, n: float) -> None:

@@ -77,24 +77,27 @@ The first-order sum has two kernels, each of which returns the derivative
 in t next to the sum when asked: a plain loop, and numpy on arrays of the
 game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel), which price_translated passes on to the shifted game
-(_keep_shifted). Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and
+(_first_order_kernel), which a game that translate shifted directly takes
+from its parent. Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and
 solves where numpy cannot be imported, take the loops: numpy only
-accelerates, and only this module holds numpy code. On kept arrays a value
-that certifies a sign or may be returned (the first-order sum, the boundary
-growth) is exact: terms formed with the loop's IEEE operations, math.log per
-term and math.fsum. The exact log growth stays a loop on every game: per
-call the arrays lost at 40 and 64 outcomes and gained under 10% at 256. A
-value that only steers Newton, a start or a band test (the derivative, the
-joint Newton's log growth, log B and its slope in _shift_slope, the relative
-spread) is numpy's np.log, np.log1p and pairwise .sum(), which are not the
-C library's (on 200 000 random arguments each, numpy 2.4.6, np.log differed
-from math.log for 154 and np.log1p from math.log1p for 17 283). So no result
-depends on the kernel, though on a wide game the count of exact evaluations
-may depend on numpy's build. Each steering pass but the kernel's derivative
-runs only where every payout is below 1e100 times its scale, so that no
-product overflows and numpy warns of nothing; the arrays meet only
-elementwise and in .sum(), so no BLAS call is made.
+accelerates, and only this module holds numpy code.
+
+On kept arrays a value that certifies a sign or may be returned (the
+first-order sum, the boundary growth) is exact: terms formed with the loop's
+IEEE operations, math.log per term and math.fsum. The exact log growth stays
+a loop on every game: per call the arrays lost at 40 and 64 outcomes and
+gained under 10% at 256. A value that only steers Newton, a start or a band
+test (the derivative, the joint Newton's log growth, log B and its slope in
+_shift_slope, the relative spread) is numpy's np.log, np.log1p and pairwise
+.sum(), which are not the C library's (on 200 000 random arguments each,
+numpy 2.4.6, np.log differed from math.log for 154 and np.log1p from
+math.log1p for 17 283). So no result depends on the kernel, though on a wide
+game the count of exact evaluations may depend on numpy's build. Each
+steering pass but the kernel's derivative reads the arrays through one gate,
+_steering, which serves them only where every payout is below 1e100 times a
+scale that the pass divides by, so that no product overflows and numpy warns
+of nothing; the arrays meet only elementwise and in .sum(), so no BLAS call
+is made.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .games import Game, GameStats, _log_moment, compute_stats
+from .games import Game, GameStats, _log_moment, _valid_ends, compute_stats
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -250,50 +253,42 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     for the derivative, which steers. Only _solve_price calls it.
 
     From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
-    game keeps (payouts, weights, kernel), its columns as arrays and the
-    numpy kernel on them, built once and stored whole. A narrow game never
-    loads numpy nor looks it up."""
+    game keeps its columns as arrays (payouts, weights), built once and
+    stored whole: a game that translate shifted by n directly takes its
+    parent's arrays, or the parent's columns as arrays, plus n, the add
+    translate makes per payout, and any other game its own columns plus 0.
+    A narrow game never loads numpy nor looks it up."""
     if len(game.outcomes) >= _VECTOR_MIN_OUTCOMES:
         kept = game.__dict__.get("_vector")
         if kept is None and (np := _import_numpy()) is not None:
-            payouts, weights = map(np.array, game._columns)
-            kernel = _vector_kernel(game.outcomes[0].payout, payouts, weights)
-            kept = game.__dict__["_vector"] = (payouts, weights, kernel)
+            parent, n = game.__dict__.get("_shifted_from", (game, 0.0))
+            a, w = parent.__dict__.get("_vector") or map(np.array, parent._columns)
+            kept = game.__dict__["_vector"] = (a + n, w)
         if kept is not None:
-            return kept[2]
+            return partial(_array_first_order_sum, game._columns[0][0], *kept)
     return partial(_first_order_sum, game._pairs)
 
 
-def _vector_kernel(
-    lowest: float, payouts, weights
-) -> Callable[..., float | tuple[float, float]]:
-    """The first-order sum on numpy arrays of the payouts and weights, whose
+def _array_first_order_sum(
+    lowest: float, payouts, weights, u: float, t: float, slope: bool = False
+) -> float | tuple[float, float]:
+    """_first_order_sum on numpy arrays of the payouts and weights, whose
     smallest payout is lowest, with numpy's sum of the derivative."""
-
-    def first_order_sum(
-        u: float, t: float, slope: bool = False
-    ) -> float | tuple[float, float]:
-        if not (lowest - u) * t + u > 0.0:
-            return (-math.inf, -math.inf) if slope else -math.inf
-        x = payouts - u
-        d = x * t + u
-        terms = weights * x / d
-        total = math.fsum(terms.tolist())
-        return (total, -float((terms * x / d).sum())) if slope else total
-
-    return first_order_sum
+    if not (lowest - u) * t + u > 0.0:
+        return (-math.inf, -math.inf) if slope else -math.inf
+    x = payouts - u
+    d = x * t + u
+    terms = weights * x / d
+    total = math.fsum(terms.tolist())
+    return (total, -float((terms * x / d).sum())) if slope else total
 
 
-def _keep_shifted(game: Game, shifted: Game, n: float) -> None:
-    """Give shifted = translate(game, n) game's kept arrays plus n, the add
-    translate makes per payout, where translate kept those payouts as its
-    column: it does so only where none merged, overflowed or fell below the
-    normal floats."""
-    kept = game.__dict__.get("_vector")
-    if kept and "_columns" in vars(shifted):
-        payouts = kept[0] + n
-        kernel = _vector_kernel(shifted._columns[0][0], payouts, kept[1])
-        shifted.__dict__["_vector"] = (payouts, kept[1], kernel)
+def _steering(game: Game, scale: float) -> tuple | None:
+    """The arrays that a price solve kept on game, if any, where every payout
+    is below 1e100 scale, or None: the gate in the module docstring."""
+    if game._columns[0][-1] < 1e100 * scale:
+        return game.__dict__.get("_vector")
+    return None
 
 
 def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
@@ -301,15 +296,13 @@ def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
     boundary_growth(game, n) = H exp(sum p log(a + n)) with H = sum p/(a + n).
     The slope is H - H2/H, H2 = sum p/(a + n)**2, both sums formed on the
     ratios (E + n)/(a + n) so that nothing overflows or underflows at any
-    payout scale. numpy forms both on arrays that a price solve kept, if every
-    payout is below 1e100 times the smallest, so that no squared ratio
-    overflows; elsewhere a loop forms the slope, and log B is nan.
-    No arrays are built: loading numpy would cost more than it saves."""
+    payout scale. numpy forms both where the gate passes at the smallest
+    payout, so that no squared ratio overflows; elsewhere a loop forms the
+    slope, and log B is nan. No arrays are built: loading numpy would cost
+    more than it saves."""
     mean = compute_stats(game).expectation
-    kept = game.__dict__.get("_vector")
-    column = game._columns[0]
-    if kept is not None and column[-1] < 1e100 * column[0]:
-        payouts, weights, _ = kept
+    if (kept := _steering(game, game._columns[0][0])) is not None:
+        payouts, weights = kept
         log = _import_numpy().log
 
         def steer(n: float) -> tuple[float, float]:
@@ -339,18 +332,16 @@ def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
 def _kept_boundary_growth(game: Game, n: float) -> float | None:
     """translation.boundary_growth(game, n) on the arrays that a price solve
     kept on the game, bit for bit, or None where it kept none or the
-    shifted payouts are no valid game's: the smallest below the normal
-    floats, the largest not finite, or two merged, as _shifted_payouts
-    tests. Those two ends are tested on floats first, so no array operation
-    overflows. Each shifted payout and quotient w/(a + n) is the loop's IEEE
-    operation, each log is math.log's, and the sums are math.fsum's."""
+    shifted payouts are no valid game's: their ends fail games._valid_ends,
+    tested on floats first so that no array operation overflows, or two
+    merged, as _shifted_payouts tests. Each shifted payout and quotient
+    w/(a + n) is the loop's IEEE operation, each log is math.log's, and the
+    sums are math.fsum's."""
     kept = game.__dict__.get("_vector")
-    if kept is None:
-        return None
     column = game._columns[0]
-    if not (sys.float_info.min <= column[0] + n and column[-1] + n < math.inf):
+    if kept is None or not _valid_ends(column[0] + n, column[-1] + n):
         return None
-    payouts, weights, _ = kept
+    payouts, weights = kept
     shifted = payouts + n
     if not (shifted[:-1] < shifted[1:]).all():
         return None
@@ -503,6 +494,11 @@ def _log_newton(
     return res, step, -4.0 * eta / slope
 
 
+def _cap(u: float, xi: float) -> float:
+    """The proportion cap u/(u - xi) at price u, less _CAP_MARGIN of it."""
+    return u / (u - xi) * (1.0 - _CAP_MARGIN)
+
+
 def _solve_proportion(
     first_order_sum: Callable[..., float | tuple[float, float]],
     xi: float,
@@ -525,7 +521,7 @@ def _solve_proportion(
     in _price_band), though its bits depend on the start. Only optimal_price
     asks for that, at its certificate evaluations.
     """
-    hi = u / (u - xi) * (1.0 - _CAP_MARGIN)
+    hi = _cap(u, xi)
 
     def residual(t: float, slope: bool) -> tuple[float, float, float]:
         s, ds = first_order_sum(u, t, slope=True)
@@ -643,6 +639,11 @@ def optimal_proportion(
     )
 
 
+def _full_investment(stats: GameStats, target: float) -> bool:
+    """Whether exp(r) = target is at or above the one regime boundary."""
+    return target >= stats.boundary_growth
+
+
 def _growth_target(r: float) -> float:
     """exp(r), refused unless 1 < exp(r) < inf: below r of about 1.1e-16 it
     rounds to 1, where no answer depends on r, and from about 709.8 it
@@ -664,15 +665,11 @@ def _relative_spread(
 ) -> float | tuple[float, float]:
     """sum p x**2 with x = (a - u)/u, added in plain float arithmetic, which
     overflows to inf where ** and math.fsum would raise; with third, the
-    pair of it and sum p x**3. It steers and tests bands only.
-
-    On the arrays that a price solve kept on the game, numpy adds the same
-    products wherever every payout is below 1e100 u: there |x| < 1e100, so
-    no term overflows and numpy warns of nothing. Elsewhere a loop adds
-    them in outcome order."""
-    kept = game.__dict__.get("_vector")
-    if kept is not None and game._columns[0][-1] < 1e100 * u:
-        payouts, weights, _ = kept
+    pair of it and sum p x**3. It steers and tests bands only: numpy adds
+    the same products where the gate passes at u, and a loop adds them in
+    outcome order elsewhere."""
+    if (kept := _steering(game, u)) is not None:
+        payouts, weights = kept
         x = (payouts - u) / u
         squares = weights * x * x
         spread = float(squares.sum())
@@ -755,12 +752,12 @@ def _price_band(
     1e-4) the band would certify little, and the search runs plain.
     """
     xi, mean = stats.ess_inf, stats.expectation
-    top = lo / (lo - xi) * (1.0 - _CAP_MARGIN)
+    top = _cap(lo, xi)
     cap_hi = hi / (hi - xi)
     v_lo, v_hi = _relative_spread(game, lo), _relative_spread(game, hi)
     if not (
         tol * top <= 1e-3
-        and cap_hi * (1.0 - _CAP_MARGIN) > 1.0
+        and _cap(hi, xi) > 1.0
         and (mean - hi) / hi > 29.0 * _EPS * math.sqrt(v_hi)
         and v_lo > 0.0
         and v_hi > 0.0
@@ -783,7 +780,12 @@ def _price_slopes(u: float, t: float, g: float, g_t: float) -> tuple[float, floa
     -u dg/du = sum p (x + u) u/d**2 = (1 - t g) + (1 - t)(g + t g_t), and
     u dL/du = sum p ((1 - t) u/d - 1) = -t (1 + (1 - t) g)."""
     g_u = -((1.0 - t * g) + (1.0 - t) * (g + t * g_t)) / u
-    return g_u, -t / u * (1.0 + (1.0 - t) * g)
+    return g_u, _envelope_slope(u, t, g)
+
+
+def _envelope_slope(u: float, t: float, g: float) -> float:
+    """dL/du at (u, t), g the first-order sum there (_price_slopes)."""
+    return -t / u * (1.0 + (1.0 - t) * g)
 
 
 def _joint_newton(
@@ -806,10 +808,9 @@ def _joint_newton(
     returns (u, nan, nan) with u as given."""
     stats = compute_stats(game)
     xi, mean = stats.ess_inf, stats.expectation
-    kept, top = game.__dict__.get("_vector"), game._columns[0][-1]
 
     def inside(u: float, t: float) -> bool:
-        return lo < u < hi and 0.0 < t < u / (u - xi) * (1.0 - _CAP_MARGIN)
+        return lo < u < hi and 0.0 < t < _cap(u, xi)
 
     start, t, du = u, (mean - u) / (mean - stats.fair_price), math.inf
     if not inside(u, t):
@@ -818,8 +819,8 @@ def _joint_newton(
         if abs(du) <= math.sqrt(eta) * u:
             return u, t, 4.0 * eta * u / t
         g, g_t = first_order_sum(u, t, slope=True)
-        if kept is not None and t * top < 1e100 * u:
-            # numpy's log1p steers; t (a - u)/u < 1e100 overflows nowhere
+        if (kept := _steering(game, u / t)) is not None:
+            # numpy's log1p steers; the gate at u/t bounds t (a - u)/u
             x = t * (kept[0] - u) / u
             excess = float((kept[1] * _import_numpy().log1p(x)).sum()) - r
         else:
@@ -856,20 +857,17 @@ def optimal_price(
     below it the strictly decreasing growth-versus-price curve is inverted
     by _bisect on (fair_price, expectation), with the proportion at each
     trial price from _solve_proportion, started from the previous trial
-    price's proportion. At the bisection's own trial prices that solve
-    replays its bisection, whose proportion is the same float whatever the
-    start, so the growth compared there, and returned, is a function of the
-    price alone. At Newton's points and probes it may instead return one of
-    its certificates (the third ending in _price_band), whose growth is
-    within eta of the best growth all the same.
+    price's proportion. Only the bisection's own trial prices replay that
+    solve (module docstring), so the growth returned is a function of the
+    price alone.
 
     The bisection is replayed from the certificates of _newton_certificates:
     Newton in u on log G - r with the envelope slope d log G*/du, dL/du at
-    the inner root (_price_slopes), from the inner solve's (t, g), with no
+    the inner root (_envelope_slope), from the inner solve's (t, g), with no
     pass over the outcomes. Where the joint Newton (_joint_newton) reaches
-    the root of the optimality system, that root
-    takes Newton's place: it is not evaluated, and the probes start there,
-    4 eta u/t out, and its proportion starts the first inner solve.
+    the root of the optimality system, that root takes Newton's place: it
+    is not evaluated, and the probes start there, 4 eta u/t out, and its
+    proportion starts the first inner solve.
     Elsewhere Newton starts at the later of the tangent at the fair price,
     where the slope is -1/u, and the small-rate estimate
     E - sigma sqrt(2 r), which Newton climbs from below without overshooting
@@ -899,7 +897,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
-    if target >= stats.boundary_growth:
+    if _full_investment(stats, target):
         price = math.exp(stats.log_moment - r)
         if price < sys.float_info.min:
             raise DomainError(
@@ -932,9 +930,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         if not slope:
             return growth - target
         # the envelope slope, with sum p taken as 1
-        return _log_newton(
-            growth - target, -t / price * (1.0 + (1.0 - t) * g), target, eta
-        )
+        return _log_newton(growth - target, _envelope_slope(price, t, g), target, eta)
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
     hi = stats.expectation * (1.0 - _PRICE_MARGIN)

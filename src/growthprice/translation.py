@@ -33,8 +33,8 @@ from .solver import (
     Regime,
     _EPS,
     _bisect,
+    _full_investment,
     _growth_target,
-    _keep_shifted,
     _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
@@ -163,11 +163,11 @@ def threshold_shift(
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
-    Newton runs on log B(n) - r, with the slope of solver._shift_slope,
-    which reads the arrays that an earlier price solve left on a wide game
-    and builds none, as boundary_growth and the moments below do; there its
-    numpy log B steers Newton, and only the probes and the bisection evaluate
-    B. It starts from the large-shift asymptote
+    Newton runs on log B(n) - r, with the slope of solver._shift_slope. On
+    a wide game that an earlier price solve left arrays on, its numpy log B
+    steers Newton and only the probes and the bisection evaluate B (the
+    steer and certify rule in the solver module docstring); nothing here
+    builds arrays. It starts from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3 (solver._relative_spread), or from the tangent
     of log B at n = 0 where that lies further out: near the boundary the
@@ -196,16 +196,16 @@ def threshold_shift(
     _require_bisect_args(tol, max_iter)
     stats = compute_stats(game)
     b0 = stats.boundary_growth
-    if target > b0:
+    if _full_investment(stats, target):
+        if target == b0:
+            return ThresholdResult(
+                rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND
+            )
         return ThresholdResult(
             rate=r,
             n0=None,
             residual=None,
             regime_note=ThresholdStatus.ALREADY_FULL_INVESTMENT_AT_ZERO_SHIFT,
-        )
-    if target == b0:
-        return ThresholdResult(
-            rate=r, n0=0.0, residual=0.0, regime_note=ThresholdStatus.FOUND
         )
     outcomes = game._pairs
     hi = _SEARCH_START_FACTOR * stats.expectation
@@ -273,13 +273,11 @@ def price_translated(
     optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
     a caller that has just priced the game with these arguments, or prices
     it after this call, pays for one solve. The shifted game is built anew,
-    with the arrays that a wide game keeps plus n, so its price is always
-    solved.
+    so its price is always solved, on a wide game's kept arrays plus n
+    (solver._first_order_kernel).
     """
     target = _growth_target(r)
-    shifted = translate(game, n)
-    _keep_shifted(game, shifted, n)
-    solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+    solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)
     if solution.regime is Regime.FULL_INVESTMENT:
         return solution
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)

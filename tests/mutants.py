@@ -167,8 +167,8 @@ MUTANTS = (
     Mutant(
         "a shift keeps payouts that rounding merged",
         "games.py",
-        "        and all(map(lt, payouts, islice(payouts, 1, None)))\n",
-        "        and True\n",
+        "all(\n        map(lt, payouts, islice(payouts, 1, None))\n    )",
+        "True",
         ("tests/test_translation.py::TestBoundaryGrowthShifts::test_shift_merging_two_payouts_is_invalid",),
         "0c71e59, shifted games inherit their parent's validation",
     ),
@@ -219,11 +219,12 @@ MUTANTS = (
     Mutant(
         "the envelope slope drops the first-order sum",
         "solver.py",
-        "-t / price * (1.0 + (1.0 - t) * g)",
-        "-t / price * (1.0 + 0.0 * g)",
+        "    return -t / u * (1.0 + (1.0 - t) * g)\n",
+        "    return -t / u * (1.0 + 0.0 * g)\n",
         (
             "tests/test_properties.py::test_envelope_slope_from_the_identity_matches_a_direct_sum",
             "tests/test_properties.py::test_envelope_slope_identity_holds_away_from_the_root",
+            JOINT_JACOBIAN,
         ),
         "1b9ef19, one arithmetic on both kernels",
     ),
@@ -240,10 +241,11 @@ MUTANTS = (
     Mutant(
         "the threshold's slope builds the arrays",
         "solver.py",
-        '    mean = compute_stats(game).expectation\n    kept = game.__dict__.get("_vector")\n',
+        "    mean = compute_stats(game).expectation\n"
+        "    if (kept := _steering(game, game._columns[0][0])) is not None:\n",
         "    mean = compute_stats(game).expectation\n    _first_order_kernel(game)\n"
-        '    kept = game.__dict__.get("_vector")\n',
-        ("tests/test_call_counts.py::test_a_wide_game_builds_its_arrays_and_kernel_once",),
+        "    if (kept := _steering(game, game._columns[0][0])) is not None:\n",
+        ("tests/test_call_counts.py::test_a_wide_game_builds_its_arrays_once",),
         "only a price solve builds numpy state",
     ),
     Mutant(
@@ -296,14 +298,6 @@ MUTANTS = (
         "solver.py",
         "    g_u = -((1.0 - t * g) + (1.0 - t) * (g + t * g_t)) / u\n",
         "    g_u = -((1.0 - t * g) + (g + t * g_t)) / u\n",
-        (JOINT_JACOBIAN,),
-        "the price by Newton on the optimality system",
-    ),
-    Mutant(
-        "the joint step's dL/du drops the first-order sum",
-        "solver.py",
-        "    return g_u, -t / u * (1.0 + (1.0 - t) * g)\n",
-        "    return g_u, -t / u * (1.0 + 0.0 * g)\n",
         (JOINT_JACOBIAN,),
         "the price by Newton on the optimality system",
     ),
@@ -386,8 +380,8 @@ MUTANTS = (
     Mutant(
         "the shifted arrays omit the shift",
         "solver.py",
-        "        payouts = kept[0] + n\n",
-        "        payouts = kept[0]\n",
+        '            kept = game.__dict__["_vector"] = (a + n, w)\n',
+        '            kept = game.__dict__["_vector"] = (a, w)\n',
         (
             f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift",
             f"{KERNELS}::test_wide_games_steer_without_warnings_to_the_blocked_results",
@@ -413,6 +407,48 @@ MUTANTS = (
             "tests/test_translation.py::TestThresholdShift::test_a_rate_whose_exp_is_the_boundary_growth_has_zero_residual",
         ),
         "numpy steers, the exact kernels certify",
+    ),
+    Mutant(
+        "a shifted game builds its arrays from its own columns plus the shift",
+        "solver.py",
+        "or map(np.array, parent._columns)",
+        "or map(np.array, game._columns)",
+        (f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift",),
+        "one owner per rule on the wide-game path",
+    ),
+    Mutant(
+        "the kept boundary growth tests the second-largest payout for overflow",
+        "solver.py",
+        "_valid_ends(column[0] + n, column[-1] + n)",
+        "_valid_ends(column[0] + n, column[-2] + n)",
+        (f"{KEPT_ARRAYS}::test_merging_and_overflowing_shifts_take_the_loop[top]",),
+        "one owner per rule on the wide-game path",
+    ),
+    Mutant(
+        "the steering gate reads the second-largest payout",
+        "solver.py",
+        "    if game._columns[0][-1] < 1e100 * scale:\n",
+        "    if game._columns[0][-2] < 1e100 * scale:\n",
+        (f"{KEPT_ARRAYS}::test_a_spread_that_overflows_is_inf_on_both[True]",),
+        "one owner per rule on the wide-game path",
+    ),
+    Mutant(
+        "Newton restarts from the sum of its bracket's ends",
+        "solver.py",
+        "            x = 0.5 * (below + above)\n",
+        "            x = 1.0 * (below + above)\n",
+        ("tests/test_call_counts.py::test_newton_falls_back_to_the_midpoint_of_its_bracket",),
+        "one owner per rule on the wide-game path",
+    ),
+    Mutant(
+        "the threshold starts without the tangent",
+        "translation.py",
+        "    if slope < 0.0:\n        start = max(",
+        "    if False:\n        start = max(",
+        (
+            "tests/test_call_counts.py::test_a_threshold_near_the_boundary_starts_from_the_tangent",
+        ),
+        "one owner per rule on the wide-game path",
     ),
 )
 

@@ -43,7 +43,6 @@ COUNTED = {
     "_solve_price": growthprice.solver,
     "_bisect": growthprice.solver,
     "_first_order_sum": growthprice.solver,
-    "_vector_kernel": growthprice.solver,
     "boundary_growth": growthprice.translation,
     "_binomial": growthprice.oracle,
     "_log_growth": growthprice.oracle,
@@ -178,6 +177,36 @@ def test_first_order_evaluations_of_a_price_across_rates(
     assert calls["_first_order_sum"] == evaluations
 
 
+def test_newton_falls_back_to_the_midpoint_of_its_bracket(calls):
+    # Newton steps here leave the bracket that the residuals' signs have
+    # closed in while one end is still the search's own, and Newton goes on
+    # from the bracket's midpoint; from below + above in its place it made 139
+    payouts = (0.2959179789029522, 0.3930126534257426, 0.4024520678344659)
+    weights = (0.03782452482439821, 0.5847897679149227, 0.32870714237161697)
+    game = Game.from_pairs(
+        zip(payouts + (23.214980394306593,), weights + (0.048678564889062116,))
+    )
+    optimal_price(game, 0.030909817666472668)
+    assert calls["_first_order_sum"] == 62
+
+
+@pytest.mark.parametrize(
+    "delta, evaluations",
+    # without the tangent start, from the asymptote alone, 17, 20, 23 and 27
+    # calls on the two-point fixture and 16, 19, 22 and 26 on the three-point
+    [(1e-2, 7), (1e-4, 6), (1e-6, 6), (1e-9, 5)],
+)
+@pytest.mark.parametrize("fixture", ["two_point", "three_point"])
+def test_a_threshold_near_the_boundary_starts_from_the_tangent(
+    request, calls, fixture, delta, evaluations
+):
+    game = request.getfixturevalue(fixture)
+    r = (1.0 - delta) * math.log(compute_stats(game).boundary_growth)
+    calls.clear()
+    assert threshold_shift(game, r).n0 > 0.0
+    assert calls["boundary_growth"] == evaluations
+
+
 def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls):
     # the doubling, Newton, its probes and the midpoints between them;
     # bisection through every midpoint made 44
@@ -226,7 +255,7 @@ def test_price_translated_validates_only_a_merged_shifted_game(
     assert calls["validate"] == validations
 
 
-def test_a_wide_game_builds_its_arrays_and_kernel_once(calls):
+def test_a_wide_game_builds_its_arrays_once(calls, monkeypatch):
     game = random_game(np.random.default_rng(256), 256, 256)
     threshold_shift(game, 0.05)
     assert "_vector" not in vars(game)  # a threshold builds no arrays
@@ -235,8 +264,19 @@ def test_a_wide_game_builds_its_arrays_and_kernel_once(calls):
     optimal_price(game, 0.06)
     threshold_shift(game, 0.06)
     assert calls["_solve_price"] == 2
-    assert calls["_vector_kernel"] == 1
     assert vars(game)["_vector"] is kept
+    # a shifted game takes its parent's arrays plus the shift, and builds none
+    shifted = []
+    translate = growthprice.translation.translate
+
+    def spy(game, n):
+        shifted.append(translate(game, n))
+        return shifted[-1]
+
+    monkeypatch.setattr(growthprice.translation, "translate", spy)
+    price_translated(game, 0.06, 1.0)
+    assert calls["_solve_price"] == 3
+    assert vars(shifted[0])["_vector"][1] is kept[1]
 
 
 def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):

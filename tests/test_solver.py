@@ -42,10 +42,10 @@ from growthprice import (
     verify,
 )
 from growthprice.solver import (
+    _array_first_order_sum,
     _bisect,
     _first_order_kernel,
     _first_order_sum,
-    _keep_shifted,
     _kept_boundary_growth,
     _log_newton,
     _newton_certificates,
@@ -855,7 +855,7 @@ class TestFirstOrderKernels:
             game = random_game(rng, k, k)
             stats = compute_stats(game)
             kernel = _first_order_kernel(game)
-            assert not isinstance(kernel, partial)  # the numpy kernel
+            assert kernel.func is _array_first_order_sum
             for _ in range(20):
                 u = admissible_price(stats, rng)
                 cap = u / (u - stats.ess_inf)
@@ -899,7 +899,7 @@ class TestFirstOrderKernels:
             vector = solve_all(game)
         assert "_vector" in vars(game)
         monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
-        assert isinstance(_first_order_kernel(game), partial)  # the loop
+        assert _first_order_kernel(game).func is _first_order_sum
         # a fresh game, since game keeps the price the numpy kernel found
         fresh = Game(*game)
         with _counting() as loop_counts:
@@ -1087,7 +1087,7 @@ class TestKeptArrays:
         looped = Game.from_pairs((scale * a, w) for a, w in drawn.outcomes)
         kept = Game(*looped)
         compute_stats(kept)
-        assert not isinstance(_first_order_kernel(kept), partial)
+        assert _first_order_kernel(kept).func is _array_first_order_sum
         vars(kept)["_pairs"] = None
         return kept, looped
 
@@ -1129,39 +1129,63 @@ class TestKeptArrays:
         for n in (-0.5 * xi, 10.0 * xi):
             with patch.object(growthprice.translation, "translate", spy):
                 price_translated(kept, 0.05, n)
-            payouts, weights, _ = vars(shifted[-1])["_vector"]
+            payouts, weights = vars(shifted[-1])["_vector"]
             assert payouts.tolist() == list(shifted[-1]._columns[0])
             assert weights is vars(kept)["_vector"][1]
+            # a parent that keeps no arrays yet gives its columns plus n
+            fresh = Game(*kept)
+            with patch.object(growthprice.translation, "translate", spy):
+                price_translated(fresh, 0.05, n)
+            payouts, _ = vars(shifted[-1])["_vector"]
+            assert payouts.tolist() == list(shifted[-1]._columns[0])
 
-    @pytest.mark.parametrize("scale", (1e-300, 1e-200, 1.0, 1e200))
+    @pytest.mark.parametrize("scale", (1e-300, 1e-200, 1.0, 1e200, "top"))
     def test_merging_and_overflowing_shifts_take_the_loop(self, scale):
         # 1e15 ess_inf merges some payouts and 1e17 times the largest every
-        # one; the largest float overflows the largest payout at scale 1e200
-        # and merges every one below it. At scale 1e-300 a shift just above
-        # -ess_inf leaves the smallest payout below the normal floats. Each
-        # gets the shifted game's verdict.
-        kept, looped = self._games(256, scale)
-        vars(kept)["_pairs"] = looped._pairs
-        xi, top = compute_stats(looped).ess_inf, looped.outcomes[-1].payout
-        shifts = [1e15 * xi, 1e17 * top, sys.float_info.max]
-        if scale == 1e-300:
-            shifts = [math.nextafter(-xi, 0.0)]
+        # one, and so does the largest float, which no payout here outweighs.
+        # At scale 1e-300 a shift just above -ess_inf leaves the smallest
+        # payout below the normal floats. In the "top" game the largest
+        # payout alone overflows under a shift of 1e308, and no payout
+        # merges. Each gets the shifted game's verdict.
+        if scale == "top":
+            looped = Game.from_pairs(
+                [(1e307 * (1.0 + i / 64), 1 / 64) for i in range(63)]
+                + [(1.5e308, 1 / 64)]
+            )
+            kept = Game(*looped)
+            assert _first_order_kernel(kept).func is _array_first_order_sum
+            shifts = [1e308]
+        else:
+            kept, looped = self._games(256, scale)
+            vars(kept)["_pairs"] = looped._pairs
+            xi, top = compute_stats(looped).ess_inf, looped.outcomes[-1].payout
+            shifts = [1e15 * xi, 1e17 * top, sys.float_info.max]
+            if scale == 1e-300:
+                shifts = [math.nextafter(-xi, 0.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in shifts:
                 assert _kept_boundary_growth(kept, n) is None
                 got = _verdict(lambda: boundary_growth(kept, n))
                 assert got == _verdict(lambda: boundary_growth(looped, n))
-                # nor does a price solve pass its arrays on to such a game
-                moved = translate(kept, n)
-                _keep_shifted(kept, moved, n)
-                assert "_vector" not in vars(moved)
+                # nor does translate offer such a game its parent's arrays
+                assert "_shifted_from" not in vars(translate(kept, n))
 
-    def test_a_spread_that_overflows_is_inf_on_both(self):
+    @pytest.mark.parametrize("largest", (False, True))
+    def test_a_spread_that_overflows_is_inf_on_both(self, largest):
         # at 1e-160 of the largest payout every x = (a - u)/u squares past the
-        # largest float; the arrays would warn there, so the loop serves it
-        kept, looped = self._games(64, 1e200)
-        vars(kept)["_pairs"] = looped._pairs
+        # largest float, or with largest only the largest payout's x does, as
+        # every other payout lies within 2 u; the arrays would warn there, so
+        # the loop serves it
+        if largest:
+            looped = Game.from_pairs(
+                [(1.0 + i / 64, 1 / 64) for i in range(63)] + [(1.5e160, 1 / 64)]
+            )
+            kept = Game(*looped)
+            assert _first_order_kernel(kept).func is _array_first_order_sum
+        else:
+            kept, looped = self._games(64, 1e200)
+            vars(kept)["_pairs"] = looped._pairs
         u = 1e-160 * looped.outcomes[-1].payout
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -37,7 +37,7 @@ from growthprice import (
 )
 
 counts = Counter()
-loop, vector = solver._first_order_sum, solver._vector_kernel
+loop, vector = solver._first_order_sum, solver._array_first_order_sum
 growth, log_growth = translation.boundary_growth, solver._log_growth
 
 def counted(evaluate):
@@ -52,7 +52,7 @@ def counted_growth(game, n):
 
 # every first-order evaluation, on either kernel
 solver._first_order_sum = counted(loop)
-solver._vector_kernel = lambda *args: counted(vector(*args))
+solver._array_first_order_sum = counted(vector)
 translation.boundary_growth = counted_growth
 
 def counted_log_growth(outcomes, u, t):
