@@ -20,17 +20,17 @@ curve is strictly decreasing, so bisection converges on it unconditionally.
 _bisect returns the last midpoint of its search, the residual there and the
 number of bisection steps it took, and stops when any of these holds: the
 bracket [lo, hi] is no wider than tol * max(floor, hi) and the residual is
-at most tol in absolute value; the bracket can no longer be split; or it
-has taken max_iter steps. The floor is 0 for proportions and prices, whose
+at most tol in absolute value; the bracket can no longer be split; or it has
+taken max_iter steps. The floor is 0 for proportions and prices, whose
 widths are relative, and ess_inf for the threshold shift, whose root may lie
-near 0. _bisect refuses max_iter below 1 and tol outside [0, inf), and so
-does every solver, even where the regime gives the answer in closed form.
-Everything here is a pure function of immutable inputs and is safe to call
-concurrently. optimal_price also keeps its last result on the game, in the
-instance dict beside the cached statistics (Michie's memo function, 1968):
-one (arguments, result) tuple, stored and read whole, so a concurrent call
-sees either no entry or a complete one, and a hit returns the result a fresh
-game would.
+near 0. Every solver refuses max_iter below 1 and tol outside [0, inf)
+before it evaluates anything, even where the regime gives the answer in
+closed form, and _bisect takes them as checked. Everything here is a pure
+function of immutable inputs and is safe to call concurrently. optimal_price
+also keeps its last result on the game, in the instance dict beside the
+cached statistics (Michie's memo function, 1968): one (arguments, result)
+tuple, stored and read whole, so a concurrent call sees either no entry or a
+complete one, and a hit returns the result a fresh game would.
 
 Bisections are replayed rather than run, from sign certificates: points
 whose sign every midpoint beyond them shares. The lemma behind them (Brent
@@ -44,19 +44,23 @@ them, and where it needs a residual, and returns what plain bisection
 returns, bit for bit, in the same number of steps.
 
 Only values that may be returned replay a bisection. Every evaluation that
-_newton_certificates makes is a call f(x, slope=True), whose value steers
-Newton or certifies a point and is never returned; _bisect makes only plain
-calls f(x), whose value may be. A certificate of the price needs the growth
-there only within the price's eta (_price_band), so at such a call the
-inner proportion solve skips its replay where its own certificates already
-meet the tolerance rule's two tests, and returns one of them. The price
-bisection's own evaluations replay theirs, so every proportion and growth
-a solver returns is plain bisection's.
+_newton_certificates makes of the proportion's and the price's residual is a
+call f(x, slope=True), whose value steers Newton or certifies a point and is
+never returned; _bisect makes only plain calls f(x), whose value may be. A
+certificate of the price needs the growth there only within the price's eta
+(_price_band), so at such a call the inner proportion solve skips its replay
+where its own certificates already meet the tolerance rule's two tests, and
+returns one of them. The price bisection's own evaluations replay theirs, so
+every proportion and growth a solver returns is plain bisection's.
 
 _newton_certificates finds the certificates of all three roots: safeguarded
-Newton (rtsafe in Numerical Recipes) on the residual, then a probe on each
-side of its root, and further probes outward on a side the first left
-uncertified, keeping every point whose residual lies beyond a band. The
+Newton (rtsafe in Numerical Recipes), then a probe on each side of its
+root, and further probes outward on a side the first left uncertified,
+keeping every point whose residual lies beyond a band. Newton certifies its
+own points only where it steers on the residual itself: for the proportion,
+whose residual is exact, and for the price where the joint Newton fails.
+The threshold's Newton steers on log B from _shift_slope at every width and
+on either kernel, and only its probes and the bisection evaluate B. The
 price's certificates are probed from the optimality system's root
 (_joint_newton), which has converged and so is not evaluated again; where
 the joint Newton fails, nested Newton runs from its start as before.
@@ -70,17 +74,20 @@ keeps that. The price and threshold curves are not provably monotone as
 evaluated, so their band must clear 2 eta, with eta a proven bound on the
 rounding (and, for the price, on the inner solve's optimality deficit) in
 the log of the growth; _price_band and threshold_shift derive theirs, and
-Newton runs on the log residual (_log_newton). Where eta cannot be shown,
-the bisection runs without certificates.
+Newton runs on the log residual (_log_newton for the price, log B for the
+threshold). Where eta cannot be shown, the bisection runs without
+certificates.
 
-The first-order sum has two kernels, each of which returns the derivative
-in t next to the sum when asked: a plain loop, and numpy on arrays of the
+The first-order sum has two kernels, each of which returns the derivative in
+t next to the sum when asked: a plain loop, and numpy on arrays of the
 game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel), which a game that translate shifted directly takes
-from its parent. Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and
-solves where numpy cannot be imported, take the loops: numpy only
-accelerates, and only this module holds numpy code.
+(_first_order_kernel): a game that translate shifted directly takes its
+parent's arrays plus the shift, and builds them on the parent where it has
+none, so the parent's own price and threshold find them. Games of fewer than
+_VECTOR_MIN_OUTCOMES outcomes, and solves where numpy cannot be imported,
+take the loops: numpy only accelerates, and only this module holds numpy
+code.
 
 On kept arrays a value that certifies a sign or may be returned (the
 first-order sum, the boundary growth) is exact: terms formed with the loop's
@@ -91,7 +98,9 @@ test (the derivative, the joint Newton's log growth, log B and its slope in
 _shift_slope, the relative spread) is numpy's np.log, np.log1p and pairwise
 .sum(), which are not the C library's (on 200 000 random arguments each,
 numpy 2.4.6, np.log differed from math.log for 154 and np.log1p from
-math.log1p for 17 283). So no result depends on the kernel, though on a wide
+math.log1p for 17 283). A game's width picks a kernel, never a path: every
+search steers and certifies the same way on either kernel, and only the
+steering values differ. So no result depends on the kernel, though on a wide
 game the count of exact evaluations may depend on numpy's build. Each
 steering pass but the kernel's derivative reads the arrays through one gate,
 _steering, which serves them only where every payout is below 1e100 times a
@@ -255,14 +264,16 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
     game keeps its columns as arrays (payouts, weights), built once and
     stored whole: a game that translate shifted by n directly takes its
-    parent's arrays, or the parent's columns as arrays, plus n, the add
-    translate makes per payout, and any other game its own columns plus 0.
-    A narrow game never loads numpy nor looks it up."""
+    parent's arrays plus n, the add translate makes per payout, and builds
+    the parent's columns as arrays and keeps them on the parent where it
+    has none; any other game keeps its own columns plus 0. A narrow game
+    never loads numpy nor looks it up."""
     if len(game.outcomes) >= _VECTOR_MIN_OUTCOMES:
         kept = game.__dict__.get("_vector")
         if kept is None and (np := _import_numpy()) is not None:
             parent, n = game.__dict__.get("_shifted_from", (game, 0.0))
             a, w = parent.__dict__.get("_vector") or map(np.array, parent._columns)
+            parent.__dict__.setdefault("_vector", (a, w))
             kept = game.__dict__["_vector"] = (a + n, w)
         if kept is not None:
             return partial(_array_first_order_sum, game._columns[0][0], *kept)
@@ -293,38 +304,35 @@ def _steering(game: Game, scale: float) -> tuple | None:
 
 def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
     """(d log B/dn, log B(n)) as a function of n, for B(n) =
-    boundary_growth(game, n) = H exp(sum p log(a + n)) with H = sum p/(a + n).
-    The slope is H - H2/H, H2 = sum p/(a + n)**2, both sums formed on the
-    ratios (E + n)/(a + n) so that nothing overflows or underflows at any
-    payout scale. numpy forms both where the gate passes at the smallest
-    payout, so that no squared ratio overflows; elsewhere a loop forms the
-    slope, and log B is nan. No arrays are built: loading numpy would cost
-    more than it saves."""
+    boundary_growth(game, n) = H exp(sum p log(a + n)) with H = sum p/(a + n),
+    finite on either kernel. With m = E + n, h = sum p m/(a + n) and
+    h2 = sum p (m/(a + n))**2, formed on ratios so that nothing overflows or
+    underflows at any payout scale, the slope is H - H2/H = (h - h2/h)/m and
+    log B = log h - log m + sum p log(a + n). numpy forms the three sums where
+    the gate passes at the smallest payout, so that no squared ratio
+    overflows, and a loop elsewhere: the kernel changes the values, which
+    only steer, and never the path. No arrays are built: loading numpy would
+    cost more than it saves."""
     mean = compute_stats(game).expectation
-    if (kept := _steering(game, game._columns[0][0])) is not None:
-        payouts, weights = kept
-        log = _import_numpy().log
+    kept = _steering(game, game._columns[0][0])
 
-        def steer(n: float) -> tuple[float, float]:
-            m = mean + n
+    def log_slope(n: float) -> tuple[float, float]:
+        m = mean + n
+        if kept is not None:
+            payouts, weights = kept
             shifted = payouts + n
             inv = m / shifted
             terms = weights * inv
             h, h2 = float(terms.sum()), float((terms * inv).sum())
-            log_sum = float((weights * log(shifted)).sum())
-            return (h - h2 / h) / m, math.log(h) - math.log(m) + log_sum
-
-        return steer
-
-    def log_slope(n: float) -> tuple[float, float]:
-        # H - H2/H = (h - h2/h)/(E + n) on the ratios rho = (a + n)/(E + n)
-        m = mean + n
-        h = h2 = 0.0
-        for a, w in game._pairs:
-            inv = m / (a + n)
-            h += w * inv
-            h2 += w * inv * inv
-        return (h - h2 / h) / m, math.nan
+            log_sum = float((weights * _import_numpy().log(shifted)).sum())
+        else:
+            h = h2 = log_sum = 0.0
+            for a, w in game._pairs:
+                inv = m / (a + n)
+                h += w * inv
+                h2 += w * inv * inv
+                log_sum += w * math.log(a + n)
+        return (h - h2 / h) / m, math.log(h) - math.log(m) + log_sum
 
     return log_slope
 
@@ -380,9 +388,9 @@ def _bisect(
     docstring). Those midpoints take the lo and the hi branch unevaluated,
     and f is evaluated there only when the width test needs the residual or
     the search ends on it. With the default certificates every midpoint is
-    evaluated.
+    evaluated. The solvers refuse tol and max_iter that it cannot honour
+    before they call it.
     """
-    _require_bisect_args(tol, max_iter)
     x = 0.5 * (lo + hi)
     res = f(x) if pos < x < neg else None
     steps = 1
@@ -419,23 +427,26 @@ def _newton_certificates(
     """Sign certificates for _bisect on a decreasing residual f, each next to
     the residual there: (pos, f(pos), neg, f(neg)).
 
-    f(x, slope=True), the only call made of f, is the triple (residual, Newton
-    step, gap) at x: each is a certificate evaluation, whose value the
-    caller never returns. Given steer, Newton calls steer(x) in its place, an
-    approximation of that triple whose points certify nothing, and only the
-    probes call f. Safeguarded Newton from start, or from the midpoint
-    where start is outside (lo, hi), brackets the root by the sign of each
-    residual and stops once a step is within gap, or leaves a bracket whose
-    ends it both evaluated: there rounding steers the step more than the
-    curve does, and _bisect splits the bracket as cheaply. It then probes at
-    its root -+ gap on each side not yet certified that closely, and on a
-    side that its probe left uncertified probes on outward, at distances
-    growing _PROBE_GROWTH-fold, until a probe reaches a certificate or
-    leaves the bracket; a gap of 0, which would probe one point forever,
-    probes nothing. Given a gap, start is taken for Newton's root: the
-    probes start there, and start is never evaluated. A residual above band
-    certifies its point positive, and one at or below -band non-positive; a
-    missing certificate is an infinity with residual nan. With _NEWTON_STEPS
+    Every call of f is a certificate evaluation, whose value the caller
+    never returns. Without steer, each is f(x, slope=True), the triple
+    (residual, Newton step, gap) at x: Newton steers on it and certifies its
+    own points, as the proportion's and the price's solves ask, and the
+    probes read its residual. Given steer, as the threshold's solve always
+    gives, Newton calls steer(x), an approximation of that triple whose
+    points certify nothing, and the probes call f(x), the residual alone.
+    Safeguarded Newton from start, or from the midpoint where start is
+    outside (lo, hi), brackets the root by the sign of each residual and
+    stops once a step is within gap, or leaves a bracket whose ends it both
+    reached: there rounding steers the step more than the curve does, and
+    _bisect splits the bracket as cheaply. It then probes at its root -+ gap
+    on each side not yet certified that closely, and on a side that its
+    probe left uncertified probes on outward, at distances growing
+    _PROBE_GROWTH-fold, until a probe reaches a certificate or leaves the
+    bracket; a gap of 0, which would probe one point forever, probes
+    nothing. Given a gap, start is taken for Newton's root: the probes start
+    there, and start is never evaluated. A residual above band certifies its
+    point positive, and one at or below -band non-positive; a missing
+    certificate is an infinity with residual nan. With _NEWTON_STEPS
     at 0 and no gap nothing is certified.
     """
     pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
@@ -466,7 +477,7 @@ def _newton_certificates(
             # past a certificate on its side a probe certifies nothing new
             if not (pos < probe < neg and lo < probe < hi):
                 break
-            res = f(probe, slope=True)[0]
+            res = f(probe, slope=True)[0] if certify else f(probe)
             if res > band:
                 pos, pos_res = probe, res
             elif res <= -band:
@@ -575,6 +586,7 @@ def pre_optimal_proportion(
             f" (ess_inf + 1/h_xi, expectation) ="
             f" ({stats.lower_price_bound!r}, {stats.expectation!r})"
         )
+    _require_bisect_args(tol, max_iter)
     t, res, iterations = _solve_proportion(
         partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
     )

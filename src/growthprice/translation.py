@@ -36,7 +36,6 @@ from .solver import (
     _full_investment,
     _growth_target,
     _kept_boundary_growth,
-    _log_newton,
     _newton_certificates,
     _relative_spread,
     _require_bisect_args,
@@ -163,11 +162,11 @@ def threshold_shift(
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
-    Newton runs on log B(n) - r, with the slope of solver._shift_slope. On
-    a wide game that an earlier price solve left arrays on, its numpy log B
-    steers Newton and only the probes and the bisection evaluate B (the
-    steer and certify rule in the solver module docstring); nothing here
-    builds arrays. It starts from the large-shift asymptote
+    Newton steers on log B(n) - r and its slope from solver._shift_slope, on
+    numpy where a price solve left arrays on the game and in a loop
+    elsewhere, and stops within 4 eta/|slope|; at every width only the
+    probes and the bisection evaluate B, and nothing here builds arrays.
+    It starts from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
     moments sigma**2 and mu3 (solver._relative_spread), or from the tangent
     of log B at n = 0 where that lies further out: near the boundary the
@@ -219,13 +218,15 @@ def threshold_shift(
     mean = stats.expectation
     shift_slope = _shift_slope(game)
 
-    def excess(n: float, slope: bool = False) -> float | tuple[float, float, float]:
-        res = boundary_growth(game, n) - target
-        return _log_newton(res, shift_slope(n)[0], target, eta) if slope else res
+    def excess(n: float) -> float:
+        return boundary_growth(game, n) - target
 
     def steer(n: float) -> tuple[float, float, float]:
+        # no step where rounding leaves the slope of log B not negative
         slope, log_b = shift_slope(n)
-        return _log_newton(math.expm1(log_b - r) * target, slope, target, eta)
+        if not slope < 0.0:
+            return log_b - r, 0.0, math.inf
+        return log_b - r, (log_b - r) / slope, -4.0 * eta / slope
 
     var, mu3 = _relative_spread(game, mean, third=True)
     start = math.nan
@@ -234,7 +235,7 @@ def threshold_shift(
             math.sqrt(var / (2.0 * math.expm1(r))) - 1.0 - 2.0 * mu3 / (3.0 * var)
         )
     # the later of the tangent at n = 0 and the asymptote, where each is a number
-    slope, log_b0 = shift_slope(0.0)
+    slope = shift_slope(0.0)[0]
     if slope < 0.0:
         start = max((r - math.log(b0)) / slope, start)
     largest_log = max(
@@ -243,9 +244,8 @@ def threshold_shift(
     width = 4.0 * _EPS * (outcomes[-1][0] + hi)
     merges = min(map(sub, game._columns[0][1:], game._columns[0])) <= width
     eta = ((len(outcomes) if merges else 0) + 8) * _EPS * (1.0 + largest_log)
-    steered = None if math.isnan(log_b0) else steer
     pos, _, neg, _ = _newton_certificates(
-        excess, 0.0, hi, start, 3.0 * eta * target, steer=steered
+        excess, 0.0, hi, start, 3.0 * eta * target, steer=steer
     )
     n0, res, _ = _bisect(
         excess, 0.0, hi, tol, max_iter, floor=stats.ess_inf, pos=pos, neg=neg
@@ -273,7 +273,9 @@ def price_translated(
     optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
     a caller that has just priced the game with these arguments, or prices
     it after this call, pays for one solve. The shifted game is built anew,
-    so its price is always solved, on a wide game's kept arrays plus n
+    so its price is always solved; on a wide game it runs on the game's
+    arrays plus n, and where no price solve has built those arrays yet, the
+    shifted game builds them and keeps them on the game
     (solver._first_order_kernel).
     """
     target = _growth_target(r)

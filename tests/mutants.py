@@ -78,6 +78,9 @@ REFERENCE_BAND = (
 REFERENCE_THRESHOLD_BAND = (
     "tests/test_reference.py::test_every_threshold_certificate_clears_eta_in_the_log_boundary"
 )
+REFERENCE_THRESHOLD_STEERED = (
+    "tests/test_reference.py::test_a_threshold_steered_onto_its_root_certifies_only_past_its_band"
+)
 JOINT_JACOBIAN = "tests/test_properties.py::test_joint_jacobian_identities_match_direct_sums"
 
 MUTANTS = (
@@ -241,10 +244,8 @@ MUTANTS = (
     Mutant(
         "the threshold's slope builds the arrays",
         "solver.py",
-        "    mean = compute_stats(game).expectation\n"
-        "    if (kept := _steering(game, game._columns[0][0])) is not None:\n",
-        "    mean = compute_stats(game).expectation\n    _first_order_kernel(game)\n"
-        "    if (kept := _steering(game, game._columns[0][0])) is not None:\n",
+        "    kept = _steering(game, game._columns[0][0])\n",
+        "    _first_order_kernel(game)\n    kept = _steering(game, game._columns[0][0])\n",
         ("tests/test_call_counts.py::test_a_wide_game_builds_its_arrays_once",),
         "only a price solve builds numpy state",
     ),
@@ -345,9 +346,9 @@ MUTANTS = (
     Mutant(
         "the threshold's band is 0",
         "translation.py",
-        "excess, 0.0, hi, start, 3.0 * eta * target, steer=steered",
-        "excess, 0.0, hi, start, 0.0 * eta * target, steer=steered",
-        (REFERENCE_THRESHOLD_BAND,),
+        "excess, 0.0, hi, start, 3.0 * eta * target, steer=steer",
+        "excess, 0.0, hi, start, 0.0 * eta * target, steer=steer",
+        (REFERENCE_THRESHOLD_BAND, REFERENCE_THRESHOLD_STEERED),
         "the threshold's band grows with the outcomes only where payouts merge",
     ),
     Mutant(
@@ -372,8 +373,8 @@ MUTANTS = (
     Mutant(
         "probes certify with the steering values",
         "solver.py",
-        "            res = f(probe, slope=True)[0]\n",
-        "            res = (f(probe, slope=True) if certify else steer(probe))[0]\n",
+        "            res = f(probe, slope=True)[0] if certify else f(probe)\n",
+        "            res = f(probe, slope=True)[0] if certify else steer(probe)[0]\n",
         (f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_steered_newton_certifies_with_f_alone",),
         "numpy steers, the exact kernels certify",
     ),
@@ -449,6 +450,30 @@ MUTANTS = (
             "tests/test_call_counts.py::test_a_threshold_near_the_boundary_starts_from_the_tangent",
         ),
         "one owner per rule on the wide-game path",
+    ),
+    Mutant(
+        "the loop's log B is nan again",
+        "solver.py",
+        "                log_sum += w * math.log(a + n)\n",
+        "                log_sum = math.nan\n",
+        ("tests/test_call_counts.py::test_threshold_shift_makes_at_most_20_boundary_growth_calls",),
+        "a game's width picks a kernel, never a path",
+    ),
+    Mutant(
+        "a shifted game leaves its parent without arrays",
+        "solver.py",
+        '            parent.__dict__.setdefault("_vector", (a, w))\n',
+        "",
+        ("tests/test_call_counts.py::test_a_shifted_price_builds_its_parents_columns_once",),
+        "a game's width picks a kernel, never a path",
+    ),
+    Mutant(
+        "a proportion solve leaves tol and max_iter unchecked",
+        "solver.py",
+        "    _require_bisect_args(tol, max_iter)\n    t, res, iterations = _solve_proportion(\n",
+        "    t, res, iterations = _solve_proportion(\n",
+        (f"{SOLVER_TESTS}::TestSolverArguments::test_unhonourable_arguments_refused",),
+        "a game's width picks a kernel, never a path",
     ),
 )
 

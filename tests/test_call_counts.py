@@ -191,27 +191,43 @@ def test_newton_falls_back_to_the_midpoint_of_its_bracket(calls):
 
 
 @pytest.mark.parametrize(
-    "delta, evaluations",
-    # without the tangent start, from the asymptote alone, 17, 20, 23 and 27
-    # calls on the two-point fixture and 16, 19, 22 and 26 on the three-point
-    [(1e-2, 7), (1e-4, 6), (1e-6, 6), (1e-9, 5)],
+    "delta, steps",
+    # steering passes of log B and its slope, the tangent's own included;
+    # without the tangent start, from the asymptote alone, 14, 17, 20 and 24
+    # on the two-point fixture and 13, 16, 19 and 23 on the three-point.
+    # Newton steers on log B, so the start moves only these passes:
+    # boundary_growth is called 4 times either way.
+    [(1e-2, 4), (1e-4, 3), (1e-6, 3), (1e-9, 2)],
 )
 @pytest.mark.parametrize("fixture", ["two_point", "three_point"])
 def test_a_threshold_near_the_boundary_starts_from_the_tangent(
-    request, calls, fixture, delta, evaluations
+    request, calls, monkeypatch, fixture, delta, steps
 ):
     game = request.getfixturevalue(fixture)
     r = (1.0 - delta) * math.log(compute_stats(game).boundary_growth)
+    shift_slope, passes = growthprice.translation._shift_slope, []
+
+    def counted(game):
+        log_slope = shift_slope(game)
+
+        def steer(n):
+            passes.append(n)
+            return log_slope(n)
+
+        return steer
+
+    monkeypatch.setattr(growthprice.translation, "_shift_slope", counted)
     calls.clear()
     assert threshold_shift(game, r).n0 > 0.0
-    assert calls["boundary_growth"] == evaluations
+    assert (len(passes), calls["boundary_growth"]) == (steps, 4)
 
 
 def test_threshold_shift_makes_at_most_20_boundary_growth_calls(two_point, calls):
-    # the doubling, Newton, its probes and the midpoints between them;
-    # bisection through every midpoint made 44
+    # the doubling, the probes from Newton's root and the midpoints between
+    # them; Newton steers on log B and calls none. Certifying at every Newton
+    # step made 10, and bisection through every midpoint 44
     assert threshold_shift(two_point, 0.05).n0 == 19.174901671237876
-    assert calls["boundary_growth"] == 10
+    assert calls["boundary_growth"] == 5
 
 
 @pytest.mark.parametrize("k", [2, 5, 64])
@@ -277,6 +293,31 @@ def test_a_wide_game_builds_its_arrays_once(calls, monkeypatch):
     price_translated(game, 0.06, 1.0)
     assert calls["_solve_price"] == 3
     assert vars(shifted[0])["_vector"][1] is kept[1]
+
+
+def test_a_shifted_price_builds_its_parents_columns_once(monkeypatch):
+    # On a game that no price solve has touched, the shifted game's kernel
+    # builds the parent's two columns and keeps them on the parent, whose
+    # price takes them: 2 builds, where the parent building its own made 4.
+    # A later threshold on the parent steers on them, and builds none.
+    builds = []
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, column):
+            builds.append(len(column))
+            return np.array(column)
+
+    monkeypatch.setattr(growthprice.solver, "_import_numpy", CountedNumpy)
+    game = random_game(np.random.default_rng(256), 256, 256)
+    price_translated(game, 0.05, 1.0)
+    assert builds == [256, 256]
+    kept = vars(game)["_vector"]
+    price_translated(game, 0.05, 2.0)
+    threshold_shift(game, 0.05)
+    assert len(builds) == 2 and vars(game)["_vector"] is kept
 
 
 def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):

@@ -12,7 +12,9 @@ its certificates must lie within the eta of _price_band of the best log
 growth L*(u) there, and L*(u) - r must exceed eta at the two certificates
 that its price bisection is handed, positive below the root and negative
 above it. Likewise log B(n) - r must exceed threshold_shift's eta at the two
-certificates that its bisection is handed.
+certificates that its bisection is handed, also where its Newton is steered
+onto the reference root, so that only the band keeps the probes next to the
+root from certifying.
 """
 
 import math
@@ -198,25 +200,49 @@ def test_every_price_certificate_clears_eta_in_the_best_log_growth(pairs, r):
             assert sign * excess > eta, (u, excess)
 
 
-def _threshold_certificates(game: Game, r: float):
-    """The etas threshold_shift handed _log_newton, and the (pos, neg) handed
-    to its bisection."""
+def _threshold_certificates(game: Game, r: float, root: float | None = None):
+    """threshold_shift's eta, read off the band 3 eta exp(r) that it hands
+    _newton_certificates, and the (pos, neg) handed to its bisection. Given
+    a root, Newton is steered onto it and stops there with a gap of 1/64 of
+    its own, so that its probes start about eta/16 from the root in log B."""
     translation = growthprice.translation
-    log_newton, bisect = translation._log_newton, translation._bisect
-    etas, certificates = set(), []
+    newton, bisect = translation._newton_certificates, translation._bisect
+    etas, certificates = [], []
 
-    def spy_newton(res, slope, target, eta):
-        etas.add(eta)
-        return log_newton(res, slope, target, eta)
+    def spy_newton(f, lo, hi, start, band, steer):
+        etas.append(band / (3.0 * math.exp(r)))
+
+        def onto(n):
+            res, _, gap = steer(n)
+            return res, n - root, gap / 64.0
+
+        return newton(f, lo, hi, start, band, steer=steer if root is None else onto)
 
     def spy_bisect(f, *args, pos=-math.inf, neg=math.inf, **kwargs):
         certificates.append((pos, neg))
         return bisect(f, *args, pos=pos, neg=neg, **kwargs)
 
-    with patch.object(translation, "_log_newton", spy_newton):
+    with patch.object(translation, "_newton_certificates", spy_newton):
         with patch.object(translation, "_bisect", spy_bisect):
             threshold_shift(game, r)
     return etas, certificates
+
+
+def _threshold_rate(pairs, r: float) -> float:
+    """r, or half the log boundary where exp(r) reaches the boundary growth
+    and there is no threshold."""
+    boundary = compute_stats(Game.from_pairs(pairs)).boundary_growth
+    return r if math.exp(r) < boundary else 0.5 * math.log(boundary)
+
+
+def _assert_certificates_clear_eta(pairs, r, eta, pos, neg):
+    # the exact log B(n) - r clears eta at each certificate, so the exact
+    # root lies strictly between the two
+    assert eta < math.inf and pos < neg
+    for n, sign in ((pos, 1), (neg, -1)):
+        if math.isfinite(n):
+            excess = reference.log_boundary(pairs, n) - Decimal(r)
+            assert sign * excess > eta, (n, excess)
 
 
 @pytest.mark.parametrize(
@@ -224,16 +250,22 @@ def _threshold_certificates(game: Game, r: float):
 )
 def test_every_threshold_certificate_clears_eta_in_the_log_boundary(pairs, r):
     # The threshold's certificates clear r by its band less their rounding,
-    # so the exact log B(n) clears it by more than eta there, and the exact
-    # root lies strictly between the two. Rates past the log boundary, which
-    # have no threshold, are moved to half the log boundary.
-    game = Game.from_pairs(pairs)
-    boundary = compute_stats(game).boundary_growth
-    if math.exp(r) >= boundary:
-        r = 0.5 * math.log(boundary)
-    (eta,), ((pos, neg),) = _threshold_certificates(game, r)
-    assert eta < math.inf and pos < neg
-    for n, sign in ((pos, 1), (neg, -1)):
-        if math.isfinite(n):
-            excess = reference.log_boundary(pairs, n) - Decimal(r)
-            assert sign * excess > eta, (n, excess)
+    # so the exact log B(n) clears it by more than eta there. Rates past the
+    # log boundary, which have no threshold, are moved to half the log
+    # boundary.
+    r = _threshold_rate(pairs, r)
+    (eta,), ((pos, neg),) = _threshold_certificates(Game.from_pairs(pairs), r)
+    _assert_certificates_clear_eta(pairs, r, eta, pos, neg)
+
+
+@pytest.mark.parametrize(
+    "pairs, r", [pytest.param(pairs, r, id=name) for name, pairs, r in CASES]
+)
+def test_a_threshold_steered_onto_its_root_certifies_only_past_its_band(pairs, r):
+    # Newton steered onto the 50-digit root, with a gap far below eta, puts
+    # the first probes inside the band, where a residual certifies nothing:
+    # a band of 0 would certify them, next to the root
+    r = _threshold_rate(pairs, r)
+    root = float(reference.threshold(pairs, r))
+    (eta,), ((pos, neg),) = _threshold_certificates(Game.from_pairs(pairs), r, root)
+    _assert_certificates_clear_eta(pairs, r, eta, pos, neg)

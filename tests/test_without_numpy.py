@@ -1,5 +1,5 @@
 """numpy is an optional accelerator: without it every solver runs its loops,
-with the same results, and with no fewer exact evaluations. The grid argmax, which
+with the same results and no fewer exact log growth evaluations. The grid argmax, which
 never uses numpy, is checked here against a plain scan of the whole grid.
 
 This file imports no numpy, so it runs where numpy is not installed.
@@ -117,10 +117,18 @@ def test_wide_games_solve_alike_with_numpy_blocked():
     assert all(free["kept"]) == installed
     assert free["imports"] == 1
     assert [row[0] for row in blocked["results"]] == [row[0] for row in free["results"]]
-    # numpy's values steer Newton on the wide games and certify nothing, so
-    # they spare exact boundary and log growth evaluations, and add none.
+    # numpy's log1p steers the joint Newton of a price, which the loop
+    # cannot, so it spares exact log growth evaluations and adds none
     for i, (numpy_row, loop_row) in enumerate(zip(free["results"], blocked["results"])):
-        assert numpy_row[2] <= loop_row[2] and numpy_row[3] <= loop_row[3], i
+        assert numpy_row[3] <= loop_row[3], i
+    # Newton on the threshold steers on log B from either kernel, so numpy
+    # spares no boundary_growth call everywhere. The loops' counts are the
+    # same wherever they run: the threshold makes them all, 4 at 0.3 of the
+    # log boundary and 26 at 1e-6 of it (8 doublings, 2 probes and 16
+    # midpoints between certificates 2e-8 to 3e-8 of n0 apart).
+    boundary = [row[2] for row in blocked["results"]]
+    assert boundary[1::6] == [4, 26] * 3
+    assert not any(boundary[i] for i in range(len(boundary)) if i % 6 != 1)
     # The rows count work: first-order evaluations for the price, the sweep,
     # verify and the invariance check, boundary growth for the threshold.
     # price_translated's shift of 3 passes n0 on some games, whose shifted
