@@ -103,8 +103,8 @@ class Game(_GameFields):
     @cached_property
     def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The payouts and the weights, each as a tuple in outcome order,
-        from which the statistics, the shifted payouts and the solver's
-        numpy arrays are built."""
+        from which the statistics, the shifted payouts and the game's own
+        numpy arrays, built by its first wide price solve, are made."""
         payouts, weights = zip(*self.outcomes)
         return payouts, weights
 
@@ -223,13 +223,13 @@ def translate(game: Game, n: float) -> Game:
     of game. Where the shifted payouts stay finite and strictly increasing
     it is built from them directly, with no merge, sort or validation, and
     keeps its statistics from _summary, the function Game._stats uses, and
-    (game, n), from which the solver shifts game's numpy arrays. It is valid
-    because game is: the weights are the same validated floats; the smallest
-    shifted payout is tested against the smallest normal float, and the
-    others exceed it; and strictly increasing payouts are already canonical
-    and at least two distinct. Shifts that merge payouts, overflow or leave
-    a payout below the normal floats build the game through Game and
-    validate it on first use.
+    its own columns, from which its first wide price solve builds its arrays
+    as any game's does. It is valid because game is: the weights are the
+    same validated floats; the smallest shifted payout is tested against the
+    smallest normal float, and the others exceed it; and strictly increasing
+    payouts are already canonical and at least two distinct. Shifts that
+    merge payouts, overflow or leave a payout below the normal floats build
+    the game through Game and validate it on first use.
     """
     payouts = _shifted_payouts(game, n)
     if payouts is None:
@@ -243,9 +243,7 @@ def translate(game: Game, n: float) -> Game:
     outcomes = tuple(map(tuple.__new__, repeat(Outcome), pairs))
     shifted = tuple.__new__(Game, (outcomes, game.label))
     columns, stats = (payouts, weights), _summary(payouts, weights)
-    vars(shifted).update(
-        _pairs=pairs, _columns=columns, _stats=stats, _shifted_from=(game, n)
-    )
+    vars(shifted).update(_pairs=pairs, _columns=columns, _stats=stats)
     return shifted
 
 

@@ -128,6 +128,12 @@ def _log_growth(terms: list[tuple[float, float]], t: float) -> float:
     return total
 
 
+def _grid_cap(u: float, ess_inf: float) -> float:
+    """The cap of grid_argmax_growth's grid at price u: 1, or 1e-9 short of
+    the proportion u/(u - ess_inf) where the first-order sum diverges."""
+    return min(1.0, (1.0 - 1e-9) * u / (u - ess_inf))
+
+
 def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
     """Argmax of the growth rate over a uniform proportion grid, found by a
     proven Fibonacci search.
@@ -180,7 +186,7 @@ def grid_argmax_growth(game: Game, u: float, grid_points: int) -> float:
             f"price u={u!r} outside (fair_price, expectation) ="
             f" ({stats.fair_price!r}, {stats.expectation!r})"
         )
-    cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))
+    cap = _grid_cap(u, stats.ess_inf)
     terms = [(o.weight, (o.payout - u) / u) for o in game.outcomes]
     values: dict[int, float] = {}
 
@@ -464,8 +470,7 @@ def verify(
     grid_points = 1_000_000
     root = pre_optimal_proportion(game, u_mid, tol=tol, max_iter=max_iter)
     argmax = grid_argmax_growth(game, u_mid, grid_points)
-    cap = min(1.0, (1.0 - 1e-9) * u_mid / (u_mid - stats.ess_inf))
-    step = cap / (grid_points + 1)
+    step = _grid_cap(u_mid, stats.ess_inf) / (grid_points + 1)
     gap = abs(argmax - root.proportion)
     checks.append(
         Check(

@@ -82,12 +82,12 @@ The first-order sum has two kernels, each of which returns the derivative in
 t next to the sum when asked: a plain loop, and numpy on arrays of the
 game's payouts and weights. Only a price solve, which nests several
 proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel): a game that translate shifted directly takes its
-parent's arrays plus the shift, and builds them on the parent where it has
-none, so the parent's own price and threshold find them. Games of fewer than
-_VECTOR_MIN_OUTCOMES outcomes, and solves where numpy cannot be imported,
-take the loops: numpy only accelerates, and only this module holds numpy
-code.
+(_first_order_kernel): a wide game's arrays are its own columns, built by
+its first price solve and kept on that game alone, so a shifted game builds
+its own, and a game's threshold steers only on arrays that its own price
+solves built. Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and solves
+where numpy cannot be imported, take the loops: numpy only accelerates, and
+only this module holds numpy code.
 
 On kept arrays a value that certifies a sign or may be returned (the
 first-order sum, the boundary growth) is exact: terms formed with the loop's
@@ -262,19 +262,14 @@ def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]
     for the derivative, which steers. Only _solve_price calls it.
 
     From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
-    game keeps its columns as arrays (payouts, weights), built once and
-    stored whole: a game that translate shifted by n directly takes its
-    parent's arrays plus n, the add translate makes per payout, and builds
-    the parent's columns as arrays and keeps them on the parent where it
-    has none; any other game keeps its own columns plus 0. A narrow game
-    never loads numpy nor looks it up."""
+    game keeps its own columns as arrays (payouts, weights), built by its
+    first price solve and stored whole; a shifted game builds its own from
+    its shifted columns, and no game reads or writes another's. A narrow
+    game never loads numpy nor looks it up."""
     if len(game.outcomes) >= _VECTOR_MIN_OUTCOMES:
         kept = game.__dict__.get("_vector")
         if kept is None and (np := _import_numpy()) is not None:
-            parent, n = game.__dict__.get("_shifted_from", (game, 0.0))
-            a, w = parent.__dict__.get("_vector") or map(np.array, parent._columns)
-            parent.__dict__.setdefault("_vector", (a, w))
-            kept = game.__dict__["_vector"] = (a + n, w)
+            kept = game.__dict__["_vector"] = tuple(map(np.array, game._columns))
         if kept is not None:
             return partial(_array_first_order_sum, game._columns[0][0], *kept)
     return partial(_first_order_sum, game._pairs)

@@ -273,10 +273,9 @@ def price_translated(
     optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
     a caller that has just priced the game with these arguments, or prices
     it after this call, pays for one solve. The shifted game is built anew,
-    so its price is always solved; on a wide game it runs on the game's
-    arrays plus n, and where no price solve has built those arrays yet, the
-    shifted game builds them and keeps them on the game
-    (solver._first_order_kernel).
+    so its price is always solved; on a wide game that solve builds the
+    shifted game's own arrays from its own columns, as the original's first
+    price solve builds the original's (solver._first_order_kernel).
     """
     target = _growth_target(r)
     solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)

@@ -120,8 +120,8 @@ MUTANTS = (
     Mutant(
         "the grid cap at 1 - 1e-6",
         "oracle.py",
-        "cap = min(1.0, (1.0 - 1e-9) * u / (u - stats.ess_inf))",
-        "cap = min(1.0, (1.0 - 1e-6) * u / (u - stats.ess_inf))",
+        "return min(1.0, (1.0 - 1e-9) * u / (u - ess_inf))",
+        "return min(1.0, (1.0 - 1e-6) * u / (u - ess_inf))",
         ("tests/test_oracle.py::TestGridArgmax::test_grid_points_follow_the_cap_where_it_binds",),
         "313d645, oracle without numpy",
     ),
@@ -379,17 +379,6 @@ MUTANTS = (
         "numpy steers, the exact kernels certify",
     ),
     Mutant(
-        "the shifted arrays omit the shift",
-        "solver.py",
-        '            kept = game.__dict__["_vector"] = (a + n, w)\n',
-        '            kept = game.__dict__["_vector"] = (a, w)\n',
-        (
-            f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift",
-            f"{KERNELS}::test_wide_games_steer_without_warnings_to_the_blocked_results",
-        ),
-        "numpy steers, the exact kernels certify",
-    ),
-    Mutant(
         "the full-investment residual is taken at t = 2",
         "solver.py",
         "    res = _first_order_sum(game._pairs, u, 1.0)\n",
@@ -408,14 +397,6 @@ MUTANTS = (
             "tests/test_translation.py::TestThresholdShift::test_a_rate_whose_exp_is_the_boundary_growth_has_zero_residual",
         ),
         "numpy steers, the exact kernels certify",
-    ),
-    Mutant(
-        "a shifted game builds its arrays from its own columns plus the shift",
-        "solver.py",
-        "or map(np.array, parent._columns)",
-        "or map(np.array, game._columns)",
-        (f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_parents_arrays_plus_the_shift",),
-        "one owner per rule on the wide-game path",
     ),
     Mutant(
         "the kept boundary growth tests the second-largest payout for overflow",
@@ -460,20 +441,23 @@ MUTANTS = (
         "a game's width picks a kernel, never a path",
     ),
     Mutant(
-        "a shifted game leaves its parent without arrays",
-        "solver.py",
-        '            parent.__dict__.setdefault("_vector", (a, w))\n',
-        "",
-        ("tests/test_call_counts.py::test_a_shifted_price_builds_its_parents_columns_once",),
-        "a game's width picks a kernel, never a path",
-    ),
-    Mutant(
         "a proportion solve leaves tol and max_iter unchecked",
         "solver.py",
         "    _require_bisect_args(tol, max_iter)\n    t, res, iterations = _solve_proportion(\n",
         "    t, res, iterations = _solve_proportion(\n",
         (f"{SOLVER_TESTS}::TestSolverArguments::test_unhonourable_arguments_refused",),
         "a game's width picks a kernel, never a path",
+    ),
+    Mutant(
+        "a wide game builds its payout array from its weights",
+        "solver.py",
+        "tuple(map(np.array, game._columns))",
+        "tuple(map(np.array, game._columns[::-1]))",
+        (
+            f"{KEPT_ARRAYS}::test_a_shifted_game_keeps_its_own_columns_as_arrays",
+            f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",
+        ),
+        "a wide game builds its arrays from its own columns",
     ),
 )
 

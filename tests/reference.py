@@ -11,6 +11,10 @@ t (a - u)/u), the best log growth, and, by the envelope theorem,
 dL*/du = -(t/u) sum p a/(u + t (a - u)). At or above it the price is
 exp(sum p log a - r).
 
+Continuous uniform price: for the payoff uniform on [alpha, beta] the
+first-order sum g and the log growth L have closed forms (uniform_price),
+so the price of the continuous game needs no quadrature.
+
 Threshold: the shift n0 >= 0 solves log B(n) = r with log B(n) =
 log(sum p/(a + n)) + sum p log(a + n) and d log B/dn = H - H2/H.
 """
@@ -117,3 +121,46 @@ def threshold(pairs, r: float) -> Decimal:
         while excess(hi)[0] > 0:
             hi *= 2
         return _solve(excess, Decimal(0), hi, hi / 2)
+
+
+def uniform_price(alpha: float, beta: float, r: float) -> Decimal:
+    """The optimal price at rate r of the payoff uniform on [alpha, beta], for
+    r below its log regime boundary, from the closed forms, with
+    y(a) = u + t (a - u), c = 1 - t and k = t/u:
+
+        g(t; u) = 1/t - u/(t**2 (beta - alpha)) log(y(beta)/y(alpha)),
+        L(t; u) = (F(beta) - F(alpha))/(beta - alpha),
+        F(x) = ((c + k x) log(c + k x) - (c + k x))/k.
+
+    Here c + k a = y(a)/u. The proportion solves g = 0, with slope
+    dg/dt = -[y - 2u log y - u**2/y]/(t**3 (beta - alpha)) taken between
+    y(alpha) and y(beta); the price solves L = r, with the envelope slope
+    -(t/u) E[a/y(a)], E[a/y(a)] = [a/t - u c log y(a)/t**2]/(beta - alpha)
+    between the ends. The slopes only steer _solve's Newton. The fair price
+    is (beta - alpha)/log(beta/alpha)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        lo, hi, rate = Decimal(alpha), Decimal(beta), Decimal(r)
+        width = hi - lo
+        t = Decimal("0.5")
+
+        def between(f, u, t):
+            """f(y, a) at a = beta less at a = alpha, y = u + t (a - u)."""
+            return f(u + t * (hi - u), hi) - f(u + t * (lo - u), lo)
+
+        def foc(t, u):
+            value = 1 / t - u / (t * t * width) * between(lambda y, a: y.ln(), u, t)
+            spread = between(lambda y, a: y - 2 * u * y.ln() - u * u / y, u, t)
+            return value, -spread / (t**3 * width)
+
+        def excess(u):
+            nonlocal t
+            t = _solve(lambda s: foc(s, u), Decimal(0), Decimal(1), t)
+            c, k = 1 - t, t / u
+            growth = between(lambda y, a: ((y / u).ln() - 1) * y / u / k, u, t) / width
+            mean = between(lambda y, a: a / t - u * c * y.ln() / (t * t), u, t) / width
+            return growth - rate, -t / u * mean
+
+        fair = width / (hi / lo).ln()
+        expectation = (lo + hi) / 2
+        return _solve(excess, fair, expectation, (fair + expectation) / 2)

@@ -271,7 +271,7 @@ def test_price_translated_validates_only_a_merged_shifted_game(
     assert calls["validate"] == validations
 
 
-def test_a_wide_game_builds_its_arrays_once(calls, monkeypatch):
+def test_a_wide_game_builds_its_arrays_once(calls):
     game = random_game(np.random.default_rng(256), 256, 256)
     threshold_shift(game, 0.05)
     assert "_vector" not in vars(game)  # a threshold builds no arrays
@@ -281,26 +281,19 @@ def test_a_wide_game_builds_its_arrays_once(calls, monkeypatch):
     threshold_shift(game, 0.06)
     assert calls["_solve_price"] == 2
     assert vars(game)["_vector"] is kept
-    # a shifted game takes its parent's arrays plus the shift, and builds none
-    shifted = []
+
+
+def test_each_wide_game_builds_its_own_columns_once(monkeypatch):
+    # On a game that no price solve has touched, the shifted game's price
+    # builds the shifted game's two columns and the game's price its own: 4
+    # builds. Another shift builds only its new shifted game's two, and a
+    # later threshold on the game steers on the game's own, and builds none.
+    builds, shifted = [], []
     translate = growthprice.translation.translate
 
     def spy(game, n):
         shifted.append(translate(game, n))
         return shifted[-1]
-
-    monkeypatch.setattr(growthprice.translation, "translate", spy)
-    price_translated(game, 0.06, 1.0)
-    assert calls["_solve_price"] == 3
-    assert vars(shifted[0])["_vector"][1] is kept[1]
-
-
-def test_a_shifted_price_builds_its_parents_columns_once(monkeypatch):
-    # On a game that no price solve has touched, the shifted game's kernel
-    # builds the parent's two columns and keeps them on the parent, whose
-    # price takes them: 2 builds, where the parent building its own made 4.
-    # A later threshold on the parent steers on them, and builds none.
-    builds = []
 
     class CountedNumpy:
         def __getattr__(self, name):
@@ -311,13 +304,16 @@ def test_a_shifted_price_builds_its_parents_columns_once(monkeypatch):
             return np.array(column)
 
     monkeypatch.setattr(growthprice.solver, "_import_numpy", CountedNumpy)
+    monkeypatch.setattr(growthprice.translation, "translate", spy)
     game = random_game(np.random.default_rng(256), 256, 256)
     price_translated(game, 0.05, 1.0)
-    assert builds == [256, 256]
+    assert builds == [256] * 4
     kept = vars(game)["_vector"]
+    assert vars(shifted[0])["_vector"][1] is not kept[1]
     price_translated(game, 0.05, 2.0)
+    assert builds == [256] * 6 and "_vector" in vars(shifted[1])
     threshold_shift(game, 0.05)
-    assert len(builds) == 2 and vars(game)["_vector"] is kept
+    assert len(builds) == 6 and vars(game)["_vector"] is kept
 
 
 def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):

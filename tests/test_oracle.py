@@ -1,11 +1,13 @@
 """Oracle routes: closed forms, grid argmax, seeded wealth simulation."""
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_game, random_two_point
 from growthprice import oracle
 from growthprice import (
@@ -13,8 +15,10 @@ from growthprice import (
     Game,
     TwoPointGame,
     compute_stats,
+    game_from_nodes,
     grid_argmax_growth,
     growth_rate,
+    optimal_price,
     pre_optimal_proportion,
     simulate_wealth,
     translate,
@@ -451,6 +455,24 @@ class TestOracleAgainstSolver:
             t_cf, g_cf = two_point_closed_form(tp, u, n)
             assert abs(shifted.proportion - t_cf) <= 1e-9 * t_cf
             assert abs(shifted.growth - g_cf) <= 1e-9 * g_cf
+
+
+class TestContinuousPayoff:
+    def test_gauss_legendre_prices_converge_to_the_uniform_price(self):
+        # The payoff uniform on [1, 19] at r = 0.05, against its price from
+        # the closed forms: the price of its N-node Gauss-Legendre game
+        # falls geometrically in error up to 8 nodes, then stays within the
+        # solver's tolerance (relative errors 3.8e-3, 9.8e-6 and 1.5e-10 at
+        # 2, 4 and 8 nodes, 2.4e-13 and 7.1e-13 at 16 and 32).
+        exact = reference.uniform_price(1.0, 19.0, 0.05)
+        errors = {}
+        for nodes in (2, 4, 8, 16, 32):
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            game = game_from_nodes((10.0 + 9.0 * x).tolist(), w.tolist())
+            price = Decimal(optimal_price(game, 0.05).optimal_price)
+            errors[nodes] = float(abs(price - exact) / exact)
+        assert errors[2] >= 100.0 * errors[4] >= 1e4 * errors[8] > 0.0
+        assert max(errors[16], errors[32]) <= 1e-11
 
 
 class TestVerify:
