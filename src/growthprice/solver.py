@@ -44,39 +44,37 @@ them, and where it needs a residual, and returns what plain bisection
 returns, bit for bit, in the same number of steps.
 
 Only values that may be returned replay a bisection. Every evaluation that
-_newton_certificates makes of the proportion's and the price's residual is a
-call f(x, slope=True), whose value steers Newton or certifies a point and is
-never returned; _bisect makes only plain calls f(x), whose value may be. A
-certificate of the price needs the growth there only within the price's eta
-(_price_band), so at such a call the inner proportion solve skips its replay
-where its own certificates already meet the tolerance rule's two tests, and
+_newton_certificates makes steers Newton or certifies a point and is never
+returned, while _bisect's may be. A certificate of the price needs the
+growth there only within the price's eta (_price_band), so at the price's
+certificate evaluations the inner proportion solve skips its replay where
+its own certificates already meet the tolerance rule's two tests, and
 returns one of them. The price bisection's own evaluations replay theirs, so
 every proportion and growth a solver returns is plain bisection's.
 
 _newton_certificates finds the certificates of all three roots: safeguarded
-Newton (rtsafe in Numerical Recipes), then a probe on each side of its
-root, and further probes outward on a side the first left uncertified,
-keeping every point whose residual lies beyond a band. Newton certifies its
-own points only where it steers on the residual itself: for the proportion,
-whose residual is exact, and for the price where the joint Newton fails.
-The threshold's Newton steers on log B from _shift_slope at every width and
-on either kernel, and only its probes and the bisection evaluate B. The
-price's certificates are probed from the optimality system's root
-(_joint_newton), which has converged and so is not evaluated again; where
-the joint Newton fails, nested Newton runs from its start as before.
-For the proportion the band is 0, as the lemma holds with eta = 0 and F the
-first-order sum as evaluated: the chain needs F only weakly decreasing. Each
-term p*(a - u)/((a - u)*t + u) is made of IEEE operations that round
-monotonically and are not fused, so as evaluated it is weakly decreasing in
-t; math.fsum rounds the exact sum of the terms correctly, so the evaluated
-first-order sum is weakly decreasing in t too, and the -inf past the cap
-keeps that. The price and threshold curves are not provably monotone as
-evaluated, so their band must clear 2 eta, with eta a proven bound on the
-rounding (and, for the price, on the inner solve's optimality deficit) in
-the log of the growth; _price_band and threshold_shift derive theirs, and
-Newton runs on the log residual (_log_newton for the price, log B for the
-threshold). Where eta cannot be shown, the bisection runs without
-certificates.
+Newton (rtsafe in Numerical Recipes), then a probe on each side of its root,
+and further probes outward on a side the first left uncertified, keeping
+every point whose residual lies beyond a band. Newton certifies its own
+points only for the proportion, whose residual is exact and whose steps
+alone ask it for the slope. The threshold's Newton steers on log B from
+_shift_slope at every width and on either kernel, and only its probes and
+the bisection evaluate B. The price's certificates are probed from the
+optimality system's root (_joint_newton), which has converged and so is not
+evaluated again; where the joint Newton gives up from both of its starts,
+the price bisects plain. For the proportion the band is 0, as the lemma
+holds with eta = 0 and F the first-order sum as evaluated: the chain needs F
+only weakly decreasing. Each term p*(a - u)/((a - u)*t + u) is made of IEEE
+operations that round monotonically and are not fused, so as evaluated it is
+weakly decreasing in t; math.fsum rounds the exact sum of the terms
+correctly, so the evaluated first-order sum is weakly decreasing in t too,
+and the -inf past the cap keeps that. The price and threshold curves are not
+provably monotone as evaluated, so their band must clear 2 eta, with eta a
+proven bound on the rounding (and, for the price, on the inner solve's
+optimality deficit) in the log of the growth; _price_band and
+threshold_shift derive theirs. The price's probes start where the log growth
+is about 4 eta from r, and the threshold's Newton steers on log B. Where eta
+cannot be shown, the bisection runs without certificates.
 
 The first-order sum has two kernels, each of which returns the derivative in
 t next to the sum when asked: a plain loop, and numpy on arrays of the
@@ -411,7 +409,7 @@ def _bisect(
 
 
 def _newton_certificates(
-    f: Callable[..., tuple[float, float, float]],
+    f: Callable[..., float | tuple[float, float, float]],
     lo: float,
     hi: float,
     start: float,
@@ -423,26 +421,26 @@ def _newton_certificates(
     the residual there: (pos, f(pos), neg, f(neg)).
 
     Every call of f is a certificate evaluation, whose value the caller
-    never returns. Without steer, each is f(x, slope=True), the triple
-    (residual, Newton step, gap) at x: Newton steers on it and certifies its
-    own points, as the proportion's and the price's solves ask, and the
-    probes read its residual. Given steer, as the threshold's solve always
-    gives, Newton calls steer(x), an approximation of that triple whose
-    points certify nothing, and the probes call f(x), the residual alone.
-    Safeguarded Newton from start, or from the midpoint where start is
-    outside (lo, hi), brackets the root by the sign of each residual and
-    stops once a step is within gap, or leaves a bracket whose ends it both
-    reached: there rounding steers the step more than the curve does, and
-    _bisect splits the bracket as cheaply. It then probes at its root -+ gap
-    on each side not yet certified that closely, and on a side that its
-    probe left uncertified probes on outward, at distances growing
-    _PROBE_GROWTH-fold, until a probe reaches a certificate or leaves the
-    bracket; a gap of 0, which would probe one point forever, probes
-    nothing. Given a gap, start is taken for Newton's root: the probes start
-    there, and start is never evaluated. A residual above band certifies its
-    point positive, and one at or below -band non-positive; a missing
-    certificate is an infinity with residual nan. With _NEWTON_STEPS
-    at 0 and no gap nothing is certified.
+    never returns. Without steer, each Newton step calls f(x, slope=True),
+    the triple (residual, Newton step, gap) at x, and certifies its own
+    point, as the proportion's solve asks. Given steer, as the threshold's
+    solve always gives, Newton calls steer(x), an approximation of that
+    triple whose points certify nothing. Every probe calls f(x), the
+    residual alone. Safeguarded Newton from start, or from the midpoint
+    where start is outside (lo, hi), brackets the root by the sign of each
+    residual and stops once a step is within gap, or leaves a bracket whose
+    ends it both reached: there rounding steers the step more than the
+    curve does, and _bisect splits the bracket as cheaply. It then probes at
+    its root -+ gap on each side not yet certified that closely, and on a
+    side that its probe left uncertified probes on outward, at distances
+    growing _PROBE_GROWTH-fold, until a probe reaches a certificate or
+    leaves the bracket; a gap of 0, which would probe one point forever,
+    probes nothing. Given a gap, as the price's solve gives with its joint
+    root, start is taken for Newton's root: the probes start there, start
+    is never evaluated, and f is called only at probes. A residual above
+    band certifies its point positive, and one at or below -band
+    non-positive; a missing certificate is an infinity with residual nan.
+    With _NEWTON_STEPS at 0 and no gap nothing is certified.
     """
     pos, pos_res, neg, neg_res = -math.inf, math.nan, math.inf, math.nan
     below, above = lo, hi
@@ -472,32 +470,13 @@ def _newton_certificates(
             # past a certificate on its side a probe certifies nothing new
             if not (pos < probe < neg and lo < probe < hi):
                 break
-            res = f(probe, slope=True)[0] if certify else f(probe)
+            res = f(probe)
             if res > band:
                 pos, pos_res = probe, res
             elif res <= -band:
                 neg, neg_res = probe, res
             distance *= _PROBE_GROWTH
     return pos, pos_res, neg, neg_res
-
-
-def _log_newton(
-    res: float, slope: float, target: float, eta: float
-) -> tuple[float, float, float]:
-    """(res, Newton step, gap) for _newton_certificates from an outer
-    residual res = growth - target and the slope of the log growth: Newton
-    on log1p(res/target), stopping within 4 eta/|slope|, or at once where
-    the slope is not negative. Callers pass the band 3 eta target: where the
-    log growth is within eta of a strictly decreasing curve, a residual
-    beyond it puts the growth beyond target*exp(+-2 eta), the lemma's band,
-    with room for the rounding of res and of the band, as
-    3 eta (1 - 3 * 2**-53) >= expm1(2 eta) for eta <= 0.1.
-    """
-    if not slope < 0.0:
-        return res, 0.0, math.inf
-    ratio = res / target
-    step = math.log1p(ratio) / slope if ratio > -1.0 else math.nan
-    return res, step, -4.0 * eta / slope
 
 
 def _cap(u: float, xi: float) -> float:
@@ -520,16 +499,22 @@ def _solve_proportion(
     decreasing, so [0, cap) brackets the unique root. Every point that
     _newton_certificates evaluates from start, with band 0, certifies the
     sign of the midpoints beyond it for _bisect, which returns the same
-    float whatever the start. Without replay, where the certificates are
-    at most tol*pos apart and one of them has a residual within tol, that
-    one is returned with its residual and 0 steps instead: it meets the
-    tolerance rule's two tests as a bisection's end does (the third ending
-    in _price_band), though its bits depend on the start. Only optimal_price
+    float whatever the start: Newton's steps take the residual with its
+    step and gap, and the probes and _bisect the first-order sum alone.
+    Without replay, where the certificates are at most tol*pos apart and one
+    of them has a residual within tol, that one is returned with its
+    residual and 0 steps instead: it meets the tolerance rule's two tests as
+    a bisection's end does (the third ending in _price_band), though its
+    bits depend on the start. Only optimal_price
     asks for that, at its certificate evaluations.
     """
     hi = _cap(u, xi)
 
-    def residual(t: float, slope: bool) -> tuple[float, float, float]:
+    def residual(
+        t: float, slope: bool = False
+    ) -> float | tuple[float, float, float]:
+        if not slope:
+            return first_order_sum(u, t)
         s, ds = first_order_sum(u, t, slope=True)
         return s, (s / ds if ds < 0.0 else math.nan), _PROBE_GAP * t
 
@@ -538,8 +523,7 @@ def _solve_proportion(
         for t, res in ((pos, pos_res), (neg, neg_res)):
             if abs(res) <= tol:
                 return t, res, 0
-    f = partial(first_order_sum, u)
-    return _bisect(f, 0.0, hi, tol, max_iter, pos=pos, neg=neg)
+    return _bisect(residual, 0.0, hi, tol, max_iter, pos=pos, neg=neg)
 
 
 def proportion_residual(game: Game, u: float, t: float) -> float:
@@ -757,6 +741,13 @@ def _price_band(
     adjacent floats. The endings also need the root below 1 inside the
     proportion bracket at hi, and tol*K <= 1e-3. Past eta = 1e-6 (a tol near
     1e-4) the band would certify little, and the search runs plain.
+
+    optimal_price certifies a price where its residual growth - exp(r) lies
+    beyond the band 3 eta exp(r). Where the log growth is within eta of a
+    strictly decreasing curve, such a residual puts the growth beyond
+    exp(r -+ 2 eta), the lemma's band in the log, with room for the
+    rounding of the residual and of the band, as
+    3 eta (1 - 3 * 2**-53) >= expm1(2 eta) for eta <= 0.1.
     """
     xi, mean = stats.ess_inf, stats.expectation
     top = _cap(lo, xi)
@@ -787,12 +778,7 @@ def _price_slopes(u: float, t: float, g: float, g_t: float) -> tuple[float, floa
     -u dg/du = sum p (x + u) u/d**2 = (1 - t g) + (1 - t)(g + t g_t), and
     u dL/du = sum p ((1 - t) u/d - 1) = -t (1 + (1 - t) g)."""
     g_u = -((1.0 - t * g) + (1.0 - t) * (g + t * g_t)) / u
-    return g_u, _envelope_slope(u, t, g)
-
-
-def _envelope_slope(u: float, t: float, g: float) -> float:
-    """dL/du at (u, t), g the first-order sum there (_price_slopes)."""
-    return -t / u * (1.0 + (1.0 - t) * g)
+    return g_u, -t / u * (1.0 + (1.0 - t) * g)
 
 
 def _joint_newton(
@@ -803,28 +789,29 @@ def _joint_newton(
     u: float,
     r: float,
     eta: float,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | None:
     """The root (u, t) of the optimality system (g, L - r) = 0 by Newton from
     u and the proportion's chord (E - u)/(E - fair_price), with dL/dt = g and
     _price_slopes, once a step moves u by at most sqrt(eta) of it, the next
     by about eta; with it the distance 4 eta u/t at which the price's
-    certificates are probed, the gap of _log_newton where g = 0. A step that
-    leaves (lo, hi) or the capped proportions is halved, up to
-    _JOINT_HALVINGS times. Where the start is outside them, a step still
-    leaves them, the determinant is not positive, or _NEWTON_STEPS pass, it
-    returns (u, nan, nan) with u as given."""
+    certificates are probed. Where g = 0 the log growth falls at
+    |dL/du| = t/u, so that distance moves it by about 4 eta, past the
+    lemma's 2 eta. Where the Jacobian's determinant is not positive, the
+    step is Newton's in t alone at fixed u, t - g/g_t, which is no step
+    towards convergence in u. A step that leaves (lo, hi) or the capped
+    proportions is halved, up to _JOINT_HALVINGS times. Where the start is
+    outside them, a step still leaves them, or _NEWTON_STEPS pass, it gives
+    up and returns None."""
     stats = compute_stats(game)
     xi, mean = stats.ess_inf, stats.expectation
 
     def inside(u: float, t: float) -> bool:
         return lo < u < hi and 0.0 < t < _cap(u, xi)
 
-    start, t, du = u, (mean - u) / (mean - stats.fair_price), math.inf
+    t = (mean - u) / (mean - stats.fair_price)
     if not inside(u, t):
-        return start, math.nan, math.nan
+        return None
     for _ in range(_NEWTON_STEPS):
-        if abs(du) <= math.sqrt(eta) * u:
-            return u, t, 4.0 * eta * u / t
         g, g_t = first_order_sum(u, t, slope=True)
         if (kept := _steering(game, u / t)) is not None:
             # numpy's log1p steers; the gate at u/t bounds t (a - u)/u
@@ -834,18 +821,21 @@ def _joint_newton(
             excess = _log_growth(game._pairs, u, t) - r
         g_u, l_u = _price_slopes(u, t, g, g_t)
         det = g_t * l_u - g_u * g
-        if not det > 0.0:
-            break
-        du = (g_t * excess - g * g) / det
-        dt = (g * l_u - g_u * excess) / det
+        if det > 0.0:
+            du = (g_t * excess - g * g) / det
+            dt = (g * l_u - g_u * excess) / det
+        else:
+            du, dt = 0.0, g / g_t
         for _ in range(_JOINT_HALVINGS + 1):
             if inside(u - du, t - dt):
                 break
             du, dt = 0.5 * du, 0.5 * dt
         else:
-            break
+            return None
         u, t = u - du, t - dt
-    return start, math.nan, math.nan
+        if det > 0.0 and abs(du) <= math.sqrt(eta) * u:
+            return u, t, 4.0 * eta * u / t
+    return None
 
 
 def optimal_price(
@@ -868,22 +858,20 @@ def optimal_price(
     solve (module docstring), so the growth returned is a function of the
     price alone.
 
-    The bisection is replayed from the certificates of _newton_certificates:
-    Newton in u on log G - r with the envelope slope d log G*/du, dL/du at
-    the inner root (_envelope_slope), from the inner solve's (t, g), with no
-    pass over the outcomes. Where the joint Newton (_joint_newton) reaches
-    the root of the optimality system, that root takes Newton's place: it
-    is not evaluated, and the probes start there, 4 eta u/t out, and its
-    proportion starts the first inner solve.
-    Elsewhere Newton starts at the later of the tangent at the fair price,
-    where the slope is -1/u, and the small-rate estimate
-    E - sigma sqrt(2 r), which Newton climbs from below without overshooting
-    where log G* is convex, as its small-rate form (E - u)**2/(2 sigma**2)
-    is; the joint Newton starts there too. No start moves a bit. eta,
-    derived in _price_band, bounds the rounding of the log growth and the
-    inner solve's optimality deficit; where it cannot be shown the
-    bisection runs plain. A fair price within _PRICE_MARGIN of the
-    expectation leaves no bracket and is refused.
+    The bisection is replayed from the certificates of _newton_certificates,
+    probed from the root of the optimality system (g, L - r) = 0 that
+    _joint_newton finds by Newton in (u, t) jointly: that root is not
+    evaluated, the probes start there, 4 eta u/t out, and its proportion
+    starts the first inner solve. The joint Newton starts at the later of
+    the tangent at the fair price, where the slope is -1/u, and the
+    small-rate estimate E - sigma sqrt(2 r), which Newton climbs from below
+    without overshooting where log G* is convex, as its small-rate form
+    (E - u)**2/(2 sigma**2) is; where it gives up from there it runs once
+    more from the other. No start moves a bit. eta, derived in _price_band,
+    bounds the rounding of the log growth and the inner solve's optimality
+    deficit; where it cannot be shown, or the joint Newton gives up from
+    both starts, the bisection runs plain. A fair price within
+    _PRICE_MARGIN of the expectation leaves no bracket and is refused.
 
     The game keeps the last result, under its exact arguments compared by
     type and value (r=1 and r=1.0 give different rate fields), and returns
@@ -924,20 +912,15 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
     xi = stats.ess_inf
     t = growth = math.nan
 
-    def excess_growth(
-        price: float, slope: bool = False
-    ) -> float | tuple[float, float, float]:
+    def excess_growth(price: float, replay: bool = True) -> float:
         # Keeps the proportion and growth of the last price evaluated, which
         # is the price _bisect returns; that proportion starts the next solve.
         nonlocal t, growth
-        t, g, _ = _solve_proportion(
-            first_order_sum, xi, price, tol, max_iter, t, replay=not slope
+        t, _, _ = _solve_proportion(
+            first_order_sum, xi, price, tol, max_iter, t, replay=replay
         )
         growth = math.exp(_log_growth(outcomes, price, t))
-        if not slope:
-            return growth - target
-        # the envelope slope, with sum p taken as 1
-        return _log_newton(growth - target, _envelope_slope(price, t, g), target, eta)
+        return growth - target
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
     hi = stats.expectation * (1.0 - _PRICE_MARGIN)
@@ -950,15 +933,17 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
     eta = _price_band(game, stats, lo, hi, tol, max_iter)
     if eta < math.inf:
         mean = stats.expectation
-        spread = _relative_spread(game, mean)
-        start = max(
-            lo * (1.0 + math.log(stats.boundary_growth) - r),
-            mean * (1.0 - math.sqrt(2.0 * r * spread)),
-        )
-        start, t, gap = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
-        pos, _, neg, _ = _newton_certificates(
-            excess_growth, lo, hi, start, 3.0 * eta * target, gap
-        )
+        tangent = lo * (1.0 + math.log(stats.boundary_growth) - r)
+        small_rate = mean * (1.0 - math.sqrt(2.0 * r * _relative_spread(game, mean)))
+        band = 3.0 * eta * target  # clears 2 eta in the log: _price_band
+        for start in sorted((tangent, small_rate), reverse=True):
+            root = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
+            if root is not None:
+                u, t, gap = root
+                pos, _, neg, _ = _newton_certificates(
+                    partial(excess_growth, replay=False), lo, hi, u, band, gap
+                )
+                break
     price, _, _ = _bisect(excess_growth, lo, hi, tol, max_iter, pos=pos, neg=neg)
     return PricingSolution(
         rate=r,

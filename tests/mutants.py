@@ -72,14 +72,14 @@ KEPT_ARRAYS = f"{SOLVER_TESTS}::TestKeptArrays"
 REFERENCE_ETA = (
     "tests/test_reference.py::test_every_price_certificate_is_within_eta_of_the_best_log_growth"
 )
-REFERENCE_BAND = (
-    "tests/test_reference.py::test_every_price_certificate_clears_eta_in_the_best_log_growth"
-)
 REFERENCE_THRESHOLD_BAND = (
     "tests/test_reference.py::test_every_threshold_certificate_clears_eta_in_the_log_boundary"
 )
 REFERENCE_THRESHOLD_STEERED = (
     "tests/test_reference.py::test_a_threshold_steered_onto_its_root_certifies_only_past_its_band"
+)
+REFERENCE_PRICE_FROM_ROOT = (
+    "tests/test_reference.py::test_a_price_probed_from_its_root_certifies_only_past_its_band"
 )
 JOINT_JACOBIAN = "tests/test_properties.py::test_joint_jacobian_identities_match_direct_sums"
 
@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "the price certificates' band is -1",
         "solver.py",
-        "excess_growth, lo, hi, start, 3.0 * eta * target",
-        "excess_growth, lo, hi, start, -1.0",
+        "band = 3.0 * eta * target",
+        "band = -1.0",
         ("tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",),
         "b2f761f, a game keeps its last price",
     ),
@@ -210,25 +210,17 @@ MUTANTS = (
     Mutant(
         "the price certificates' band is 0",
         "solver.py",
-        "excess_growth, lo, hi, start, 3.0 * eta * target",
-        "excess_growth, lo, hi, start, 0.0 * eta * target",
-        (
-            "tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",
-            REFERENCE_BAND,
-            f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_price_probe_inside_the_band_certifies_nothing",
-        ),
+        "band = 3.0 * eta * target",
+        "band = 0.0 * eta * target",
+        (REFERENCE_PRICE_FROM_ROOT,),
         "09b1d46, price and threshold certificates",
     ),
     Mutant(
         "the envelope slope drops the first-order sum",
         "solver.py",
-        "    return -t / u * (1.0 + (1.0 - t) * g)\n",
-        "    return -t / u * (1.0 + 0.0 * g)\n",
-        (
-            "tests/test_properties.py::test_envelope_slope_from_the_identity_matches_a_direct_sum",
-            "tests/test_properties.py::test_envelope_slope_identity_holds_away_from_the_root",
-            JOINT_JACOBIAN,
-        ),
+        "    return g_u, -t / u * (1.0 + (1.0 - t) * g)\n",
+        "    return g_u, -t / u * (1.0 + 0.0 * g)\n",
+        (JOINT_JACOBIAN,),
         "1b9ef19, one arithmetic on both kernels",
     ),
     Mutant(
@@ -270,8 +262,8 @@ MUTANTS = (
     Mutant(
         "the price bisection's own evaluations skip the replay too",
         "solver.py",
-        "first_order_sum, xi, price, tol, max_iter, t, replay=not slope",
-        "first_order_sum, xi, price, tol, max_iter, t, replay=False",
+        "    def excess_growth(price: float, replay: bool = True) -> float:\n",
+        "    def excess_growth(price: float, replay: bool = False) -> float:\n",
         (
             "tests/test_properties.py::test_certified_price_and_threshold_replay_plain_bisection",
             "tests/test_properties.py::test_the_joint_start_moves_no_bit",
@@ -305,17 +297,16 @@ MUTANTS = (
     Mutant(
         "the joint step's stop squares u, which overflows at large scales",
         "solver.py",
-        "        if abs(du) <= math.sqrt(eta) * u:\n",
-        "        if du * du <= eta * u * u:\n",
+        "        if det > 0.0 and abs(du) <= math.sqrt(eta) * u:\n",
+        "        if det > 0.0 and du * du <= eta * u * u:\n",
         ("tests/test_call_counts.py::test_the_joint_newton_steps_of_a_price",),
         "the price by Newton on the optimality system",
     ),
     Mutant(
-        "the joint root is ignored as a start",
+        "the certificates probe from the joint Newton's start, not its root",
         "solver.py",
-        "        start, t, gap = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n",
-        "        _joint_newton(first_order_sum, game, lo, hi, start, r, eta)\n"
-        "        gap = math.nan\n",
+        "partial(excess_growth, replay=False), lo, hi, u, band, gap",
+        "partial(excess_growth, replay=False), lo, hi, start, band, gap",
         ("tests/test_call_counts.py::test_first_order_evaluations_at_the_default_max_iter",),
         "the price by Newton on the optimality system",
     ),
@@ -373,8 +364,8 @@ MUTANTS = (
     Mutant(
         "probes certify with the steering values",
         "solver.py",
-        "            res = f(probe, slope=True)[0] if certify else f(probe)\n",
-        "            res = f(probe, slope=True)[0] if certify else steer(probe)[0]\n",
+        "            res = f(probe)\n",
+        "            res = steer(probe)[0] if steer else f(probe)\n",
         (f"{SOLVER_TESTS}::TestNewtonCertificates::test_a_steered_newton_certifies_with_f_alone",),
         "numpy steers, the exact kernels certify",
     ),
@@ -458,6 +449,30 @@ MUTANTS = (
             f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",
         ),
         "a wide game builds its arrays from its own columns",
+    ),
+    Mutant(
+        "the joint Newton gives up on a singular Jacobian",
+        "solver.py",
+        "            du, dt = 0.0, g / g_t\n",
+        "            return None\n",
+        ("tests/test_call_counts.py::test_a_singular_joint_jacobian_steps_in_t_alone",),
+        "the price certifies from its joint root alone",
+    ),
+    Mutant(
+        "a step in t alone counts as convergence in u",
+        "solver.py",
+        "        if det > 0.0 and abs(du) <= math.sqrt(eta) * u:\n",
+        "        if abs(du) <= math.sqrt(eta) * u:\n",
+        ("tests/test_call_counts.py::test_a_singular_joint_jacobian_steps_in_t_alone",),
+        "the price certifies from its joint root alone",
+    ),
+    Mutant(
+        "the price tries only the later start",
+        "solver.py",
+        "sorted((tangent, small_rate), reverse=True)",
+        "sorted((tangent, small_rate), reverse=True)[:1]",
+        ("tests/test_call_counts.py::test_a_price_whose_later_start_fails_runs_the_other",),
+        "the price certifies from its joint root alone",
     ),
 )
 

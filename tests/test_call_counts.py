@@ -180,14 +180,42 @@ def test_first_order_evaluations_of_a_price_across_rates(
 def test_newton_falls_back_to_the_midpoint_of_its_bracket(calls):
     # Newton steps here leave the bracket that the residuals' signs have
     # closed in while one end is still the search's own, and Newton goes on
-    # from the bracket's midpoint; from below + above in its place it made 139
+    # from the bracket's midpoint; from below + above in its place it made 87
+    game = Game.from_pairs(
+        [
+            (0.31544601333302646, 0.28127514620049043),
+            (1.6236423946968355, 0.26884844574005395),
+            (2.708636850207945, 0.0913847176434288),
+            (3.2208101131495437, 0.1804912758207288),
+            (67.17287225476265, 0.17800041459529808),
+        ]
+    )
+    pre_optimal_proportion(game, 13.001018304609065)
+    assert calls["_first_order_sum"] == 9
+
+
+def test_a_singular_joint_jacobian_steps_in_t_alone(calls):
+    # The joint Jacobian's determinant is not positive on the way, and the
+    # joint Newton takes a Newton step in t at fixed u there. Where it gave
+    # up instead, the price bisected plain: 218 evaluations, and 62 while a
+    # nested Newton in u took over. Had the step in t counted as convergence
+    # in u, 260.
     payouts = (0.2959179789029522, 0.3930126534257426, 0.4024520678344659)
     weights = (0.03782452482439821, 0.5847897679149227, 0.32870714237161697)
     game = Game.from_pairs(
         zip(payouts + (23.214980394306593,), weights + (0.048678564889062116,))
     )
     optimal_price(game, 0.030909817666472668)
-    assert calls["_first_order_sum"] == 62
+    assert calls["_first_order_sum"] == 27
+
+
+def test_a_price_whose_later_start_fails_runs_the_other(calls):
+    # At 1e-3 of its log boundary, the joint Newton gives up from the later
+    # of the price's two starts and reaches the root from the other; from
+    # the later start alone the price bisected plain, with 207 evaluations
+    game = random_game(np.random.default_rng(6), 2, 8)
+    optimal_price(game, 1e-3 * math.log(compute_stats(game).boundary_growth))
+    assert calls["_first_order_sum"] == 41
 
 
 @pytest.mark.parametrize(

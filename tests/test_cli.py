@@ -469,6 +469,60 @@ class TestDeterminism:
         assert "0.050000000000000003" in out
 
 
+# The fixture files and commands whose stdout bench/golden/ holds, written
+# and run as the CI step for the installed entry point does.
+_GOLDEN_FIXTURES = {
+    "two_point.json": '{"label": "two-point", "outcomes": [{"payout": 1.0,'
+    ' "prob": 0.5}, {"payout": 19.0, "prob": 0.5}]}',
+    "three_point.json": '{"label": "three-point", "outcomes": [{"payout": 2.0,'
+    ' "prob": 0.25}, {"payout": 4.0, "prob": 0.25}, {"payout": 8.0, "prob": 0.5}]}',
+}
+_GOLDEN_SHIFTS = [1.0, 10.0, 100.0, 1000.0]
+_GOLDEN = [
+    *(
+        (f"{command}_{fixture}.json", command, f"{fixture}.json", extra)
+        for fixture in ("two_point", "three_point")
+        for command, extra in (
+            ("analyze", {}),
+            ("price", {"rate": 0.05}),
+            ("translate", {"rate": 0.05, "shift": 10.0}),
+            ("threshold", {"rate": 0.05}),
+        )
+    ),
+    (
+        "sweep_two_point.json",
+        "sweep",
+        "two_point.json",
+        {"rate": 0.05, "shifts": _GOLDEN_SHIFTS},
+    ),
+    (
+        "sweep_three_point.csv",
+        "sweep",
+        "three_point.json",
+        {"rate": 0.05, "shifts": _GOLDEN_SHIFTS, "output_format": "csv"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "golden, command, game_path, extra", _GOLDEN, ids=[case[0] for case in _GOLDEN]
+)
+def test_commands_print_the_golden_bytes(
+    tmp_path, monkeypatch, golden, command, game_path, extra
+):
+    # the bytes bench/golden/ holds, as the benchmark and CI compare them;
+    # each report echoes the game path, so it is given relative to its folder
+    golden_dir = Path(__file__).resolve().parents[1] / "bench" / "golden"
+    expected = (golden_dir / golden).read_bytes()
+    for name, text in _GOLDEN_FIXTURES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO(newline="")
+    code = run(RunConfig(command=command, game_path=game_path, **extra), stdout=out)
+    assert code == EXIT_OK
+    assert out.getvalue().encode() == expected
+
+
 # Per command: the argv after --game and the RunConfig fields it must set.
 _ARGV = {
     "analyze": (["--normalize"], {"normalize": True}),

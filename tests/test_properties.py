@@ -3,9 +3,9 @@ one regime boundary shared by all of them, additive prices below the threshold
 shift, monotone prices in the rate and the shift, cap tests at the smallest
 payout that refuse exactly what a per-term scan refuses, first-order sums that
 are weakly decreasing in t as evaluated, proportion, price and threshold
-solves from sign certificates that replay plain bisection bit for bit, an
-envelope slope from an exact identity that matches a direct sum, an exact
-spec round trip, and shifted games that equal the games built from their
+solves from sign certificates that replay plain bisection bit for bit, the
+joint Newton's Jacobian from exact identities that match direct sums, an
+exact spec round trip, and shifted games that equal the games built from their
 shifted outcomes."""
 
 import math
@@ -38,7 +38,6 @@ from growthprice import (
     translate,
     validate,
 )
-from growthprice.games import WEIGHT_SUM_TOL
 from growthprice.solver import (
     _CAP_MARGIN,
     _PRICE_MARGIN,
@@ -411,106 +410,17 @@ def _price_threshold_and_shift(game: Game, r: float) -> list[str]:
     fraction=st.floats(0.01, 1.0 - 1e-9) | st.sampled_from((1e-9, 1.0 - 1e-12, 1.5)),
 )
 def test_the_joint_start_moves_no_bit(game, fraction):
-    # The joint root only starts the certificate search. With the joint step
-    # returning the start it was given, as it does where it fails, every
-    # price, threshold and shifted price keeps its bits.
-    def start_as_given(first_order_sum, game, lo, hi, u, r, eta):
-        return u, math.nan, math.nan
+    # The joint root only starts the certificate search. With the joint
+    # Newton giving up from every start, so that the price bisects plain,
+    # every price, threshold and shifted price keeps its bits.
+    def gives_up(first_order_sum, game, lo, hi, u, r, eta):
+        return None
 
     r = fraction * math.log(boundary_growth(game, 0.0))
     assume(r > 1e-15)
     joint = _price_threshold_and_shift(game, r)
-    with patch.object(growthprice.solver, "_joint_newton", start_as_given):
+    with patch.object(growthprice.solver, "_joint_newton", gives_up):
         assert _price_threshold_and_shift(Game(*game), r) == joint
-
-
-def _envelope_slopes(
-    game: Game, r: float, tol: float, offset: float = 0.0
-) -> list[tuple[float, ...]]:
-    """(u, t, g, slope) at every Newton step of optimal_price: the price, the
-    proportion and first-order sum that the inner solve returned there, and
-    the envelope slope that steered Newton. A nonzero offset moves each
-    proportion the inner solve returns down by that share of itself, with g
-    the first-order sum there."""
-    solve, newton = growthprice.solver._solve_proportion, growthprice.solver._log_newton
-    inner, seen = [], []
-
-    def spy_solve(first_order_sum, xi, u, *args, **kwargs):
-        t, g, steps = solve(first_order_sum, xi, u, *args, **kwargs)
-        if offset:
-            t *= 1.0 - offset
-            g = first_order_sum(u, t)
-        inner[:] = [u, t, g]
-        return t, g, steps
-
-    def spy_newton(res, slope, target, eta):
-        seen.append((*inner, slope))
-        return newton(res, slope, target, eta)
-
-    with patch.object(growthprice.solver, "_solve_proportion", spy_solve):
-        with patch.object(growthprice.solver, "_log_newton", spy_newton):
-            optimal_price(game, r, tol=tol)
-    return seen
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    game=st.builds(_scaled, unscaled_wide_games, st.sampled_from((1e-200, 1.0, 1e200)))
-    | st.builds(_with_tiny_infimum_mass, wide_games, st.sampled_from((1e-9, 1e-6))),
-    fraction=st.floats(0.01, 0.99),
-    tol=st.sampled_from((1e-12, 1e-6)),
-)
-def test_envelope_slope_from_the_identity_matches_a_direct_sum(game, fraction, tol):
-    # optimal_price takes d log G*/du = -(t/u) sum p a/d, d = u + t (a - u),
-    # as -(t/u) (1 + (1 - t) g) from the inner solve's (t, g). The two agree
-    # to rounding and to validate's slack in sum p. Each term of either sum is
-    # within 5.1 eps (1 + t|a - u|/d) of its size, the second factor for the
-    # cancellation in d, and fsum, the product with 1 - t and the sums add a
-    # few eps of the whole, so with M the fsum of p (a + |(1 - t)(a - u)|)/d
-    # times that factor, the sums differ by at most WEIGHT_SUM_TOL + 16 eps M.
-    # The slope shares its factor -t/u with the direct sum's.
-    eps = 2.0**-53
-    r = fraction * math.log(boundary_growth(game, 0.0))
-    assume(r > 1e-15 and _has_pricing_bracket(game))
-    for u, t, g, slope in _envelope_slopes(game, r, tol):
-        terms, sizes = [], []
-        for a, w in game._pairs:
-            x = a - u
-            d = x * t + u
-            terms.append(w * a / d)
-            sizes.append(w * (a + abs((1.0 - t) * x)) / d * (1.0 + t * abs(x) / d))
-        total = math.fsum(terms)
-        direct = -t / u * total
-        bound = (WEIGHT_SUM_TOL + 16.0 * eps * math.fsum(sizes)) / total + 4.0 * eps
-        assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
-        assert bound < 1e-11
-
-
-@settings(derandomize=True, deadline=None, max_examples=20)
-@given(game=wide_games, fraction=st.floats(0.01, 0.99))
-def test_envelope_slope_identity_holds_away_from_the_root(game, fraction):
-    # The identity holds at every t, not only at the root, where g is near 0
-    # and a slope that dropped its (1 - t) g term would pass unseen. A
-    # proportion 1e-3 below the root makes that term about 1e-3 of the slope.
-    # The bound is the one derived in the test above.
-    eps = 2.0**-53
-    r = fraction * math.log(boundary_growth(game, 0.0))
-    assume(r > 1e-15)
-    seen = _envelope_slopes(game, r, 1e-12, offset=1e-3)
-    assert seen
-    for u, t, g, slope in seen:
-        terms, sizes = [], []
-        for a, w in game._pairs:
-            x = a - u
-            d = x * t + u
-            terms.append(w * a / d)
-            sizes.append(w * (a + abs((1.0 - t) * x)) / d * (1.0 + t * abs(x) / d))
-        total = math.fsum(terms)
-        direct = -t / u * total
-        bound = (WEIGHT_SUM_TOL + 16.0 * eps * math.fsum(sizes)) / total + 4.0 * eps
-        assert abs(slope - direct) <= bound * abs(direct), (u, t, g)
-        # the term the identity adds to sum p is far beyond the bound
-        assert abs((1.0 - t) * g) > 100.0 * bound, (u, t, g)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -11,10 +11,11 @@ On the same games, the log growth that optimal_price evaluates at each of
 its certificates must lie within the eta of _price_band of the best log
 growth L*(u) there, and L*(u) - r must exceed eta at the two certificates
 that its price bisection is handed, positive below the root and negative
-above it. Likewise log B(n) - r must exceed threshold_shift's eta at the two
-certificates that its bisection is handed, also where its Newton is steered
-onto the reference root, so that only the band keeps the probes next to the
-root from certifying.
+above it, also where its probes start from the reference root. Likewise
+log B(n) - r must exceed threshold_shift's eta at the two certificates that
+its bisection is handed, also where its Newton is steered onto the
+reference root. From the reference root only the band keeps the probes next
+to it from certifying.
 """
 
 import math
@@ -127,14 +128,16 @@ def test_threshold_shift_matches_the_reference(pairs, r):
         assert _relative_error(n0, reference.threshold(pairs, r)) <= MAX_REL_ERROR
 
 
-def _certificate_evaluations(game: Game, r: float):
+def _certificate_evaluations(game: Game, r: float, root: float | None = None):
     """The etas _price_band returned; (u, t) at every certificate evaluation
     of optimal_price: each inner solve that may skip the replay, whether it
     did or fell back to the replayed bisection; and the (pos, neg) handed to
-    the price bisection."""
+    the price bisection. Given a root, the joint Newton returns it in place
+    of its own, with 1/64 of its gap, so that the probes start about eta/16
+    from the root in the log growth."""
     solver = growthprice.solver
     price_band, solve = solver._price_band, solver._solve_proportion
-    bisect = solver._bisect
+    bisect, joint = solver._bisect, solver._joint_newton
     etas, seen, certificates = [], [], []
 
     def spy_band(*args):
@@ -152,11 +155,36 @@ def _certificate_evaluations(game: Game, r: float):
             certificates.append((pos, neg))
         return bisect(f, *args, pos=pos, neg=neg, **kwargs)
 
+    def spy_joint(*args):
+        found = joint(*args)
+        if found is None or root is None:
+            return found
+        _, t, gap = found
+        return root, t, gap / 64.0
+
     with patch.object(solver, "_price_band", spy_band):
         with patch.object(solver, "_solve_proportion", spy_solve):
             with patch.object(solver, "_bisect", spy_bisect):
-                optimal_price(game, r)
+                with patch.object(solver, "_joint_newton", spy_joint):
+                    optimal_price(game, r)
     return etas, seen, certificates
+
+
+def _price_rate(pairs, r: float) -> float:
+    """r, or half the log boundary where exp(r) reaches the boundary growth
+    and the price is full investment, which has no band."""
+    boundary = compute_stats(Game.from_pairs(pairs)).boundary_growth
+    return r if math.exp(r) < boundary else 0.5 * math.log(boundary)
+
+
+def _assert_price_certificates_clear_eta(pairs, r, eta, pos, neg):
+    # the best log growth L*(u) - r clears eta at each certificate, so the
+    # exact root lies strictly between the two
+    assert eta < math.inf and pos < neg
+    for u, sign in ((pos, 1), (neg, -1)):
+        if math.isfinite(u):
+            excess = reference.best_log_growth(pairs, u) - Decimal(r)
+            assert sign * excess > eta, (u, excess)
 
 
 @pytest.mark.parametrize(
@@ -168,9 +196,7 @@ def test_every_price_certificate_is_within_eta_of_the_best_log_growth(pairs, r):
     # A rate priced at full investment has no band, so that game is priced
     # at half its log boundary instead.
     game = Game.from_pairs(pairs)
-    boundary = compute_stats(game).boundary_growth
-    if math.exp(r) >= boundary:
-        r = 0.5 * math.log(boundary)
+    r = _price_rate(pairs, r)
     (eta,), seen, _ = _certificate_evaluations(game, r)
     assert eta < math.inf and seen
     for u, t in seen:
@@ -188,16 +214,25 @@ def test_every_price_certificate_clears_eta_in_the_best_log_growth(pairs, r):
     # root lies strictly between the two. A band of 0 would hand the bisection
     # a point next to the root. Rates priced at full investment are moved to
     # half the log boundary, as above.
-    game = Game.from_pairs(pairs)
-    boundary = compute_stats(game).boundary_growth
-    if math.exp(r) >= boundary:
-        r = 0.5 * math.log(boundary)
-    (eta,), _, ((pos, neg),) = _certificate_evaluations(game, r)
-    assert eta < math.inf and pos < neg
-    for u, sign in ((pos, 1), (neg, -1)):
-        if math.isfinite(u):
-            excess = reference.best_log_growth(pairs, u) - Decimal(r)
-            assert sign * excess > eta, (u, excess)
+    r = _price_rate(pairs, r)
+    (eta,), _, ((pos, neg),) = _certificate_evaluations(Game.from_pairs(pairs), r)
+    _assert_price_certificates_clear_eta(pairs, r, eta, pos, neg)
+
+
+@pytest.mark.parametrize(
+    "pairs, r", [pytest.param(pairs, r, id=name) for name, pairs, r in CASES]
+)
+def test_a_price_probed_from_its_root_certifies_only_past_its_band(pairs, r):
+    # The joint root replaced by the 50-digit root, with a gap far below eta,
+    # puts the first probes inside the band, where a residual certifies
+    # nothing: a band of 0 would certify them, next to the root
+    r = _price_rate(pairs, r)
+    root = float(reference.price(pairs, r))
+    (eta,), _, ((pos, neg),) = _certificate_evaluations(Game.from_pairs(pairs), r, root)
+    # a side whose probes leave the bracket near the fair price or the
+    # expectation stays uncertified
+    assert math.isfinite(pos) or math.isfinite(neg)
+    _assert_price_certificates_clear_eta(pairs, r, eta, pos, neg)
 
 
 def _threshold_certificates(game: Game, r: float, root: float | None = None):

@@ -47,7 +47,6 @@ from growthprice.solver import (
     _first_order_kernel,
     _first_order_sum,
     _kept_boundary_growth,
-    _log_newton,
     _newton_certificates,
     _relative_spread,
     _solve_proportion,
@@ -434,8 +433,8 @@ class TestBisect:
 
 def _residual(square: bool, band: float):
     """2 - x*x, which no float makes 0, or 0.3 - x, which is 0 exactly at
-    the float 0.3, with Newton's step and a gap that the band sets as
-    _log_newton's does, or 1e-14 x, the proportion's, where the band is 0."""
+    the float 0.3, with Newton's step and a gap of 4 band over the slope's
+    size, or 1e-14 x, the proportion's, where the band is 0."""
 
     def f(x, slope=False):
         res, derivative = (2.0 - x * x, -2.0 * x) if square else (0.3 - x, -1.0)
@@ -474,15 +473,24 @@ class TestNewtonCertificates:
             assert pos < 0.3 <= neg
         assert neg - pos <= 1e-13 + 10.0 * band
 
-    def test_every_evaluation_asks_for_the_slope(self):
+    @pytest.mark.parametrize(
+        "start, gap, steps, probes",
+        [(1.9, math.nan, 6, 1), (math.sqrt(2.0), 1e-9, 0, 2)],
+        ids=("newton", "given-root"),
+    )
+    def test_only_newton_steps_ask_for_the_slope(self, start, gap, steps, probes):
+        # Newton's steps take (residual, step, gap), and the probes from its
+        # root the residual alone; given a gap, start is that root and
+        # Newton takes no step
         seen = []
 
         def f(x, slope=False):
-            seen.append(slope)
+            seen.append((x, slope))
             return _residual(True, 0.0)(x, slope)
 
-        _newton_certificates(f, 0.0, 2.0, 1.9, 0.0)
-        assert seen and all(seen)
+        _newton_certificates(f, 0.0, 2.0, start, 0.0, gap)
+        assert [slope for _, slope in seen] == [True] * steps + [False] * probes
+        assert start not in [x for x, slope in seen if not slope]
 
     @pytest.mark.parametrize("bias", (0.0, 1e-7, -1e-7))
     def test_a_steered_newton_certifies_with_f_alone(self, bias):
@@ -540,43 +548,6 @@ class TestNewtonCertificates:
         assert calls == [0.5]
         assert (pos, neg) == (-math.inf, math.inf)
         assert math.isnan(pos_res) and math.isnan(neg_res)
-
-    def test_a_price_probe_inside_the_band_certifies_nothing(self):
-        # At small rates a probe from the joint root can read a growth
-        # residual of 0 or a few ulps, inside the band 3 eta exp(r), where
-        # the lemma certifies nothing; each certificate must clear the band.
-        game = random_game(np.random.default_rng(6), 2, 8)
-        r = 1e-3 * math.log(compute_stats(game).boundary_growth)
-        band, certify = growthprice.solver._price_band, _newton_certificates
-        etas, residuals, certificates = [], [], []
-
-        def spy_band(*args):
-            etas.append(band(*args))
-            return etas[-1]
-
-        def spy_certify(f, *args):
-            if f.__name__ != "excess_growth":  # an inner proportion solve
-                return certify(f, *args)
-
-            def evaluation(x, slope=False):
-                out = f(x, slope=slope)
-                residuals.append(out[0])
-                return out
-
-            certificates.append(certify(evaluation, *args))
-            return certificates[-1]
-
-        with patch.object(growthprice.solver, "_price_band", spy_band):
-            with patch.object(growthprice.solver, "_newton_certificates", spy_certify):
-                optimal_price(game, r)
-        (eta,), ((_, pos_res, _, neg_res),) = etas, certificates
-        band = 3.0 * eta * math.exp(r)
-        assert any(abs(res) <= band for res in residuals)
-        assert pos_res > band and neg_res <= -band
-
-    @pytest.mark.parametrize("slope", (0.0, 1.0, math.nan))
-    def test_log_newton_takes_no_step_where_the_slope_is_not_negative(self, slope):
-        assert _log_newton(0.25, slope, 2.0, 1e-9) == (0.25, 0.0, math.inf)
 
 
 class TestReplayFreeProportion:
