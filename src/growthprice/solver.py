@@ -58,66 +58,40 @@ and further probes outward on a side the first left uncertified, keeping
 every point whose residual lies beyond a band. Newton certifies its own
 points only for the proportion, whose residual is exact and whose steps
 alone ask it for the slope. The threshold's Newton steers on log B from
-_shift_slope at every width and on either kernel, and only its probes and
-the bisection evaluate B. The price's certificates are probed from the
-optimality system's root (_joint_newton), which has converged and so is not
-evaluated again; where the joint Newton gives up from both of its starts,
-the price bisects plain. For the proportion the band is 0, as the lemma
-holds with eta = 0 and F the first-order sum as evaluated: the chain needs F
-only weakly decreasing. Each term p*(a - u)/((a - u)*t + u) is made of IEEE
-operations that round monotonically and are not fused, so as evaluated it is
-weakly decreasing in t; math.fsum rounds the exact sum of the terms
-correctly, so the evaluated first-order sum is weakly decreasing in t too,
-and the -inf past the cap keeps that. The price and threshold curves are not
-provably monotone as evaluated, so their band must clear 2 eta, with eta a
-proven bound on the rounding (and, for the price, on the inner solve's
-optimality deficit) in the log of the growth; _price_band and
+kernels._shift_slope at every width and on either kernel, and only its
+probes and the bisection evaluate B. The price's certificates are probed
+from the optimality system's root (_joint_newton), which has converged and
+so is not evaluated again; where the joint Newton gives up from both of its
+starts, the price bisects plain. For the proportion the band is 0, as the
+lemma holds with eta = 0 and F the first-order sum as evaluated: the chain
+needs F only weakly decreasing. Each term p*(a - u)/((a - u)*t + u) is made
+of IEEE operations that round monotonically and are not fused, so as
+evaluated it is weakly decreasing in t; math.fsum rounds the exact sum of
+the terms correctly, so the evaluated first-order sum is weakly decreasing
+in t too, and the -inf past the cap keeps that. The price and threshold
+curves are not provably monotone as evaluated, so their band must clear 2
+eta, with eta a proven bound on the rounding (and, for the price, on the
+inner solve's optimality deficit) in the log of the growth; _price_band and
 threshold_shift derive theirs. The price's probes start where the log growth
 is about 4 eta from r, and the threshold's Newton steers on log B. Where eta
 cannot be shown, the bisection runs without certificates.
 
-The first-order sum has two kernels, each of which returns the derivative in
-t next to the sum when asked: a plain loop, and numpy on arrays of the
-game's payouts and weights. Only a price solve, which nests several
-proportion solves, repays loading numpy, and it alone builds numpy state
-(_first_order_kernel): a wide game's arrays are its own columns, built by
-its first price solve and kept on that game alone, so a shifted game builds
-its own, and a game's threshold steers only on arrays that its own price
-solves built. Games of fewer than _VECTOR_MIN_OUTCOMES outcomes, and solves
-where numpy cannot be imported, take the loops: numpy only accelerates, and
-only this module holds numpy code.
-
-On kept arrays a value that certifies a sign or may be returned (the
-first-order sum, the boundary growth) is exact: terms formed with the loop's
-IEEE operations, math.log per term and math.fsum. The exact log growth stays
-a loop on every game: per call the arrays lost at 40 and 64 outcomes and
-gained under 10% at 256. A value that only steers Newton, a start or a band
-test (the derivative, the joint Newton's log growth, log B and its slope in
-_shift_slope, the relative spread) is numpy's np.log, np.log1p and pairwise
-.sum(), which are not the C library's (on 200 000 random arguments each,
-numpy 2.4.6, np.log differed from math.log for 154 and np.log1p from
-math.log1p for 17 283). A game's width picks a kernel, never a path: every
-search steers and certifies the same way on either kernel, and only the
-steering values differ. So no result depends on the kernel, though on a wide
-game the count of exact evaluations may depend on numpy's build. Each
-steering pass but the kernel's derivative reads the arrays through one gate,
-_steering, which serves them only where every payout is below 1e100 times a
-scale that the pass divides by, so that no product overflows and numpy warns
-of nothing; the arrays meet only elementwise and in .sum(), so no BLAS call
-is made.
+Every per-outcome sum evaluated here, on the loop or on numpy arrays, is
+reached through kernels.py, whose docstring says which kernel serves which
+value.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
+from . import kernels
 from .errors import DomainError
-from .games import Game, GameStats, _log_moment, _valid_ends, compute_stats
+from .games import Game, GameStats, compute_stats
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -127,28 +101,6 @@ DEFAULT_MAX_ITER = 200
 _CAP_MARGIN = 1e-13
 # Relative gap kept inside the (fair_price, expectation) pricing bracket.
 _PRICE_MARGIN = 1e-12
-# Outcome count from which a price solve runs the first-order sum on numpy
-# arrays that the game keeps. On payouts 1..k with equal
-# weights (Python 3.11, numpy 2.4, 2 vCPUs), one evaluation at u = 15,
-# t = 0.5 with the derivative took 5.6-5.7 us looped against 5.6-6.3 us on
-# numpy at 40 outcomes and 6.4-7.4 against 5.9-6.3 at 48 (two runs). Whole optimal_price solves at
-# r = 0.05 took 0.26 ms looped against 0.28 at 32 outcomes, 0.32 against 0.30
-# at 40 and 0.39 against 0.35 at 48; threshold_shift 0.12 against 0.13, 0.16
-# against 0.16 and 0.18 against 0.18. They cross near 40. One kernel call:
-#   PYTHONPATH=src python -m timeit -r 9 -s "import growthprice.solver as s;
-#   s._VECTOR_MIN_OUTCOMES = 1; k = 40; f = s._first_order_kernel(
-#   s.Game.from_pairs((1.0 + i, 1 / k) for i in range(k)))"
-#   "f(15.0, 0.5, slope=True)"
-# with 10**9 in place of 1 for the loop.
-_VECTOR_MIN_OUTCOMES = 40
-# Variables that set OpenBLAS's thread count, read once when numpy loads. The
-# numpy kernel makes no BLAS call, but left to itself OpenBLAS starts a worker
-# thread per CPU on load, and that worker spins for a while afterwards. On 2
-# vCPUs (Python 3.11, numpy 2.4.6 with OpenBLAS 0.3.31) the import took a
-# median of 141 ms with the worker and 78 ms without it (10 cold imports
-# each), and a pure-Python loop run just after it sometimes took 3 times as
-# long as usual. _import_numpy loads it on one thread unless one is set.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Newton on any root makes at most _NEWTON_STEPS evaluations before its
 # probes, and 0 leaves every search plain bisection. On the proportion it
 # stops, and probes, at _PROBE_GAP of the proportion from its root. A side
@@ -206,152 +158,6 @@ class PricingSolution(NamedTuple):
     regime: Regime
     proportion: float
     growth_check: float
-
-
-def _first_order_sum(
-    outcomes: tuple[tuple[float, float], ...], u: float, t: float, slope: bool = False
-) -> float | tuple[float, float]:
-    """sum_i p_i (a_i - u) / ((a_i - u) t + u) over the (payout, weight)
-    pairs of outcomes, such as Game._pairs; -inf past the cap. With
-    slope, the pair of that sum and its derivative in t,
-    -sum_i p_i (a_i - u)**2 / ((a_i - u) t + u)**2, which is -inf past the cap
-    too. For t >= 0 each rounded denominator is non-decreasing in the payout,
-    so the smallest payout's is the least, and it is positive exactly when
-    all of them are."""
-    if not (outcomes[0][0] - u) * t + u > 0.0:
-        return (-math.inf, -math.inf) if slope else -math.inf
-    terms = []
-    derivative = 0.0
-    for a, w in outcomes:
-        x = a - u
-        d = x * t + u
-        term = w * x / d
-        terms.append(term)
-        derivative -= term * x / d
-    total = math.fsum(terms)
-    return (total, derivative) if slope else total
-
-
-@cache
-def _import_numpy():
-    """numpy, loaded with OpenBLAS on one thread if no thread count is set,
-    or None where it cannot be imported; the import is tried once per
-    process.
-
-    The variable is set only for the import, so child processes do not
-    inherit it; the loaded OpenBLAS keeps one thread for the whole process.
-    """
-    pin = "numpy" not in sys.modules and set(_BLAS_THREAD_VARS).isdisjoint(os.environ)
-    if pin:
-        os.environ[_BLAS_THREAD_VARS[0]] = "1"
-    try:
-        import numpy
-    except ImportError:
-        return None
-    finally:
-        if pin:
-            os.environ.pop(_BLAS_THREAD_VARS[0], None)
-    return numpy
-
-
-def _first_order_kernel(game: Game) -> Callable[..., float | tuple[float, float]]:
-    """The first-order sum of game as a function of (u, t, slope=False),
-    equal, bit for bit, to _first_order_sum(game._pairs, u, t, slope), but
-    for the derivative, which steers. Only _solve_price calls it.
-
-    From _VECTOR_MIN_OUTCOMES outcomes up, where numpy can be imported, the
-    game keeps its own columns as arrays (payouts, weights), built by its
-    first price solve and stored whole; a shifted game builds its own from
-    its shifted columns, and no game reads or writes another's. A narrow
-    game never loads numpy nor looks it up."""
-    if len(game.outcomes) >= _VECTOR_MIN_OUTCOMES:
-        kept = game.__dict__.get("_vector")
-        if kept is None and (np := _import_numpy()) is not None:
-            kept = game.__dict__["_vector"] = tuple(map(np.array, game._columns))
-        if kept is not None:
-            return partial(_array_first_order_sum, game._columns[0][0], *kept)
-    return partial(_first_order_sum, game._pairs)
-
-
-def _array_first_order_sum(
-    lowest: float, payouts, weights, u: float, t: float, slope: bool = False
-) -> float | tuple[float, float]:
-    """_first_order_sum on numpy arrays of the payouts and weights, whose
-    smallest payout is lowest, with numpy's sum of the derivative."""
-    if not (lowest - u) * t + u > 0.0:
-        return (-math.inf, -math.inf) if slope else -math.inf
-    x = payouts - u
-    d = x * t + u
-    terms = weights * x / d
-    total = math.fsum(terms.tolist())
-    return (total, -float((terms * x / d).sum())) if slope else total
-
-
-def _steering(game: Game, scale: float) -> tuple | None:
-    """The arrays that a price solve kept on game, if any, where every payout
-    is below 1e100 scale, or None: the gate in the module docstring."""
-    if game._columns[0][-1] < 1e100 * scale:
-        return game.__dict__.get("_vector")
-    return None
-
-
-def _shift_slope(game: Game) -> Callable[[float], tuple[float, float]]:
-    """(d log B/dn, log B(n)) as a function of n, for B(n) =
-    boundary_growth(game, n) = H exp(sum p log(a + n)) with H = sum p/(a + n),
-    finite on either kernel. With m = E + n, h = sum p m/(a + n) and
-    h2 = sum p (m/(a + n))**2, formed on ratios so that nothing overflows or
-    underflows at any payout scale, the slope is H - H2/H = (h - h2/h)/m and
-    log B = log h - log m + sum p log(a + n). numpy forms the three sums where
-    the gate passes at the smallest payout, so that no squared ratio
-    overflows, and a loop elsewhere: the kernel changes the values, which
-    only steer, and never the path. No arrays are built: loading numpy would
-    cost more than it saves."""
-    mean = compute_stats(game).expectation
-    kept = _steering(game, game._columns[0][0])
-
-    def log_slope(n: float) -> tuple[float, float]:
-        m = mean + n
-        if kept is not None:
-            payouts, weights = kept
-            shifted = payouts + n
-            inv = m / shifted
-            terms = weights * inv
-            h, h2 = float(terms.sum()), float((terms * inv).sum())
-            log_sum = float((weights * _import_numpy().log(shifted)).sum())
-        else:
-            h = h2 = log_sum = 0.0
-            for a, w in game._pairs:
-                inv = m / (a + n)
-                h += w * inv
-                h2 += w * inv * inv
-                log_sum += w * math.log(a + n)
-        return (h - h2 / h) / m, math.log(h) - math.log(m) + log_sum
-
-    return log_slope
-
-
-def _kept_boundary_growth(game: Game, n: float) -> float | None:
-    """translation.boundary_growth(game, n) on the arrays that a price solve
-    kept on the game, bit for bit, or None where it kept none or the
-    shifted payouts are no valid game's: their ends fail games._valid_ends,
-    tested on floats first so that no array operation overflows, or two
-    merged, as _shifted_payouts tests. Each shifted payout and quotient
-    w/(a + n) is the loop's IEEE operation, each log is math.log's, and the
-    sums are math.fsum's."""
-    kept = game.__dict__.get("_vector")
-    column = game._columns[0]
-    if kept is None or not _valid_ends(column[0] + n, column[-1] + n):
-        return None
-    payouts, weights = kept
-    shifted = payouts + n
-    if not (shifted[:-1] < shifted[1:]).all():
-        return None
-    harmonic = math.fsum((weights / shifted).tolist())
-    return harmonic * math.exp(_log_moment(shifted.tolist(), game._columns[1]))
-
-
-def _log_growth(outcomes: tuple[tuple[float, float], ...], u: float, t: float) -> float:
-    return math.fsum(w * math.log1p(t * (a - u) / u) for a, w in outcomes)
 
 
 def _require_bisect_args(tol: float, max_iter: int) -> None:
@@ -541,7 +347,7 @@ def proportion_residual(game: Game, u: float, t: float) -> float:
         raise DomainError(
             f"proportion t={t!r} outside [0, u/(u - ess_inf)) = [0, {cap!r})"
         )
-    return _first_order_sum(game._pairs, u, t)
+    return kernels._first_order_sum(game._pairs, u, t)
 
 
 def pre_optimal_proportion(
@@ -567,9 +373,9 @@ def pre_optimal_proportion(
         )
     _require_bisect_args(tol, max_iter)
     t, res, iterations = _solve_proportion(
-        partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
+        partial(kernels._first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter
     )
-    growth = math.exp(_log_growth(game._pairs, u, t))
+    growth = math.exp(kernels._log_growth(game._pairs, u, t))
     return ProportionSolution(
         price=u, proportion=t, growth=growth, residual=res, iterations=iterations
     )
@@ -598,7 +404,7 @@ def growth_rate(game: Game, u: float, t: float) -> float:
             f"wealth factor {1.0 + x!r} is not positive for payout"
             f" {stats.ess_inf!r} at u={u!r}, t={t!r}"
         )
-    return math.exp(_log_growth(game._pairs, u, t))
+    return math.exp(kernels._log_growth(game._pairs, u, t))
 
 
 def optimal_proportion(
@@ -624,7 +430,7 @@ def optimal_proportion(
     if u > stats.fair_price:
         return pre_optimal_proportion(game, u, tol=tol, max_iter=max_iter)
     growth = math.exp(stats.log_moment) / u
-    res = _first_order_sum(game._pairs, u, 1.0)
+    res = kernels._first_order_sum(game._pairs, u, 1.0)
     return ProportionSolution(
         price=u, proportion=1.0, growth=growth, residual=res, iterations=0
     )
@@ -651,29 +457,6 @@ def _growth_target(r: float) -> float:
     return target
 
 
-def _relative_spread(
-    game: Game, u: float, third: bool = False
-) -> float | tuple[float, float]:
-    """sum p x**2 with x = (a - u)/u, added in plain float arithmetic, which
-    overflows to inf where ** and math.fsum would raise; with third, the
-    pair of it and sum p x**3. It steers and tests bands only: numpy adds
-    the same products where the gate passes at u, and a loop adds them in
-    outcome order elsewhere."""
-    if (kept := _steering(game, u)) is not None:
-        payouts, weights = kept
-        x = (payouts - u) / u
-        squares = weights * x * x
-        spread = float(squares.sum())
-        return (spread, float((squares * x).sum())) if third else spread
-    spread = cubes = 0.0
-    for a, w in game._pairs:
-        x = (a - u) / u
-        square = w * x * x
-        spread += square
-        cubes += square * x
-    return (spread, cubes) if third else spread
-
-
 def _price_band(
     game: Game,
     stats: GameStats,
@@ -687,7 +470,7 @@ def _price_band(
 
     The exact curve is log G*(u), the log of the best growth at u, which
     is strictly decreasing; as evaluated it is the log of
-    exp(_log_growth(u, t~)) at the proportion t~ that _solve_proportion
+    exp(kernels._log_growth(u, t~)) at the proportion t~ that _solve_proportion
     returns. With eps = 2**-53, x_i = t~ (a_i - u)/u, y_i = x_i/(1 + x_i),
     S = sum p|y| and B = sum p y**2:
 
@@ -752,7 +535,7 @@ def _price_band(
     xi, mean = stats.ess_inf, stats.expectation
     top = _cap(lo, xi)
     cap_hi = hi / (hi - xi)
-    v_lo, v_hi = _relative_spread(game, lo), _relative_spread(game, hi)
+    v_lo, v_hi = (kernels._relative_spread(game, u)[0] for u in (lo, hi))
     if not (
         tol * top <= 1e-3
         and _cap(hi, xi) > 1.0
@@ -813,12 +596,7 @@ def _joint_newton(
         return None
     for _ in range(_NEWTON_STEPS):
         g, g_t = first_order_sum(u, t, slope=True)
-        if (kept := _steering(game, u / t)) is not None:
-            # numpy's log1p steers; the gate at u/t bounds t (a - u)/u
-            x = t * (kept[0] - u) / u
-            excess = float((kept[1] * _import_numpy().log1p(x)).sum()) - r
-        else:
-            excess = _log_growth(game._pairs, u, t) - r
+        excess = kernels._steering_log_growth(game, u, t) - r
         g_u, l_u = _price_slopes(u, t, g, g_t)
         det = g_t * l_u - g_u * g
         if det > 0.0:
@@ -907,8 +685,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
             proportion=1.0,
             growth_check=growth,
         )
-    outcomes = game._pairs
-    first_order_sum = _first_order_kernel(game)
+    first_order_sum = kernels._first_order_kernel(game)
     xi = stats.ess_inf
     t = growth = math.nan
 
@@ -919,7 +696,7 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         t, _, _ = _solve_proportion(
             first_order_sum, xi, price, tol, max_iter, t, replay=replay
         )
-        growth = math.exp(_log_growth(outcomes, price, t))
+        growth = math.exp(kernels._log_growth(game._pairs, price, t))
         return growth - target
 
     lo = stats.fair_price * (1.0 + _PRICE_MARGIN)
@@ -934,7 +711,8 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
     if eta < math.inf:
         mean = stats.expectation
         tangent = lo * (1.0 + math.log(stats.boundary_growth) - r)
-        small_rate = mean * (1.0 - math.sqrt(2.0 * r * _relative_spread(game, mean)))
+        spread, _ = kernels._relative_spread(game, mean)
+        small_rate = mean * (1.0 - math.sqrt(2.0 * r * spread))
         band = 3.0 * eta * target  # clears 2 eta in the log: _price_band
         for start in sorted((tangent, small_rate), reverse=True):
             root = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)

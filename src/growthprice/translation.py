@@ -17,15 +17,9 @@ from enum import Enum
 from operator import sub
 from typing import NamedTuple, Sequence
 
+from . import kernels
 from .errors import DomainError, InternalConsistencyError
-from .games import (
-    Game,
-    _harmonic,
-    _log_moment,
-    _shifted_payouts,
-    compute_stats,
-    translate,
-)
+from .games import Game, compute_stats, translate
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -35,11 +29,8 @@ from .solver import (
     _bisect,
     _full_investment,
     _growth_target,
-    _kept_boundary_growth,
     _newton_certificates,
-    _relative_spread,
     _require_bisect_args,
-    _shift_slope,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -102,22 +93,16 @@ def boundary_growth(game: Game, n: float) -> float:
 
     Equals compute_stats(translate(game, n)).boundary_growth bit for bit,
     without building the shifted game unless rounding merges its payouts:
-    it makes translate's shift check and the statistics' own sums, on the
-    arrays that a price solve kept on a wide game (solver's
-    _kept_boundary_growth) and in a loop elsewhere. Strictly decreasing in
-    n with limit 1.
+    kernels._boundary_growth makes translate's shift check and the
+    statistics' own sums, on the arrays that a price solve kept on a wide
+    game and in a loop elsewhere. Strictly decreasing in n with limit 1.
     """
-    growth = _kept_boundary_growth(game, n)
-    if growth is not None:
+    if (growth := kernels._boundary_growth(game, n)) is not None:
         return growth
-    payouts = _shifted_payouts(game, n)
-    if payouts is None:
-        # Rounding merged adjacent payouts, the largest overflowed or the
-        # smallest left the normal floats: the shifted game is not these
-        # outcomes, so build and validate it.
-        return compute_stats(translate(game, n)).boundary_growth
-    weights = game._columns[1]
-    return _harmonic(payouts, weights) * math.exp(_log_moment(payouts, weights))
+    # Rounding merged adjacent payouts, the largest overflowed or the
+    # smallest left the normal floats: the shifted game is not these
+    # outcomes, so build and validate it.
+    return compute_stats(translate(game, n)).boundary_growth
 
 
 class ThresholdStatus(Enum):
@@ -162,13 +147,13 @@ def threshold_shift(
 
     The bisection is replayed from the sign certificates of
     solver._newton_certificates (the lemma in the solver module docstring).
-    Newton steers on log B(n) - r and its slope from solver._shift_slope, on
+    Newton steers on log B(n) - r and its slope from kernels._shift_slope, on
     numpy where a price solve left arrays on the game and in a loop
     elsewhere, and stops within 4 eta/|slope|; at every width only the
     probes and the bisection evaluate B, and nothing here builds arrays.
     It starts from the large-shift asymptote
     n0 ~ sigma/sqrt(2 expm1(r)) - E - 2 mu3/(3 sigma**2), with central
-    moments sigma**2 and mu3 (solver._relative_spread), or from the tangent
+    moments sigma**2 and mu3 (kernels._relative_spread), or from the tangent
     of log B at n = 0 where that lies further out: near the boundary the
     asymptote is negative and the tangent close. Where log B is convex, as
     its large-shift decay sigma**2/(2 m**2) is, Newton from below n0 climbs
@@ -216,7 +201,7 @@ def threshold_shift(
                 f" up to {hi!r}; the weights sum to {math.fsum(game._columns[1])!r}"
             )
     mean = stats.expectation
-    shift_slope = _shift_slope(game)
+    shift_slope = kernels._shift_slope(game)
 
     def excess(n: float) -> float:
         return boundary_growth(game, n) - target
@@ -228,7 +213,7 @@ def threshold_shift(
             return log_b - r, 0.0, math.inf
         return log_b - r, (log_b - r) / slope, -4.0 * eta / slope
 
-    var, mu3 = _relative_spread(game, mean, third=True)
+    var, mu3 = kernels._relative_spread(game, mean)
     start = math.nan
     if var > 0.0:
         start = mean * (
@@ -275,7 +260,7 @@ def price_translated(
     it after this call, pays for one solve. The shifted game is built anew,
     so its price is always solved; on a wide game that solve builds the
     shifted game's own arrays from its own columns, as the original's first
-    price solve builds the original's (solver._first_order_kernel).
+    price solve builds the original's (kernels._first_order_kernel).
     """
     target = _growth_target(r)
     solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)

@@ -37,7 +37,7 @@ if __name__ == "__main__":
 sys.path.append(str(ROOT / "bench"))
 
 import growthprice.games as games  # noqa: E402
-import growthprice.solver as solver  # noqa: E402
+import growthprice.kernels as kernels  # noqa: E402
 import growthprice.translation as translation  # noqa: E402
 from workloads import Solve  # noqa: E402
 
@@ -48,9 +48,9 @@ WORKLOADS = (
 )
 # each unit of work, by the function that one call of makes one of it
 COUNTED = {
-    "foc_loop": (solver, "_first_order_sum"),
-    "foc_array": (solver, "_array_first_order_sum"),
-    "log_growth": (solver, "_log_growth"),
+    "foc_loop": (kernels, "_first_order_sum"),
+    "foc_array": (kernels, "_array_first_order_sum"),
+    "log_growth": (kernels, "_log_growth"),
     "boundary_growth": (translation, "boundary_growth"),
     "validate": (games, "validate"),
 }
@@ -60,7 +60,7 @@ UNITS = (*COUNTED, "games_built")
 def versions() -> dict[str, str | None]:
     """The Python minor version, and the version of the numpy that the
     solver loads, or None where it loads none."""
-    np = solver._import_numpy()
+    np = kernels._import_numpy()
     return {
         "python": "{}.{}".format(*sys.version_info),
         "numpy": None if np is None else np.__version__,

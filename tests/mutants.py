@@ -226,8 +226,8 @@ MUTANTS = (
     Mutant(
         "a proportion solve builds a wide game's numpy kernel",
         "solver.py",
-        "partial(_first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter",
-        "_first_order_kernel(game), stats.ess_inf, u, tol, max_iter",
+        "partial(kernels._first_order_sum, game._pairs), stats.ess_inf, u, tol, max_iter",
+        "kernels._first_order_kernel(game), stats.ess_inf, u, tol, max_iter",
         (
             f"{KERNELS}::test_shifts_and_narrow_solves_leave_numpy_unimported[wide_proportion_64]",
         ),
@@ -235,7 +235,7 @@ MUTANTS = (
     ),
     Mutant(
         "the threshold's slope builds the arrays",
-        "solver.py",
+        "kernels.py",
         "    kept = _steering(game, game._columns[0][0])\n",
         "    _first_order_kernel(game)\n    kept = _steering(game, game._columns[0][0])\n",
         ("tests/test_call_counts.py::test_a_wide_game_builds_its_arrays_once",),
@@ -328,9 +328,9 @@ MUTANTS = (
     ),
     Mutant(
         "the arrays form w/(a + n) through 1/(a + n)",
-        "solver.py",
-        "    harmonic = math.fsum((weights / shifted).tolist())\n",
-        "    harmonic = math.fsum((weights * (1.0 / shifted)).tolist())\n",
+        "kernels.py",
+        "        harmonic = math.fsum((kept[1] / shifted).tolist())\n",
+        "        harmonic = math.fsum((kept[1] * (1.0 / shifted)).tolist())\n",
         (f"{KEPT_ARRAYS}::test_the_array_sums_equal_the_loops",),
         "wide solves certify from the joint root",
     ),
@@ -372,8 +372,8 @@ MUTANTS = (
     Mutant(
         "the full-investment residual is taken at t = 2",
         "solver.py",
-        "    res = _first_order_sum(game._pairs, u, 1.0)\n",
-        "    res = _first_order_sum(game._pairs, u, 2.0)\n",
+        "    res = kernels._first_order_sum(game._pairs, u, 1.0)\n",
+        "    res = kernels._first_order_sum(game._pairs, u, 2.0)\n",
         (
             f"{SOLVER_TESTS}::TestOptimalProportion::test_full_investment_residual_is_the_first_order_sum_at_one",
         ),
@@ -391,7 +391,7 @@ MUTANTS = (
     ),
     Mutant(
         "the kept boundary growth tests the second-largest payout for overflow",
-        "solver.py",
+        "kernels.py",
         "_valid_ends(column[0] + n, column[-1] + n)",
         "_valid_ends(column[0] + n, column[-2] + n)",
         (f"{KEPT_ARRAYS}::test_merging_and_overflowing_shifts_take_the_loop[top]",),
@@ -399,7 +399,7 @@ MUTANTS = (
     ),
     Mutant(
         "the steering gate reads the second-largest payout",
-        "solver.py",
+        "kernels.py",
         "    if game._columns[0][-1] < 1e100 * scale:\n",
         "    if game._columns[0][-2] < 1e100 * scale:\n",
         (f"{KEPT_ARRAYS}::test_a_spread_that_overflows_is_inf_on_both[True]",),
@@ -425,7 +425,7 @@ MUTANTS = (
     ),
     Mutant(
         "the loop's log B is nan again",
-        "solver.py",
+        "kernels.py",
         "                log_sum += w * math.log(a + n)\n",
         "                log_sum = math.nan\n",
         ("tests/test_call_counts.py::test_threshold_shift_makes_at_most_20_boundary_growth_calls",),
@@ -441,7 +441,7 @@ MUTANTS = (
     ),
     Mutant(
         "a wide game builds its payout array from its weights",
-        "solver.py",
+        "kernels.py",
         "tuple(map(np.array, game._columns))",
         "tuple(map(np.array, game._columns[::-1]))",
         (
@@ -473,6 +473,14 @@ MUTANTS = (
         "sorted((tangent, small_rate), reverse=True)[:1]",
         ("tests/test_call_counts.py::test_a_price_whose_later_start_fails_runs_the_other",),
         "the price certifies from its joint root alone",
+    ),
+    Mutant(
+        "the kept boundary growth lets rounding merge payouts",
+        "kernels.py",
+        "        if not (shifted[:-1] < shifted[1:]).all():\n            return None\n",
+        "",
+        (f"{KEPT_ARRAYS}::test_merging_and_overflowing_shifts_take_the_loop[1.0]",),
+        "one kernel module owns every per-outcome sum",
     ),
 )
 

@@ -16,6 +16,7 @@ import pytest
 from conftest import random_game
 
 import growthprice.games
+import growthprice.kernels
 import growthprice.oracle
 import growthprice.solver
 import growthprice.translation
@@ -42,7 +43,7 @@ COUNTED = {
     "optimal_price": growthprice.solver,
     "_solve_price": growthprice.solver,
     "_bisect": growthprice.solver,
-    "_first_order_sum": growthprice.solver,
+    "_first_order_sum": growthprice.kernels,
     "boundary_growth": growthprice.translation,
     "_binomial": growthprice.oracle,
     "_log_growth": growthprice.oracle,
@@ -233,7 +234,7 @@ def test_a_threshold_near_the_boundary_starts_from_the_tangent(
 ):
     game = request.getfixturevalue(fixture)
     r = (1.0 - delta) * math.log(compute_stats(game).boundary_growth)
-    shift_slope, passes = growthprice.translation._shift_slope, []
+    shift_slope, passes = growthprice.kernels._shift_slope, []
 
     def counted(game):
         log_slope = shift_slope(game)
@@ -244,7 +245,7 @@ def test_a_threshold_near_the_boundary_starts_from_the_tangent(
 
         return steer
 
-    monkeypatch.setattr(growthprice.translation, "_shift_slope", counted)
+    monkeypatch.setattr(growthprice.kernels, "_shift_slope", counted)
     calls.clear()
     assert threshold_shift(game, r).n0 > 0.0
     assert (len(passes), calls["boundary_growth"]) == (steps, 4)
@@ -331,7 +332,7 @@ def test_each_wide_game_builds_its_own_columns_once(monkeypatch):
             builds.append(len(column))
             return np.array(column)
 
-    monkeypatch.setattr(growthprice.solver, "_import_numpy", CountedNumpy)
+    monkeypatch.setattr(growthprice.kernels, "_import_numpy", CountedNumpy)
     monkeypatch.setattr(growthprice.translation, "translate", spy)
     game = random_game(np.random.default_rng(256), 256, 256)
     price_translated(game, 0.05, 1.0)

@@ -674,7 +674,7 @@ class TestModuleEntryPoint:
 
 # The growthprice modules each cold command loads besides the package itself,
 # and the third-party packages it loads. A command loads only what it runs.
-_CLI_MODULES = {"errors", "games", "cli", "solver"}
+_CLI_MODULES = {"errors", "games", "cli", "solver", "kernels"}
 _LOADED = {
     "analyze": (_CLI_MODULES, set()),
     "price": (_CLI_MODULES, set()),
@@ -743,7 +743,7 @@ class TestLazyImports:
     )
     def test_a_name_loads_its_home_module(self, name):
         code = f"import growthprice\ngrowthprice.{name}\n"
-        modules = {"errors", "games", "solver", "translation"}
+        modules = {"errors", "games", "kernels", "solver", "translation"}
         assert loaded_modules(code)[:2] == (modules, set())
 
     def test_a_game_name_loads_only_games_and_errors(self):

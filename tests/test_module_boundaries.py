@@ -1,6 +1,7 @@
 """Module boundaries, read from the package source with ast: numpy code lives
-only in solver.py, and only solver.py names the keys it keeps in a game's
-instance dict, so no other module reads or writes the solver's state.
+only in kernels.py, each key kept in a game's instance dict is named by the
+one module that owns it, so no other module reads or writes that state, and
+every per-outcome sum is reached through kernels.py.
 
 This file imports no numpy, so it runs where numpy is not installed.
 """
@@ -12,10 +13,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "growthprice"
 MODULES = sorted(PACKAGE.glob("*.py"))
-# the arrays and the price that the solver keeps on a game, and a link from
-# a shifted game to the game it came from, through which another module
-# would hand the solver another game's state
-SOLVER_KEYS = {"_vector", "_price", "_shifted_from"}
+# the module that names each key kept on a game: the arrays of a wide game,
+# the last price, and a link from a shifted game to the game it came from,
+# through which another module would hand a solver another game's state
+OWNERS = {"_vector": "kernels.py", "_price": "solver.py", "_shifted_from": None}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -31,6 +32,21 @@ def _imported(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.add(node.module.partition(".")[0])
     return names
+
+
+def _imported_from(tree: ast.AST, module: str) -> set[str]:
+    """The names that tree imports from the package module, relatively."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    """The functions defined at the top level of tree."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def _named(tree: ast.AST) -> set[str]:
@@ -51,18 +67,33 @@ def _named(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_only_the_solver_imports_numpy():
+def test_only_the_kernels_import_numpy():
     importers = {path.name for path in MODULES if "numpy" in _imported(_tree(path))}
-    assert importers == {"solver.py"}
+    assert importers == {"kernels.py"}
 
 
-def test_the_solver_names_the_keys_it_keeps():
+@pytest.mark.parametrize("key", [key for key, owner in OWNERS.items() if owner])
+def test_the_owner_names_the_key_it_keeps(key):
     # so that the test below looks for names that are in use
-    assert {"_vector", "_price"} <= _named(_tree(PACKAGE / "solver.py"))
+    assert key in _named(_tree(PACKAGE / OWNERS[key]))
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "solver.py"], ids=lambda p: p.name
-)
-def test_no_other_module_names_what_the_solver_keeps_on_a_game(path):
-    assert SOLVER_KEYS.isdisjoint(_named(_tree(path)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_other_module_names_what_a_game_keeps(path):
+    foreign = {key for key, owner in OWNERS.items() if owner != path.name}
+    assert foreign.isdisjoint(_named(_tree(path)))
+
+
+@pytest.mark.parametrize("name", ["solver.py", "translation.py"])
+def test_the_solvers_import_nothing_private_from_games(name):
+    imported = _imported_from(_tree(PACKAGE / name), "games")
+    assert imported and not {n for n in imported if n.startswith("_")}
+
+
+def test_translation_imports_no_sum_from_the_solver():
+    # the sums are kernels.py's functions; the solver defines none of them,
+    # so translation reaches each through kernels
+    sums = _defined(_tree(PACKAGE / "kernels.py"))
+    assert {"_first_order_sum", "_log_growth", "_boundary_growth"} <= sums
+    assert sums.isdisjoint(_defined(_tree(PACKAGE / "solver.py")))
+    assert sums.isdisjoint(_imported_from(_tree(PACKAGE / "translation.py"), "solver"))

@@ -474,6 +474,31 @@ class TestContinuousPayoff:
         assert errors[2] >= 100.0 * errors[4] >= 1e4 * errors[8] > 0.0
         assert max(errors[16], errors[32]) <= 1e-11
 
+    def test_gauss_legendre_roots_find_the_triangular_lower_price_bound(self):
+        # The density 2(x - 1)/18**2 on [1, 19] vanishes at its infimum, so
+        # h_xi = 2/18 is finite and its lower price bound is 1 + 9 = 10. A
+        # finite game has mass at its smallest node and no such bound. At
+        # u = 5, below it, the continuous first-order sum is positive at the
+        # cap, and the N-node root over its own cap tends to 1: 1 less the
+        # ratio is 3.5e-2, 3.4e-3, 2.6e-4, 1.7e-5 and 1.1e-6 at 4 to 64
+        # nodes. At u = 11.5, above it, the root settles at 0.7890 (0.7204 of
+        # the continuous cap 23/21): 2.9e-3 from 4 to 8 nodes, 2.0e-6 from 8
+        # to 16, then within the solver's tolerance.
+        ratios, roots = [], []
+        for nodes in (4, 8, 16, 32, 64):
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            payouts = 10.0 + 9.0 * x
+            game = game_from_nodes(payouts.tolist(), (w * (payouts - 1.0)).tolist())
+            xi = compute_stats(game).ess_inf
+            below = pre_optimal_proportion(game, 5.0).proportion
+            ratios.append(1.0 - below / (5.0 / (5.0 - xi)))
+            roots.append(pre_optimal_proportion(game, 11.5).proportion)
+        assert all(8.0 * b <= a for a, b in zip(ratios, ratios[1:]))
+        assert 0.0 < ratios[-1] <= 2e-6
+        steps = [abs(b - a) for a, b in zip(roots, roots[1:])]
+        assert steps[0] >= 100.0 * steps[1] and max(steps[2:]) <= 1e-11
+        assert roots[-1] <= 0.75 * 11.5 / (11.5 - 1.0)
+
 
 class TestVerify:
     def test_negative_seed_refused(self, two_point):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import growthprice.kernels
 import growthprice.solver
 import growthprice.translation
 from growthprice import (
@@ -38,12 +39,11 @@ from growthprice import (
     translate,
     validate,
 )
+from growthprice.kernels import _first_order_kernel, _first_order_sum
 from growthprice.solver import (
     _CAP_MARGIN,
     _PRICE_MARGIN,
     _bisect,
-    _first_order_kernel,
-    _first_order_sum,
     _price_slopes,
     _solve_proportion,
 )
@@ -274,7 +274,7 @@ def test_additivity_is_checked_exactly_when_both_games_are_interior(game, fracti
 @given(game=cap_games, fraction=st.floats(0.01, 0.99))
 def test_first_order_kernels_refuse_exactly_what_a_per_term_scan_refuses(game, fraction):
     u, _, proportions = _near_cap(game, fraction)
-    with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 1):
+    with patch.object(growthprice.kernels, "_VECTOR_MIN_OUTCOMES", 1):
         vector = _first_order_kernel(game)
     for t in proportions:
         expected = _per_term_first_order_sum(game, u, t)
@@ -284,7 +284,7 @@ def test_first_order_kernels_refuse_exactly_what_a_per_term_scan_refuses(game, f
 
 def _kernels(game: Game):
     """The loop and the numpy first-order kernels of game."""
-    with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 1):
+    with patch.object(growthprice.kernels, "_VECTOR_MIN_OUTCOMES", 1):
         vector = _first_order_kernel(game)
     return partial(_first_order_sum, game.outcomes), vector
 

@@ -25,6 +25,7 @@ from unittest.mock import patch
 
 import pytest
 
+import growthprice.kernels
 import growthprice.solver
 import growthprice.translation
 import reference
@@ -200,7 +201,7 @@ def test_every_price_certificate_is_within_eta_of_the_best_log_growth(pairs, r):
     (eta,), seen, _ = _certificate_evaluations(game, r)
     assert eta < math.inf and seen
     for u, t in seen:
-        growth = math.exp(growthprice.solver._log_growth(game._pairs, u, t))
+        growth = math.exp(growthprice.kernels._log_growth(game._pairs, u, t))
         error = abs(Decimal(growth).ln() - reference.best_log_growth(pairs, u))
         assert error <= eta, (u, t)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import growthprice.kernels
 import growthprice.solver
 import growthprice.translation
 from conftest import admissible_price, random_game, random_two_point
@@ -41,16 +42,14 @@ from growthprice import (
     two_point_closed_form,
     verify,
 )
-from growthprice.solver import (
+from growthprice.kernels import (
     _array_first_order_sum,
-    _bisect,
+    _boundary_growth,
     _first_order_kernel,
     _first_order_sum,
-    _kept_boundary_growth,
-    _newton_certificates,
     _relative_spread,
-    _solve_proportion,
 )
+from growthprice.solver import _bisect, _newton_certificates, _solve_proportion
 
 np = pytest.importorskip("numpy")
 
@@ -631,8 +630,8 @@ class TestSolverArguments:
             raise AssertionError(f"evaluated at {args!r}")
 
         for home, name in (
-            (growthprice.solver, "_first_order_sum"),
-            (growthprice.solver, "_log_growth"),
+            (growthprice.kernels, "_first_order_sum"),
+            (growthprice.kernels, "_log_growth"),
             (growthprice.translation, "boundary_growth"),
         ):
             monkeypatch.setattr(home, name, never)
@@ -740,9 +739,9 @@ def _counting():
     growth evaluations and of boundary_growth calls, made inside the with
     block."""
     counts = Counter()
-    kernel = growthprice.solver._first_order_kernel
+    kernel = growthprice.kernels._first_order_kernel
     growth = growthprice.translation.boundary_growth
-    log_growth = growthprice.solver._log_growth
+    log_growth = growthprice.kernels._log_growth
 
     def counted_kernel(game):
         evaluate = kernel(game)
@@ -761,9 +760,9 @@ def _counting():
         counts["log_growth"] += 1
         return log_growth(outcomes, u, t)
 
-    with patch.object(growthprice.solver, "_first_order_kernel", counted_kernel):
+    with patch.object(growthprice.kernels, "_first_order_kernel", counted_kernel):
         with patch.object(growthprice.translation, "boundary_growth", counted_growth):
-            with patch.object(growthprice.solver, "_log_growth", counted_log_growth):
+            with patch.object(growthprice.kernels, "_log_growth", counted_log_growth):
                 yield counts
 
 
@@ -824,7 +823,7 @@ class TestFirstOrderKernels:
 
     def test_vector_kernel_equals_loop(self):
         rng = np.random.default_rng(404)
-        first = growthprice.solver._VECTOR_MIN_OUTCOMES
+        first = growthprice.kernels._VECTOR_MIN_OUTCOMES
         for k in (first, first + 1, 64, 255, 256, 512):
             game = random_game(rng, k, k)
             stats = compute_stats(game)
@@ -872,7 +871,7 @@ class TestFirstOrderKernels:
         with _counting() as vector_counts:
             vector = solve_all(game)
         assert "_vector" in vars(game)
-        monkeypatch.setattr(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9)
+        monkeypatch.setattr(growthprice.kernels, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert _first_order_kernel(game).func is _first_order_sum
         # a fresh game, since game keeps the price the numpy kernel found
         fresh = Game(*game)
@@ -894,7 +893,7 @@ class TestFirstOrderKernels:
             vector = Game(*game)
             on_numpy, numpy_counts = _counted_solves(vector, r)
             assert "_vector" in vars(vector)
-            with patch.object(growthprice.solver, "_VECTOR_MIN_OUTCOMES", 10**9):
+            with patch.object(growthprice.kernels, "_VECTOR_MIN_OUTCOMES", 10**9):
                 looped, loop_counts = _counted_solves(Game(*game), r)
             assert looped == on_numpy, r
             for pair in zip(numpy_counts, loop_counts):
@@ -925,7 +924,7 @@ class TestFirstOrderKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             on_numpy = solve_all(Game(*game))
-        with patch.object(growthprice.solver, "_import_numpy", lambda: None):
+        with patch.object(growthprice.kernels, "_import_numpy", lambda: None):
             assert solve_all(Game(*game)) == on_numpy
 
     def test_single_evaluations_leave_numpy_unimported(self):
@@ -978,8 +977,8 @@ class TestFirstOrderKernels:
                 *solves,
                 "assert 'numpy' not in sys.modules",
                 # nor looked up
-                "import growthprice.solver",
-                "assert growthprice.solver._import_numpy.cache_info().misses == 0",
+                "import growthprice.kernels",
+                "assert growthprice.kernels._import_numpy.cache_info().misses == 0",
             ]
         )
         src = str(Path(growthprice.solver.__file__).resolve().parents[1])
@@ -1008,7 +1007,7 @@ class TestFirstOrderKernels:
         env = {
             name: value
             for name, value in os.environ.items()
-            if name not in growthprice.solver._BLAS_THREAD_VARS
+            if name not in growthprice.kernels._BLAS_THREAD_VARS
         }
         env["PYTHONPATH"] = src
         if threads is not None:
@@ -1075,13 +1074,13 @@ class TestKeptArrays:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (0.0, -0.5 * xi, 0.25 * xi, 3.0 * top, 1e3 * top):
-                assert _kept_boundary_growth(kept, n) is not None
+                assert _boundary_growth(kept, n) is not None
                 got = boundary_growth(kept, n)
                 assert repr(got) == repr(boundary_growth(looped, n))
             for u in prices:
-                spread, cubes = _relative_spread(kept, u, third=True)
-                assert _relative_spread(kept, u) == spread
-                loop_spread, loop_cubes = _relative_spread(looped, u, third=True)
+                spread, cubes = _relative_spread(kept, u)
+                assert _relative_spread(kept, u) == (spread, cubes)
+                loop_spread, loop_cubes = _relative_spread(looped, u)
                 # each sum within k eps of its terms' absolute sum, and
                 # sum p |x|**3 <= max |x| * sum p x**2
                 bound = k * 2.0**-52 * loop_spread
@@ -1139,7 +1138,7 @@ class TestKeptArrays:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in shifts:
-                assert _kept_boundary_growth(kept, n) is None
+                assert _boundary_growth(kept, n) is None
                 got = _verdict(lambda: boundary_growth(kept, n))
                 assert got == _verdict(lambda: boundary_growth(looped, n))
 
@@ -1161,7 +1160,6 @@ class TestKeptArrays:
         u = 1e-160 * looped.outcomes[-1].payout
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for third in (False, True):
-                got = _relative_spread(kept, u, third)
-                assert repr(got) == repr(_relative_spread(looped, u, third))
+            got = _relative_spread(kept, u)
+            assert repr(got) == repr(_relative_spread(looped, u))
             assert got == (math.inf, math.inf)

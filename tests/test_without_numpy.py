@@ -29,7 +29,7 @@ import json, math, random, sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from collections import Counter
-import growthprice.solver as solver
+import growthprice.kernels as kernels
 import growthprice.translation as translation
 from growthprice import (
     Game, asymptotic_sweep, check_invariance, compute_stats, optimal_price,
@@ -37,8 +37,8 @@ from growthprice import (
 )
 
 counts = Counter()
-loop, vector = solver._first_order_sum, solver._array_first_order_sum
-growth, log_growth = translation.boundary_growth, solver._log_growth
+loop, vector = kernels._first_order_sum, kernels._array_first_order_sum
+growth, log_growth = translation.boundary_growth, kernels._log_growth
 
 def counted(evaluate):
     def evaluation(*args, **kwargs):
@@ -51,15 +51,15 @@ def counted_growth(game, n):
     return growth(game, n)
 
 # every first-order evaluation, on either kernel
-solver._first_order_sum = counted(loop)
-solver._array_first_order_sum = counted(vector)
+kernels._first_order_sum = counted(loop)
+kernels._array_first_order_sum = counted(vector)
 translation.boundary_growth = counted_growth
 
 def counted_log_growth(outcomes, u, t):
     counts["log_growth"] += 1
     return log_growth(outcomes, u, t)
 
-solver._log_growth = counted_log_growth
+kernels._log_growth = counted_log_growth
 
 results, kept = [], []
 for k in (40, 64, 256):
@@ -90,7 +90,7 @@ print(json.dumps({
     "results": results,
     "kept": kept,
     "numpy": sys.modules.get("numpy") is not None,
-    "imports": solver._import_numpy.cache_info().misses,
+    "imports": kernels._import_numpy.cache_info().misses,
 }))
 """
 
