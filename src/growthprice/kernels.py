@@ -4,7 +4,9 @@ The first-order sum, the log growth, the boundary growth B(n) of a shifted
 game, the threshold's steering slope and the relative spread are sums over a
 game's outcomes. solver.py finds the roots and the price, and translation.py
 the shifts, from the values here; oracle.py keeps its own copies, as it
-shares no code with the solvers.
+shares no code with the solvers. B(n) sums with games._harmonic and
+games._log_moment, which a game's statistics sum with too, so that it is the
+shifted game's boundary growth bit for bit.
 
 The sums have two kernels: a plain loop, and numpy on arrays of the game's
 payouts and weights. The first-order kernel returns the derivative in t next
