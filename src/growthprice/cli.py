@@ -5,16 +5,24 @@ floats printed to 17 significant digits so identical inputs give
 byte-identical output. Error messages go to stderr. Exit codes: 0 success,
 1 validation or parse failure, 2 domain error, 3 internal-consistency
 failure.
+
+`main()` reads argv from the command table that `run()` reads too. The first
+token names the command; each later token is `--flag value` or
+`--flag=value`, and the token after a value-taking flag is always its value,
+so `--shift -0.5` passes -0.5 on. `--normalize` takes no value. `--help`
+prints the commands, or one command's options with their defaults, from the
+same table. A usage error (no command or an unknown one, an unknown flag, a
+missing or unconvertible value, a stray token) prints one `error:` line and
+exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .errors import (
@@ -235,13 +243,13 @@ def _parse_shifts(value: str) -> list[float]:
     try:
         return [float(part) for part in value.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {value!r}"
-        ) from None
+        raise ValueError(f"expected comma-separated numbers, got {value!r}") from None
 
 
 class _Option(NamedTuple):
-    """A command-line option and its RunConfig field; type None marks a flag."""
+    """A command-line option and its RunConfig field; type None marks a flag.
+
+    The help text may name a RunConfig default as %(field)s."""
 
     flag: str
     name: str
@@ -255,16 +263,16 @@ _COMMON_OPTIONS = (
     _Option(
         "--tol", "tol", float,
         help="Solver tolerance (residual and relative bracket width)"
-        " [default: %(default)s].",
+        " [default: %(tol)s].",
     ),
     _Option(
         "--max-iter", "max_iter", int,
-        help="Bisection iteration cap [default: %(default)s].",
+        help="Bisection iteration cap [default: %(max_iter)s].",
     ),
     _Option(
         "--format", "output_format", str,
         help="Report format, json or csv (csv applies to sweep only)"
-        " [default: %(default)s].",
+        " [default: %(output_format)s].",
     ),
     _Option(
         "--normalize", "normalize", None,
@@ -319,40 +327,61 @@ _COMMANDS = {
 }
 
 
-def _parser(**kwargs) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False, **kwargs)
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
+def _help(command: str | None = None) -> str:
+    """The --help text, from the command table: every command, or one
+    command's options with their help and RunConfig defaults."""
+    if command is None:
+        usage, text = "COMMAND [OPTIONS]", main.__doc__ or ""
+        rows = [(name, entry[1]) for name, entry in _COMMANDS.items()]
+        rows.append(("--version", "Show the version and exit."))
+    else:
+        usage, (_, text, extra) = f"{command} [OPTIONS]", _COMMANDS[command]
+        rows = [
+            (o.flag if o.type is None else f"{o.flag} VALUE",
+             o.help % RunConfig._field_defaults)
+            for o in (*_COMMON_OPTIONS, *extra)
+        ]
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(left) for left, _ in rows)
+    lines = "".join(f"\n  {left:<{width}}  {right}" for left, right in rows)
+    return f"usage: growthprice {usage}\n\n{text}\n{lines}"
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(EXIT_DOMAIN)
 
 
 def main(argv: list[str] | None = None) -> None:
     """Growth-optimal proportions and prices of discrete payoff games."""
-    parser = _parser(prog="growthprice", description=main.__doc__)
-    parser.add_argument(
-        "--version", action="version", version=f"growthprice, version {__version__}"
-    )
-    commands = parser.add_subparsers(
-        dest="command", metavar="COMMAND", required=True, parser_class=_parser
-    )
-    defaults, takes_value = RunConfig(command="", game_path=None), set()
-    for name, (_, help_text, extra) in _COMMANDS.items():
-        command = commands.add_parser(name, help=help_text, description=help_text)
-        for option in (*_COMMON_OPTIONS, *extra):
-            if option.type is None:
-                kwargs = dict(action="store_true")
-            else:
-                kwargs = dict(type=option.type, default=getattr(defaults, option.name))
-                takes_value.add(option.flag)
-            command.add_argument(
-                option.flag, dest=option.name, help=option.help, **kwargs
-            )
-    # argparse reads a value such as -1e-12, -inf or -0.5,1 as an option, so
-    # each value-taking flag is joined with the token after it: --tol=-1e-12.
-    args, tokens = [], iter(sys.argv[1:] if argv is None else argv)
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command = next(tokens, None)
+    if command in ("--help", "--version"):
+        print(_help() if command == "--help" else f"growthprice, version {__version__}")
+        sys.exit(EXIT_OK)
+    if command not in _COMMANDS:
+        got = "" if command is None else f", got {command!r}"
+        _usage_error(f"expected a command ({', '.join(_COMMANDS)}){got}")
+    options = {o.flag: o for o in (*_COMMON_OPTIONS, *_COMMANDS[command][2])}
+    fields = {}
+    # the token after a value-taking flag is its value, even -0.5 or --help
     for token in tokens:
-        value = next(tokens, None) if token in takes_value else None
-        args.append(token if value is None else f"{token}={value}")
-    sys.exit(run(RunConfig(**vars(parser.parse_args(args)))))
+        if token == "--help":
+            print(_help(command))
+            sys.exit(EXIT_OK)
+        flag, eq, value = token.partition("=")
+        option = options.get(flag)
+        if option is None or (eq and option.type is None):
+            _usage_error(f"unrecognized argument {token!r}")
+        if not eq and option.type is not None:
+            value = next(tokens, None)
+        if value is None:
+            _usage_error(f"{flag} expects a value")
+        try:
+            fields[option.name] = True if option.type is None else option.type(value)
+        except ValueError as exc:
+            _usage_error(f"{flag}: {exc}")
+    sys.exit(run(RunConfig(command, fields.pop("game_path", None), **fields)))
 
 
 if __name__ == "__main__":

@@ -106,19 +106,22 @@ _PRICE_MARGIN = 1e-12
 # stops, and probes, at _PROBE_GAP of the proportion from its root. A side
 # that its first probe leaves uncertified is probed on outward, each try
 # _PROBE_GROWTH times as far out, until a certificate or the bracket. On the
-# two-point fixture optimal_price made 358 first-order evaluations at
-# r = 1e-12 with one try a side, and 460, 326, 303, 292 and 278 at growth 2,
-# 4, 8, 16 and 32; at r = 1e-8, 151 with one try and 89 at 16 against 93 at
-# 32. The bench's solve_narrow mix made 27.05 per op at every growth. Those
-# runs capped the tries at 12 a side; lifting the cap changed no count.
+# two-point fixture a first optimal_price made 383, 309, 289, 280 and 265
+# first-order evaluations at r = 1e-12 with growth 2, 4, 8, 16 and 32, and
+# 124, 99, 92, 85 and 89 at r = 1e-8. Per op, tests/fingerprint.py counts
+# 23.42, 23.38, 23.46, 23.61 and 23.75 on solve_narrow (seed 6), and 24.31,
+# 24.20, 24.15, 24.21 and 24.24 on solve_wide (seed 5), with the same output
+# bits at every growth.
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
 _PROBE_GROWTH = 16.0
 # Halvings of a joint (t, u) step that leaves the price bracket or the
-# capped proportions, before the joint Newton gives up. Of the 1960 interior
-# price solves in 1400 solve_narrow ops (seed 6), the joint step gave up in
-# 59 with no halving, 9 with 1, 7 with 2, 5 with 3 or 4, and 4 with 5 to 10
-# (24.83, 23.81, 23.76, 23.72 and 23.70 first-order evaluations per op).
+# capped proportions, before the joint Newton gives up. tests/fingerprint.py
+# counts 28.69, 24.42, 23.75 and 23.61 first-order evaluations per
+# solve_narrow op (seed 6) with 0, 1, 2 and 3 halvings, and 23.61 with 4, 5
+# or 10; seeds 7 and 8 still fall from 3 halvings (23.52, 23.53) to 4 (23.37,
+# 23.39). solve_wide's counts, and the output bits of both, are the same at
+# each of these halvings.
 _JOINT_HALVINGS = 5
 # Unit roundoff of binary64.
 _EPS = 2.0**-53

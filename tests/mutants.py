@@ -95,10 +95,18 @@ MUTANTS = (
     Mutant(
         "a cold command imports inspect",
         "cli.py",
-        "import argparse\n",
-        "import argparse\nimport inspect\n",
+        "import json\n",
+        "import inspect\nimport json\n",
         ("tests/test_cli.py::TestLazyImports::test_cold_command_loads_only_its_modules",),
         "ef3c7e6, records as NamedTuples",
+    ),
+    Mutant(
+        "a cold command imports argparse",
+        "cli.py",
+        "import json\n",
+        "import argparse\nimport json\n",
+        ("tests/test_cli.py::TestLazyImports::test_cold_command_loads_only_its_modules",),
+        "main() parses argv from the command table",
     ),
     Mutant(
         "the price certificates' band is -1",

@@ -556,8 +556,8 @@ class TestArgv:
         assert result == run_config(cfg)
         assert result[0] == EXIT_OK
 
-    # argparse reads a token such as -1e-12, -inf or -0.5,1 as an option;
-    # main() passes each to the library, as a value of the flag before it.
+    # A token such as -1e-12, -inf or -0.5,1 after a value-taking flag is
+    # that flag's value, never an option; main() passes it to the library.
     # Each case expects the RunConfig fields it sets or the library's error.
     @pytest.mark.parametrize(
         "argv, expected",
@@ -568,6 +568,10 @@ class TestArgv:
             ),
             (
                 ["translate", "--rate", "0.05", "--shift", "-0.5"],
+                {"rate": 0.05, "shift": -0.5},
+            ),
+            (
+                ["translate", "--rate=0.05", "--shift=-0.5"],
                 {"rate": 0.05, "shift": -0.5},
             ),
             (
@@ -592,6 +596,7 @@ class TestArgv:
         ids=(
             "shift_minus_inf",
             "shift_negative",
+            "shift_negative_after_equals",
             "shifts_negative",
             "tol_negative",
             "rate_negative",
@@ -618,6 +623,11 @@ class TestArgv:
             ["sweep", "--game", "{spec}", "--rate", "0.05", "--shifts", ","],
             ["price", "--game", "{spec}", "--rate", "0.05", "--max", "5"],
             ["--game", "{spec}", "price", "--rate", "0.05"],
+            ["price", "--game", "{spec}", "--rate"],
+            ["price", "--game", "{spec}", "--rate", "0.05", "stray"],
+            ["analyze", "--game", "{spec}", "--normalize=yes"],
+            ["price", "--game", "{spec}", "--rate", "0.05", "--max-iter", "1.5"],
+            ["price", "--game", "{spec}", "--rate", "0.05", "--version"],
         ),
         ids=(
             "no_command",
@@ -628,13 +638,52 @@ class TestArgv:
             "no_shift",
             "abbreviated_option",
             "game_before_the_command",
+            "flag_without_a_value",
+            "stray_token",
+            "normalize_with_a_value",
+            "max_iter_not_an_integer",
+            "version_after_the_command",
         ),
     )
     def test_usage_error_is_exit_2(self, capsys, spec_path, argv):
         argv = [spec_path if arg == "{spec}" else arg for arg in argv]
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (EXIT_DOMAIN, "")
-        assert err
+        # one error line, however the usage went wrong
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_flag_equals_value_gives_the_same_bytes(self, capsys, spec_path, command):
+        argv, _ = _ARGV[command]
+        joined, tokens = [], iter(argv)
+        for token in tokens:
+            joined.append(token if token == "--normalize" else f"{token}={next(tokens)}")
+        expected = run_main(capsys, command, "--game", spec_path, *argv)
+        assert run_main(capsys, command, f"--game={spec_path}", *joined) == expected
+        assert expected[0] == EXIT_OK
+
+    def test_help_names_every_command(self, capsys):
+        code, out, err = run_main(capsys, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        for command, (_, help_text, _) in growthprice.cli._COMMANDS.items():
+            assert re.search(rf"^  {command} +{re.escape(help_text)}$", out, re.M)
+        assert "--version" in out
+
+    @pytest.mark.parametrize("command", sorted(_ARGV))
+    def test_command_help_names_its_flags_and_defaults(self, capsys, command):
+        _, _, extra = growthprice.cli._COMMANDS[command]
+        code, out, err = run_main(capsys, command, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        for option in (*growthprice.cli._COMMON_OPTIONS, *extra):
+            assert re.search(rf"^  {option.flag}\b", out, re.M), option.flag
+        assert "--tol VALUE" in out and "[default: 1e-12]" in out
+        assert "--max-iter VALUE" in out and "[default: 200]" in out
+
+    def test_help_after_a_value_taking_flag_is_its_value(self, capsys):
+        code, out, err = run_main(capsys, "analyze", "--game", "--help")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: cannot read game spec '--help'")
 
     @pytest.mark.parametrize("shifts", (",", "", " , "))
     def test_empty_shift_list_is_the_library_error(self, capsys, spec_path, shifts):
@@ -685,8 +734,10 @@ _LOADED = {
 }
 
 # Standard-library modules that no cold command imports: dataclasses and
-# inspect cost more than the rest of the package's import.
-_HEAVY_STDLIB = {"dataclasses", "inspect", "pathlib"}
+# inspect cost more than the rest of the package's import, and main() reads
+# argv from the command table without argparse and the gettext and locale
+# that argparse loads.
+_HEAVY_STDLIB = {"dataclasses", "inspect", "pathlib", "argparse", "gettext", "locale"}
 
 # Prints, as JSON on stderr once the interpreter exits, the loaded growthprice
 # modules, and the top-level modules outside the standard library and in it
