@@ -14,7 +14,7 @@ import math
 import sys
 from functools import cached_property
 from itertools import islice, repeat
-from operator import add, lt, mul, truediv
+from operator import add, itemgetter, lt, mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, GameValidationError, SpecParseError
@@ -27,6 +27,13 @@ class Outcome(NamedTuple):
 
     payout: float
     weight: float
+
+
+def _records(pairs: Iterable[tuple[float, float]]) -> tuple[Outcome, ...]:
+    """Outcome records of (payout, weight) pairs, each made as tuple.__new__
+    makes it, without Outcome's Python-level __new__, which costs about as
+    much again as the tuple."""
+    return tuple(map(tuple.__new__, repeat(Outcome), pairs))
 
 
 class _GameFields(NamedTuple):
@@ -42,16 +49,23 @@ class Game(_GameFields):
     sorted by payout. Canonical form makes equality, hashing and all derived
     sums deterministic. Negative and NaN weights are never merged: each stays
     an entry of its own, so validation reports it instead of a hiding sum.
+    Game takes (payout, weight) pairs, plain tuples or records, and builds
+    each canonical record once, from a plain pair, by _records, as
+    translate's direct path does: from_pairs, load_spec, game_from_nodes,
+    TwoPointGame.to_game and translate's merging path hand it plain pairs.
 
     The instance dict keeps what is computed from the game on first use:
     the summary statistics, so a game is validated once however many
     solvers it passes through; and the outcomes as plain pairs, and as a
     column of payouts and a column of weights. The solver keeps what it
     computes from a game there too. None of them takes part in equality or
-    hashing. A game that fails validation caches no statistics and raises
-    again on every use. Concurrent use is safe: each value is deterministic
-    and stored whole, so every thread sees the values a fresh game would
-    give.
+    hashing. The pairs and the columns stay lazy although construction has
+    the pairs at hand: kept from birth, they raised the solve_narrow
+    benchmark's peak RSS from 29.4 to 34.1 MB, as its repeated set-up holds
+    two sets of games at once. A game that fails validation caches no
+    statistics and raises again on every use. Concurrent use is safe: each
+    value is deterministic and stored whole, so every thread sees the values
+    a fresh game would give.
 
     A game that translate builds without merging payouts keeps statistics
     from birth and is never validated: it is valid by construction (see
@@ -61,17 +75,19 @@ class Game(_GameFields):
     # No __slots__: the instance dict holds the cached statistics, the pairs,
     # the columns and what the solver keeps.
 
-    def __new__(cls, outcomes: Iterable[Outcome], label: str | None = None) -> "Game":
+    def __new__(
+        cls, outcomes: Iterable[tuple[float, float]], label: str | None = None
+    ) -> "Game":
         merged: dict[float, float] = {}
-        apart: list[Outcome] = []
-        for o in outcomes:
-            if o.weight >= 0.0:
-                merged[o.payout] = merged.get(o.payout, 0.0) + o.weight
+        apart: list[tuple[float, float]] = []
+        for a, w in outcomes:
+            if w >= 0.0:
+                merged[a] = merged.get(a, 0.0) + w
             else:
-                apart.append(o)
-        canon = [Outcome(a, w) for a, w in merged.items() if w != 0.0] + apart
-        canon.sort(key=lambda o: o.payout)
-        return super().__new__(cls, tuple(canon), label)
+                apart.append((a, w))
+        canon = [pair for pair in merged.items() if pair[1] != 0.0] + apart
+        canon.sort(key=itemgetter(0))
+        return super().__new__(cls, _records(canon), label)
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Game":
@@ -82,8 +98,10 @@ class Game(_GameFields):
     def from_pairs(
         cls, pairs: Iterable[tuple[float, float]], label: str | None = None
     ) -> "Game":
-        """Build a game from (payout, weight) pairs."""
-        return cls(tuple(Outcome(float(a), float(p)) for a, p in pairs), label=label)
+        """Build a game from (payout, weight) pairs, each converted to two
+        floats and handed to Game as a plain pair, so each record is built
+        once, by _records."""
+        return cls([(float(a), float(p)) for a, p in pairs], label)
 
     @cached_property
     def _stats(self) -> "GameStats":
@@ -219,8 +237,8 @@ def translate(game: Game, n: float) -> Game:
     The shift must stay above minus the essential infimum so that shifted
     payouts remain strictly positive.
 
-    The result equals Game(Outcome(a + n, w) ...) for the outcomes (a, w)
-    of game. Where the shifted payouts stay finite and strictly increasing
+    The result equals Game((a + n, w) ...) for the outcomes (a, w) of
+    game. Where the shifted payouts stay finite and strictly increasing
     it is built from them directly, with no merge, sort or validation, and
     keeps its statistics from _summary, the function Game._stats uses, and
     its own columns, from which its first wide price solve builds its arrays
@@ -232,16 +250,11 @@ def translate(game: Game, n: float) -> Game:
     the game through Game and validate it on first use.
     """
     payouts = _shifted_payouts(game, n)
+    column, weights = game._columns
     if payouts is None:
-        return Game(
-            tuple(Outcome(o.payout + n, o.weight) for o in game.outcomes),
-            label=game.label,
-        )
-    weights = game._columns[1]
+        return Game(zip(map(add, column, repeat(n)), weights), game.label)
     pairs = tuple(zip(payouts, weights))
-    # each record as tuple.__new__ makes it, without Outcome's Python __new__
-    outcomes = tuple(map(tuple.__new__, repeat(Outcome), pairs))
-    shifted = tuple.__new__(Game, (outcomes, game.label))
+    shifted = tuple.__new__(Game, (_records(pairs), game.label))
     columns, stats = (payouts, weights), _summary(payouts, weights)
     vars(shifted).update(_pairs=pairs, _columns=columns, _stats=stats)
     return shifted
@@ -303,9 +316,7 @@ def game_from_nodes(
     total = math.fsum(ws)
     if not total > 0.0:
         raise DomainError(f"total node weight must be positive, got {total!r}")
-    return Game.from_pairs(
-        ((float(a), w / total) for a, w in zip(payouts, ws)), label=label
-    )
+    return Game([(float(a), w / total) for a, w in zip(payouts, ws)], label)
 
 
 def _is_number(x) -> bool:
@@ -365,7 +376,7 @@ def load_spec(text: str, *, normalize: bool = False) -> Game:
         total = math.fsum(p for _, p in pairs)
         if math.isfinite(total) and total > 0.0:
             pairs = [(a, p / total) for a, p in pairs]
-    game = Game.from_pairs(pairs, label=label)
+    game = Game(pairs, label)
     compute_stats(game)  # validates, and keeps the stats for later calls
     return game
 

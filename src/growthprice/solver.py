@@ -573,28 +573,26 @@ def _joint_newton(
     lo: float,
     hi: float,
     u: float,
+    t: float,
     r: float,
     eta: float,
 ) -> tuple[float, float, float] | None:
     """The root (u, t) of the optimality system (g, L - r) = 0 by Newton from
-    u and the proportion's chord (E - u)/(E - fair_price), with dL/dt = g and
-    _price_slopes, once a step moves u by at most sqrt(eta) of it, the next
-    by about eta; with it the distance 4 eta u/t at which the price's
-    certificates are probed. Where g = 0 the log growth falls at
-    |dL/du| = t/u, so that distance moves it by about 4 eta, past the
-    lemma's 2 eta. Where the Jacobian's determinant is not positive, the
-    step is Newton's in t alone at fixed u, t - g/g_t, which is no step
-    towards convergence in u. A step that leaves (lo, hi) or the capped
-    proportions is halved, up to _JOINT_HALVINGS times. Where the start is
-    outside them, a step still leaves them, or _NEWTON_STEPS pass, it gives
-    up and returns None."""
-    stats = compute_stats(game)
-    xi, mean = stats.ess_inf, stats.expectation
+    the start (u, t), with dL/dt = g and _price_slopes, once a step moves u
+    by at most sqrt(eta) of it, the next by about eta; with it the distance
+    4 eta u/t at which the price's certificates are probed. Where g = 0 the
+    log growth falls at |dL/du| = t/u, so that distance moves it by about
+    4 eta, past the lemma's 2 eta. Where the Jacobian's determinant is not
+    positive, the step is Newton's in t alone at fixed u, t - g/g_t, which is
+    no step towards convergence in u. A step that leaves (lo, hi) or the
+    capped proportions is halved, up to _JOINT_HALVINGS times. Where the
+    start is outside them, a step still leaves them, or _NEWTON_STEPS pass,
+    it gives up and returns None."""
+    xi = compute_stats(game).ess_inf
 
     def inside(u: float, t: float) -> bool:
         return lo < u < hi and 0.0 < t < _cap(u, xi)
 
-    t = (mean - u) / (mean - stats.fair_price)
     if not inside(u, t):
         return None
     for _ in range(_NEWTON_STEPS):
@@ -648,11 +646,16 @@ def optimal_price(
     small-rate estimate E - sigma sqrt(2 r), which Newton climbs from below
     without overshooting where log G* is convex, as its small-rate form
     (E - u)**2/(2 sigma**2) is; where it gives up from there it runs once
-    more from the other. No start moves a bit. eta, derived in _price_band,
-    bounds the rounding of the log growth and the inner solve's optimality
-    deficit; where it cannot be shown, or the joint Newton gives up from
-    both starts, the bisection runs plain. A fair price within
-    _PRICE_MARGIN of the expectation leaves no bracket and is refused.
+    more from the other, each from the proportion's chord
+    (E - u)/(E - fair_price). A game that price_translated shifted first
+    tries the warm start it left in the game's instance dict: the base
+    game's root mapped by the paper's invariance, where Newton's first step
+    converges; the cold starts follow where it gives up. No start moves a
+    bit. eta, derived in _price_band, bounds the rounding of the log growth
+    and the inner solve's optimality deficit; where it cannot be shown, or
+    the joint Newton gives up from every start, the bisection runs plain. A
+    fair price within _PRICE_MARGIN of the expectation leaves no bracket and
+    is refused.
 
     The game keeps the last result, under its exact arguments compared by
     type and value (r=1 and r=1.0 give different rate fields), and returns
@@ -670,6 +673,7 @@ def optimal_price(
 
 def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolution:
     """optimal_price without the kept result: joint root, certificates, replay."""
+    warm = game.__dict__.pop("_joint_start", None)
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)
@@ -717,8 +721,11 @@ def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolu
         spread, _ = kernels._relative_spread(game, mean)
         small_rate = mean * (1.0 - math.sqrt(2.0 * r * spread))
         band = 3.0 * eta * target  # clears 2 eta in the log: _price_band
-        for start in sorted((tangent, small_rate), reverse=True):
-            root = _joint_newton(first_order_sum, game, lo, hi, start, r, eta)
+        cold = sorted((tangent, small_rate), reverse=True)
+        # each cold start takes the proportion's chord (E - u)/(E - fair_price)
+        starts = [(u, (mean - u) / (mean - stats.fair_price)) for u in cold]
+        for start in [warm, *starts] if warm else starts:
+            root = _joint_newton(first_order_sum, game, lo, hi, *start, r, eta)
             if root is not None:
                 u, t, gap = root
                 pos, _, neg, _ = _newton_certificates(

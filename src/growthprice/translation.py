@@ -261,28 +261,41 @@ def price_translated(
     so its price is always solved; on a wide game that solve builds the
     shifted game's own arrays from its own columns, as the original's first
     price solve builds the original's (kernels._first_order_kernel).
+
+    The shifted game's regime is read off its statistics first, so a shift
+    priced at full investment returns without pricing the original. Where
+    both price in the interior, the original's price u and proportion t
+    warm-start the shifted game's joint Newton (optimal_price) at
+    (u + n, t (u + n)/u), the root the invariance maps them to. The start
+    moves no bit of the result, only the work of finding it, so the
+    consistency check stays independent of the original's price.
     """
     target = _growth_target(r)
-    solution = optimal_price(translate(game, n), r, tol=tol, max_iter=max_iter)
-    if solution.regime is Regime.FULL_INVESTMENT:
-        return solution
+    shifted = translate(game, n)
+    if _full_investment(compute_stats(shifted), target):
+        return optimal_price(shifted, r, tol=tol, max_iter=max_iter)
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)
-    if base.regime is Regime.INTERIOR:
-        expected = base.optimal_price + n
-        gap = abs(solution.optimal_price - expected)
-        if gap > TRANSLATION_CHECK_TOL * abs(expected):
-            message = (
-                f"shifted optimal price {solution.optimal_price!r} disagrees"
-                f" with original-plus-shift {expected!r} beyond relative"
-                f" {TRANSLATION_CHECK_TOL}"
+    if base.regime is not Regime.INTERIOR:
+        return optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+    u, t = base.optimal_price, base.proportion
+    # the invariance maps the base root onto the shifted game's: its start
+    vars(shifted)["_joint_start"] = (u + n, t * (u + n) / u)
+    solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+    expected = u + n
+    gap = abs(solution.optimal_price - expected)
+    if gap > TRANSLATION_CHECK_TOL * abs(expected):
+        message = (
+            f"shifted optimal price {solution.optimal_price!r} disagrees"
+            f" with original-plus-shift {expected!r} beyond relative"
+            f" {TRANSLATION_CHECK_TOL}"
+        )
+        res = (solution.growth_check - target, base.growth_check - target)
+        if max(map(abs, res)) > tol:
+            message += (
+                "; the solves stopped before tolerance: growth residuals"
+                f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
             )
-            res = (solution.growth_check - target, base.growth_check - target)
-            if max(map(abs, res)) > tol:
-                message += (
-                    "; the solves stopped before tolerance: growth residuals"
-                    f" {res[0]!r} shifted, {res[1]!r} original, max_iter={max_iter}"
-                )
-            raise InternalConsistencyError(message)
+        raise InternalConsistencyError(message)
     return solution
 
 

@@ -82,6 +82,11 @@ REFERENCE_PRICE_FROM_ROOT = (
     "tests/test_reference.py::test_a_price_probed_from_its_root_certifies_only_past_its_band"
 )
 JOINT_JACOBIAN = "tests/test_properties.py::test_joint_jacobian_identities_match_direct_sums"
+CANONICAL_RECORDS = (
+    "tests/test_properties.py::"
+    "test_records_are_built_as_the_reference_canonical_form_builds_them"
+)
+RECORDS_BUILT_ONCE = "tests/test_records.py::TestRecordsBuiltOnce"
 
 MUTANTS = (
     Mutant(
@@ -489,6 +494,22 @@ MUTANTS = (
         "",
         (f"{KEPT_ARRAYS}::test_merging_and_overflowing_shifts_take_the_loop[1.0]",),
         "one kernel module owns every per-outcome sum",
+    ),
+    Mutant(
+        "a game builds its records through Outcome again",
+        "games.py",
+        "    return tuple(map(tuple.__new__, repeat(Outcome), pairs))\n",
+        "    return tuple(Outcome(a, w) for a, w in pairs)\n",
+        (RECORDS_BUILT_ONCE,),
+        "records built once, from plain pairs",
+    ),
+    Mutant(
+        "a game sorts its records on the weight",
+        "games.py",
+        "canon.sort(key=itemgetter(0))",
+        "canon.sort(key=itemgetter(1))",
+        (CANONICAL_RECORDS, RECORDS_BUILT_ONCE),
+        "records built once, from plain pairs",
     ),
 )
 

@@ -4,11 +4,13 @@ shift, monotone prices in the rate and the shift, cap tests at the smallest
 payout that refuse exactly what a per-term scan refuses, first-order sums that
 are weakly decreasing in t as evaluated, proportion, price and threshold
 solves from sign certificates that replay plain bisection bit for bit, the
-joint Newton's Jacobian from exact identities that match direct sums, an
-exact spec round trip, and shifted games that equal the games built from their
-shifted outcomes."""
+joint Newton's Jacobian from exact identities that match direct sums, shifted
+prices that keep their bits from any warm start, canonical records built as a
+reference canonicalizer builds them, an exact spec round trip, and shifted
+games that equal the games built from their shifted outcomes."""
 
 import math
+import struct
 import sys
 from functools import partial
 from unittest.mock import patch
@@ -198,6 +200,59 @@ def test_spec_round_trip_is_exact(pairs, label):
     assert [(o.payout, o.weight) for o in loaded.outcomes] == [
         (o.payout, o.weight) for o in game.outcomes
     ]
+
+
+def _reference_canonical(records) -> tuple[Outcome, ...]:
+    """Game's canonical records as built through Outcome's own __new__, with
+    the payout read by a lambda: the reference that the record builder must
+    match bit for bit."""
+    merged: dict[float, float] = {}
+    apart: list[Outcome] = []
+    for o in records:
+        if o.weight >= 0.0:
+            merged[o.payout] = merged.get(o.payout, 0.0) + o.weight
+        else:
+            apart.append(o)
+    canon = [Outcome(a, w) for a, w in merged.items() if w != 0.0] + apart
+    canon.sort(key=lambda o: o.payout)
+    return tuple(canon)
+
+
+def _bits(records) -> list:
+    """Each record's type, and its fields' types and bytes."""
+    return [
+        (type(o), type(o[0]), type(o[1]), struct.pack("<dd", *o)) for o in records
+    ]
+
+
+# duplicate payouts, int and float alike, and zero, negative and NaN weights
+raw_pairs = st.lists(
+    st.tuples(
+        st.sampled_from((0.5, 1, 1.0, 2.0, -0.0, 0.0, 3))
+        | st.floats(-1e3, 1e3, allow_nan=False),
+        st.sampled_from((0.0, -0.0, 0.25, 1, -0.25, -1, math.nan))
+        | st.floats(-1.0, 1.0, allow_nan=False),
+    ),
+    max_size=12,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pairs=raw_pairs, label=st.none() | st.text(max_size=3))
+def test_records_are_built_as_the_reference_canonical_form_builds_them(pairs, label):
+    # Each record is built once, from a plain pair; the merge, the drop of
+    # zero weights, the negative and NaN weights kept apart and the stable
+    # sort on the payout must give the reference's records bit for bit.
+    records = [Outcome(a, w) for a, w in pairs]
+    floats = [Outcome(float(a), float(w)) for a, w in pairs]
+    for got, want in (
+        (Game.from_pairs(pairs, label), _reference_canonical(floats)),
+        (Game(records, label), _reference_canonical(records)),
+        (Game(pairs, label), _reference_canonical(records)),
+    ):
+        assert _bits(got.outcomes) == _bits(want)
+        assert all(type(o) is Outcome for o in got.outcomes)
+        assert got.label == label
 
 
 def _verdict(fn, game: Game) -> str:
@@ -411,9 +466,10 @@ def _price_threshold_and_shift(game: Game, r: float) -> list[str]:
 )
 def test_the_joint_start_moves_no_bit(game, fraction):
     # The joint root only starts the certificate search. With the joint
-    # Newton giving up from every start, so that the price bisects plain,
-    # every price, threshold and shifted price keeps its bits.
-    def gives_up(first_order_sum, game, lo, hi, u, r, eta):
+    # Newton giving up from every start, the shifted price's warm start
+    # among them, so that the price bisects plain, every price, threshold
+    # and shifted price keeps its bits.
+    def gives_up(first_order_sum, game, lo, hi, u, t, r, eta):
         return None
 
     r = fraction * math.log(boundary_growth(game, 0.0))
@@ -421,6 +477,43 @@ def test_the_joint_start_moves_no_bit(game, fraction):
     joint = _price_threshold_and_shift(game, r)
     with patch.object(growthprice.solver, "_joint_newton", gives_up):
         assert _price_threshold_and_shift(Game(*game), r) == joint
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    game=st.builds(_scaled, unscaled_wide_games, st.sampled_from((1e-200, 1.0, 1e200))),
+    fraction=st.floats(0.01, 0.99),
+    share=st.floats(-0.9, 0.9),
+    moves=st.tuples(
+        st.sampled_from((0.0, 1e-15, -1e-9)) | st.floats(-0.9, 1.0),
+        st.sampled_from((0.0, 1e-15, -1e-9)) | st.floats(-0.9, 1.0),
+    ),
+)
+def test_a_moved_warm_start_moves_no_shifted_bit(game, fraction, share, moves):
+    # price_translated starts the shifted game's joint Newton at the base
+    # root mapped by the invariance. Moved off it in u and t, by rounding or
+    # out of the bracket and the capped proportions, where the cold starts
+    # take over, the start must leave the shifted price's bits as they are.
+    r = fraction * math.log(boundary_growth(game, 0.0))
+    assume(r > 1e-15)
+    n0 = threshold_shift(game, r).n0
+    n = share * (compute_stats(game).ess_inf if share < 0.0 else n0)
+    warm = _outcome(price_translated, game, r, n)
+    handed = []
+
+    def moved(shifted, *args, **kwargs):
+        start = vars(shifted).get("_joint_start")
+        if start is not None:
+            handed.append(start)
+            vars(shifted)["_joint_start"] = tuple(
+                x * (1.0 + move) for x, move in zip(start, moves)
+            )
+        return optimal_price(shifted, *args, **kwargs)
+
+    with patch.object(growthprice.translation, "optimal_price", moved):
+        assert _outcome(price_translated, Game(*game), r, n) == warm
+    # both games price in the interior here, so the start was handed in
+    assert len(handed) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -129,3 +129,72 @@ class TestRecords:
         game = _RECORDS["Game"]()
         assert game._pairs == game.outcomes
         assert all(type(pair) is tuple for pair in game._pairs)
+
+
+@pytest.fixture
+def outcome_news(monkeypatch):
+    """The arguments of every call to Outcome's Python-level __new__."""
+    seen = []
+    new = gp.Outcome.__new__
+
+    def counted(cls, *args, **kwargs):
+        seen.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(gp.Outcome, "__new__", counted)
+    return seen
+
+
+class TestRecordsBuiltOnce:
+    """Every ingestion path hands Game plain pairs, and each record is built
+    from one by tuple.__new__, never through Outcome's own __new__."""
+
+    _PAIRS = [(19.0, 0.25), (1.0, 0.5), (7.0, 0.0), (19.0, 0.25)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda pairs: gp.Game.from_pairs(pairs, "two-point"),
+            lambda pairs: gp.Game(pairs, "two-point"),
+            lambda pairs: gp.Game(iter(pairs), "two-point"),
+            lambda pairs: gp.load_spec(
+                json.dumps(
+                    {
+                        "label": "two-point",
+                        "outcomes": [{"payout": a, "prob": p} for a, p in pairs],
+                    }
+                )
+            ),
+            lambda pairs: gp.game_from_nodes(*zip(*pairs), label="two-point"),
+        ],
+        ids=["from_pairs", "Game", "Game_from_an_iterator", "load_spec", "game_from_nodes"],
+    )
+    def test_an_ingestion_path_builds_no_record_through_outcome(self, outcome_news, build):
+        game = build(self._PAIRS)
+        assert outcome_news == []
+        assert game == _RECORDS["Game"]()
+        assert all(type(o) is gp.Outcome for o in game.outcomes)
+
+    def test_records_handed_in_are_rebuilt_without_outcome(self, outcome_news):
+        records = [gp.Outcome(a, w) for a, w in self._PAIRS]
+        outcome_news.clear()
+        game = gp.Game(records, "two-point")
+        assert outcome_news == [] and game == _RECORDS["Game"]()
+
+    def test_a_two_point_game_builds_no_record_through_outcome(self, outcome_news):
+        game = gp.TwoPointGame(high=19.0, low=1.0, p_high=0.5).to_game("two-point")
+        assert outcome_news == [] and game == _RECORDS["Game"]()
+
+    @pytest.mark.parametrize(
+        "n, merges", [(10.0, False), (1e17, True)], ids=["direct", "merging"]
+    )
+    def test_translate_builds_no_record_through_outcome(self, outcome_news, n, merges):
+        game = gp.Game.from_pairs([(1.0, 0.5), (3.0, 0.25), (19.0, 0.25)])
+        shifted = gp.translate(game, n)
+        assert outcome_news == []
+        assert len(shifted.outcomes) == (2 if merges else 3)
+        assert all(type(o) is gp.Outcome for o in shifted.outcomes)
+
+    def test_the_counter_sees_a_record_built_through_outcome(self, outcome_news):
+        gp.Outcome(1.0, 0.5)
+        assert outcome_news == [(1.0, 0.5)]
