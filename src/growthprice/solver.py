@@ -109,18 +109,18 @@ _PRICE_MARGIN = 1e-12
 # two-point fixture a first optimal_price made 383, 309, 289, 280 and 265
 # first-order evaluations at r = 1e-12 with growth 2, 4, 8, 16 and 32, and
 # 124, 99, 92, 85 and 89 at r = 1e-8. Per op, tests/fingerprint.py counts
-# 23.42, 23.38, 23.46, 23.61 and 23.75 on solve_narrow (seed 6), and 24.31,
-# 24.20, 24.15, 24.21 and 24.24 on solve_wide (seed 5), with the same output
+# 21.35, 21.33, 21.39, 21.44 and 21.51 on solve_narrow (seed 6), and 21.94,
+# 21.96, 21.96, 21.98 and 22.03 on solve_wide (seed 5), with the same output
 # bits at every growth.
 _NEWTON_STEPS = 30
 _PROBE_GAP = 1e-14
 _PROBE_GROWTH = 16.0
 # Halvings of a joint (t, u) step that leaves the price bracket or the
 # capped proportions, before the joint Newton gives up. tests/fingerprint.py
-# counts 28.69, 24.42, 23.75 and 23.61 first-order evaluations per
-# solve_narrow op (seed 6) with 0, 1, 2 and 3 halvings, and 23.61 with 4, 5
-# or 10; seeds 7 and 8 still fall from 3 halvings (23.52, 23.53) to 4 (23.37,
-# 23.39). solve_wide's counts, and the output bits of both, are the same at
+# counts 26.51, 22.25, 21.58 and 21.44 first-order evaluations per
+# solve_narrow op (seed 6) with 0, 1, 2 and 3 halvings, and 21.44 with 4, 5
+# or 10; seeds 7 and 8 still fall from 3 halvings (21.34, 21.43) to 4 (21.19,
+# 21.29). solve_wide's counts, and the output bits of both, are the same at
 # each of these halvings.
 _JOINT_HALVINGS = 5
 # Unit roundoff of binary64.
@@ -647,9 +647,9 @@ def optimal_price(
     without overshooting where log G* is convex, as its small-rate form
     (E - u)**2/(2 sigma**2) is; where it gives up from there it runs once
     more from the other, each from the proportion's chord
-    (E - u)/(E - fair_price). A game that price_translated shifted first
-    tries the warm start it left in the game's instance dict: the base
-    game's root mapped by the paper's invariance, where Newton's first step
+    (E - u)/(E - fair_price). price_translated solves its shifted game
+    through _solve_price with a warm start, tried first: the base game's
+    root mapped by the paper's invariance, where Newton's first step
     converges; the cold starts follow where it gives up. No start moves a
     bit. eta, derived in _price_band, bounds the rounding of the log growth
     and the inner solve's optimality deficit; where it cannot be shown, or
@@ -671,9 +671,10 @@ def optimal_price(
     return solution
 
 
-def _solve_price(game: Game, r: float, tol: float, max_iter: int) -> PricingSolution:
-    """optimal_price without the kept result: joint root, certificates, replay."""
-    warm = game.__dict__.pop("_joint_start", None)
+def _solve_price(
+    game: Game, r: float, tol: float, max_iter: int, warm: tuple | None = None
+) -> PricingSolution:
+    """optimal_price without the kept result, trying a warm (u, t) first."""
     stats = compute_stats(game)
     target = _growth_target(r)
     _require_bisect_args(tol, max_iter)

@@ -31,6 +31,7 @@ from .solver import (
     _growth_target,
     _newton_certificates,
     _require_bisect_args,
+    _solve_price,
     optimal_price,
     pre_optimal_proportion,
 )
@@ -257,30 +258,28 @@ def price_translated(
     solve stopped short of tol at max_iter. The original price is
     optimal_price(game, r, tol=tol, max_iter=max_iter), which the game keeps:
     a caller that has just priced the game with these arguments, or prices
-    it after this call, pays for one solve. The shifted game is built anew,
-    so its price is always solved; on a wide game that solve builds the
-    shifted game's own arrays from its own columns, as the original's first
-    price solve builds the original's (kernels._first_order_kernel).
+    it after this call, pays for one solve. The shifted game is built anew
+    and solved by solver._solve_price, so it keeps no price; on a wide game
+    that solve builds the shifted game's own arrays from its own columns, as
+    the original's first price solve builds the original's.
 
     The shifted game's regime is read off its statistics first, so a shift
     priced at full investment returns without pricing the original. Where
-    both price in the interior, the original's price u and proportion t
-    warm-start the shifted game's joint Newton (optimal_price) at
-    (u + n, t (u + n)/u), the root the invariance maps them to. The start
-    moves no bit of the result, only the work of finding it, so the
-    consistency check stays independent of the original's price.
+    both price in the interior, the solve takes (u + n, t (u + n)/u) as its
+    warm start argument, the root the invariance maps the original's price u
+    and proportion t to. The start moves no bit of the result, only the work
+    of finding it, so the consistency check stays independent of u.
     """
     target = _growth_target(r)
     shifted = translate(game, n)
     if _full_investment(compute_stats(shifted), target):
-        return optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+        return _solve_price(shifted, r, tol, max_iter)
     base = optimal_price(game, r, tol=tol, max_iter=max_iter)
     if base.regime is not Regime.INTERIOR:
-        return optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+        return _solve_price(shifted, r, tol, max_iter)
     u, t = base.optimal_price, base.proportion
     # the invariance maps the base root onto the shifted game's: its start
-    vars(shifted)["_joint_start"] = (u + n, t * (u + n) / u)
-    solution = optimal_price(shifted, r, tol=tol, max_iter=max_iter)
+    solution = _solve_price(shifted, r, tol, max_iter, (u + n, t * (u + n) / u))
     expected = u + n
     gap = abs(solution.optimal_price - expected)
     if gap > TRANSLATION_CHECK_TOL * abs(expected):

@@ -15,9 +15,15 @@ depend on the kernel, and the counts only on the recorded versions, since
 exact-evaluation counts on wide games may depend on numpy's build. A change
 that moves a bit or a count rewrites the record with --write and says why.
 
+counting() is the one definition of these units of work: the tests that
+count the solvers' work (test_call_counts.py, test_solver.py and the
+numpy-blocked child of test_without_numpy.py) call it with their own table of
+units. It imports neither numpy nor bench/workloads.py, which only
+fingerprint() loads.
+
 tests/test_fingerprint.py recomputes the first seed of each workload in
-Tier-1. The script imports bench/workloads.py and changes nothing there. Its
-name does not match test_*.py, so pytest does not collect it.
+Tier-1. The script changes nothing in bench/workloads.py. Its name does not
+match test_*.py, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ sys.path.append(str(ROOT / "bench"))
 import growthprice.games as games  # noqa: E402
 import growthprice.kernels as kernels  # noqa: E402
 import growthprice.translation as translation  # noqa: E402
-from workloads import Solve  # noqa: E402
 
 # (workload, wide, ops per seed, seeds); Tier-1 recomputes the first seed
 WORKLOADS = (
@@ -68,10 +73,20 @@ def versions() -> dict[str, str | None]:
 
 
 @contextmanager
-def counting(counts: Counter):
-    """Count each unit of work into counts while the block runs."""
-    saved = [(module, name, getattr(module, name)) for module, name in COUNTED.values()]
-    new, translate = games.Game.__dict__["__new__"], translation.translate
+def counting(counts: Counter, units: dict = COUNTED):
+    """Count into counts, while the block runs, one of each unit for each
+    call of its function and one game for each game built, whether through
+    Game or through translate's direct path; yield counts. Each wrapper
+    replaces every growthprice module's binding of its function, so a call
+    through a name that another module imported counts once, and each
+    binding is restored after the block."""
+    patched = []  # (name, original, wrapper), in the order patched
+
+    def patch(name, original, wrapper):
+        patched.append((name, original, wrapper))
+        for module in _package():
+            if getattr(module, name, None) is original:
+                setattr(module, name, wrapper)
 
     def counter(unit, fn):
         def counted(*args, **kwargs):
@@ -80,6 +95,11 @@ def counting(counts: Counter):
 
         return counted
 
+    for unit, (module, name) in units.items():
+        fn = getattr(module, name)
+        patch(name, fn, counter(unit, fn))
+    new, translate = games.Game.__dict__["__new__"], games.translate
+
     def counted_translate(game, n):
         # one game, whether or not translate builds it through Game
         built = counts["games_built"]
@@ -87,21 +107,32 @@ def counting(counts: Counter):
         counts["games_built"] = built + 1
         return shifted
 
-    for unit, (module, name) in COUNTED.items():
-        setattr(module, name, counter(unit, getattr(module, name)))
     games.Game.__new__ = staticmethod(counter("games_built", new.__func__))
-    translation.translate = counted_translate
+    patch("translate", translate, counted_translate)
     try:
-        yield
+        yield counts
     finally:
-        for module, name, fn in saved:
-            setattr(module, name, fn)
         games.Game.__new__ = new
-        translation.translate = translate
+        # a module imported inside the block may have bound a wrapper too
+        for name, original, wrapper in reversed(patched):
+            for module in _package():
+                if vars(module).get(name) is wrapper:
+                    setattr(module, name, original)
+
+
+def _package() -> list:
+    """Every growthprice module imported so far."""
+    return [
+        module
+        for key, module in list(sys.modules.items())
+        if key.partition(".")[0] == "growthprice"
+    ]
 
 
 def fingerprint(workload: str, wide: bool, ops: int, seed: int) -> dict:
     """The hash and the work of one seed's ops."""
+    from workloads import Solve
+
     solve = Solve(workload, wide)
     items = solve.setup(seed, ops, smoke=False)
     digest, counts = hashlib.sha256(), Counter()

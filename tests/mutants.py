@@ -511,6 +511,17 @@ MUTANTS = (
         (CANONICAL_RECORDS, RECORDS_BUILT_ONCE),
         "records built once, from plain pairs",
     ),
+    Mutant(
+        "price_translated starts the shifted price cold",
+        "translation.py",
+        "_solve_price(shifted, r, tol, max_iter, (u + n, t * (u + n) / u))",
+        "_solve_price(shifted, r, tol, max_iter)",
+        (
+            "tests/test_call_counts.py::"
+            "test_price_translated_reuses_the_price_its_caller_computed",
+        ),
+        "the shifted price's warm start is an argument",
+    ),
 )
 
 

@@ -8,12 +8,12 @@ regression gates for per-call overhead.
 
 import io
 import math
-import sys
 from collections import Counter
 
 import pytest
 
 from conftest import random_game
+from fingerprint import counting
 
 import growthprice.games
 import growthprice.kernels
@@ -51,22 +51,11 @@ COUNTED = {
 
 
 @pytest.fixture
-def calls(monkeypatch):
+def calls():
     """Count calls to each COUNTED function, wherever looked up."""
-    counts = Counter()
-    for name, home in COUNTED.items():
-        original = getattr(home, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "growthprice" and (
-                getattr(module, name, None) is original
-            ):
-                monkeypatch.setattr(module, name, counted)
-    return counts
+    units = {name: (home, name) for name, home in COUNTED.items()}
+    with counting(Counter(), units) as counts:
+        yield counts
 
 
 def test_threshold_shift_validates_once_and_builds_no_game(two_point, calls):
@@ -349,8 +338,10 @@ def test_price_translated_reads_the_regime_off_its_two_prices(two_point, calls):
     for n in (-0.5, 10.0, 99.0):
         price_translated(two_point, 0.05, n)
     assert calls["boundary_growth"] == 0
-    # below n0 both games are priced, past it only the shifted one
-    assert calls["optimal_price"] == 2 + 2 + 1
+    # below n0 both games are priced, past it only the shifted one; the
+    # base keeps its price, and each shifted game is solved and dropped
+    assert calls["optimal_price"] == 1 + 1 + 0
+    assert calls["_solve_price"] == 2 + 1 + 1
 
 
 def test_translate_command_prices_each_game_once(two_point, tmp_path, calls):

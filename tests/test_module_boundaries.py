@@ -14,9 +14,15 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "growthprice"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # the module that names each key kept on a game: the arrays of a wide game,
-# the last price, and a link from a shifted game to the game it came from,
-# through which another module would hand a solver another game's state
-OWNERS = {"_vector": "kernels.py", "_price": "solver.py", "_shifted_from": None}
+# the last price, and, named by none, a link from a shifted game to the game
+# it came from and a joint Newton start, through which another module would
+# hand a solver another game's state
+OWNERS = {
+    "_vector": "kernels.py",
+    "_price": "solver.py",
+    "_shifted_from": None,
+    "_joint_start": None,
+}
 
 
 def _tree(path: Path) -> ast.AST:

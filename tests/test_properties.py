@@ -47,6 +47,7 @@ from growthprice.solver import (
     _PRICE_MARGIN,
     _bisect,
     _price_slopes,
+    _solve_price,
     _solve_proportion,
 )
 
@@ -501,16 +502,13 @@ def test_a_moved_warm_start_moves_no_shifted_bit(game, fraction, share, moves):
     warm = _outcome(price_translated, game, r, n)
     handed = []
 
-    def moved(shifted, *args, **kwargs):
-        start = vars(shifted).get("_joint_start")
+    def moved(shifted, r, tol, max_iter, start=None):
         if start is not None:
             handed.append(start)
-            vars(shifted)["_joint_start"] = tuple(
-                x * (1.0 + move) for x, move in zip(start, moves)
-            )
-        return optimal_price(shifted, *args, **kwargs)
+            start = tuple(x * (1.0 + move) for x, move in zip(start, moves))
+        return _solve_price(shifted, r, tol, max_iter, start)
 
-    with patch.object(growthprice.translation, "optimal_price", moved):
+    with patch.object(growthprice.translation, "_solve_price", moved):
         assert _outcome(price_translated, Game(*game), r, n) == warm
     # both games price in the interior here, so the start was handed in
     assert len(handed) == 1

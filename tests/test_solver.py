@@ -7,7 +7,6 @@ import sys
 import threading
 import warnings
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -21,6 +20,7 @@ import growthprice.kernels
 import growthprice.solver
 import growthprice.translation
 from conftest import admissible_price, random_game, random_two_point
+from fingerprint import counting
 from growthprice import (
     DomainError,
     Game,
@@ -733,39 +733,6 @@ def _solve_reprs(game: Game, n: float, max_iter: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@contextmanager
-def _counting():
-    """A Counter of first-order evaluations, on either kernel, of exact log
-    growth evaluations and of boundary_growth calls, made inside the with
-    block."""
-    counts = Counter()
-    kernel = growthprice.kernels._first_order_kernel
-    growth = growthprice.translation.boundary_growth
-    log_growth = growthprice.kernels._log_growth
-
-    def counted_kernel(game):
-        evaluate = kernel(game)
-
-        def counted(*args, **kwargs):
-            counts["first_order"] += 1
-            return evaluate(*args, **kwargs)
-
-        return counted
-
-    def counted_growth(game, n):
-        counts["boundary_growth"] += 1
-        return growth(game, n)
-
-    def counted_log_growth(outcomes, u, t):
-        counts["log_growth"] += 1
-        return log_growth(outcomes, u, t)
-
-    with patch.object(growthprice.kernels, "_first_order_kernel", counted_kernel):
-        with patch.object(growthprice.translation, "boundary_growth", counted_growth):
-            with patch.object(growthprice.kernels, "_log_growth", counted_log_growth):
-                yield counts
-
-
 # The exact evaluations that numpy's steering values save on a wide game: the
 # joint Newton's log growth. Newton on the threshold steers on log B on both
 # kernels, and on the first-order sum on both, so neither kernel makes fewer
@@ -797,7 +764,7 @@ wide_games = st.integers(40, 256).flatmap(
 def _counted_solves(game: Game, r: float) -> tuple[list[str], list[Counter]]:
     """Each solve's repr, or its error's, and the running counts after it."""
     reprs, running = [], []
-    with _counting() as counts:
+    with counting(Counter()) as counts:
         for solve in (optimal_price, threshold_shift, partial(price_translated, n=3.0)):
             try:
                 reprs.append(repr(solve(game, r)))
@@ -868,18 +835,19 @@ class TestFirstOrderKernels:
                     results.append(price_translated(game, r, n))
             return repr(results)
 
-        with _counting() as vector_counts:
+        with counting(Counter()) as vector_counts:
             vector = solve_all(game)
         assert "_vector" in vars(game)
         monkeypatch.setattr(growthprice.kernels, "_VECTOR_MIN_OUTCOMES", 10**9)
         assert _first_order_kernel(game).func is _first_order_sum
         # a fresh game, since game keeps the price the numpy kernel found
         fresh = Game(*game)
-        with _counting() as loop_counts:
+        with counting(Counter()) as loop_counts:
             assert solve_all(fresh) == vector
         assert "_vector" not in vars(fresh)
         assert _no_more_exact(vector_counts, loop_counts), (vector_counts, loop_counts)
-        assert vector_counts["first_order"] and vector_counts["boundary_growth"]
+        first_order = vector_counts["foc_loop"] + vector_counts["foc_array"]
+        assert first_order and vector_counts["boundary_growth"]
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(

@@ -30,36 +30,11 @@ if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from collections import Counter
 import growthprice.kernels as kernels
-import growthprice.translation as translation
+from fingerprint import counting
 from growthprice import (
     Game, asymptotic_sweep, check_invariance, compute_stats, optimal_price,
     price_translated, threshold_shift, verify,
 )
-
-counts = Counter()
-loop, vector = kernels._first_order_sum, kernels._array_first_order_sum
-growth, log_growth = translation.boundary_growth, kernels._log_growth
-
-def counted(evaluate):
-    def evaluation(*args, **kwargs):
-        counts["first_order"] += 1
-        return evaluate(*args, **kwargs)
-    return evaluation
-
-def counted_growth(game, n):
-    counts["boundary_growth"] += 1
-    return growth(game, n)
-
-# every first-order evaluation, on either kernel
-kernels._first_order_sum = counted(loop)
-kernels._array_first_order_sum = counted(vector)
-translation.boundary_growth = counted_growth
-
-def counted_log_growth(outcomes, u, t):
-    counts["log_growth"] += 1
-    return log_growth(outcomes, u, t)
-
-kernels._log_growth = counted_log_growth
 
 results, kept = [], []
 for k in (40, 64, 256):
@@ -80,10 +55,11 @@ for k in (40, 64, 256):
             lambda: check_invariance(game, optimal_price(game, r).optimal_price, 3.0),
         ]
         for call in calls:
-            counts.clear()
+            with counting(Counter()) as counts:
+                result = repr(call())
             results.append([
-                repr(call()), counts["first_order"], counts["boundary_growth"],
-                counts["log_growth"],
+                result, counts["foc_loop"] + counts["foc_array"],
+                counts["boundary_growth"], counts["log_growth"],
             ])
         kept.append("_vector" in vars(game))
 print(json.dumps({
@@ -97,7 +73,9 @@ print(json.dumps({
 
 def _run_child(mode: str) -> dict:
     src = str(Path(growthprice.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    # the child counts with tests/fingerprint.py, which imports no numpy
+    tests = str(Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, mode], env=env, capture_output=True, timeout=120
     )
